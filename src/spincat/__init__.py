@@ -34,6 +34,7 @@ from .metrology import (
     EvolvedState,
     Generator,
     cat_crb,
+    cat_crb_batch,
     crb,
     crb_from_qfi,
     evolve,
@@ -42,6 +43,7 @@ from .metrology import (
     qfi_sld_oracle,
 )
 from .scan import (
+    MAX_RESOLUTION,
     GridResult,
     HlPoint,
     HlSearchSpec,
@@ -79,6 +81,7 @@ __all__ = [
     "crb_from_qfi",
     "crb",
     "cat_crb",
+    "cat_crb_batch",
     "ClosedFormCase",
     "crb_half_z",
     "crb_half_z_reductions",
@@ -90,6 +93,7 @@ __all__ = [
     "FAMILIES",
     "SweepReport",
     "sweep_family",
+    "MAX_RESOLUTION",
     "ScanSpec",
     "GridResult",
     "grid_scan",

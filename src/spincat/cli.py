@@ -29,6 +29,7 @@ from .coherent import CoherentParams, coherent_overlap
 from .dicke import SpinJ
 from .metrology import Generator, cat_crb
 from .scan import (
+    MAX_RESOLUTION,
     GridResult,
     HlSearchSpec,
     NoHlFoundError,
@@ -130,7 +131,6 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
     "family": _parse_family,
     "res": _parse_int,
     "seeds": _parse_int,
-    "workers": _parse_int,
     "cap": _parse_float,
     "tol": _parse_float,
     "tolerance": _parse_float,
@@ -149,7 +149,6 @@ _DEFAULTS: dict[str, dict[str, object]] = {
         "phi2": "0",
         "res": 201,
         "cap": 20.0,
-        "workers": None,
         "output": None,
         "pi_units": False,
     },
@@ -206,7 +205,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--phi2", help="second phase")
     p.add_argument("--res", help="grid resolution")
     p.add_argument("--cap", help="CSV ceiling for diverging bounds")
-    p.add_argument("--workers", help="thread count")
     p.add_argument("--output", help="CSV path (default: stdout)")
 
     p = sub.add_parser("find-hl", help="search for Heisenberg-limit points")
@@ -338,8 +336,8 @@ def _cmd_verify(opts: Mapping) -> int:
         cases = list(FAMILIES)
     res = opts["res"]
     tol = opts["tol"]
-    if res < 2:
-        raise _UsageError("--res must be >= 2")
+    if not 2 <= res <= MAX_RESOLUTION:
+        raise _UsageError(f"--res must lie in [2, {MAX_RESOLUTION}]")
     if not tol > 0:
         raise _UsageError("--tol must be positive")
     failures = []
@@ -390,10 +388,7 @@ def _cmd_scan(opts: Mapping) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
-    workers = opts["workers"]
-    if workers is not None and workers < 1:
-        raise _UsageError("--workers must be >= 1")
-    result = grid_scan(spec, workers)
+    result = grid_scan(spec)
     if opts["output"] is None:
         result.to_csv(sys.stdout)
     else:

@@ -23,14 +23,26 @@ family evaluators cannot quietly regress to them.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .catstate import DEGENERACY_FLOOR, CatParams, DegenerateCatError
-from .coherent import CoherentParams
+import numpy as np
+
+# CatParams, CoherentParams and cat_crb are not called here any more; they
+# stay importable from this module because bench/spans.py rebinds them
+from .catstate import DEGENERACY_FLOOR, CatParams  # noqa: F401
+from .coherent import CoherentParams  # noqa: F401
 from .dicke import SpinJ
-from .metrology import Generator, QFI_DIVERGENCE_FLOOR, cat_crb
+from .metrology import (  # noqa: F401
+    Generator,
+    QFI_DIVERGENCE_FLOOR,
+    batch_cells,
+    cat_crb,
+    cat_crb_batch,
+)
+from .scan import check_resolution
 
 __all__ = [
     "ClosedFormCase",
@@ -710,15 +722,6 @@ class SweepReport:
         return self.event_mismatches == 0 and self.max_abs_deviation <= tol
 
 
-def _engine_value(defn: FamilyDefinition, params: Mapping[str, float]) -> float:
-    t1, t2, p1, p2 = defn.angles(params)
-    cat = CatParams(defn.spin, CoherentParams(t1, p1), CoherentParams(t2, p2))
-    try:
-        return cat_crb(cat, defn.generator).crb
-    except DegenerateCatError:
-        return math.inf  # no state: compare as a divergence event
-
-
 def _grid_points(defn: FamilyDefinition, resolution: int):
     names = [fp[0] for fp in defn.free_params]
     if len(names) == 1:
@@ -738,29 +741,37 @@ def sweep_family(case: ClosedFormCase, resolution: int = 50) -> SweepReport:
     """Compare the closed form against the numeric engine on the family grid.
 
     Divergences (and degenerate-cat points) must coincide as events; finite
-    points are compared by absolute deviation.
+    points are compared by absolute deviation. The engine side runs through
+    cat_crb_batch a block of points at a time. resolution is points per free
+    parameter, 2 <= resolution <= MAX_RESOLUTION; one-parameter families
+    take resolution**2 points.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    check_resolution(resolution)
     defn = FAMILIES[case]
     points = finite = mismatches = 0
     worst = 0.0
     worst_point = mismatch_point = None
-    for params in _grid_points(defn, resolution):
-        points += 1
-        fv = defn.formula(params)
-        ev = _engine_value(defn, params)
-        f_div = math.isinf(fv)
-        e_div = math.isinf(ev)
-        if f_div != e_div:
-            mismatches += 1
-            mismatch_point = (dict(params), fv, ev)
-        elif not f_div:
-            finite += 1
-            dev = abs(fv - ev)
-            if dev > worst:
-                worst = dev
-                worst_point = (dict(params), fv, ev)
+    grid = _grid_points(defn, resolution)
+    block = batch_cells(defn.spin)
+    while batch := list(itertools.islice(grid, block)):
+        angles = np.array([defn.angles(params) for params in batch])
+        _, crbs, degenerate = cat_crb_batch(defn.spin, defn.generator, *angles.T)
+        # no state: compare as a divergence event
+        engine = np.where(degenerate, math.inf, crbs).tolist()
+        for params, ev in zip(batch, engine):
+            points += 1
+            fv = defn.formula(params)
+            f_div = math.isinf(fv)
+            e_div = math.isinf(ev)
+            if f_div != e_div:
+                mismatches += 1
+                mismatch_point = (dict(params), fv, ev)
+            elif not f_div:
+                finite += 1
+                dev = abs(fv - ev)
+                if dev > worst:
+                    worst = dev
+                    worst_point = (dict(params), fv, ev)
     if mismatch_point is not None:
         worst_point = mismatch_point
     return SweepReport(

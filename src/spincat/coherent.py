@@ -83,11 +83,13 @@ def coherent_overlap(j: SpinJ, p1: CoherentParams, p2: CoherentParams) -> comple
     """<theta1,phi1,j | theta2,phi2,j> in closed form.
 
     Equals [cos(t1/2)cos(t2/2) + e^{i(phi1-phi2)} sin(t1/2)sin(t2/2)]^{2j},
-    the 2j-th power of the spin-1/2 overlap.
+    the 2j-th power of the spin-1/2 overlap. The real sine product is formed
+    before the phase multiplies it, so swapping the states gives exactly the
+    complex conjugate.
     """
     base = math.cos(p1.theta / 2) * math.cos(p2.theta / 2) + cmath.exp(
         1j * (p1.phi - p2.phi)
-    ) * math.sin(p1.theta / 2) * math.sin(p2.theta / 2)
+    ) * (math.sin(p1.theta / 2) * math.sin(p2.theta / 2))
     return base**j.two_j
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catstate import CatParams, cat_state
+from .catstate import DEGENERACY_FLOOR, CatParams, cat_state
+from .coherent import _THETA_SLACK, TWO_PI, _sqrt_binomials
 from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
     "crb",
     "crb_from_qfi",
     "cat_crb",
+    "cat_crb_batch",
+    "BATCH_AMPLITUDES",
     "QFI_DIVERGENCE_FLOOR",
     "FD_STEP_MIN",
     "FD_STEP_MAX",
@@ -44,6 +47,10 @@ FD_STEP_MAX = 1e-2
 
 # eigenvalue-pair floor for the SLD spectral formula
 _SLD_EIG_FLOOR = 1e-12
+
+# Dicke amplitudes per working array of cat_crb_batch; bounds the kernel's
+# temporaries whatever the size of the batch
+BATCH_AMPLITUDES = 4096
 
 
 class Generator(enum.Enum):
@@ -160,3 +167,103 @@ def cat_crb(c: CatParams, g: Generator) -> CrbResult:
     Propagates DegenerateCatError where the cat does not exist.
     """
     return crb(cat_state(c), g)
+
+
+# ---------------------------------------------------------------------------
+# batched kernel: many cats of one spin and generator at once
+
+def batch_cells(j: SpinJ) -> int:
+    """Cats per working chunk of cat_crb_batch at this spin."""
+    return max(1, BATCH_AMPLITUDES // j.dim)
+
+
+def _checked_theta(theta: np.ndarray) -> np.ndarray:
+    # the CoherentParams rule, elementwise
+    bad = ~(np.isfinite(theta) & (theta >= -_THETA_SLACK) & (theta <= math.pi + _THETA_SLACK))
+    if bad.any():
+        raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad][0])!r}")
+    return np.clip(theta, 0.0, math.pi)
+
+
+def _reduced_phi(phi: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(phi)
+    if bad.any():
+        raise ValueError(f"phi must be finite, got {float(phi[bad][0])!r}")
+    return np.mod(phi, TWO_PI)
+
+
+def _coherent_rows(two_j: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Amplitudes of |theta, phi, j>, one row per entry of theta and phi.
+
+    The arithmetic of coherent_state, elementwise.
+    """
+    k = np.arange(two_j + 1)
+    c = np.cos(theta / 2)[:, None]
+    s = np.sin(theta / 2)[:, None]
+    mags = _sqrt_binomials(two_j) * c ** (two_j - k) * s**k
+    return mags * np.exp(-1j * phi[:, None] * k)
+
+
+def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one <a_i|b_i> per row; a stack of vector products reaches the same
+    # BLAS dot as np.vdot, so each row matches the single-state value
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0].real
+
+
+def _apply_generator(j: SpinJ, g: Generator, psi: np.ndarray) -> np.ndarray:
+    """G @ psi for every row of psi in O(d).
+
+    Jz is diagonal; Jx and Jy are built from J+ and J- alone, so they hold
+    only the first off-diagonal and its mirror image.
+    """
+    G = g.matrix(j)
+    if g is Generator.Z:
+        return np.diagonal(G) * psi
+    out = np.zeros_like(psi)
+    out[:, 1:] = np.diagonal(G, -1) * psi[:, :-1]
+    out[:, :-1] += np.diagonal(G, 1) * psi[:, 1:]
+    return out
+
+
+def _qfi_chunk(j: SpinJ, g: Generator, t1, t2, p1, p2):
+    """-> (qfi, degenerate) for one chunk of flat angle arrays."""
+    summed = _coherent_rows(j.two_j, t1, p1) + _coherent_rows(j.two_j, t2, p2)
+    # componentwise |.|^2, as in catstate: never 2 + 2 Re<1|2>
+    n2 = np.sum(summed.real * summed.real + summed.imag * summed.imag, axis=1)
+    degenerate = n2 <= DEGENERACY_FLOOR
+    psi = summed / np.sqrt(np.where(degenerate, 1.0, n2))[:, None]
+    gpsi = _apply_generator(j, g, psi)
+    resid = gpsi - _row_vdots(psi, gpsi)[:, None] * psi
+    return 4.0 * _row_vdots(resid, resid), degenerate
+
+
+def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
+    """Bounds for many cats of one spin and generator -> (qfi, crb, degenerate).
+
+    The angles broadcast against each other; each output has their common
+    shape. Angles are checked and reduced as CoherentParams does, and a
+    ValueError names the first bad one. qfi is the residual form of
+    qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf where qfi is at or
+    below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
+    DegenerateCatError) qfi and crb are nan and the flag is set.
+
+    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes, so memory
+    does not grow with the batch. Single cats are cheaper through cat_crb.
+    """
+    t1, t2, p1, p2 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (theta1, theta2, phi1, phi2))
+    )
+    shape = t1.shape
+    t1, t2 = _checked_theta(t1.ravel()), _checked_theta(t2.ravel())
+    p1, p2 = _reduced_phi(p1.ravel()), _reduced_phi(p2.ravel())
+    qfi = np.empty(t1.size)
+    degenerate = np.empty(t1.size, dtype=bool)
+    step = batch_cells(j)
+    for lo in range(0, t1.size, step):
+        part = slice(lo, lo + step)
+        qfi[part], degenerate[part] = _qfi_chunk(j, g, t1[part], t2[part], p1[part], p2[part])
+    crb = np.full_like(qfi, math.inf)
+    np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)
+    qfi[degenerate] = math.nan
+    crb[degenerate] = math.nan
+    return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)

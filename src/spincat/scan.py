@@ -3,17 +3,18 @@
 grid_scan samples the Cramer-Rao bound of a cat state on a square
 (theta1, theta2) grid at fixed phases, keeping the raw extended-real
 values alongside overflow and degenerate masks so plots and CSV exports
-can cap divergences without losing information.
+can cap divergences without losing information. The grid goes through
+the batched kernel cat_crb_batch a block of rows at a time.
 
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
-cyclic coordinate descent with golden-section line minimization. The
-search is exact-arithmetic deterministic: same spec, same result.
+cyclic coordinate descent with golden-section line minimization, one
+scalar cat_crb call per objective evaluation. The search is
+exact-arithmetic deterministic: same spec, same result.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -22,9 +23,10 @@ import numpy as np
 from .catstate import CatParams, DegenerateCatError
 from .coherent import CoherentParams
 from .dicke import SpinJ
-from .metrology import Generator, cat_crb
+from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch
 
 __all__ = [
+    "MAX_RESOLUTION",
     "ScanSpec",
     "GridResult",
     "grid_scan",
@@ -37,17 +39,29 @@ __all__ = [
 DEFAULT_RESOLUTION = 201
 DEFAULT_CAP = 20.0
 
+# largest points per axis of a scan or a closed-form sweep; 2001^2 cells
+# take seconds, and anything larger is refused before it is computed
+MAX_RESOLUTION = 2001
+
 
 class NoHlFoundError(RuntimeError):
     """No Heisenberg-limit point found within the requested tolerance."""
 
 
+def check_resolution(resolution) -> None:
+    """Raise ValueError unless resolution is an int in [2, MAX_RESOLUTION]."""
+    if not isinstance(resolution, int) or not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}"
+        )
+
+
 def _cell_crb(j: SpinJ, g: Generator, t1: float, t2: float, p1: float, p2: float):
-    """-> (crb, degenerate flag); divergent bounds come back as inf."""
-    try:
-        cat = CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2))
-    except ValueError:
-        return math.inf, False
+    """-> (crb, degenerate flag); divergent bounds come back as inf.
+
+    Angles outside the CoherentParams domain raise ValueError.
+    """
+    cat = CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2))
     try:
         return cat_crb(cat, g).crb, False
     except DegenerateCatError:
@@ -58,7 +72,8 @@ def _cell_crb(j: SpinJ, g: Generator, t1: float, t2: float, p1: float, p2: float
 class ScanSpec:
     """A (theta1, theta2) grid at fixed phases.
 
-    theta axes run over [0, pi] with resolution points: theta_a = a*pi/(res-1).
+    theta axes run over [0, pi] with resolution points: theta_a = a*pi/(res-1),
+    2 <= resolution <= MAX_RESOLUTION.
     cap is the plotting/CSV ceiling; raw values are kept uncapped.
     """
 
@@ -77,8 +92,7 @@ class ScanSpec:
         for name in ("phi1", "phi2"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if not isinstance(self.resolution, int) or self.resolution < 2:
-            raise ValueError("resolution must be an integer >= 2")
+        check_resolution(self.resolution)
         cap = float(self.cap)
         if not math.isfinite(cap) or cap <= 0.0:
             raise ValueError("cap must be a positive finite float")
@@ -123,47 +137,43 @@ class GridResult:
         report crb = nan with degenerate = 1. Floats use %.12g.
         """
         stream.write("theta1,theta2,crb,overflow,degenerate\n")
-        cap = self.spec.cap
-        n = self.spec.resolution
-        for i in range(n):
-            t1 = self.theta[i]
-            for k in range(n):
-                if self.degenerate[i, k]:
-                    val, over, deg = math.nan, 0, 1
-                elif self.overflow[i, k]:
-                    val, over, deg = cap, 1, 0
-                else:
-                    val, over, deg = self.values[i, k], 0, 0
-                stream.write(
-                    "%.12g,%.12g,%.12g,%d,%d\n" % (t1, self.theta[k], val, over, deg)
+        labels = ["%.12g" % t for t in self.theta.tolist()]
+        capped = "%.12g,1,0\n" % self.spec.cap
+        for i, t1 in enumerate(labels):
+            cells = zip(
+                labels,
+                self.values[i].tolist(),
+                self.overflow[i].tolist(),
+                self.degenerate[i].tolist(),
+            )
+            stream.write(
+                "".join(
+                    [
+                        f"{t1},{t2},"
+                        + ("nan,0,1\n" if deg else capped if over else "%.12g,0,0\n" % v)
+                        for t2, v, over, deg in cells
+                    ]
                 )
+            )
 
 
-def grid_scan(spec: ScanSpec, workers: int | None = None) -> GridResult:
-    """Evaluate the bound on the spec's grid, optionally with a thread pool.
+def grid_scan(spec: ScanSpec) -> GridResult:
+    """Evaluate the bound on the spec's grid with cat_crb_batch.
 
-    Output is independent of workers: every cell is computed from its own
-    indices into preallocated arrays.
+    Rows go to the kernel in blocks of about one kernel chunk, so no
+    temporary grows with resolution**2. Every cell is computed from its
+    own angles alone: block and chunk sizes do not change any value.
     """
     n = spec.resolution
     theta = spec.theta_axis()
-    values = np.full((n, n), np.nan)
-    degenerate = np.zeros((n, n), dtype=bool)
-
-    def fill_row(i: int) -> None:
-        t1 = theta[i]
-        for k in range(n):
-            crb, deg = _cell_crb(spec.j, spec.generator, t1, theta[k], spec.phi1, spec.phi2)
-            values[i, k] = crb
-            degenerate[i, k] = deg
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
-
+    values = np.empty((n, n))
+    degenerate = np.empty((n, n), dtype=bool)
+    rows = max(1, batch_cells(spec.j) // n)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        _, values[block], degenerate[block] = cat_crb_batch(
+            spec.j, spec.generator, theta[block, None], theta, spec.phi1, spec.phi2
+        )
     with np.errstate(invalid="ignore"):
         overflow = ~degenerate & (values > spec.cap)
     for arr in (theta, values, overflow, degenerate):

@@ -121,6 +121,35 @@ def test_usage_errors_exit_one(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--j", "0.5", "--generator", "z", "--res", "2002"),
+        ("verify", "--all", "--res", "2002"),
+    ],
+)
+def test_resolution_above_the_cap_exits_one_unrun(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(cli, "grid_scan", never)
+    monkeypatch.setattr(cli, "sweep_family", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "2001" in err
+    assert out == ""
+
+
+def test_workers_flag_is_gone(capsys, tmp_path):
+    code, _, _ = run(capsys, "scan", "--j", "0.5", "--generator", "z", "--workers", "2")
+    assert code == 1
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("workers = 2\n")
+    code, _, err = run(capsys, "scan", "--config", str(cfg), "--j", "0.5", "--generator", "z")
+    assert code == 1
+    assert "workers" in err
+
+
 def test_degenerate_cat_exits_two(capsys):
     code, _, err = run(
         capsys,

@@ -6,6 +6,7 @@ import pytest
 
 from spincat import (
     FAMILIES,
+    MAX_RESOLUTION,
     CatParams,
     ClosedFormCase,
     CoherentParams,
@@ -155,6 +156,17 @@ def test_quick_engine_sweeps(case):
 def test_sweep_rejects_tiny_resolution():
     with pytest.raises(ValueError):
         sweep_family(ClosedFormCase.HALF_Z_PHI0, 1)
+
+
+def test_sweep_rejects_resolution_above_the_cap(monkeypatch):
+    import spincat.closedform as closedform
+
+    def never(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(closedform, "cat_crb_batch", never)
+    with pytest.raises(ValueError, match="resolution"):
+        sweep_family(ClosedFormCase.HALF_Z_EQUATOR, MAX_RESOLUTION + 1)
 
 
 def test_common_phase_invariance_of_z_forms():

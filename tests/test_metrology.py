@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spincat import (
     CatParams,
@@ -13,6 +15,7 @@ from spincat import (
     Generator,
     SpinJ,
     cat_crb,
+    cat_crb_batch,
     cat_state,
     coherent_state,
     crb,
@@ -161,3 +164,69 @@ def test_cat_crb_propagates_degeneracy():
     )
     with pytest.raises(DegenerateCatError):
         cat_crb(cat, Generator.Z)
+
+
+# --- batched kernel against the scalar path ----------------------------------
+
+thetas = st.floats(min_value=0.0, max_value=math.pi)
+phis = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("gen", list(Generator))
+@given(t1=thetas, p1=phis, t2=thetas, p2=phis)
+def test_batch_matches_scalar_cat_crb(two_j, gen, t1, p1, t2, p2):
+    j = SpinJ(two_j)
+    qfi, bound, degenerate = cat_crb_batch(j, gen, [t1], [t2], p1, [p2])
+    assert qfi.shape == bound.shape == degenerate.shape == (1,)
+    try:
+        ref = cat_crb(CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2)), gen)
+    except DegenerateCatError:
+        assert degenerate[0]
+        assert math.isnan(qfi[0]) and math.isnan(bound[0])
+        return
+    assert not degenerate[0]
+    assert math.isinf(bound[0]) == ref.divergent
+    if ref.divergent:
+        assert qfi[0] <= QFI_DIVERGENCE_FLOOR
+    else:
+        assert qfi[0] == pytest.approx(ref.qfi, rel=1e-12, abs=0)
+        assert bound[0] == pytest.approx(ref.crb, rel=1e-12, abs=0)
+
+
+def test_batch_broadcasts_and_flags_events():
+    theta = np.linspace(0.0, math.pi, 5)
+    qfi, bound, degenerate = cat_crb_batch(SpinJ(1), Generator.Z, theta[:, None], theta, 0.0, math.pi)
+    assert qfi.shape == bound.shape == degenerate.shape == (5, 5)
+    # equal thetas at opposite phases: a Jz eigenstate, or no state at the pole
+    assert degenerate[4, 4] and not degenerate[:4, :4].any()
+    assert all(math.isinf(bound[i, i]) and qfi[i, i] <= QFI_DIVERGENCE_FLOOR for i in range(4))
+    # the pole pair is a N00N state: crb = 1/(2j)
+    assert bound[0, 4] == pytest.approx(1.0, abs=1e-12)
+    scalar = cat_crb_batch(SpinJ(1), Generator.Z, 0.3, 1.2, 0.1, 2.0)
+    assert all(np.ndim(x) == 0 for x in scalar)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        (math.nan, 1.0, 0.0, 0.0),
+        (1.0, -0.01, 0.0, 0.0),
+        (1.0, math.pi + 1e-6, 0.0, 0.0),
+        (1.0, 1.0, math.inf, 0.0),
+        (1.0, 1.0, 0.0, math.nan),
+    ],
+)
+def test_batch_rejects_bad_angles(angles):
+    t1, t2, p1, p2 = angles
+    with pytest.raises(ValueError):
+        cat_crb_batch(SpinJ(2), Generator.X, [0.5, t1], [0.5, t2], [0.0, p1], [0.0, p2])
+    with pytest.raises(ValueError):
+        cat_crb(CatParams(SpinJ(2), CoherentParams(t1, p1), CoherentParams(t2, p2)), Generator.X)
+
+
+def test_batch_clamps_theta_within_slack():
+    slack = 1e-10
+    a = cat_crb_batch(SpinJ(3), Generator.Y, [-slack], [math.pi + slack], 0.4, 1.1)
+    b = cat_crb_batch(SpinJ(3), Generator.Y, [0.0], [math.pi], 0.4, 1.1)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spincat import (
+    MAX_RESOLUTION,
     CatParams,
     CoherentParams,
     Generator,
@@ -97,14 +98,24 @@ def test_csv_layout():
     assert "inf" not in buf.getvalue()
 
 
-def test_workers_do_not_change_bytes():
-    a = grid_scan(spec(phi1=0.7, phi2=2.1, res=21), workers=None)
-    b = grid_scan(spec(phi1=0.7, phi2=2.1, res=21), workers=4)
+@pytest.mark.parametrize("j", [HALF, SpinJ(16)], ids=["2j1", "2j16"])
+def test_chunk_size_does_not_change_bytes(monkeypatch, j):
+    import spincat.metrology as metrology
+
+    a = grid_scan(spec(phi1=0.7, phi2=2.1, res=21, j=j, gen=Generator.Y))
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", 7)
+    b = grid_scan(spec(phi1=0.7, phi2=2.1, res=21, j=j, gen=Generator.Y))
     buf_a, buf_b = io.StringIO(), io.StringIO()
     a.to_csv(buf_a)
     b.to_csv(buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
     assert np.array_equal(a.values, b.values, equal_nan=True)
+
+
+def test_resolution_cap():
+    assert spec(res=MAX_RESOLUTION).resolution == MAX_RESOLUTION
+    with pytest.raises(ValueError, match="resolution"):
+        spec(res=MAX_RESOLUTION + 1)
 
 
 def test_refinement_keeps_shared_points():
@@ -151,6 +162,14 @@ def test_find_hl_reports_failure(monkeypatch):
     monkeypatch.setattr(scan_mod, "_cell_crb", lambda *a: (10.0, False))
     with pytest.raises(NoHlFoundError, match="no point reached"):
         find_hl(HlSearchSpec(j=HALF, generator=Generator.Z, seeds=2))
+
+
+@pytest.mark.parametrize("theta", [-0.1, PI + 1e-6, math.nan])
+def test_search_objective_rejects_bad_theta(theta):
+    import spincat.scan as scan_mod
+
+    with pytest.raises(ValueError, match="theta"):
+        scan_mod._cell_crb(HALF, Generator.Z, theta, 1.0, 0.0, 0.0)
 
 
 def test_search_spec_validation():
