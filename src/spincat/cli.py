@@ -268,8 +268,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 
 
 def _jf(x: float) -> float:
-    # 15 significant digits: enough to round-trip every reported quantity
-    # while keeping reports stable across platforms
+    # 15 significant digits, the digits the text output prints; fewer than
+    # the 17 a double may need to round-trip, but stable across platforms
     return float(f"{x:.15g}")
 
 

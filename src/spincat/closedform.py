@@ -33,7 +33,7 @@ import numpy as np
 # CatParams, CoherentParams and cat_crb are not called here any more; they
 # stay importable from this module because bench/spans.py rebinds them
 from .catstate import DEGENERACY_FLOOR, CatParams  # noqa: F401
-from .coherent import CoherentParams  # noqa: F401
+from .coherent import _THETA_SLACK, CoherentParams  # noqa: F401
 from .dicke import SpinJ
 from .metrology import (  # noqa: F401
     Generator,
@@ -67,8 +67,6 @@ PI = math.pi
 # bounds at or above this are classified as divergent; the mirror image of
 # the engine's qfi floor so both sides agree on events
 CRB_DIVERGENCE_CEILING = 1.0 / math.sqrt(QFI_DIVERGENCE_FLOOR)
-
-_THETA_SLACK = 1e-9
 
 
 class ClosedFormCase(enum.Enum):

@@ -102,9 +102,6 @@ class DickeVector:
             raise ValueError("states carry different j")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def with_amplitudes(self, amps) -> "DickeVector":
-        return DickeVector(self.j, amps)
-
 
 @dataclass(frozen=True)
 class SpinOperators:

@@ -8,22 +8,28 @@ the batched kernel cat_crb_batch a block of rows at a time.
 
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
-cyclic coordinate descent with golden-section line minimization, one
-scalar cat_crb call per objective evaluation. The search is
-exact-arithmetic deterministic: same spec, same result.
+cyclic coordinate descent with golden-section line minimization. The seed
+grid is one cat_crb_batch call, and all seeds are polished in lockstep:
+each golden-section step is one cat_crb_batch call holding the next point
+of every seed still searching. Each seed takes exactly the steps it would
+take searched on its own, so the search is exact-arithmetic
+deterministic: same spec, same result.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
-from .catstate import CatParams, DegenerateCatError
-from .coherent import CoherentParams
+# CatParams, CoherentParams and cat_crb are not called here any more; they
+# stay importable from this module because bench/spans.py rebinds them
+from .catstate import CatParams  # noqa: F401
+from .coherent import CoherentParams  # noqa: F401
 from .dicke import SpinJ
-from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch
+from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch  # noqa: F401
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -54,18 +60,6 @@ def check_resolution(resolution) -> None:
         raise ValueError(
             f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}"
         )
-
-
-def _cell_crb(j: SpinJ, g: Generator, t1: float, t2: float, p1: float, p2: float):
-    """-> (crb, degenerate flag); divergent bounds come back as inf.
-
-    Angles outside the CoherentParams domain raise ValueError.
-    """
-    cat = CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2))
-    try:
-        return cat_crb(cat, g).crb, False
-    except DegenerateCatError:
-        return math.nan, True
 
 
 @dataclass(frozen=True)
@@ -229,77 +223,110 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12):
-    a, b = lo, hi
+def _objective(j: SpinJ, g: Generator, points: np.ndarray) -> np.ndarray:
+    """Bound at each row (theta1, theta2, phi1, phi2) of points; inf where
+    the cat is degenerate, so the search steps away from it.
+
+    Angles outside the CoherentParams domain raise ValueError.
+    """
+    _, crb, degenerate = cat_crb_batch(j, g, *points.T)
+    return np.where(degenerate, math.inf, crb)
+
+
+def _golden_min(line, n: int, lo: float, hi: float, tol: float = 1e-12):
+    """Golden-section minima of n line objectives on [lo, hi], in lockstep.
+
+    line(v, rows) returns the objective of each listed row at its abscissa
+    in v. Every row keeps its own bracket and stops once it is no wider
+    than tol; each step makes one line call holding the next point of every
+    row still running. A row's arithmetic is that of a search on its own,
+    so it takes the same steps whichever rows share its calls.
+    -> (argmin, min) arrays of length n.
+    """
+    a = np.full(n, lo)
+    b = np.full(n, hi)
     h = b - a
     c = b - _INVPHI * h
     d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+    rows = np.arange(n)
+    both = line(np.concatenate([c, d]), np.concatenate([rows, rows]))
+    fc, fd = both[:n], both[n:]
+    run = rows[h > tol]
+    while run.size:
+        left = fc[run] < fd[run]
+        lr, rr = run[left], run[~left]
+        b[lr], d[lr], fd[lr] = d[lr], c[lr], fc[lr]
+        a[rr], c[rr], fc[rr] = c[rr], d[rr], fd[rr]
+        h[run] = b[run] - a[run]
+        c[lr] = b[lr] - _INVPHI * h[lr]
+        d[rr] = a[rr] + _INVPHI * h[rr]
+        vals = line(np.where(left, c[run], d[run]), run)
+        fc[lr] = vals[left]
+        fd[rr] = vals[~left]
+        run = run[h[run] > tol]
+    lower = fc < fd
+    return np.where(lower, c, d), np.where(lower, fc, fd)
 
 
-def _polish(f, start, max_sweeps: int = 40):
-    x = list(start)
+def _polish(f, starts, max_sweeps: int = 40):
+    """Cyclic coordinate descent from every start at once.
+
+    f maps an (m, 4) array of points to m objective values. A row stops
+    sweeping after the first sweep that improves it by less than 1e-13.
+    -> (x, best): the polished points and their objective values.
+    """
+    x = np.array(starts, dtype=float)
     best = f(x)
+    live = np.arange(len(x))
     for _ in range(max_sweeps):
-        before = best
+        before = best[live]
         for k, (lo, hi) in enumerate(_BOUNDS):
-            def line(v, k=k):
-                trial = list(x)
-                trial[k] = v
+            base = x[live]
+
+            def line(v, rows):
+                trial = base[rows]
+                trial[:, k] = v
                 return f(trial)
 
-            v, fv = _golden_min(line, lo, hi)
-            if fv < best:
-                x[k] = v
-                best = fv
-        if before - best < 1e-13:
+            v, fv = _golden_min(line, live.size, lo, hi)
+            better = fv < best[live]
+            x[live[better], k] = v[better]
+            best[live[better]] = fv[better]
+        live = live[~(before - best[live] < 1e-13)]
+        if not live.size:
             break
     return x, best
 
 
-def _seed_starts(f, seeds: int) -> list[tuple[float, ...]]:
-    thetas = [math.pi * i / 8 for i in range(9)]
-    phis = [math.pi * k / 4 for k in range(8)]
-    ranked = []
-    for t1 in thetas:
-        for t2 in thetas:
-            for p1 in phis[:4]:
-                for p2 in phis:
-                    val = f((t1, t2, p1, p2))
-                    if math.isfinite(val):
-                        ranked.append((val, t1, t2, p1, p2))
-    ranked.sort()
-    return [r[1:] for r in ranked[:seeds]]
+def _seed_starts(f, seeds: int) -> np.ndarray:
+    """The seeds best finite points of the coarse grid, ranked by
+    (value, theta1, theta2, phi1, phi2)."""
+    thetas = math.pi * np.arange(9) / 8
+    phis = math.pi * np.arange(8) / 4
+    grid = np.stack(
+        np.meshgrid(thetas, thetas, phis[:4], phis, indexing="ij"), axis=-1
+    ).reshape(-1, 4)
+    vals = f(grid)
+    keep = np.isfinite(vals)
+    grid, vals = grid[keep], vals[keep]
+    order = np.lexsort((grid[:, 3], grid[:, 2], grid[:, 1], grid[:, 0], vals))
+    return grid[order[:seeds]]
 
 
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    Returns accepted points sorted by (crb, theta1, theta2, phi1, phi2);
-    raises NoHlFoundError when no polished seed reaches the target within
-    the acceptance slack.
+    The 2592-point seed grid is evaluated in one batch and the best
+    spec.seeds points are polished together, every objective evaluation
+    going through cat_crb_batch. Returns accepted points sorted by
+    (crb, theta1, theta2, phi1, phi2); raises NoHlFoundError when no
+    polished seed reaches the target within the acceptance slack.
     """
-
-    def objective(x) -> float:
-        crb, deg = _cell_crb(spec.j, spec.generator, x[0], x[1], x[2], x[3])
-        return math.inf if deg else crb
-
+    objective = functools.partial(_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
     found: dict[tuple, HlPoint] = {}
-    for start in _seed_starts(objective, spec.seeds):
-        x, val = _polish(objective, start)
+    xs, vals = _polish(objective, _seed_starts(objective, spec.seeds))
+    for x, val in zip(xs.tolist(), vals.tolist()):
         if val <= accept:
             key = tuple(round(v, 9) for v in x)
             pt = HlPoint(x[0], x[1], x[2], x[3], val)

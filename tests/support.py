@@ -1,5 +1,8 @@
-"""Deterministic random-state helpers shared across test modules."""
+"""Helpers shared across test modules: deterministic random states and a
+one-point-at-a-time reference for the Heisenberg-limit search."""
 import math
+
+import numpy as np
 
 from spincat import (
     CatParams,
@@ -9,6 +12,7 @@ from spincat import (
     SpinJ,
     cat_crb,
 )
+from spincat.scan import HlPoint, _objective
 
 
 def random_coherent(rng) -> CoherentParams:
@@ -30,3 +34,86 @@ def random_cat(rng, max_two_j: int = 10, min_qfi: float = 1e-2, generator=None):
             continue
         if all(r.qfi > min_qfi for r in results):
             return cat
+
+
+# ---------------------------------------------------------------------------
+# one-point-at-a-time Heisenberg-limit search, the reference for the
+# lockstep search in spincat.scan: same seed grid, same golden-section and
+# coordinate-descent arithmetic, one objective call per point
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
+
+
+def _golden_min(f, lo, hi, tol=1e-12):
+    a, b = lo, hi
+    h = b - a
+    c = b - _INVPHI * h
+    d = a + _INVPHI * h
+    fc, fd = f(c), f(d)
+    while h > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INVPHI * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def _polish(f, start, max_sweeps=40):
+    x = list(start)
+    best = f(x)
+    for _ in range(max_sweeps):
+        before = best
+        for k, (lo, hi) in enumerate(_BOUNDS):
+            def line(v, k=k):
+                trial = list(x)
+                trial[k] = v
+                return f(trial)
+
+            v, fv = _golden_min(line, lo, hi)
+            if fv < best:
+                x[k] = v
+                best = fv
+        if before - best < 1e-13:
+            break
+    return x, best
+
+
+def _seed_starts(f, seeds):
+    thetas = [math.pi * i / 8 for i in range(9)]
+    phis = [math.pi * k / 4 for k in range(8)]
+    ranked = []
+    for t1 in thetas:
+        for t2 in thetas:
+            for p1 in phis[:4]:
+                for p2 in phis:
+                    val = f((t1, t2, p1, p2))
+                    if math.isfinite(val):
+                        ranked.append((val, t1, t2, p1, p2))
+    ranked.sort()
+    return [r[1:] for r in ranked[:seeds]]
+
+
+def sequential_find_hl(spec):
+    """find_hl with every evaluation of its objective a batch of one point."""
+
+    def objective(x):
+        return float(_objective(spec.j, spec.generator, np.array([x]))[0])
+
+    accept = spec.target * (1.0 + spec.tolerance)
+    found = {}
+    for start in _seed_starts(objective, spec.seeds):
+        x, val = _polish(objective, start)
+        if val <= accept:
+            key = tuple(round(v, 9) for v in x)
+            pt = HlPoint(x[0], x[1], x[2], x[3], val)
+            old = found.get(key)
+            if old is None or pt.crb < old.crb:
+                found[key] = pt
+    return sorted(found.values(), key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2))

@@ -259,6 +259,28 @@ def test_json_floats_roundtrip_at_15_digits(capsys):
     assert _roundtrips(json.loads(out))
 
 
+def test_crb_json_floats_are_library_values_at_15_digits(capsys):
+    # the printed floats are the computed doubles rounded to 15 significant
+    # digits, not the doubles themselves
+    from spincat import CatParams, CoherentParams, Generator, SpinJ, cat_crb, normalization
+
+    code, out, _ = run(
+        capsys,
+        "crb", "--j", "2.5", "--generator", "x",
+        "--theta1", "0.3", "--theta2", "2.5",
+        "--phi1", "1.1", "--phi2", "4.0",
+        "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    cat = CatParams(SpinJ(5), CoherentParams(0.3, 1.1), CoherentParams(2.5, 4.0))
+    result = cat_crb(cat, Generator.X)
+    for key, value in (
+        ("qfi", result.qfi), ("crb", result.crb), ("normalization", normalization(cat)),
+    ):
+        assert doc[key] == float(f"{value:.15g}"), key
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "crb" in capsys.readouterr().out

@@ -20,6 +20,8 @@ from spincat import (
     grid_scan,
 )
 
+from support import sequential_find_hl
+
 HALF = SpinJ(1)
 PI = math.pi
 
@@ -159,7 +161,11 @@ def test_find_hl_reaches_the_limit(j, gen):
 def test_find_hl_reports_failure(monkeypatch):
     import spincat.scan as scan_mod
 
-    monkeypatch.setattr(scan_mod, "_cell_crb", lambda *a: (10.0, False))
+    def tens(j, g, *angles):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in angles))
+        return np.full(shape, 0.01), np.full(shape, 10.0), np.zeros(shape, dtype=bool)
+
+    monkeypatch.setattr(scan_mod, "cat_crb_batch", tens)
     with pytest.raises(NoHlFoundError, match="no point reached"):
         find_hl(HlSearchSpec(j=HALF, generator=Generator.Z, seeds=2))
 
@@ -168,8 +174,26 @@ def test_find_hl_reports_failure(monkeypatch):
 def test_search_objective_rejects_bad_theta(theta):
     import spincat.scan as scan_mod
 
+    points = np.array([[0.5, 1.0, 0.0, 0.0], [theta, 1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="theta"):
-        scan_mod._cell_crb(HALF, Generator.Z, theta, 1.0, 0.0, 0.0)
+        scan_mod._objective(HALF, Generator.Z, points)
+
+
+@pytest.mark.parametrize(
+    "two_j,gen", [(1, Generator.Z), (2, Generator.X), (3, Generator.Y)]
+)
+def test_lockstep_search_matches_one_point_at_a_time(two_j, gen):
+    search = HlSearchSpec(j=SpinJ(two_j), generator=gen, seeds=4)
+    assert find_hl(search) == sequential_find_hl(search)
+
+
+def test_search_chunk_size_does_not_change_points(monkeypatch):
+    import spincat.metrology as metrology
+
+    search = HlSearchSpec(j=SpinJ(3), generator=Generator.Y, seeds=4)
+    a = find_hl(search)
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", 7)
+    assert find_hl(search) == a
 
 
 def test_search_spec_validation():
