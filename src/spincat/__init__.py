@@ -12,12 +12,9 @@ from .closedform import (
     ClosedFormCase,
     FamilyDefinition,
     SweepReport,
+    closed_form,
     crb_half_x,
-    crb_half_x_reductions,
     crb_half_z,
-    crb_half_z_reductions,
-    crb_one_z,
-    crb_one_z_reductions,
     sweep_family,
 )
 from .coherent import CoherentParams, coherent_overlap, coherent_state, rotation_matrix
@@ -31,7 +28,6 @@ from .dicke import (
 )
 from .metrology import (
     CrbResult,
-    EvolvedState,
     Generator,
     cat_crb,
     cat_crb_batch,
@@ -72,7 +68,6 @@ __all__ = [
     "cat_state",
     "normalization",
     "Generator",
-    "EvolvedState",
     "CrbResult",
     "evolve",
     "qfi_pure",
@@ -83,12 +78,9 @@ __all__ = [
     "cat_crb",
     "cat_crb_batch",
     "ClosedFormCase",
+    "closed_form",
     "crb_half_z",
-    "crb_half_z_reductions",
     "crb_half_x",
-    "crb_half_x_reductions",
-    "crb_one_z",
-    "crb_one_z_reductions",
     "FamilyDefinition",
     "FAMILIES",
     "SweepReport",

@@ -29,11 +29,11 @@ from .coherent import CoherentParams, coherent_overlap
 from .dicke import SpinJ
 from .metrology import Generator, cat_crb
 from .scan import (
-    MAX_RESOLUTION,
     GridResult,
     HlSearchSpec,
     NoHlFoundError,
     ScanSpec,
+    check_resolution,
     find_hl,
     grid_scan,
 )
@@ -336,8 +336,10 @@ def _cmd_verify(opts: Mapping) -> int:
         cases = list(FAMILIES)
     res = opts["res"]
     tol = opts["tol"]
-    if not 2 <= res <= MAX_RESOLUTION:
-        raise _UsageError(f"--res must lie in [2, {MAX_RESOLUTION}]")
+    try:
+        check_resolution(res)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if not tol > 0:
         raise _UsageError("--tol must be positive")
     failures = []

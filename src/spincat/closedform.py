@@ -1,11 +1,15 @@
 """Closed-form Cramer-Rao bounds for two-component spin cat states.
 
-Every analytic bound the library knows is catalogued here as a case of
-ClosedFormCase: general spin-1/2 expressions for Jz and Jx phases, their
-special-surface reductions, and the spin-1 Jz families at relative phase
-0, pi/2 and pi. Each case doubles as an entry in FAMILIES, which pins the
-remaining parameters and lets sweep_family compare the formula against the
-numeric engine point by point on its constraint surface.
+Every analytic bound the library knows is a case of ClosedFormCase: the
+general spin-1/2 expressions for Jz and Jx phases, their special-surface
+reductions, and the spin-1 Jz families at relative phase 0, pi/2 and pi.
+FAMILIES is the one table of them, a FamilyDefinition row per case giving
+its spin, its generator, its free parameters, their embedding into the cat
+angles (theta1, theta2, phi1, phi2) and the formula on that surface.
+closed_form(case, **params) evaluates one case at checked parameters, and
+sweep_family compares a row's formula against the numeric engine point by
+point on its constraint surface. crb_half_z and crb_half_x are the general
+four-angle spin-1/2 forms that the spin-1/2 rows restrict.
 
 Conventions shared with the engine: a bound is returned as a float, with
 +inf standing for a diverging bound (vanishing Fisher information). A
@@ -33,7 +37,7 @@ import numpy as np
 # CatParams, CoherentParams and cat_crb are not called here any more; they
 # stay importable from this module because bench/spans.py rebinds them
 from .catstate import DEGENERACY_FLOOR, CatParams  # noqa: F401
-from .coherent import _THETA_SLACK, CoherentParams  # noqa: F401
+from .coherent import CoherentParams, check_theta  # noqa: F401
 from .dicke import SpinJ
 from .metrology import (  # noqa: F401
     Generator,
@@ -47,12 +51,9 @@ from .scan import check_resolution
 __all__ = [
     "ClosedFormCase",
     "CRB_DIVERGENCE_CEILING",
+    "closed_form",
     "crb_half_z",
-    "crb_half_z_reductions",
     "crb_half_x",
-    "crb_half_x_reductions",
-    "crb_one_z",
-    "crb_one_z_reductions",
     "crb_one_z_phi_pi_variant",
     "crb_one_z_phi_pi_equal_theta_variant",
     "FamilyDefinition",
@@ -113,13 +114,6 @@ def _sqrt_ratio(num: float, den: float) -> float:
     return _extended(math.sqrt(num / den))
 
 
-def _check_theta(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v < -_THETA_SLACK or v > PI + _THETA_SLACK:
-        raise ValueError(f"{name} must lie in [0, pi], got {value!r}")
-    return min(max(v, 0.0), PI)
-
-
 # ---------------------------------------------------------------------------
 # spin-1/2, generator Jz
 
@@ -133,8 +127,8 @@ def crb_half_z(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
     evaluated as 2(s1-s2)^2 + 4(1+cos dphi) s1 s2, an exact half-angle
     identity that avoids cancellation near the dphi = pi diagonal.
     """
-    theta1 = _check_theta("theta1", theta1)
-    theta2 = _check_theta("theta2", theta2)
+    theta1 = check_theta(theta1, "theta1")
+    theta2 = check_theta(theta2, "theta2")
     c1, c2 = math.cos(theta1 / 2), math.cos(theta2 / 2)
     s1, s2 = math.sin(theta1 / 2), math.sin(theta2 / 2)
     cphi = math.cos(phi1 - phi2)
@@ -179,71 +173,6 @@ def _half_z_equator(phi_diff: float) -> float:
     return _extended((3.0 + math.cos(phi_diff)) / den)
 
 
-_HALF_Z_REDUCTIONS: dict[ClosedFormCase, tuple[tuple[str, ...], Callable]] = {
-    ClosedFormCase.HALF_Z_MIRROR: (
-        ("theta1", "phi_diff"),
-        lambda p: _half_z_mirror(_check_theta("theta1", p["theta1"]), p["phi_diff"]),
-    ),
-    ClosedFormCase.HALF_Z_PHI0: (
-        ("theta1", "theta2"),
-        lambda p: _half_z_phi0(
-            _check_theta("theta1", p["theta1"]), _check_theta("theta2", p["theta2"])
-        ),
-    ),
-    ClosedFormCase.HALF_Z_PHIHALF: (
-        ("theta1", "theta2"),
-        lambda p: _half_z_phihalf(
-            _check_theta("theta1", p["theta1"]), _check_theta("theta2", p["theta2"])
-        ),
-    ),
-    ClosedFormCase.HALF_Z_PHIPI: (
-        ("theta1", "theta2"),
-        lambda p: _half_z_phipi(
-            _check_theta("theta1", p["theta1"]), _check_theta("theta2", p["theta2"])
-        ),
-    ),
-    ClosedFormCase.HALF_Z_EQUATOR: (
-        ("phi_diff",),
-        lambda p: _half_z_equator(p["phi_diff"]),
-    ),
-}
-
-
-def _dispatch_reduction(
-    table: Mapping[ClosedFormCase, tuple[tuple[str, ...], Callable]],
-    group: str,
-    case: ClosedFormCase,
-    params: Mapping[str, float],
-) -> float:
-    if case not in table:
-        raise ValueError(f"{case.value!r} is not a {group} reduction")
-    required, fn = table[case]
-    missing = set(required) - set(params)
-    extra = set(params) - set(required)
-    if missing or extra:
-        raise ValueError(
-            f"{case.value} takes parameters {sorted(required)}; "
-            f"missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-    for name, value in params.items():
-        if not math.isfinite(float(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    return fn(params)
-
-
-def crb_half_z_reductions(case: ClosedFormCase, params: Mapping[str, float]) -> float:
-    """Special-surface reductions of crb_half_z.
-
-    Cases and their free parameters:
-      HALF_Z_MIRROR    theta1, phi_diff   (theta2 = pi - theta1)
-      HALF_Z_PHI0      theta1, theta2     -> 1/|sin((t1+t2)/2)|
-      HALF_Z_PHIHALF   theta1, theta2
-      HALF_Z_PHIPI     theta1, theta2     -> 1/|sin((t1-t2)/2)|
-      HALF_Z_EQUATOR   phi_diff           (t1 = t2 = pi/2)
-    """
-    return _dispatch_reduction(_HALF_Z_REDUCTIONS, "half-Z", case, params)
-
-
 # ---------------------------------------------------------------------------
 # spin-1/2, generator Jx
 
@@ -256,8 +185,8 @@ def crb_half_x(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
     Both phases enter individually: the bound hits the Heisenberg limit
     exactly on cos(phi1) s1 + cos(phi2) s2 = 0.
     """
-    theta1 = _check_theta("theta1", theta1)
-    theta2 = _check_theta("theta2", theta2)
+    theta1 = check_theta(theta1, "theta1")
+    theta2 = check_theta(theta2, "theta2")
     c1, c2 = math.cos(theta1 / 2), math.cos(theta2 / 2)
     s1, s2 = math.sin(theta1 / 2), math.sin(theta2 / 2)
     half_norm = 1.0 + c1 * c2 + math.cos(phi1 - phi2) * s1 * s2
@@ -299,60 +228,6 @@ def _half_x_phi_0pi(theta1: float, theta2: float) -> float:
     return _inv_abs_cos((theta1 - theta2) / 2)
 
 
-_HALF_X_REDUCTIONS: dict[ClosedFormCase, tuple[tuple[str, ...], Callable]] = {
-    ClosedFormCase.HALF_X_PHI2HALF: (
-        ("theta1", "theta2"),
-        lambda p: crb_half_x(p["theta1"], p["theta2"], 0.0, HALF_PI),
-    ),
-    ClosedFormCase.HALF_X_EQUALTHETA: (
-        ("theta",),
-        lambda p: _half_x_equal_theta(_check_theta("theta", p["theta"])),
-    ),
-    ClosedFormCase.HALF_X_EQUATOR: (
-        ("phi1", "phi2"),
-        lambda p: _half_x_equator(p["phi1"], p["phi2"]),
-    ),
-    ClosedFormCase.HALF_X_PHI_00: (
-        ("theta1", "theta2"),
-        lambda p: _inv_abs_cos(
-            (_check_theta("theta1", p["theta1"]) + _check_theta("theta2", p["theta2"]))
-            / 2
-        ),
-    ),
-    ClosedFormCase.HALF_X_PHI_0PI: (
-        ("theta1", "theta2"),
-        lambda p: _half_x_phi_0pi(
-            _check_theta("theta1", p["theta1"]), _check_theta("theta2", p["theta2"])
-        ),
-    ),
-    ClosedFormCase.HALF_X_PHI34_THETA2_ZERO: (
-        ("theta1",),
-        lambda p: _inv_abs_cos(_check_theta("theta1", p["theta1"]) / 2),
-    ),
-    ClosedFormCase.HALF_X_PHI34_THETA1_ZERO: (
-        ("theta2",),
-        lambda p: _extended(
-            2.0 / math.sqrt(3.0 + math.cos(_check_theta("theta2", p["theta2"])))
-        ),
-    ),
-}
-
-
-def crb_half_x_reductions(case: ClosedFormCase, params: Mapping[str, float]) -> float:
-    """Special-surface reductions of crb_half_x.
-
-    Cases and their free parameters:
-      HALF_X_PHI2HALF          theta1, theta2  (phi1 = 0, phi2 = pi/2)
-      HALF_X_EQUALTHETA        theta           (same slice, t1 = t2)
-      HALF_X_EQUATOR           phi1, phi2      (t1 = t2 = pi/2)
-      HALF_X_PHI_00            theta1, theta2  -> 1/|cos((t1+t2)/2)|
-      HALF_X_PHI_0PI           theta1, theta2  -> 1/|cos((t1-t2)/2)|
-      HALF_X_PHI34_THETA2_ZERO theta1          (phi2 = 3pi/4, t2 = 0) -> 1/cos(t1/2)
-      HALF_X_PHI34_THETA1_ZERO theta2          (phi2 = 3pi/4, t1 = 0) -> 2/sqrt(3+cos t2)
-    """
-    return _dispatch_reduction(_HALF_X_REDUCTIONS, "half-X", case, params)
-
-
 # ---------------------------------------------------------------------------
 # spin-1, generator Jz
 
@@ -383,30 +258,6 @@ def _one_z_phipi(theta1: float, theta2: float) -> float:
     return _sqrt_ratio(num, a - 8.0 * b + 2.0 * c - 18.0 * d + 30.0)
 
 
-_ONE_Z_GENERALS = (
-    (0.0, _one_z_phi0),
-    (HALF_PI, _one_z_phihalf),
-    (PI, _one_z_phipi),
-)
-
-
-def crb_one_z(phi_family: float, theta1: float, theta2: float) -> float:
-    """Spin-1 Jz bound for relative phase phi2 - phi1 in {0, pi/2, pi}.
-
-    Other relative phases have no closed form here; evaluate those with the
-    numeric engine. phi_family must match one of the three values exactly
-    (within 1e-12).
-    """
-    theta1 = _check_theta("theta1", theta1)
-    theta2 = _check_theta("theta2", theta2)
-    for value, fn in _ONE_Z_GENERALS:
-        if abs(phi_family - value) <= 1e-12:
-            return fn(theta1, theta2)
-    raise ValueError(
-        f"phi_family must be one of 0, pi/2, pi; got {phi_family!r}"
-    )
-
-
 def _one_z_phi0_mirror(theta1: float) -> float:
     return _extended(math.sqrt((3.0 - math.cos(2 * theta1)) / 8.0))
 
@@ -426,50 +277,13 @@ def _one_z_phipi_equal_theta(theta1: float) -> float:
     return math.inf if s2 == 0.0 else _extended((3.0 + math.cos(2 * theta1)) / (4.0 * s2))
 
 
-_ONE_Z_REDUCTIONS: dict[ClosedFormCase, tuple[tuple[str, ...], Callable]] = {
-    ClosedFormCase.ONE_Z_PHI0_MIRROR: (
-        ("theta1",),
-        lambda p: _one_z_phi0_mirror(_check_theta("theta1", p["theta1"])),
-    ),
-    ClosedFormCase.ONE_Z_PHIHALF_MIRROR: (
-        ("theta1",),
-        lambda p: _one_z_phihalf_mirror(_check_theta("theta1", p["theta1"])),
-    ),
-    ClosedFormCase.ONE_Z_PHIHALF_EQUALTHETA: (
-        ("theta1",),
-        lambda p: _one_z_phihalf_equal_theta(_check_theta("theta1", p["theta1"])),
-    ),
-    ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA: (
-        ("theta1",),
-        lambda p: _one_z_phipi_equal_theta(_check_theta("theta1", p["theta1"])),
-    ),
-    ClosedFormCase.ONE_Z_ANTIPODAL: (
-        ("theta1",),
-        lambda p: (_check_theta("theta1", p["theta1"]), 0.5)[1],
-    ),
-}
-
-
-def crb_one_z_reductions(case: ClosedFormCase, params: Mapping[str, float]) -> float:
-    """Special-surface reductions of the spin-1 Jz families.
-
-    Cases and their free parameters (all take theta1):
-      ONE_Z_PHI0_MIRROR        theta2 = pi - theta1, dphi = 0
-      ONE_Z_PHIHALF_MIRROR     theta2 = pi - theta1, dphi = pi/2
-      ONE_Z_PHIHALF_EQUALTHETA theta2 = theta1,      dphi = pi/2 -> 1/|sin t1|
-      ONE_Z_PHIPI_EQUALTHETA   theta2 = theta1,      dphi = pi   -> (3+cos 2t1)/(4 sin^2 t1)
-      ONE_Z_ANTIPODAL          theta2 = pi - theta1, dphi = pi   -> 1/2 identically
-    """
-    return _dispatch_reduction(_ONE_Z_REDUCTIONS, "spin-1 Jz", case, params)
-
-
 # ---------------------------------------------------------------------------
 # discrepancy witnesses: variants that look right and are not
 
 def crb_one_z_phi_pi_variant(theta1: float, theta2: float) -> float:
     """Sign-flipped variant of the phi = pi family. Witness only.
 
-    Identical to crb_one_z(pi, ...) except cos(theta1 - 3 theta2) replaces
+    Identical to the ONE_Z_PHIPI formula except cos(theta1 - 3 theta2) replaces
     cos(theta1 + 3 theta2). It agrees with the numeric engine on the
     theta1 = theta2 = pi/2 point and strays elsewhere (regression-tested),
     so it must never be promoted into the family evaluator.
@@ -494,7 +308,7 @@ def crb_one_z_phi_pi_equal_theta_variant(theta1: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# family registry and formula-vs-engine sweeps
+# the catalogue: one row per case, and formula-vs-engine sweeps
 
 HALF = SpinJ(1)
 ONE = SpinJ(2)
@@ -512,7 +326,12 @@ _PHI_DOMAIN = (0.0, 2 * PI)
 class FamilyDefinition:
     """One constraint surface: free parameters, the embedding into full cat
     angles (theta1, theta2, phi1, phi2), the closed form on that surface,
-    and the spin/generator of the engine it must match."""
+    and the spin/generator of the engine it must match.
+
+    formula takes a mapping of the free parameters that is already valid:
+    every value finite and every theta within [0, pi]. closed_form checks
+    outside input before calling it; sweep grids are valid by construction.
+    """
 
     case: ClosedFormCase
     spin: SpinJ
@@ -522,187 +341,223 @@ class FamilyDefinition:
     formula: Callable[[Mapping[str, float]], float]
 
 
-def _fam(case, spin, free_params, angles, formula) -> FamilyDefinition:
-    return FamilyDefinition(
-        case=case,
-        spin=spin,
-        generator=Generator.X if "half_x" in case.value else Generator.Z,
-        free_params=free_params,
-        angles=angles,
-        formula=formula,
-    )
-
-
 _T1 = ("theta1",) + _THETA_DOMAIN
 _T2 = ("theta2",) + _THETA_DOMAIN
 
 FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
     f.case: f
     for f in [
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_Z_GENERAL,
             HALF,
+            Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], *_GENERAL_Z_PHASES),
             lambda p: crb_half_z(p["theta1"], p["theta2"], *_GENERAL_Z_PHASES),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_Z_MIRROR,
             HALF,
+            Generator.Z,
             (_T1, ("phi_diff",) + _PHI_DOMAIN),
             lambda p: (p["theta1"], PI - p["theta1"], p["phi_diff"], 0.0),
-            lambda p: crb_half_z_reductions(ClosedFormCase.HALF_Z_MIRROR, p),
+            lambda p: _half_z_mirror(p["theta1"], p["phi_diff"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_Z_PHI0,
             HALF,
+            Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, 0.0),
-            lambda p: crb_half_z_reductions(ClosedFormCase.HALF_Z_PHI0, p),
+            lambda p: _half_z_phi0(p["theta1"], p["theta2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_Z_PHIHALF,
             HALF,
+            Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, HALF_PI),
-            lambda p: crb_half_z_reductions(ClosedFormCase.HALF_Z_PHIHALF, p),
+            lambda p: _half_z_phihalf(p["theta1"], p["theta2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_Z_PHIPI,
             HALF,
+            Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, PI),
-            lambda p: crb_half_z_reductions(ClosedFormCase.HALF_Z_PHIPI, p),
+            lambda p: _half_z_phipi(p["theta1"], p["theta2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_Z_EQUATOR,
             HALF,
+            Generator.Z,
             (("phi_diff",) + _PHI_DOMAIN,),
             lambda p: (HALF_PI, HALF_PI, 0.0, p["phi_diff"]),
-            lambda p: crb_half_z_reductions(ClosedFormCase.HALF_Z_EQUATOR, p),
+            lambda p: _half_z_equator(p["phi_diff"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_GENERAL,
             HALF,
+            Generator.X,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], *_GENERAL_X_PHASES),
             lambda p: crb_half_x(p["theta1"], p["theta2"], *_GENERAL_X_PHASES),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_PHI2HALF,
             HALF,
+            Generator.X,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, HALF_PI),
-            lambda p: crb_half_x_reductions(ClosedFormCase.HALF_X_PHI2HALF, p),
+            lambda p: crb_half_x(p["theta1"], p["theta2"], 0.0, HALF_PI),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_EQUALTHETA,
             HALF,
+            Generator.X,
             (("theta",) + _THETA_DOMAIN,),
             lambda p: (p["theta"], p["theta"], 0.0, HALF_PI),
-            lambda p: crb_half_x_reductions(ClosedFormCase.HALF_X_EQUALTHETA, p),
+            lambda p: _half_x_equal_theta(p["theta"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_EQUATOR,
             HALF,
+            Generator.X,
             (("phi1",) + _PHI_DOMAIN, ("phi2",) + _PHI_DOMAIN),
             lambda p: (HALF_PI, HALF_PI, p["phi1"], p["phi2"]),
-            lambda p: crb_half_x_reductions(ClosedFormCase.HALF_X_EQUATOR, p),
+            lambda p: _half_x_equator(p["phi1"], p["phi2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_PHI_00,
             HALF,
+            Generator.X,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, 0.0),
-            lambda p: crb_half_x_reductions(ClosedFormCase.HALF_X_PHI_00, p),
+            lambda p: _inv_abs_cos((p["theta1"] + p["theta2"]) / 2),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_PHI_0PI,
             HALF,
+            Generator.X,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, PI),
-            lambda p: crb_half_x_reductions(ClosedFormCase.HALF_X_PHI_0PI, p),
+            lambda p: _half_x_phi_0pi(p["theta1"], p["theta2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_PHI34_THETA2_ZERO,
             HALF,
+            Generator.X,
             (_T1,),
             lambda p: (p["theta1"], 0.0, 0.0, 3 * PI / 4),
-            lambda p: crb_half_x_reductions(
-                ClosedFormCase.HALF_X_PHI34_THETA2_ZERO, p
-            ),
+            lambda p: _inv_abs_cos(p["theta1"] / 2),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.HALF_X_PHI34_THETA1_ZERO,
             HALF,
+            Generator.X,
             (_T2,),
             lambda p: (0.0, p["theta2"], 0.0, 3 * PI / 4),
-            lambda p: crb_half_x_reductions(
-                ClosedFormCase.HALF_X_PHI34_THETA1_ZERO, p
-            ),
+            lambda p: _extended(2.0 / math.sqrt(3.0 + math.cos(p["theta2"]))),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_PHI0,
             ONE,
+            Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, 0.0),
-            lambda p: crb_one_z(0.0, p["theta1"], p["theta2"]),
+            lambda p: _one_z_phi0(p["theta1"], p["theta2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_PHI0_MIRROR,
             ONE,
+            Generator.Z,
             (_T1,),
             lambda p: (p["theta1"], PI - p["theta1"], 0.0, 0.0),
-            lambda p: crb_one_z_reductions(ClosedFormCase.ONE_Z_PHI0_MIRROR, p),
+            lambda p: _one_z_phi0_mirror(p["theta1"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_PHIHALF,
             ONE,
+            Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, HALF_PI),
-            lambda p: crb_one_z(HALF_PI, p["theta1"], p["theta2"]),
+            lambda p: _one_z_phihalf(p["theta1"], p["theta2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_PHIHALF_MIRROR,
             ONE,
+            Generator.Z,
             (_T1,),
             lambda p: (p["theta1"], PI - p["theta1"], 0.0, HALF_PI),
-            lambda p: crb_one_z_reductions(ClosedFormCase.ONE_Z_PHIHALF_MIRROR, p),
+            lambda p: _one_z_phihalf_mirror(p["theta1"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_PHIHALF_EQUALTHETA,
             ONE,
+            Generator.Z,
             (_T1,),
             lambda p: (p["theta1"], p["theta1"], 0.0, HALF_PI),
-            lambda p: crb_one_z_reductions(
-                ClosedFormCase.ONE_Z_PHIHALF_EQUALTHETA, p
-            ),
+            lambda p: _one_z_phihalf_equal_theta(p["theta1"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_PHIPI,
             ONE,
+            Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, PI),
-            lambda p: crb_one_z(PI, p["theta1"], p["theta2"]),
+            lambda p: _one_z_phipi(p["theta1"], p["theta2"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA,
             ONE,
+            Generator.Z,
             (_T1,),
             lambda p: (p["theta1"], p["theta1"], 0.0, PI),
-            lambda p: crb_one_z_reductions(ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA, p),
+            lambda p: _one_z_phipi_equal_theta(p["theta1"]),
         ),
-        _fam(
+        FamilyDefinition(
             ClosedFormCase.ONE_Z_ANTIPODAL,
             ONE,
+            Generator.Z,
             (_T1, ("phi1",) + _PHI_DOMAIN),
             lambda p: (p["theta1"], PI - p["theta1"], p["phi1"], p["phi1"] + PI),
-            lambda p: crb_one_z_reductions(
-                ClosedFormCase.ONE_Z_ANTIPODAL, {"theta1": p["theta1"]}
-            ),
+            lambda p: 0.5,
         ),
     ]
 }
+
+
+def closed_form(case: ClosedFormCase, **params: float) -> float:
+    """Closed-form bound of one catalogue case at its free parameters.
+
+    params must name exactly the case's free parameters, those of
+    FAMILIES[case].free_params, e.g.
+
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=0.0, theta2=pi / 3)
+
+    Every value must be finite, and each polar angle is checked and clamped
+    to [0, pi] as CoherentParams does; anything else raises ValueError.
+    A diverging bound is returned as +inf.
+    """
+    defn = FAMILIES[case]
+    names = {name for name, _, _ in defn.free_params}
+    missing = names - set(params)
+    extra = set(params) - names
+    if missing or extra:
+        raise ValueError(
+            f"{case.value} takes parameters {sorted(names)}; "
+            f"missing {sorted(missing)}, unexpected {sorted(extra)}"
+        )
+    checked = {}
+    for name, lo, hi in defn.free_params:
+        if (lo, hi) == _THETA_DOMAIN:
+            checked[name] = check_theta(params[name], name)
+        else:
+            value = float(params[name])
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {params[name]!r}")
+            checked[name] = value
+    return defn.formula(checked)
 
 
 @dataclass(frozen=True)

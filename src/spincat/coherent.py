@@ -34,6 +34,20 @@ TWO_PI = 2 * math.pi
 _THETA_SLACK = 1e-9
 
 
+def check_theta(theta: float, name: str = "theta") -> float:
+    """theta as a float on [0, pi].
+
+    A value at most _THETA_SLACK outside the interval is clamped onto it;
+    a non-finite value, or one further out, raises ValueError.
+    """
+    value = float(theta)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < -_THETA_SLACK or value > math.pi + _THETA_SLACK:
+        raise ValueError(f"{name} must lie in [0, pi], got {value!r}")
+    return min(max(value, 0.0), math.pi)
+
+
 @dataclass(frozen=True)
 class CoherentParams:
     """Bloch-sphere direction of one coherent state.
@@ -46,21 +60,11 @@ class CoherentParams:
     phi: float
 
     def __post_init__(self):
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta!r}")
-        if theta < -_THETA_SLACK or theta > math.pi + _THETA_SLACK:
-            raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-        object.__setattr__(self, "theta", min(max(theta, 0.0), math.pi))
+        object.__setattr__(self, "theta", check_theta(self.theta))
         phi = float(self.phi)
         if not math.isfinite(phi):
             raise ValueError(f"phi must be finite, got {phi!r}")
         object.__setattr__(self, "phi", phi % TWO_PI)
-
-    @property
-    def gamma(self) -> complex:
-        """Stereographic label e^{-i phi} tan(theta/2); diverges at theta = pi."""
-        return cmath.exp(-1j * self.phi) * math.tan(self.theta / 2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
     "Generator",
-    "EvolvedState",
     "CrbResult",
     "evolve",
     "qfi_pure",
@@ -63,18 +62,6 @@ class Generator(enum.Enum):
     def matrix(self, j: SpinJ) -> np.ndarray:
         ops = build_operators(j)
         return {Generator.X: ops.jx, Generator.Y: ops.jy, Generator.Z: ops.jz}[self]
-
-
-@dataclass(frozen=True)
-class EvolvedState:
-    """A probe state together with the phase already imprinted on it."""
-
-    state: DickeVector
-    xi: float
-
-    @classmethod
-    def create(cls, initial: DickeVector, g: Generator, xi: float) -> "EvolvedState":
-        return cls(state=evolve(initial, g, xi), xi=xi)
 
 
 @dataclass(frozen=True)

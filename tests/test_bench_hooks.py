@@ -1,0 +1,32 @@
+"""The benchmark tracer still finds every call edge it patches.
+
+bench/spans.py rebinds module attributes of spincat and wraps the formula
+of every FAMILIES row; a catalogue or import change that breaks it only
+shows in the traced benchmark run, which is too slow for this suite.
+"""
+import sys
+from pathlib import Path
+
+import spincat.closedform
+from spincat import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from bench import spans  # noqa: E402
+
+
+def test_tracer_counts_formula_calls_and_restores_everything(capsys):
+    patched = {(owner, attr): owner.__dict__[attr] for owner, attr, _, _ in spans._PATCHES}
+    families = dict(spincat.closedform.FAMILIES)
+    with spans.Tracer() as tracer:
+        code = cli.main(["verify", "--family", "half_z_phi0", "--res", "3"])
+    capsys.readouterr()
+    assert code == 0
+    summary = tracer.summary()
+    assert summary.count("closedform.formula") == 9
+    assert summary.count("closedform.sweep_family.half_z_phi0") == 1
+    for (owner, attr), original in patched.items():
+        assert owner.__dict__[attr] is original, (owner, attr)
+    assert spincat.closedform.FAMILIES.keys() == families.keys()
+    for case, defn in families.items():
+        assert spincat.closedform.FAMILIES[case] is defn, case

@@ -1,4 +1,4 @@
-"""Closed-form bounds: frozen values, reductions, witnesses, engine sweeps."""
+"""Closed-form bounds: frozen values, catalogue rows, witnesses, engine sweeps."""
 import math
 
 import numpy as np
@@ -10,15 +10,13 @@ from spincat import (
     CatParams,
     ClosedFormCase,
     CoherentParams,
+    DegenerateCatError,
     Generator,
     SpinJ,
     cat_crb,
+    closed_form,
     crb_half_x,
-    crb_half_x_reductions,
     crb_half_z,
-    crb_half_z_reductions,
-    crb_one_z,
-    crb_one_z_reductions,
     sweep_family,
 )
 from spincat.closedform import (
@@ -41,32 +39,30 @@ def test_frozen_golden_values():
     assert crb_half_z(HALF_PI, HALF_PI, 39 * PI / 40, 0.0) == pytest.approx(
         12.755298436443741, abs=1e-9
     )
-    assert crb_half_z_reductions(
-        ClosedFormCase.HALF_Z_PHI0, {"theta1": 0.0, "theta2": PI / 3}
+    assert closed_form(
+        ClosedFormCase.HALF_Z_PHI0, theta1=0.0, theta2=PI / 3
     ) == pytest.approx(2.0, abs=1e-12)
-    assert crb_half_z_reductions(
-        ClosedFormCase.HALF_Z_PHI0, {"theta1": 0.0, "theta2": HALF_PI}
+    assert closed_form(
+        ClosedFormCase.HALF_Z_PHI0, theta1=0.0, theta2=HALF_PI
     ) == pytest.approx(math.sqrt(2), abs=1e-12)
     assert crb_half_x(HALF_PI, HALF_PI, 0.0, HALF_PI) == pytest.approx(
         3 / math.sqrt(5), abs=1e-12
     )
-    assert crb_one_z(PI, HALF_PI, HALF_PI) == pytest.approx(0.5, abs=1e-12)
-    assert crb_one_z_reductions(
-        ClosedFormCase.ONE_Z_ANTIPODAL, {"theta1": 1.234}
-    ) == 0.5
+    assert closed_form(
+        ClosedFormCase.ONE_Z_PHIPI, theta1=HALF_PI, theta2=HALF_PI
+    ) == pytest.approx(0.5, abs=1e-12)
+    assert closed_form(ClosedFormCase.ONE_Z_ANTIPODAL, theta1=1.234, phi1=0.3) == 0.5
 
 
 def test_equator_reduction_values():
     # phi-difference pi/2 on the equator reproduces the 3/(2 sqrt 2) point
-    assert crb_half_z_reductions(
-        ClosedFormCase.HALF_Z_EQUATOR, {"phi_diff": HALF_PI}
-    ) == pytest.approx(3 / (2 * math.sqrt(2)), abs=1e-14)
-    assert crb_half_z_reductions(
-        ClosedFormCase.HALF_Z_EQUATOR, {"phi_diff": 0.0}
-    ) == pytest.approx(1.0, abs=1e-14)
-    assert math.isinf(
-        crb_half_z_reductions(ClosedFormCase.HALF_Z_EQUATOR, {"phi_diff": PI})
+    assert closed_form(ClosedFormCase.HALF_Z_EQUATOR, phi_diff=HALF_PI) == pytest.approx(
+        3 / (2 * math.sqrt(2)), abs=1e-14
     )
+    assert closed_form(ClosedFormCase.HALF_Z_EQUATOR, phi_diff=0.0) == pytest.approx(
+        1.0, abs=1e-14
+    )
+    assert math.isinf(closed_form(ClosedFormCase.HALF_Z_EQUATOR, phi_diff=PI))
 
 
 def _finite_pair(a: float, b: float) -> bool:
@@ -78,62 +74,30 @@ def _assert_same(a: float, b: float, label) -> None:
     assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12), (label, a, b)
 
 
-def test_half_z_reductions_restrict_the_general_form():
+def _reference(defn, angles) -> float:
+    # spin-1/2 rows restrict the general four-angle forms; the catalogue has
+    # no general spin-1 form, so spin-1 rows are held to the engine
+    if defn.spin == SpinJ(1):
+        general = crb_half_x if defn.generator is Generator.X else crb_half_z
+        return general(*angles)
+    t1, t2, p1, p2 = angles
+    cat = CatParams(defn.spin, CoherentParams(t1, p1), CoherentParams(t2, p2))
+    try:
+        return cat_crb(cat, defn.generator).crb
+    except DegenerateCatError:
+        return math.inf
+
+
+@pytest.mark.parametrize("case", list(FAMILIES))
+def test_rows_restrict_the_general_forms(case):
+    defn = FAMILIES[case]
     rng = np.random.default_rng(101)
     for _ in range(200):
-        t1, t2 = rng.uniform(0, PI, size=2)
-        pd = float(rng.uniform(0, 2 * PI))
-        surfaces = [
-            (ClosedFormCase.HALF_Z_MIRROR, {"theta1": t1, "phi_diff": pd}, (t1, PI - t1, pd, 0.0)),
-            (ClosedFormCase.HALF_Z_PHI0, {"theta1": t1, "theta2": t2}, (t1, t2, 0.0, 0.0)),
-            (ClosedFormCase.HALF_Z_PHIHALF, {"theta1": t1, "theta2": t2}, (t1, t2, 0.0, HALF_PI)),
-            (ClosedFormCase.HALF_Z_PHIPI, {"theta1": t1, "theta2": t2}, (t1, t2, 0.0, PI)),
-            (ClosedFormCase.HALF_Z_EQUATOR, {"phi_diff": pd}, (HALF_PI, HALF_PI, 0.0, pd)),
-        ]
-        for case, params, angles in surfaces:
-            red = crb_half_z_reductions(case, params)
-            gen = crb_half_z(*angles)
-            if _finite_pair(red, gen):
-                _assert_same(red, gen, case)
-
-
-def test_half_x_reductions_restrict_the_general_form():
-    rng = np.random.default_rng(103)
-    for _ in range(200):
-        t1, t2 = rng.uniform(0, PI, size=2)
-        p1, p2 = rng.uniform(0, 2 * PI, size=2)
-        surfaces = [
-            (ClosedFormCase.HALF_X_PHI2HALF, {"theta1": t1, "theta2": t2}, (t1, t2, 0.0, HALF_PI)),
-            (ClosedFormCase.HALF_X_EQUALTHETA, {"theta": t1}, (t1, t1, 0.0, HALF_PI)),
-            (ClosedFormCase.HALF_X_EQUATOR, {"phi1": p1, "phi2": p2}, (HALF_PI, HALF_PI, p1, p2)),
-            (ClosedFormCase.HALF_X_PHI_00, {"theta1": t1, "theta2": t2}, (t1, t2, 0.0, 0.0)),
-            (ClosedFormCase.HALF_X_PHI_0PI, {"theta1": t1, "theta2": t2}, (t1, t2, 0.0, PI)),
-            (ClosedFormCase.HALF_X_PHI34_THETA2_ZERO, {"theta1": t1}, (t1, 0.0, 0.0, 3 * PI / 4)),
-            (ClosedFormCase.HALF_X_PHI34_THETA1_ZERO, {"theta2": t2}, (0.0, t2, 0.0, 3 * PI / 4)),
-        ]
-        for case, params, angles in surfaces:
-            red = crb_half_x_reductions(case, params)
-            gen = crb_half_x(*angles)
-            if _finite_pair(red, gen):
-                _assert_same(red, gen, case)
-
-
-def test_one_z_reductions_restrict_the_family_forms():
-    rng = np.random.default_rng(107)
-    for _ in range(200):
-        t = float(rng.uniform(0, PI))
-        surfaces = [
-            (ClosedFormCase.ONE_Z_PHI0_MIRROR, 0.0, (t, PI - t)),
-            (ClosedFormCase.ONE_Z_PHIHALF_MIRROR, HALF_PI, (t, PI - t)),
-            (ClosedFormCase.ONE_Z_PHIHALF_EQUALTHETA, HALF_PI, (t, t)),
-            (ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA, PI, (t, t)),
-            (ClosedFormCase.ONE_Z_ANTIPODAL, PI, (t, PI - t)),
-        ]
-        for case, family, thetas in surfaces:
-            red = crb_one_z_reductions(case, {"theta1": t})
-            gen = crb_one_z(family, *thetas)
-            if _finite_pair(red, gen):
-                _assert_same(red, gen, case)
+        params = {name: float(rng.uniform(lo, hi)) for name, lo, hi in defn.free_params}
+        row = closed_form(case, **params)
+        reference = _reference(defn, defn.angles(params))
+        if _finite_pair(row, reference):
+            _assert_same(row, reference, (case, params))
 
 
 @pytest.mark.parametrize(
@@ -214,7 +178,7 @@ def test_phi_pi_variant_is_a_pinned_discrepancy():
     # the sign-flipped variant agrees with nothing but thin slices
     variant = crb_one_z_phi_pi_variant(HALF_PI, HALF_PI)
     assert variant == pytest.approx(math.sqrt(8 / 30), abs=1e-15)
-    corrected = crb_one_z(PI, HALF_PI, HALF_PI)
+    corrected = closed_form(ClosedFormCase.ONE_Z_PHIPI, theta1=HALF_PI, theta2=HALF_PI)
     engine = cat_crb(
         CatParams(SpinJ(2), CoherentParams(HALF_PI, 0.0), CoherentParams(HALF_PI, PI)),
         Generator.Z,
@@ -225,7 +189,7 @@ def test_phi_pi_variant_is_a_pinned_discrepancy():
 
 def test_phi_pi_equal_theta_variant_only_touches_at_half_pi():
     assert crb_one_z_phi_pi_equal_theta_variant(HALF_PI) == pytest.approx(
-        crb_one_z_reductions(ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA, {"theta1": HALF_PI}),
+        closed_form(ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA, theta1=HALF_PI),
         abs=1e-15,
     )
     t = PI / 3
@@ -233,7 +197,7 @@ def test_phi_pi_equal_theta_variant_only_touches_at_half_pi():
         CatParams(SpinJ(2), CoherentParams(t, 0.0), CoherentParams(t, PI)),
         Generator.Z,
     ).crb
-    corrected = crb_one_z_reductions(ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA, {"theta1": t})
+    corrected = closed_form(ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA, theta1=t)
     assert corrected == pytest.approx(engine, abs=1e-9)
     assert abs(crb_one_z_phi_pi_equal_theta_variant(t) - engine) > 0.1
 
@@ -247,9 +211,13 @@ def test_component_exchange_symmetry():
         b = crb_half_z(t2, t1, p2, p1)
         if _finite_pair(a, b):
             assert abs(a - b) < 1e-12
-        for family in (0.0, HALF_PI, PI):
-            a = crb_one_z(family, t1, t2)
-            b = crb_one_z(family, t2, t1)
+        for family in (
+            ClosedFormCase.ONE_Z_PHI0,
+            ClosedFormCase.ONE_Z_PHIHALF,
+            ClosedFormCase.ONE_Z_PHIPI,
+        ):
+            a = closed_form(family, theta1=t1, theta2=t2)
+            b = closed_form(family, theta1=t2, theta2=t1)
             if _finite_pair(a, b):
                 assert abs(a - b) < 1e-12
         a = crb_half_x(t1, t2, p1, p2)
@@ -261,43 +229,33 @@ def test_component_exchange_symmetry():
 def test_divergence_convention():
     assert CRB_DIVERGENCE_CEILING == pytest.approx(1e7)
     # denominator zero
-    assert math.isinf(
-        crb_half_z_reductions(ClosedFormCase.HALF_Z_PHI0, {"theta1": 0.0, "theta2": 0.0})
-    )
+    assert math.isinf(closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=0.0, theta2=0.0))
     # finite denominator but value beyond the ceiling clamps to inf
-    assert math.isinf(
-        crb_half_z_reductions(ClosedFormCase.HALF_Z_PHI0, {"theta1": 1e-9, "theta2": 0.0})
-    )
+    assert math.isinf(closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=1e-9, theta2=0.0))
     # degenerate neighbourhoods are divergence events for the formulas too
     assert math.isinf(crb_half_z(PI, PI, 0.0, PI))
     assert math.isinf(crb_half_x(PI, PI, 0.0, PI))
-    assert math.isinf(
-        crb_half_x_reductions(ClosedFormCase.HALF_X_PHI_0PI, {"theta1": PI, "theta2": PI})
-    )
-    assert math.isinf(crb_one_z(PI, 0.0, 0.0))
+    assert math.isinf(closed_form(ClosedFormCase.HALF_X_PHI_0PI, theta1=PI, theta2=PI))
+    assert math.isinf(closed_form(ClosedFormCase.ONE_Z_PHIPI, theta1=0.0, theta2=0.0))
 
 
 def test_reduction_dispatch_rejects_bad_requests():
     with pytest.raises(ValueError):
-        crb_half_z_reductions(ClosedFormCase.HALF_X_EQUATOR, {"phi1": 0.0, "phi2": 0.0})
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=0.1)  # missing key
     with pytest.raises(ValueError):
-        crb_half_x_reductions(ClosedFormCase.HALF_Z_PHI0, {"theta1": 0.1, "theta2": 0.2})
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=0.1, theta2=0.2, x=1.0)
     with pytest.raises(ValueError):
-        crb_one_z_reductions(ClosedFormCase.ONE_Z_PHI0, {"theta1": 0.1, "theta2": 0.2})
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=4.0, theta2=0.2)
     with pytest.raises(ValueError):
-        crb_half_z_reductions(ClosedFormCase.HALF_Z_PHI0, {"theta1": 0.1})  # missing key
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=math.nan, theta2=0.2)
     with pytest.raises(ValueError):
-        crb_half_z_reductions(
-            ClosedFormCase.HALF_Z_PHI0, {"theta1": 0.1, "theta2": 0.2, "x": 1.0}
-        )
-    with pytest.raises(ValueError):
-        crb_half_z_reductions(ClosedFormCase.HALF_Z_PHI0, {"theta1": 4.0, "theta2": 0.2})
-    with pytest.raises(ValueError):
-        crb_half_z_reductions(ClosedFormCase.HALF_Z_EQUATOR, {"phi_diff": math.nan})
-    with pytest.raises(ValueError):
-        crb_one_z(0.3, 0.1, 0.2)  # no closed form at that relative phase
+        closed_form(ClosedFormCase.HALF_Z_EQUATOR, phi_diff=math.nan)
     with pytest.raises(ValueError):
         crb_half_z(-0.5, 0.1, 0.0, 0.0)
+    # a representation-level spill past an endpoint clamps instead
+    assert closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=PI + 1e-12, theta2=0.3) == (
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=PI, theta2=0.3)
+    )
 
 
 def test_family_registry_is_complete_and_consistent():
@@ -312,3 +270,48 @@ def test_family_registry_is_complete_and_consistent():
         mid = {name: (lo + hi) / 2 for name, lo, hi in defn.free_params}
         value = defn.formula(mid)
         assert math.isinf(value) or value > 0.0
+
+
+INF = math.inf
+
+# each row's formula at the first, middle and last point of its
+# resolution-5 grid, as the catalogue computed them before it became one table
+GOLDEN = {
+    ClosedFormCase.HALF_Z_GENERAL: (INF, 1.0010440453318459, INF),
+    ClosedFormCase.HALF_Z_MIRROR: (1.0, INF, 1.0),
+    ClosedFormCase.HALF_Z_PHI0: (INF, 1.0, INF),
+    ClosedFormCase.HALF_Z_PHIHALF: (INF, 1.0606601717798212, INF),
+    ClosedFormCase.HALF_Z_PHIPI: (INF, INF, INF),
+    ClosedFormCase.HALF_Z_EQUATOR: (1.0, INF, 1.0),
+    ClosedFormCase.HALF_X_GENERAL: (1.0, 1.0024206598402576, 1.0),
+    ClosedFormCase.HALF_X_PHI2HALF: (1.0, 1.3416407864998738, 1.0),
+    ClosedFormCase.HALF_X_EQUALTHETA: (1.0, 1.3416407864998738, 1.0),
+    ClosedFormCase.HALF_X_EQUATOR: (INF, INF, INF),
+    ClosedFormCase.HALF_X_PHI_00: (1.0, INF, 1.0),
+    ClosedFormCase.HALF_X_PHI_0PI: (1.0, 1.0, INF),
+    ClosedFormCase.HALF_X_PHI34_THETA2_ZERO: (1.0, 1.414213562373095, INF),
+    ClosedFormCase.HALF_X_PHI34_THETA1_ZERO: (1.0, 1.1547005383792517, 1.414213562373095),
+    ClosedFormCase.ONE_Z_PHI0: (INF, 0.7071067811865476, INF),
+    ClosedFormCase.ONE_Z_PHI0_MIRROR: (0.5, 0.7071067811865476, 0.5),
+    ClosedFormCase.ONE_Z_PHIHALF: (INF, 1.0, INF),
+    ClosedFormCase.ONE_Z_PHIHALF_MIRROR: (0.5, 1.0, 0.5),
+    ClosedFormCase.ONE_Z_PHIHALF_EQUALTHETA: (INF, 1.0, INF),
+    ClosedFormCase.ONE_Z_PHIPI: (INF, 0.5, INF),
+    ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA: (INF, 0.5, INF),
+    ClosedFormCase.ONE_Z_ANTIPODAL: (0.5, 0.5, 0.5),
+}
+
+
+def test_row_formulas_match_golden_values():
+    assert set(GOLDEN) == set(FAMILIES)
+    for case, expected in GOLDEN.items():
+        defn = FAMILIES[case]
+        # the grid's first and last points are the domain corners; its middle
+        # point (index 12 of 25 either way) is the midpoint of every axis
+        points = [
+            {name: lo + (hi - lo) * t for name, lo, hi in defn.free_params}
+            for t in (0.0, 0.5, 1.0)
+        ]
+        for params, value in zip(points, expected):
+            assert defn.formula(params) == value, (case, params)
+            assert closed_form(case, **params) == value, (case, params)

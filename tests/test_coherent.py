@@ -91,8 +91,3 @@ def test_theta_domain_and_phi_wrapping():
     assert CoherentParams(-1e-12, 0.0).theta == 0.0
     assert CoherentParams(math.pi + 1e-12, 0.0).theta == math.pi
     assert CoherentParams(1.0, 2 * math.pi + 0.25).phi == pytest.approx(0.25, abs=1e-12)
-
-
-def test_gamma_stereographic_parameter():
-    p = CoherentParams(1.2, 0.7)
-    assert p.gamma == pytest.approx(cmath.exp(-0.7j) * math.tan(0.6), abs=1e-15)

@@ -11,7 +11,6 @@ from spincat import (
     CoherentParams,
     DegenerateCatError,
     DickeVector,
-    EvolvedState,
     Generator,
     SpinJ,
     cat_crb,
@@ -63,13 +62,6 @@ def test_evolve_composes_and_preserves_norm():
     b = evolve(psi, Generator.X, 0.8)
     assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-12
     assert abs(np.vdot(a.amplitudes, a.amplitudes).real - 1.0) < 1e-12
-
-
-def test_evolved_state_wrapper():
-    psi = noon(2)
-    ev = EvolvedState.create(psi, Generator.Y, 0.25)
-    assert ev.xi == 0.25
-    assert np.array_equal(ev.state.amplitudes, evolve(psi, Generator.Y, 0.25).amplitudes)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 4, 10])
