@@ -68,17 +68,25 @@ class CoherentParams:
 
 
 @functools.lru_cache(maxsize=None)
-def _sqrt_binomials(two_j: int) -> np.ndarray:
-    return np.sqrt([math.comb(two_j, k) for k in range(two_j + 1)])
+def _powers(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, 2j - k, sqrt(C(2j, k))) for k = 0 .. 2j, as read-only float arrays.
+
+    The exponents and prefactors of c_k, built once per spin and shared by
+    coherent_state and the batched kernel in metrology.
+    """
+    k = np.arange(two_j + 1, dtype=float)
+    table = (k, two_j - k, np.sqrt([math.comb(two_j, i) for i in range(two_j + 1)]))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def coherent_state(j: SpinJ, p: CoherentParams) -> DickeVector:
     """Amplitude vector of |theta, phi, j> over the Dicke basis."""
-    two_j = j.two_j
+    k, rest, roots = _powers(j.two_j)
     c = math.cos(p.theta / 2)
     s = math.sin(p.theta / 2)
-    k = np.arange(two_j + 1)
-    mags = _sqrt_binomials(two_j) * c ** (two_j - k) * s**k
+    mags = roots * c**rest * s**k
     phases = np.exp(-1j * p.phi * k)
     return DickeVector(j, mags * phases)
 

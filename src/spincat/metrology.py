@@ -6,17 +6,26 @@ of G, and the Cramer-Rao bound on any unbiased estimate of xi is
 1/sqrt(F_Q). Two independent cross-checks of the variance route are
 provided: the symmetric-logarithmic-derivative spectral formula and a
 finite-difference of the overlap decay.
+
+cat_crb_batch evaluates many cats of one spin and generator with the
+arithmetic of the single-state path, elementwise. What does not depend on
+the angles (the exponents k and 2j - k, the prefactors sqrt(C(2j, k)) and
+the nonzero bands of G) sits in a table built once per (j, G), and both
+components of every cat are expanded in one pass, so a call on a few cats
+costs little more than its arithmetic.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .catstate import DEGENERACY_FLOOR, CatParams, cat_state
-from .coherent import _THETA_SLACK, TWO_PI, _sqrt_binomials
+from .coherent import _THETA_SLACK, TWO_PI, _powers
 from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
@@ -60,8 +69,7 @@ class Generator(enum.Enum):
     Z = "z"
 
     def matrix(self, j: SpinJ) -> np.ndarray:
-        ops = build_operators(j)
-        return {Generator.X: ops.jx, Generator.Y: ops.jy, Generator.Z: ops.jz}[self]
+        return getattr(build_operators(j), "j" + self.value)
 
 
 @dataclass(frozen=True)
@@ -159,36 +167,82 @@ def cat_crb(c: CatParams, g: Generator) -> CrbResult:
 # ---------------------------------------------------------------------------
 # batched kernel: many cats of one spin and generator at once
 
+_THETA_TOP = math.pi + _THETA_SLACK
+
+
 def batch_cells(j: SpinJ) -> int:
     """Cats per working chunk of cat_crb_batch at this spin."""
     return max(1, BATCH_AMPLITUDES // j.dim)
 
 
-def _checked_theta(theta: np.ndarray) -> np.ndarray:
-    # the CoherentParams rule, elementwise
-    bad = ~(np.isfinite(theta) & (theta >= -_THETA_SLACK) & (theta <= math.pi + _THETA_SLACK))
-    if bad.any():
-        raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad][0])!r}")
-    return np.clip(theta, 0.0, math.pi)
+class _KernelTable(NamedTuple):
+    """Constants of cat_crb_batch for one spin and generator.
 
-
-def _reduced_phi(phi: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(phi)
-    if bad.any():
-        raise ValueError(f"phi must be finite, got {float(phi[bad][0])!r}")
-    return np.mod(phi, TWO_PI)
-
-
-def _coherent_rows(two_j: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Amplitudes of |theta, phi, j>, one row per entry of theta and phi.
-
-    The arithmetic of coherent_state, elementwise.
+    k, rest = 2j - k and roots = sqrt(C(2j, k)) are the powers table of
+    coherent_state, and minus_ik = -1j * k. bands holds G's diagonal for
+    Jz, and its first lower and upper off-diagonals for Jx and Jy, which
+    have no other entries.
     """
-    k = np.arange(two_j + 1)
-    c = np.cos(theta / 2)[:, None]
-    s = np.sin(theta / 2)[:, None]
-    mags = _sqrt_binomials(two_j) * c ** (two_j - k) * s**k
-    return mags * np.exp(-1j * phi[:, None] * k)
+
+    k: np.ndarray
+    rest: np.ndarray
+    roots: np.ndarray
+    minus_ik: np.ndarray
+    bands: tuple[np.ndarray, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_table(j: SpinJ, g: Generator) -> _KernelTable:
+    G = g.matrix(j)
+    offsets = (0,) if g is Generator.Z else (-1, 1)
+    bands = tuple(np.diagonal(G, o).copy() for o in offsets)
+    k, rest, roots = _powers(j.two_j)
+    minus_ik = -1j * k
+    for arr in (minus_ik, *bands):
+        arr.flags.writeable = False
+    return _KernelTable(k, rest, roots, minus_ik, bands)
+
+
+def _check_angles(angles: np.ndarray) -> None:
+    """Check rows (theta1, theta2, phi1, phi2) as CoherentParams does, then
+    clamp theta onto [0, pi] and reduce phi modulo 2 pi, in place.
+
+    One min and one max per row decide whether anything is out of range;
+    only then is the first bad value looked for, theta1 before theta2
+    before phi1 before phi2.
+    """
+    # initial values inside every range keep an empty batch valid
+    t1_lo, t2_lo, p1_lo, p2_lo = np.minimum.reduce(angles, axis=1, initial=math.pi).tolist()
+    t1_hi, t2_hi, p1_hi, p2_hi = np.maximum.reduce(angles, axis=1, initial=0.0).tolist()
+    # nan fails every comparison, so it is caught with the out-of-range values
+    theta_ok = (
+        t1_lo >= -_THETA_SLACK and t2_lo >= -_THETA_SLACK
+        and t1_hi <= _THETA_TOP and t2_hi <= _THETA_TOP
+    )
+    if not theta_ok:
+        theta = angles[:2].ravel()
+        bad = ~((theta >= -_THETA_SLACK) & (theta <= _THETA_TOP))
+        raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad][0])!r}")
+    if not (-math.inf < p1_lo and -math.inf < p2_lo and p1_hi < math.inf and p2_hi < math.inf):
+        phi = angles[2:].ravel()
+        raise ValueError(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])!r}")
+    # np.clip leaves values in [0, pi] as they are, so it is only needed
+    # when something lies in the slack band
+    if t1_lo < 0.0 or t2_lo < 0.0 or t1_hi > math.pi or t2_hi > math.pi:
+        np.clip(angles[:2], 0.0, math.pi, out=angles[:2])
+    np.mod(angles[2:], TWO_PI, out=angles[2:])
+
+
+def _coherent_rows(t: _KernelTable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Amplitudes of |theta, phi, j>, along a new last axis, for every entry
+    of theta and phi. The arithmetic of coherent_state, elementwise.
+
+    The exponent phi * (-1j k) is formed in one product; its imaginary part
+    is -(phi k), rounded once, exactly as in -1j * phi * k.
+    """
+    half = theta[..., None] / 2
+    mags = t.roots * np.cos(half) ** t.rest * np.sin(half) ** t.k
+    return mags * np.exp(phi[..., None] * t.minus_ik)
 
 
 def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,29 +251,32 @@ def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0].real
 
 
-def _apply_generator(j: SpinJ, g: Generator, psi: np.ndarray) -> np.ndarray:
-    """G @ psi for every row of psi in O(d).
+def _apply_generator(bands: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarray:
+    """G @ psi for every row of psi in O(d), from G's nonzero bands.
 
     Jz is diagonal; Jx and Jy are built from J+ and J- alone, so they hold
     only the first off-diagonal and its mirror image.
     """
-    G = g.matrix(j)
-    if g is Generator.Z:
-        return np.diagonal(G) * psi
-    out = np.zeros_like(psi)
-    out[:, 1:] = np.diagonal(G, -1) * psi[:, :-1]
-    out[:, :-1] += np.diagonal(G, 1) * psi[:, 1:]
+    if len(bands) == 1:
+        return bands[0] * psi
+    lower, upper = bands
+    out = np.empty_like(psi)
+    np.multiply(lower, psi[:, :-1], out=out[:, 1:])
+    out[:, 0] = 0.0  # no lower-band term in the first component
+    out[:, :-1] += upper * psi[:, 1:]
     return out
 
 
-def _qfi_chunk(j: SpinJ, g: Generator, t1, t2, p1, p2):
-    """-> (qfi, degenerate) for one chunk of flat angle arrays."""
-    summed = _coherent_rows(j.two_j, t1, p1) + _coherent_rows(j.two_j, t2, p2)
+def _qfi_chunk(t: _KernelTable, angles: np.ndarray):
+    """-> (qfi, degenerate) for one chunk of checked (4, m) angle rows."""
+    # both components of every cat in one pass: rows[0] + rows[1] is v1 + v2
+    rows = _coherent_rows(t, angles[:2], angles[2:])
+    summed = rows[0] + rows[1]
     # componentwise |.|^2, as in catstate: never 2 + 2 Re<1|2>
-    n2 = np.sum(summed.real * summed.real + summed.imag * summed.imag, axis=1)
+    n2 = np.add.reduce(summed.real * summed.real + summed.imag * summed.imag, axis=1)
     degenerate = n2 <= DEGENERACY_FLOOR
     psi = summed / np.sqrt(np.where(degenerate, 1.0, n2))[:, None]
-    gpsi = _apply_generator(j, g, psi)
+    gpsi = _apply_generator(t.bands, psi)
     resid = gpsi - _row_vdots(psi, gpsi)[:, None] * psi
     return 4.0 * _row_vdots(resid, resid), degenerate
 
@@ -235,22 +292,24 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     DegenerateCatError) qfi and crb are nan and the flag is set.
 
     Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes, so memory
-    does not grow with the batch. Single cats are cheaper through cat_crb.
+    does not grow with the batch. The per-spin powers and the generator's
+    bands come from a table built once per (j, G), so a small batch costs
+    little more than its arithmetic. Single cats are cheaper through cat_crb.
     """
-    t1, t2, p1, p2 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (theta1, theta2, phi1, phi2))
-    )
-    shape = t1.shape
-    t1, t2 = _checked_theta(t1.ravel()), _checked_theta(t2.ravel())
-    p1, p2 = _reduced_phi(p1.ravel()), _reduced_phi(p2.ravel())
-    qfi = np.empty(t1.size)
-    degenerate = np.empty(t1.size, dtype=bool)
+    shape = np.broadcast(theta1, theta2, phi1, phi2).shape
+    angles = np.empty((4, *shape))
+    angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
+    angles = angles.reshape(4, -1)
+    _check_angles(angles)
+    table = _kernel_table(j, g)
+    n = angles.shape[1]
+    qfi = np.empty(n)
+    degenerate = np.empty(n, dtype=bool)
     step = batch_cells(j)
-    for lo in range(0, t1.size, step):
+    for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        qfi[part], degenerate[part] = _qfi_chunk(j, g, t1[part], t2[part], p1[part], p2[part])
-    crb = np.full_like(qfi, math.inf)
+        qfi[part], degenerate[part] = _qfi_chunk(table, angles[:, part])
+    np.copyto(qfi, math.nan, where=degenerate)
+    crb = np.where(degenerate, math.nan, math.inf)
     np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)
-    qfi[degenerate] = math.nan
-    crb[degenerate] = math.nan
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)

@@ -11,7 +11,9 @@ the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
 cyclic coordinate descent with golden-section line minimization. The seed
 grid is one cat_crb_batch call, and all seeds are polished in lockstep:
 each golden-section step is one cat_crb_batch call holding the next point
-of every seed still searching. Each seed takes exactly the steps it would
+of every seed still searching. The golden-section state is kept only for
+the seeds still searching and updated with np.where, so the search costs
+little beyond its kernel calls. Each seed takes exactly the steps it would
 take searched on its own, so the search is exact-arithmetic
 deterministic: same spec, same result.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -241,31 +243,42 @@ def _golden_min(line, n: int, lo: float, hi: float, tol: float = 1e-12):
     than tol; each step makes one line call holding the next point of every
     row still running. A row's arithmetic is that of a search on its own,
     so it takes the same steps whichever rows share its calls.
+
+    The bracket state (a, b, c, d, fc, fd) is held only for the rows still
+    running, and each step updates all of it with np.where; a row's result
+    is written out when its bracket closes, and the state is compacted.
     -> (argmin, min) arrays of length n.
     """
+    xmin = np.empty(n)
+    fmin = np.empty(n)
+    rows = np.arange(n)
     a = np.full(n, lo)
     b = np.full(n, hi)
     h = b - a
     c = b - _INVPHI * h
     d = a + _INVPHI * h
-    rows = np.arange(n)
     both = line(np.concatenate([c, d]), np.concatenate([rows, rows]))
     fc, fd = both[:n], both[n:]
-    run = rows[h > tol]
-    while run.size:
-        left = fc[run] < fd[run]
-        lr, rr = run[left], run[~left]
-        b[lr], d[lr], fd[lr] = d[lr], c[lr], fc[lr]
-        a[rr], c[rr], fc[rr] = c[rr], d[rr], fd[rr]
-        h[run] = b[run] - a[run]
-        c[lr] = b[lr] - _INVPHI * h[lr]
-        d[rr] = a[rr] + _INVPHI * h[rr]
-        vals = line(np.where(left, c[run], d[run]), run)
-        fc[lr] = vals[left]
-        fd[rr] = vals[~left]
-        run = run[h[run] > tol]
-    lower = fc < fd
-    return np.where(lower, c, d), np.where(lower, fc, fd)
+    while rows.size:
+        if np.minimum.reduce(h) <= tol:
+            closed = h <= tol
+            lower = fc < fd
+            xmin[rows[closed]] = np.where(lower, c, d)[closed]
+            fmin[rows[closed]] = np.where(lower, fc, fd)[closed]
+            run = ~closed
+            rows, a, b, c, d, fc, fd = (v[run] for v in (rows, a, b, c, d, fc, fd))
+            if not rows.size:
+                break
+        # left: the minimum is bracketed by [a, d]; right: by [c, b]
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = b - a
+        step = _INVPHI * h
+        new = np.where(left, b - step, a + step)
+        vals = line(new, rows)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, vals, fd), np.where(left, fc, vals)
+    return xmin, fmin
 
 
 def _polish(f, starts, max_sweeps: int = 40):

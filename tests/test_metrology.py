@@ -1,5 +1,6 @@
 """Information engine: evolution, the three routes to the information, bounds."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,19 +203,38 @@ def test_batch_broadcasts_and_flags_events():
 @pytest.mark.parametrize(
     "angles",
     [
-        (math.nan, 1.0, 0.0, 0.0),
-        (1.0, -0.01, 0.0, 0.0),
-        (1.0, math.pi + 1e-6, 0.0, 0.0),
-        (1.0, 1.0, math.inf, 0.0),
-        (1.0, 1.0, 0.0, math.nan),
+        # the second cat's (theta1, theta2, phi1, phi2), and the batch's error
+        ((math.nan, 1.0, 0.0, 0.0), "theta must lie in [0, pi], got nan"),
+        ((1.0, -0.01, 0.0, 0.0), "theta must lie in [0, pi], got -0.01"),
+        (
+            (1.0, math.pi + 1e-6, 0.0, 0.0),
+            f"theta must lie in [0, pi], got {math.pi + 1e-6!r}",
+        ),
+        ((1.0, 1.0, math.inf, 0.0), "phi must be finite, got inf"),
+        ((1.0, 1.0, 0.0, math.nan), "phi must be finite, got nan"),
+        ((math.inf, 1.0, 0.0, 0.0), "theta must lie in [0, pi], got inf"),
+        ((1.0, -math.inf, 0.0, 0.0), "theta must lie in [0, pi], got -inf"),
+        # theta2 and phi1 both bad: every theta is checked before any phi
+        ((1.0, math.nan, math.inf, 0.0), "theta must lie in [0, pi], got nan"),
+        ((1.0, 1.0, -math.inf, math.nan), "phi must be finite, got -inf"),
     ],
 )
 def test_batch_rejects_bad_angles(angles):
-    t1, t2, p1, p2 = angles
-    with pytest.raises(ValueError):
+    (t1, t2, p1, p2), message = angles
+    with pytest.raises(ValueError, match=re.escape(message)):
         cat_crb_batch(SpinJ(2), Generator.X, [0.5, t1], [0.5, t2], [0.0, p1], [0.0, p2])
     with pytest.raises(ValueError):
         cat_crb(CatParams(SpinJ(2), CoherentParams(t1, p1), CoherentParams(t2, p2)), Generator.X)
+
+
+def test_batch_error_names_the_first_bad_value():
+    ok = [0.5, 0.5, 0.5]
+    with pytest.raises(ValueError, match=r"got 4\.0$"):
+        cat_crb_batch(SpinJ(2), Generator.Z, ok, [0.5, 4.0, -1.0], [math.nan] * 3, ok)
+    with pytest.raises(ValueError, match=r"got -1\.0$"):
+        cat_crb_batch(SpinJ(2), Generator.Z, [0.5, -1.0, 4.0], [9.0] * 3, ok, ok)
+    with pytest.raises(ValueError, match=r"got -inf$"):
+        cat_crb_batch(SpinJ(2), Generator.Z, ok, ok, [0.5, -math.inf, math.inf], [math.nan] * 3)
 
 
 def test_batch_clamps_theta_within_slack():
@@ -222,3 +242,134 @@ def test_batch_clamps_theta_within_slack():
     a = cat_crb_batch(SpinJ(3), Generator.Y, [-slack], [math.pi + slack], 0.4, 1.1)
     b = cat_crb_batch(SpinJ(3), Generator.Y, [0.0], [math.pi], 0.4, 1.1)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+# --- the kernel's bits, pinned ------------------------------------------------
+# The tests above hold the batch to the scalar path, which shares its
+# arithmetic; these literals hold it to itself. They are float.hex of
+# cat_crb_batch qfi, recorded before the kernel's per-call overhead was cut,
+# at each (2j, G) for the cats of _pinned_cats: one Jz, one Jx and one Jy
+# eigenstate (divergent under their own generator), a degenerate cat
+# (index 3, nan), a N00N state, and generic cats, the last of them in the
+# theta slack band and with phases to reduce.
+
+
+def _pinned_cats(two_j: int) -> np.ndarray:
+    pi = math.pi
+    return np.array(
+        [
+            (0.0, 0.0, 0.0, 0.0),
+            (pi / 2, pi / 2, 0.0, 0.0),
+            (pi / 2, pi / 2, pi / 2, pi / 2),
+            (pi, pi, 0.0, pi / two_j),
+            (0.0, pi, 0.0, 0.0),
+            (1.0, 1.0, 0.0, pi),
+            (0.3, 2.1, 0.7, 4.0),
+            (2.5, 0.4, 5.9, 1.3),
+            (pi / 8, 7 * pi / 8, pi / 4, pi / 4),
+            (-1e-10, pi + 1e-10, -0.5, 7.0),
+        ]
+    )
+
+
+_PINNED_QFI = {
+    (1, "x"): (
+        "0x1.0000000000000p+0 0x1.0000000000000p-105 0x1.0000000000000p+0 "
+        "nan 0x1.0000000000000p-105 0x1.0000000000000p+0 "
+        "0x1.836860fa71fcap-1 0x1.e67a03af296e1p-4 0x1.0000000000000p-1 "
+        "0x1.b9fd944f4d7c9p-2"
+    ),
+    (1, "y"): (
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.26ef9d0b14ba9p-105 "
+        "nan 0x1.ffffffffffffep-1 0x1.0000000000000p+0 "
+        "0x1.4133c78761466p-1 0x1.f22cb6ad03de8p-1 0x1.0000000000001p-1 "
+        "0x1.230135d85941ap-1"
+    ),
+    (1, "z"): (
+        "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "nan 0x1.ffffffffffffep-1 0x1.73d98cf0aa03fp-108 "
+        "0x1.3b63d77e2cbd0p-1 0x1.d10408dd16f3fp-1 0x1.0000000000000p+0 "
+        "0x1.ffffffffffffep-1"
+    ),
+    (2, "x"): (
+        "0x1.0000000000001p+1 0x1.8000000000000p-103 0x1.0000000000002p+1 "
+        "nan 0x1.0000000000000p+2 0x1.8c4eae7d5b372p+1 "
+        "0x1.7f261c8aee188p+0 0x1.43a61542350fep+1 0x1.5d35c52ed4800p+0 "
+        "0x1.230135d85941ap+1"
+    ),
+    (2, "y"): (
+        "0x1.0000000000001p+1 0x1.0000000000002p+1 0x1.9377ce858a5d4p-103 "
+        "nan 0x1.377ce858a5d4ap-106 0x1.cec5460a93245p-1 "
+        "0x1.c6aef16842bd8p+0 0x1.bfa8c036de97dp-1 0x1.5d35c52ed4800p+0 "
+        "0x1.b9fd944f4d7c8p+0"
+    ),
+    (2, "z"): (
+        "0x0.0p+0 0x1.0000000000000p+1 0x1.0000000000000p+1 "
+        "nan 0x1.ffffffffffffep+1 0x1.33989c1f9c598p+0 "
+        "0x1.8975f0f992ae5p+1 0x1.b73ff53ce3f4ap+1 0x1.be98eaeb4868ap+1 "
+        "0x1.ffffffffffffdp+1"
+    ),
+    (3, "x"): (
+        "0x1.7ffffffffffffp+1 0x1.0000000000000p-103 0x1.8000000000000p+1 "
+        "nan 0x1.8000000000000p+1 0x1.aadb497ef7251p+2 "
+        "0x1.9482da8b615b3p+1 0x1.9d1a2b98dbc7dp+1 0x1.39062e33be61ap+1 "
+        "0x1.7fffffffffffep+1"
+    ),
+    (3, "y"): (
+        "0x1.7ffffffffffffp+1 0x1.8000000000001p+1 0x1.1d33b5c84f8bep-103 "
+        "nan 0x1.7fffffffffffdp+1 0x1.046cff54cf5d0p+0 "
+        "0x1.b9c7c1eeb90a6p+1 0x1.8253bac494658p+1 0x1.39062e33be61cp+1 "
+        "0x1.7fffffffffffep+1"
+    ),
+    (3, "z"): (
+        "0x0.0p+0 0x1.7ffffffffffffp+1 0x1.7ffffffffffffp+1 "
+        "nan 0x1.1ffffffffffffp+3 0x1.54ca1cdf8537cp+1 "
+        "0x1.97c500493f77cp+2 0x1.ebc90191d7492p+2 0x1.f65ed954bb9dap+2 "
+        "0x1.1ffffffffffffp+3"
+    ),
+    (16, "x"): (
+        "0x1.0000000000000p+4 0x1.5548000000000p-98 0x1.0000000000000p+4 "
+        "nan 0x1.ffffffffffffep+3 0x1.73db78f975d2ap+7 "
+        "0x1.a81a7c6397800p+5 0x1.a75d487f228b0p+4 0x1.da82461929110p+3 "
+        "0x1.fffffffffffffp+3"
+    ),
+    (16, "y"): (
+        "0x1.0000000000000p+4 0x1.0000000000000p+4 0x1.b26fe546a5bbep-94 "
+        "nan 0x1.ffffffffffffep+3 0x1.ff047af2c568ep+3 "
+        "0x1.cec973cee509dp+5 0x1.2b7af6291d49ap+5 0x1.da82461929108p+3 "
+        "0x1.fffffffffffffp+3"
+    ),
+    (16, "z"): (
+        "0x0.0p+0 0x1.0000000000000p+4 0x1.0000000000000p+4 "
+        "nan 0x1.ffffffffffffep+7 0x1.6b30e4b9ad2ddp+3 "
+        "0x1.1e3b8603aad84p+7 0x1.83cdbafa99ad3p+7 0x1.b9b49e528532dp+7 "
+        "0x1.fffffffffffffp+7"
+    ),
+    (64, "x"): (
+        "0x1.0000000000000p+6 0x1.271f4cab51111p-93 0x1.0000000000000p+6 "
+        "nan 0x1.ffffffffffffep+5 0x1.6cde76f7d890ep+11 "
+        "0x1.59d626113cd38p+9 0x1.05fc168e15100p+8 0x1.da827999fcef8p+5 "
+        "0x1.ffffffffffffep+5"
+    ),
+    (64, "y"): (
+        "0x1.0000000000000p+6 0x1.0000000000000p+6 0x1.1f802bcdfff1cp-85 "
+        "nan 0x1.ffffffffffffep+5 0x1.ffffffffffff7p+5 "
+        "0x1.85033549dbc40p+9 0x1.a9485680b6478p+8 0x1.da827999fceecp+5 "
+        "0x1.ffffffffffffep+5"
+    ),
+    (64, "z"): (
+        "0x0.0p+0 0x1.0000000000000p+6 0x1.0000000000000p+6 "
+        "nan 0x1.ffffffffffffep+11 0x1.6a88995d4dc88p+5 "
+        "0x1.143e2ec10e142p+11 0x1.7daf91c4d3862p+11 0x1.b630df6729f6dp+11 "
+        "0x1.ffffffffffffep+11"
+    ),
+}
+
+
+@pytest.mark.parametrize("two_j,gen", sorted(_PINNED_QFI))
+def test_batch_qfi_bits_are_pinned(two_j, gen):
+    qfi, bound, degenerate = cat_crb_batch(SpinJ(two_j), Generator(gen), *_pinned_cats(two_j).T)
+    assert [float(q).hex() for q in qfi] == _PINNED_QFI[two_j, gen].split()
+    assert degenerate.tolist() == [i == 3 for i in range(10)]
+    assert math.isinf(bound["zxy".index(gen)])
+
