@@ -11,8 +11,10 @@ always means multiples of pi; bare numbers are radians unless --pi-units
 is set. Options may also come from a ``key=value`` config file via
 --config; explicit flags win over config values.
 
-Exit codes: 0 success, 1 usage/config error, 2 degenerate cat,
-3 verification failure, 4 I/O error, 5 no Heisenberg-limit point found.
+Exit codes: 0 success, 3 verification failure. Every other exit goes
+through _EXIT_CODES in main, which prints ``error: ...`` on stderr and maps
+the error's type to its code: 1 usage/config error, 2 degenerate cat, 4 I/O
+error, 5 no Heisenberg-limit point found.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import json
 import math
 import sys
 import time
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .catstate import CatParams, DegenerateCatError, normalization
 from .closedform import FAMILIES, ClosedFormCase, sweep_family
@@ -123,99 +125,70 @@ def _parse_bool(text: str) -> bool:
     raise _UsageError(f"invalid boolean {text!r}")
 
 
-_ANGLE_DESTS = ("theta1", "theta2", "phi1", "phi2")
+# marks an option that has no default and must be given
+_REQUIRED = object()
 
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "j": _parse_j,
-    "generator": _parse_generator,
-    "family": _parse_family,
-    "res": _parse_int,
-    "seeds": _parse_int,
-    "cap": _parse_float,
-    "tol": _parse_float,
-    "tolerance": _parse_float,
-    "format": _parse_format,
-    "output": str,
-    "all": _parse_bool,
-    "pi_units": _parse_bool,
-}
-_CONVERTERS.update({name: str for name in _ANGLE_DESTS})
+_PI_UNITS = (("--pi-units",), _parse_bool, False, "treat bare angle numbers as multiples of pi")
+_SPIN = (("--j",), _parse_j, _REQUIRED, "spin")
+_GENERATOR = (("--generator", "--gen"), _parse_generator, _REQUIRED, "x, y or z")
+_FORMAT = (("--format",), _parse_format, "text", "text or json")
 
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "crb": {"phi1": "0", "phi2": "0", "format": "text", "pi_units": False},
-    "verify": {"res": 50, "tol": 1e-9, "all": False, "family": None},
-    "scan": {
-        "phi1": "0",
-        "phi2": "0",
-        "res": 201,
-        "cap": 20.0,
-        "output": None,
-        "pi_units": False,
-    },
-    "find-hl": {
-        "tolerance": 1e-3,
-        "seeds": 16,
-        "output": None,
-        "format": "text",
-    },
+# Every subcommand's help line and its options in --help order, each as
+# (flags, converter, default or _REQUIRED, help). The option's config key
+# is its first flag without the dashes. Flags and config values go through
+# the same converter in this order; parse_angle marks an angle, which is
+# converted last because it needs pi_units. _parse_bool marks an on/off flag.
+_COMMANDS = {
+    "crb": ("bound for one cat state", (
+        _PI_UNITS,
+        (("--j",), _parse_j, _REQUIRED, "spin (0.5, 1, 1.5, ...)"),
+        _GENERATOR,
+        (("--theta1",), parse_angle, _REQUIRED, "theta1 angle"),
+        (("--theta2",), parse_angle, _REQUIRED, "theta2 angle"),
+        (("--phi1",), parse_angle, "0", "phi1 angle"),
+        (("--phi2",), parse_angle, "0", "phi2 angle"),
+        _FORMAT,
+    )),
+    "verify": ("sweep closed forms against the engine", (
+        (("--family",), _parse_family, None, "one family name (default: all)"),
+        (("--all",), _parse_bool, False, "sweep every family"),
+        (("--res",), _parse_int, 50, "grid resolution per free parameter"),
+        (("--tol",), _parse_float, 1e-9, "max allowed |formula - engine|"),
+    )),
+    "scan": ("grid scan over (theta1, theta2)", (
+        _PI_UNITS,
+        _SPIN,
+        _GENERATOR,
+        (("--phi1",), parse_angle, "0", "first phase"),
+        (("--phi2",), parse_angle, "0", "second phase"),
+        (("--res",), _parse_int, 201, "grid resolution"),
+        (("--cap",), _parse_float, 20.0, "CSV ceiling for diverging bounds"),
+        (("--output",), str, None, "CSV path (default: stdout)"),
+    )),
+    "find-hl": ("search for Heisenberg-limit points", (
+        _SPIN,
+        _GENERATOR,
+        (("--tolerance",), _parse_float, 1e-3, "relative acceptance slack"),
+        (("--seeds",), _parse_int, 16, "coarse starts to polish"),
+        (("--output",), str, None, "write the report to this path"),
+        _FORMAT,
+    )),
 }
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "crb": ("j", "generator", "theta1", "theta2"),
-    "verify": (),
-    "scan": ("j", "generator"),
-    "find-hl": ("j", "generator"),
-}
+
+def _key(flags: tuple[str, ...]) -> str:
+    return flags[0].lstrip("-").replace("-", "_")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spincat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_common(p):
+    for command, (help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="key=value defaults file")
-        p.add_argument(
-            "--pi-units",
-            dest="pi_units",
-            action="store_true",
-            default=None,
-            help="treat bare angle numbers as multiples of pi",
-        )
-
-    p = sub.add_parser("crb", help="bound for one cat state")
-    add_common(p)
-    p.add_argument("--j", help="spin (0.5, 1, 1.5, ...)")
-    p.add_argument("--generator", "--gen", dest="generator", help="x, y or z")
-    for name in _ANGLE_DESTS:
-        p.add_argument(f"--{name}", help=f"{name} angle")
-    p.add_argument("--format", help="text or json")
-
-    p = sub.add_parser("verify", help="sweep closed forms against the engine")
-    p.add_argument("--config", help="key=value defaults file")
-    p.add_argument("--family", help="one family name (default: all)")
-    p.add_argument("--all", action="store_true", default=None, help="sweep every family")
-    p.add_argument("--res", help="grid resolution per free parameter")
-    p.add_argument("--tol", help="max allowed |formula - engine|")
-
-    p = sub.add_parser("scan", help="grid scan over (theta1, theta2)")
-    add_common(p)
-    p.add_argument("--j", help="spin")
-    p.add_argument("--generator", "--gen", dest="generator", help="x, y or z")
-    p.add_argument("--phi1", help="first phase")
-    p.add_argument("--phi2", help="second phase")
-    p.add_argument("--res", help="grid resolution")
-    p.add_argument("--cap", help="CSV ceiling for diverging bounds")
-    p.add_argument("--output", help="CSV path (default: stdout)")
-
-    p = sub.add_parser("find-hl", help="search for Heisenberg-limit points")
-    p.add_argument("--config", help="key=value defaults file")
-    p.add_argument("--j", help="spin")
-    p.add_argument("--generator", "--gen", dest="generator", help="x, y or z")
-    p.add_argument("--tolerance", help="relative acceptance slack")
-    p.add_argument("--seeds", help="coarse starts to polish")
-    p.add_argument("--output", help="write the report to this path")
-    p.add_argument("--format", help="text or json")
-
+        for flags, convert, _, help_text in options:
+            switch = {"action": "store_true"} if convert is _parse_bool else {}
+            p.add_argument(*flags, dest=_key(flags), default=None, help=help_text, **switch)
     return parser
 
 
@@ -237,34 +210,33 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge flag values over config values over defaults, then convert.
 
     Flags and config go through identical converters, so equivalent
-    spellings produce byte-identical reports.
+    spellings produce byte-identical reports. Errors are reported in a
+    fixed order: an unknown config key, then a missing option, then the
+    first value that fails to convert in table order, angles last.
     """
     command = args.command
-    opts: dict[str, object] = dict(_DEFAULTS[command])
-    known = set(opts) | set(_REQUIRED[command])
-    if getattr(args, "config", None):
+    options = _COMMANDS[command][1]
+    converters = {_key(flags): convert for flags, convert, _, _ in options}
+    opts: dict[str, object] = {_key(flags): default for flags, _, default, _ in options}
+    if args.config:
         for key, value in _load_config(args.config).items():
-            if key not in known:
+            if key not in opts:
                 raise _UsageError(f"config key {key!r} not valid for {command!r}")
             opts[key] = value
-    for key in known:
-        flag_value = getattr(args, key, None)
+    for key in opts:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             opts[key] = flag_value
-    for key in _REQUIRED[command]:
-        if opts.get(key) is None:
-            raise _UsageError(f"--{key.replace('_', '-')} is required")
-    converted: dict[str, object] = {}
     for key, value in opts.items():
-        if value is None or not isinstance(value, str):
-            converted[key] = value
-        else:
-            converted[key] = _CONVERTERS[key](value)
-    pi_units = bool(converted.get("pi_units"))
-    for name in _ANGLE_DESTS:
-        if isinstance(converted.get(name), str):
-            converted[name] = parse_angle(converted[name], pi_units)
-    return converted
+        if value is _REQUIRED:
+            raise _UsageError(f"--{key.replace('_', '-')} is required")
+    angles = [key for key, convert in converters.items() if convert is parse_angle]
+    for key, convert in converters.items():
+        if key not in angles and isinstance(opts[key], str):
+            opts[key] = convert(opts[key])
+    for key in angles:
+        opts[key] = parse_angle(opts[key], bool(opts.get("pi_units")))
+    return opts
 
 
 def _jf(x: float) -> float:
@@ -289,13 +261,8 @@ def _cmd_crb(opts: Mapping) -> int:
             CoherentParams(opts["theta2"], opts["phi2"]),
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        norm = normalization(cat)
-    except DegenerateCatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
+    norm = normalization(cat)
     overlap = coherent_overlap(j, cat.p1, cat.p2)
     result = cat_crb(cat, opts["generator"])
     if opts["format"] == "json":
@@ -340,8 +307,8 @@ def _cmd_verify(opts: Mapping) -> int:
         check_resolution(res)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if not tol > 0:
-        raise _UsageError("--tol must be positive")
+    if not 0 < tol < math.inf:
+        raise _UsageError("--tol must be positive and finite")
     failures = []
     started = time.perf_counter()
     for case in cases:
@@ -394,12 +361,8 @@ def _cmd_scan(opts: Mapping) -> int:
     if opts["output"] is None:
         result.to_csv(sys.stdout)
     else:
-        try:
-            with open(opts["output"], "w", encoding="utf-8", newline="") as fh:
-                result.to_csv(fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+        with open(opts["output"], "w", encoding="utf-8", newline="") as fh:
+            result.to_csv(fh)
         print(_scan_summary(result))
     return 0
 
@@ -414,11 +377,7 @@ def _cmd_find_hl(opts: Mapping) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
-    try:
-        points = find_hl(spec)
-    except NoHlFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    points = find_hl(spec)
     if opts["format"] == "json":
         doc = {
             "j": _jf(spec.j.j),
@@ -451,12 +410,8 @@ def _cmd_find_hl(opts: Mapping) -> int:
     if opts["output"] is None:
         print(rendered)
     else:
-        try:
-            with open(opts["output"], "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+        with open(opts["output"], "w", encoding="utf-8") as fh:
+            fh.write(rendered + "\n")
         print(f"wrote {len(points)} point(s) to {opts['output']}")
     return 0
 
@@ -469,6 +424,11 @@ _HANDLERS = {
 }
 
 
+# the one mapping from the error that ends a run to its exit code; the
+# handlers return 0, or 3 when verification fails
+_EXIT_CODES = {_UsageError: 1, DegenerateCatError: 2, OSError: 4, NoHlFoundError: 5}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -478,12 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _resolve_options(args)
         return _HANDLERS[args.command](opts)
-    except OSError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

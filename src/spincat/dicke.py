@@ -46,7 +46,9 @@ class SpinJ:
 
     @classmethod
     def from_j(cls, j: float) -> "SpinJ":
-        """Build from j itself (0.5, 1, 1.5, ...); j must be a half-integer."""
+        """Build from j itself (0.5, 1, 1.5, ...); j must be a finite half-integer."""
+        if not math.isfinite(j):
+            raise ValueError(f"j must be finite, got {j!r}")
         two_j = round(2 * j)
         if abs(2 * j - two_j) > 1e-9:
             raise ValueError(f"j must be a half-integer, got {j!r}")

@@ -7,6 +7,8 @@ shows in the traced benchmark run, which is too slow for this suite.
 import sys
 from pathlib import Path
 
+import pytest
+
 import spincat.closedform
 from spincat import cli
 
@@ -30,3 +32,21 @@ def test_tracer_counts_formula_calls_and_restores_everything(capsys):
     assert spincat.closedform.FAMILIES.keys() == families.keys()
     for case, defn in families.items():
         assert spincat.closedform.FAMILIES[case] is defn, case
+
+
+@pytest.mark.parametrize(
+    "argv,span",
+    [
+        (["scan", "--j", "0.5", "--gen", "z", "--res", "3"], "scan.grid_scan"),
+        (["verify", "--family", "half_z_phi0", "--res", "3"], "closedform.sweep_family.half_z_phi0"),
+        (["find-hl", "--j", "0.5", "--gen", "z", "--seeds", "1"], "scan.find_hl.2j1_z"),
+    ],
+)
+def test_tracer_sees_the_cli_call_edge(capsys, argv, span):
+    # the handlers must look these names up in spincat.cli when they run,
+    # so that a tracer rebinding them sees the call
+    with spans.Tracer() as tracer:
+        code = cli.main(argv)
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.summary().count(span) == 1

@@ -1,9 +1,14 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spincat
 from spincat import cli
 from spincat.cli import main, parse_angle
 from spincat.scan import NoHlFoundError
@@ -113,6 +118,9 @@ def test_config_missing_file_is_io_error(capsys, tmp_path):
         ("verify", "--family", "no_such_family"),
         ("find-hl", "--j", "0.5", "--generator", "z", "--tolerance", "0.5"),
         ("scan", "--j", "0.5", "--generator", "z", "--res", "1"),
+        ("crb", "--j", "inf", "--generator", "z", "--theta1", "0", "--theta2", "0"),
+        ("crb", "--j", "1e400", "--generator", "z", "--theta1", "0", "--theta2", "0"),
+        ("verify", "--family", "half_z_equator", "--tol", "inf"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -138,6 +146,84 @@ def test_resolution_above_the_cap_exits_one_unrun(capsys, monkeypatch, argv):
     assert code == 1
     assert "2001" in err
     assert out == ""
+
+
+def test_non_finite_tol_exits_one_unrun(capsys, monkeypatch, tmp_path):
+    # an infinite tolerance would pass every family whatever the deviation
+    def never(*args):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(cli, "sweep_family", never)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("tol = inf\n")
+    for argv in (["verify", "--tol", "inf"], ["verify", "--config", str(cfg)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "--tol must be positive and finite" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a missing option before a bad value
+        (
+            ("crb", "--j", "x", "--generator", "q", "--theta1", "0"),
+            "--theta2 is required",
+        ),
+        # bad values in --help order
+        (
+            ("crb", "--j", "x", "--generator", "q", "--theta1", "0", "--theta2", "0"),
+            "invalid spin 'x'",
+        ),
+        (
+            ("crb", "--j", "1", "--gen", "q", "--theta1", "0", "--theta2", "0", "--format", "xml"),
+            "generator must be x, y or z, got 'q'",
+        ),
+        # angles last, because they need --pi-units
+        (
+            ("crb", "--j", "1", "--gen", "z", "--theta1", "zz", "--theta2", "0", "--format", "xml"),
+            "format must be text or json, got 'xml'",
+        ),
+        (
+            ("scan", "--j", "x", "--gen", "q", "--phi1", "zz", "--res", "y"),
+            "invalid spin 'x'",
+        ),
+    ],
+)
+def test_several_errors_report_the_first_in_a_fixed_order(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_an_unknown_config_key_is_reported_before_a_missing_option(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("j = x\nresolution = 5\n")
+    code, _, err = run(capsys, "crb", "--config", str(cfg))
+    assert code == 1
+    assert err == "error: config key 'resolution' not valid for 'crb'\n"
+
+
+def test_several_errors_give_the_same_report_under_any_hash_seed():
+    # hash seeds 0 and 1 once reported different errors for this input
+    argv = ["crb", "--j", "x", "--generator", "q", "--theta1", "zz", "--theta2", "0"]
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    script = "import sys; from spincat.cli import main; sys.exit(main(sys.argv[1:]))"
+    errs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        errs.add(proc.stderr)
+    assert len(errs) == 1
+    assert errs.pop().startswith("error: invalid spin 'x'")
 
 
 def test_workers_flag_is_gone(capsys, tmp_path):

@@ -106,3 +106,11 @@ def test_dicke_vector_validation():
     assert v.inner(w) == 0
     with pytest.raises(ValueError):
         v.inner(DickeVector(SpinJ(2), np.array([1.0, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize(
+    "j", [math.inf, -math.inf, float("1e400"), math.nan], ids=["inf", "-inf", "1e400", "nan"]
+)
+def test_from_j_rejects_a_non_finite_spin(j):
+    with pytest.raises(ValueError, match="finite"):
+        SpinJ.from_j(j)
