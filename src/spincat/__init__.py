@@ -40,6 +40,7 @@ from .metrology import (
 )
 from .scan import (
     MAX_RESOLUTION,
+    MAX_SEEDS,
     GridResult,
     HlPoint,
     HlSearchSpec,
@@ -86,6 +87,7 @@ __all__ = [
     "SweepReport",
     "sweep_family",
     "MAX_RESOLUTION",
+    "MAX_SEEDS",
     "ScanSpec",
     "GridResult",
     "grid_scan",

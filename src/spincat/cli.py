@@ -14,13 +14,15 @@ is set. Options may also come from a ``key=value`` config file via
 Exit codes: 0 success, 3 verification failure. Every other exit goes
 through _EXIT_CODES in main, which prints ``error: ...`` on stderr and maps
 the error's type to its code: 1 usage/config error, 2 degenerate cat, 4 I/O
-error, 5 no Heisenberg-limit point found.
+error, 5 no Heisenberg-limit point found. A closed stdout pipe also exits
+4, but prints nothing.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import Mapping
@@ -437,7 +439,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         opts = _resolve_options(args)
-        return _HANDLERS[args.command](opts)
+        code = _HANDLERS[args.command](opts)
+        # a closed pipe shows up here for output still in the buffer
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`spincat scan ... | head`): stop
+        # quietly, and send what is still buffered, flushed at interpreter
+        # exit, to the null device instead of the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_CODES[OSError]
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

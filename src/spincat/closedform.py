@@ -7,9 +7,9 @@ FAMILIES is the one table of them, a FamilyDefinition row per case giving
 its spin, its generator, its free parameters, their embedding into the cat
 angles (theta1, theta2, phi1, phi2) and the formula on that surface.
 closed_form(case, **params) evaluates one case at checked parameters, and
-sweep_family compares a row's formula against the numeric engine point by
-point on its constraint surface. crb_half_z and crb_half_x are the general
-four-angle spin-1/2 forms that the spin-1/2 rows restrict.
+sweep_family compares a row's formula against the numeric engine at every
+point of a grid on its constraint surface. crb_half_z and crb_half_x are
+the general four-angle spin-1/2 forms that the spin-1/2 rows restrict.
 
 Conventions shared with the engine: a bound is returned as a float, with
 +inf standing for a diverging bound (vanishing Fisher information). A
@@ -27,7 +27,6 @@ family evaluators cannot quietly regress to them.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -331,6 +330,13 @@ class FamilyDefinition:
     formula takes a mapping of the free parameters that is already valid:
     every value finite and every theta within [0, pi]. closed_form checks
     outside input before calling it; sweep grids are valid by construction.
+
+    angles is also applied to arrays: sweep_family passes it a mapping of
+    one array per free parameter, arrays that broadcast against each
+    other, once per block of grid points. It must therefore be elementwise
+    arithmetic on its values (+, -, * and constants), which gives the
+    same bits on an array as on each float alone. A constant entry, or
+    one that ignores a parameter, is fine.
     """
 
     case: ClosedFormCase
@@ -575,56 +581,74 @@ class SweepReport:
         return self.event_mismatches == 0 and self.max_abs_deviation <= tol
 
 
-def _grid_points(defn: FamilyDefinition, resolution: int):
-    names = [fp[0] for fp in defn.free_params]
-    if len(names) == 1:
-        name, lo, hi = defn.free_params[0]
+def _grid_blocks(defn: FamilyDefinition, resolution: int):
+    """The family grid in row-major blocks of about one kernel chunk.
+
+    Yields (axes, points): axes maps each free parameter to an array, and
+    the arrays broadcast to the block's shape, (rows, 1) x (resolution,)
+    for two parameters; points are the block's parameter dicts of Python
+    floats, in the same order. Grid values are lo + (hi - lo) * (i / (n - 1)).
+    """
+    block = batch_cells(defn.spin)
+    if len(defn.free_params) == 1:
+        ((name, lo, hi),) = defn.free_params
         n = resolution * resolution
-        for i in range(n):
-            yield {name: lo + (hi - lo) * (i / (n - 1))}
+        for start in range(0, n, block):
+            values = lo + (hi - lo) * (np.arange(start, min(start + block, n)) / (n - 1))
+            yield {name: values}, [{name: v} for v in values.tolist()]
     else:
         (n1, lo1, hi1), (n2, lo2, hi2) = defn.free_params
-        for a in range(resolution):
-            x = lo1 + (hi1 - lo1) * (a / (resolution - 1))
-            for b in range(resolution):
-                yield {n1: x, n2: lo2 + (hi2 - lo2) * (b / (resolution - 1))}
+        index = np.arange(resolution) / (resolution - 1)
+        ys = lo2 + (hi2 - lo2) * index
+        y_list = ys.tolist()
+        rows = max(1, block // resolution)
+        for start in range(0, resolution, rows):
+            xs = lo1 + (hi1 - lo1) * index[start : start + rows]
+            points = [{n1: x, n2: y} for x in xs.tolist() for y in y_list]
+            yield {n1: xs[:, None], n2: ys}, points
 
 
 def sweep_family(case: ClosedFormCase, resolution: int = 50) -> SweepReport:
     """Compare the closed form against the numeric engine on the family grid.
 
     Divergences (and degenerate-cat points) must coincide as events; finite
-    points are compared by absolute deviation. The engine side runs through
-    cat_crb_batch a block of points at a time. resolution is points per free
-    parameter, 2 <= resolution <= MAX_RESOLUTION; one-parameter families
-    take resolution**2 points.
+    points are compared by absolute deviation. The sweep runs on arrays a
+    block of the grid at a time: the row's angle map is applied to the
+    block's parameter arrays and the engine side is one cat_crb_batch call.
+    The formula is called once per point, in grid order. The reported
+    worst point is the last event mismatch if there is one, else the first
+    point of largest nonzero deviation; a nan deviation never counts.
+    resolution is points per free parameter, 2 <= resolution <=
+    MAX_RESOLUTION; one-parameter families take resolution**2 points.
     """
     check_resolution(resolution)
     defn = FAMILIES[case]
     points = finite = mismatches = 0
     worst = 0.0
     worst_point = mismatch_point = None
-    grid = _grid_points(defn, resolution)
-    block = batch_cells(defn.spin)
-    while batch := list(itertools.islice(grid, block)):
-        angles = np.array([defn.angles(params) for params in batch])
-        _, crbs, degenerate = cat_crb_batch(defn.spin, defn.generator, *angles.T)
-        # no state: compare as a divergence event
-        engine = np.where(degenerate, math.inf, crbs).tolist()
-        for params, ev in zip(batch, engine):
-            points += 1
-            fv = defn.formula(params)
-            f_div = math.isinf(fv)
-            e_div = math.isinf(ev)
-            if f_div != e_div:
-                mismatches += 1
-                mismatch_point = (dict(params), fv, ev)
-            elif not f_div:
-                finite += 1
-                dev = abs(fv - ev)
-                if dev > worst:
-                    worst = dev
-                    worst_point = (dict(params), fv, ev)
+    for axes, params in _grid_blocks(defn, resolution):
+        _, crbs, degenerate = cat_crb_batch(defn.spin, defn.generator, *defn.angles(axes))
+        # no state: compare as a divergence event; a map that ignores some
+        # parameter still yields one engine value per point
+        block = np.broadcast(*axes.values()).shape
+        engine = np.broadcast_to(np.where(degenerate, math.inf, crbs), block).ravel()
+        values = [defn.formula(p) for p in params]
+        formula = np.array(values, dtype=float)
+        points += len(values)
+        f_div, e_div = np.isinf(formula), np.isinf(engine)
+        mismatch = f_div != e_div
+        if mismatch.any():
+            mismatches += int(np.count_nonzero(mismatch))
+            mismatch_point = _point(params, values, engine, np.flatnonzero(mismatch)[-1])
+        both = ~(f_div | e_div)
+        finite += int(np.count_nonzero(both))
+        with np.errstate(invalid="ignore"):  # inf - inf where both diverge
+            dev = np.abs(formula - engine)
+        dev = np.where(both & (dev > 0.0), dev, 0.0)  # nan > 0 is false
+        first = int(np.argmax(dev))
+        if dev[first] > worst:
+            worst = float(dev[first])
+            worst_point = _point(params, values, engine, first)
     if mismatch_point is not None:
         worst_point = mismatch_point
     return SweepReport(
@@ -635,3 +659,8 @@ def sweep_family(case: ClosedFormCase, resolution: int = 50) -> SweepReport:
         event_mismatches=mismatches,
         worst_point=worst_point,
     )
+
+
+def _point(params: list, values: list, engine: np.ndarray, i: int) -> tuple:
+    """(parameters, formula value, engine value) of point i of a block."""
+    return dict(params[i]), values[i], float(engine[i])

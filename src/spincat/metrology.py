@@ -12,7 +12,9 @@ arithmetic of the single-state path, elementwise. What does not depend on
 the angles (the exponents k and 2j - k, the prefactors sqrt(C(2j, k)) and
 the nonzero bands of G) sits in a table built once per (j, G), and both
 components of every cat are expanded in one pass, so a call on a few cats
-costs little more than its arithmetic.
+costs little more than its arithmetic. A component shared across the
+batch, such as each axis of a (theta1, theta2) grid at fixed phases, is
+expanded once per distinct point instead of once per cat.
 """
 from __future__ import annotations
 
@@ -267,11 +269,8 @@ def _apply_generator(bands: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarr
     return out
 
 
-def _qfi_chunk(t: _KernelTable, angles: np.ndarray):
-    """-> (qfi, degenerate) for one chunk of checked (4, m) angle rows."""
-    # both components of every cat in one pass: rows[0] + rows[1] is v1 + v2
-    rows = _coherent_rows(t, angles[:2], angles[2:])
-    summed = rows[0] + rows[1]
+def _qfi_chunk(t: _KernelTable, summed: np.ndarray):
+    """-> (qfi, degenerate) for one chunk of unnormalized cats v1 + v2."""
     # componentwise |.|^2, as in catstate: never 2 + 2 Re<1|2>
     n2 = np.add.reduce(summed.real * summed.real + summed.imag * summed.imag, axis=1)
     degenerate = n2 <= DEGENERACY_FLOOR
@@ -279,6 +278,25 @@ def _qfi_chunk(t: _KernelTable, angles: np.ndarray):
     gpsi = _apply_generator(t.bands, psi)
     resid = gpsi - _row_vdots(psi, gpsi)[:, None] * psi
     return 4.0 * _row_vdots(resid, resid), degenerate
+
+
+def _cached_component(t: _KernelTable, checked: np.ndarray, own: tuple):
+    """Amplitudes of one component at each of its distinct points, and for
+    every cat the row that holds its own -> (rows, index).
+
+    checked holds the component's theta and phi over the whole batch,
+    checked and reduced, as a (2, *shape) array; own is the shape its
+    inputs broadcast to. The points are read back from checked, so they
+    carry the same clamping and phase reduction as every cat.
+    """
+    shape = checked.shape[1:]
+    own = (1,) * (len(shape) - len(own)) + own
+    # a broadcast axis of the component is read at its first position
+    pick = tuple(slice(None) if o == s else slice(0, 1) for o, s in zip(own, shape))
+    rows = _coherent_rows(t, checked[(0, *pick)], checked[(1, *pick)])
+    size = math.prod(own)
+    index = np.broadcast_to(np.arange(size).reshape(own), shape).ravel()
+    return rows.reshape(size, -1), index
 
 
 def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
@@ -291,24 +309,51 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
     DegenerateCatError) qfi and crb are nan and the flag is set.
 
-    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes, so memory
-    does not grow with the batch. The per-spin powers and the generator's
-    bands come from a table built once per (j, G), so a small batch costs
-    little more than its arithmetic. Single cats are cheaper through cat_crb.
+    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. A
+    component whose own angles (theta1, phi1) or (theta2, phi2) broadcast
+    to fewer points than the batch, and to no more than one chunk, is
+    expanded once per distinct point and gathered into each chunk: a
+    (rows, 1) x (n,) grid expands rows + n coherent states, not 2 rows n.
+    Every other component is expanded chunk by chunk. The values are the
+    same either way. Memory does not grow with the batch beyond the
+    inputs, the outputs and one gather index per cat: the working arrays
+    of a chunk and each cached component hold at most BATCH_AMPLITUDES
+    amplitudes. The per-spin powers and the generator's bands come from a
+    table built once per (j, G), so a small batch costs little more than
+    its arithmetic. Single cats are cheaper through cat_crb.
     """
     shape = np.broadcast(theta1, theta2, phi1, phi2).shape
     angles = np.empty((4, *shape))
     angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
-    angles = angles.reshape(4, -1)
-    _check_angles(angles)
+    flat = angles.reshape(4, -1)
+    _check_angles(flat)
     table = _kernel_table(j, g)
-    n = angles.shape[1]
+    n = flat.shape[1]
+    step = batch_cells(j)
+    # a component is cached when its own angles broadcast to fewer points
+    # than the batch holds, and to no more than one chunk
+    cached = [None, None]
+    for c, own in enumerate((np.broadcast(theta1, phi1), np.broadcast(theta2, phi2))):
+        if own.size < n and own.size <= step:
+            cached[c] = _cached_component(table, angles[c::2], own.shape)
     qfi = np.empty(n)
     degenerate = np.empty(n, dtype=bool)
-    step = batch_cells(j)
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        qfi[part], degenerate[part] = _qfi_chunk(table, angles[:, part])
+        if cached == [None, None]:
+            # both components of every cat in one pass
+            rows = _coherent_rows(table, flat[:2, part], flat[2:, part])
+            summed = rows[0] + rows[1]
+        else:
+            # a cached component is gathered, the other one expanded
+            v1, v2 = (
+                _coherent_rows(table, flat[c, part], flat[c + 2, part])
+                if hit is None
+                else hit[0][hit[1][part]]
+                for c, hit in enumerate(cached)
+            )
+            summed = v1 + v2
+        qfi[part], degenerate[part] = _qfi_chunk(table, summed)
     np.copyto(qfi, math.nan, where=degenerate)
     crb = np.where(degenerate, math.nan, math.inf)
     np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)

@@ -35,6 +35,7 @@ from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch  # noqa: F
 
 __all__ = [
     "MAX_RESOLUTION",
+    "MAX_SEEDS",
     "ScanSpec",
     "GridResult",
     "grid_scan",
@@ -50,6 +51,11 @@ DEFAULT_CAP = 20.0
 # largest points per axis of a scan or a closed-form sweep; 2001^2 cells
 # take seconds, and anything larger is refused before it is computed
 MAX_RESOLUTION = 2001
+
+# points of find_hl's coarse seed grid: theta1 and theta2 at 9 steps of
+# pi/8, phi1 at 4 and phi2 at 8 steps of pi/4; no search can polish more
+# starts than the grid has, so larger seed counts are refused
+MAX_SEEDS = 9 * 9 * 4 * 8
 
 
 class NoHlFoundError(RuntimeError):
@@ -185,7 +191,9 @@ class HlSearchSpec:
     """Search request: find cat angles whose bound reaches 1/(2j).
 
     tolerance is the relative acceptance slack (crb <= (1/(2j))(1+tol));
-    seeds is how many coarse-grid starts are polished.
+    seeds is how many coarse-grid starts are polished, 1 <= seeds <=
+    MAX_SEEDS. Grid points with no finite bound are never started from,
+    so fewer may be polished.
     """
 
     j: SpinJ
@@ -203,6 +211,11 @@ class HlSearchSpec:
             raise ValueError("tolerance must lie in (0, 0.1]")
         if not isinstance(self.seeds, int) or self.seeds < 1:
             raise ValueError("seeds must be a positive integer")
+        if self.seeds > MAX_SEEDS:
+            raise ValueError(
+                f"seeds must be at most {MAX_SEEDS}, the points of the seed grid, "
+                f"got {self.seeds}"
+            )
 
     @property
     def target(self) -> float:
@@ -329,7 +342,7 @@ def _seed_starts(f, seeds: int) -> np.ndarray:
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    The 2592-point seed grid is evaluated in one batch and the best
+    The MAX_SEEDS-point seed grid is evaluated in one batch and the best
     spec.seeds points are polished together, every objective evaluation
     going through cat_crb_batch. Returns accepted points sorted by
     (crb, theta1, theta2, phi1, phi2); raises NoHlFoundError when no

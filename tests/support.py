@@ -1,5 +1,7 @@
-"""Helpers shared across test modules: deterministic random states and a
-one-point-at-a-time reference for the Heisenberg-limit search."""
+"""Helpers shared across test modules: deterministic random states, and
+one-point-at-a-time references for the Heisenberg-limit search and the
+closed-form sweep."""
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +14,9 @@ from spincat import (
     SpinJ,
     cat_crb,
 )
-from spincat.scan import HlPoint, _objective
+from spincat.closedform import FAMILIES, SweepReport
+from spincat.metrology import batch_cells, cat_crb_batch
+from spincat.scan import HlPoint, _objective, check_resolution
 
 
 def random_coherent(rng) -> CoherentParams:
@@ -117,3 +121,63 @@ def sequential_find_hl(spec):
             if old is None or pt.crb < old.crb:
                 found[key] = pt
     return sorted(found.values(), key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2))
+
+
+# ---------------------------------------------------------------------------
+# point-by-point closed-form sweep, the reference for the array sweep in
+# spincat.closedform: a dict per grid point, the row's angle map and formula
+# called on it, and every point classified in a Python loop
+
+
+def grid_points(defn, resolution):
+    names = [fp[0] for fp in defn.free_params]
+    if len(names) == 1:
+        name, lo, hi = defn.free_params[0]
+        n = resolution * resolution
+        for i in range(n):
+            yield {name: lo + (hi - lo) * (i / (n - 1))}
+    else:
+        (n1, lo1, hi1), (n2, lo2, hi2) = defn.free_params
+        for a in range(resolution):
+            x = lo1 + (hi1 - lo1) * (a / (resolution - 1))
+            for b in range(resolution):
+                yield {n1: x, n2: lo2 + (hi2 - lo2) * (b / (resolution - 1))}
+
+
+def sequential_sweep_family(case, resolution=50):
+    """sweep_family with the grid built and classified one point at a time."""
+    check_resolution(resolution)
+    defn = FAMILIES[case]
+    points = finite = mismatches = 0
+    worst = 0.0
+    worst_point = mismatch_point = None
+    grid = grid_points(defn, resolution)
+    block = batch_cells(defn.spin)
+    while batch := list(itertools.islice(grid, block)):
+        angles = np.array([defn.angles(params) for params in batch])
+        _, crbs, degenerate = cat_crb_batch(defn.spin, defn.generator, *angles.T)
+        engine = np.where(degenerate, math.inf, crbs).tolist()
+        for params, ev in zip(batch, engine):
+            points += 1
+            fv = defn.formula(params)
+            f_div = math.isinf(fv)
+            e_div = math.isinf(ev)
+            if f_div != e_div:
+                mismatches += 1
+                mismatch_point = (dict(params), fv, ev)
+            elif not f_div:
+                finite += 1
+                dev = abs(fv - ev)
+                if dev > worst:
+                    worst = dev
+                    worst_point = (dict(params), fv, ev)
+    if mismatch_point is not None:
+        worst_point = mismatch_point
+    return SweepReport(
+        case=case,
+        points=points,
+        finite_points=finite,
+        max_abs_deviation=worst,
+        event_mismatches=mismatches,
+        worst_point=worst_point,
+    )

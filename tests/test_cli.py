@@ -11,7 +11,7 @@ import pytest
 import spincat
 from spincat import cli
 from spincat.cli import main, parse_angle
-from spincat.scan import NoHlFoundError
+from spincat.scan import MAX_SEEDS, NoHlFoundError
 
 
 def run(capsys, *argv):
@@ -321,6 +321,51 @@ def test_find_hl_none_found_exits_five(capsys, monkeypatch):
     code, _, err = run(capsys, "find-hl", "--j", "0.5", "--generator", "z")
     assert code == 5
     assert "no point" in err
+
+
+def test_seeds_above_the_seed_grid_exit_one_unrun(capsys, monkeypatch):
+    def never(spec):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "find_hl", never)
+    assert MAX_SEEDS == 2592
+    code, out, err = run(capsys, "find-hl", "--j", "0.5", "--gen", "z", "--seeds", "2593")
+    assert (code, out) == (1, "")
+    assert err == "error: seeds must be at most 2592, the points of the seed grid, got 2593\n"
+    with pytest.raises(AssertionError, match="the search ran"):
+        run(capsys, "find-hl", "--j", "0.5", "--gen", "z", "--seeds", "2592")
+
+
+def _spincat_process(argv, buffered):
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "spincat.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_pipe_ends_the_run_quietly(buffered):
+    # `spincat scan ... | head -1`: the reader goes after the first line
+    with _spincat_process(["scan", "--j", "0.5", "--gen", "z", "--res", "201"], buffered) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 4
+        assert first == b"theta1,theta2,crb,overflow,degenerate\n"
+        assert proc.stderr.read() == b""
+    # a short report whose reader is gone before it is written
+    crb = ["crb", "--j", "1", "--gen", "z", "--theta1", "0.3", "--theta2", "pi"]
+    with _spincat_process(crb, buffered) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 4
+        assert proc.stderr.read() == b""
 
 
 def _roundtrips(node) -> bool:

@@ -1,9 +1,11 @@
 """Closed-form bounds: frozen values, catalogue rows, witnesses, engine sweeps."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import spincat.metrology as metrology
 from spincat import (
     FAMILIES,
     MAX_RESOLUTION,
@@ -14,6 +16,7 @@ from spincat import (
     Generator,
     SpinJ,
     cat_crb,
+    cat_crb_batch,
     closed_form,
     crb_half_x,
     crb_half_z,
@@ -21,9 +24,12 @@ from spincat import (
 )
 from spincat.closedform import (
     CRB_DIVERGENCE_CEILING,
+    FamilyDefinition,
     crb_one_z_phi_pi_equal_theta_variant,
     crb_one_z_phi_pi_variant,
 )
+
+from support import grid_points, sequential_sweep_family
 
 HALF_PI = math.pi / 2
 PI = math.pi
@@ -315,3 +321,128 @@ def test_row_formulas_match_golden_values():
         for params, value in zip(points, expected):
             assert defn.formula(params) == value, (case, params)
             assert closed_form(case, **params) == value, (case, params)
+
+
+# --- the array sweep against the point-by-point sweep -------------------------
+
+
+def _bits(x):
+    """A value as a comparable key: floats by float.hex, so nan == nan and
+    0.0 != -0.0, and containers element by element with their types."""
+    if isinstance(x, float):
+        return "float", x.hex()
+    if isinstance(x, dict):
+        return "dict", tuple((k, _bits(v)) for k, v in x.items())
+    if isinstance(x, tuple):
+        return "tuple", tuple(_bits(v) for v in x)
+    return type(x).__name__, x
+
+
+def _report_bits(report):
+    return _bits(tuple(getattr(report, f.name) for f in dataclasses.fields(report)))
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 7, 50])
+@pytest.mark.parametrize("case", list(ClosedFormCase))
+def test_array_sweep_matches_the_point_by_point_sweep(case, resolution):
+    report = sweep_family(case, resolution)
+    assert _report_bits(report) == _report_bits(sequential_sweep_family(case, resolution))
+
+
+@pytest.mark.parametrize("resolution", [2, 7])
+def test_formula_is_called_once_per_point_with_python_floats(monkeypatch, resolution):
+    for case, defn in list(FAMILIES.items()):
+        calls = []
+
+        def formula(p, defn=defn):
+            calls.append(p)
+            return defn.formula(p)
+
+        monkeypatch.setitem(FAMILIES, case, dataclasses.replace(defn, formula=formula))
+        report = sweep_family(case, resolution)
+        names = [name for name, _, _ in defn.free_params]
+        assert report.points == len(calls) == resolution**2
+        assert all(list(p) == names for p in calls)
+        assert all(type(v) is float for p in calls for v in p.values())
+        assert calls == list(grid_points(defn, resolution))
+
+
+# synthetic rows pinning the classification rules: spin 1/2, Jz, two free
+# parameters on [0, 1]; resolution 5 puts the grid at 0, 1/4, 1/2, 3/4, 1
+
+def _grid_angles(p):
+    # thetas in [0.3, 1.3] and [1, 2] at equal phases: every cat finite
+    return 0.3 + p["a"], 1.0 + p["b"], 0.0, 0.0
+
+
+def _engine_value(p):
+    _, bound, degenerate = cat_crb_batch(SpinJ(1), Generator.Z, *_grid_angles(p))
+    return math.inf if degenerate else float(bound)
+
+
+def _install(monkeypatch, angles, formula, amplitudes):
+    """Put a synthetic row in place of HALF_Z_PHI0; chunks of at most
+    amplitudes Dicke amplitudes split the grid into blocks."""
+    case = ClosedFormCase.HALF_Z_PHI0
+    defn = FamilyDefinition(
+        case, SpinJ(1), Generator.Z, (("a", 0.0, 1.0), ("b", 0.0, 1.0)), angles, formula
+    )
+    monkeypatch.setitem(FAMILIES, case, defn)
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
+    report = sweep_family(case, 5)
+    assert _report_bits(report) == _report_bits(sequential_sweep_family(case, 5))
+    return report
+
+
+@pytest.mark.parametrize("amplitudes", [metrology.BATCH_AMPLITUDES, 7])
+def test_sweep_never_reports_a_nan_deviation(monkeypatch, amplitudes):
+    # nan at the first point and at a = 1/2; the engine is finite everywhere
+    report = _install(
+        monkeypatch,
+        _grid_angles,
+        lambda p: math.nan if p["a"] in (0.0, 0.5) and p["b"] == 0.0 else 5.0,
+        amplitudes,
+    )
+    assert report.finite_points == 25 and report.event_mismatches == 0
+    params, fv, ev = report.worst_point
+    assert fv == 5.0 and report.max_abs_deviation == abs(5.0 - ev) > 0.0
+    # nan everywhere: no deviation at all
+    report = _install(monkeypatch, _grid_angles, lambda p: math.nan, amplitudes)
+    assert report.worst_point is None and report.max_abs_deviation == 0.0
+    assert report.finite_points == 25
+
+
+@pytest.mark.parametrize("amplitudes", [metrology.BATCH_AMPLITUDES, 7])
+def test_sweep_reports_the_last_event_mismatch(monkeypatch, amplitudes):
+    # formula diverges where the engine does not, on the first three rows
+    report = _install(
+        monkeypatch,
+        _grid_angles,
+        lambda p: math.inf if p["a"] <= 0.5 else _engine_value(p),
+        amplitudes,
+    )
+    assert report.event_mismatches == 15 and report.finite_points == 10
+    params, fv, ev = report.worst_point
+    assert params == {"a": 0.5, "b": 1.0} and fv == math.inf and math.isfinite(ev)
+
+
+@pytest.mark.parametrize("amplitudes", [metrology.BATCH_AMPLITUDES, 7])
+def test_sweep_reports_the_first_of_tied_worst_points(monkeypatch, amplitudes):
+    # constant angles: the engine gives one value at every point, and the
+    # formula is off by the same amount on the whole last column
+    report = _install(
+        monkeypatch,
+        lambda p: (0.4, 1.1, 0.0, 0.2),
+        lambda p: 6.0 if p["b"] == 1.0 and p["a"] >= 0.25 else 5.0,
+        amplitudes,
+    )
+    assert report.worst_point[0] == {"a": 0.25, "b": 1.0}
+    report = _install(monkeypatch, lambda p: (0.4, 1.1, 0.0, 0.2), lambda p: 5.0, amplitudes)
+    assert report.worst_point[0] == {"a": 0.0, "b": 0.0}
+
+
+@pytest.mark.parametrize("amplitudes", [metrology.BATCH_AMPLITUDES, 7])
+def test_sweep_with_no_deviation_has_no_worst_point(monkeypatch, amplitudes):
+    report = _install(monkeypatch, _grid_angles, _engine_value, amplitudes)
+    assert report.finite_points == 25 and report.event_mismatches == 0
+    assert report.max_abs_deviation == 0.0 and report.worst_point is None

@@ -25,6 +25,7 @@ from spincat import (
     qfi_pure,
     qfi_sld_oracle,
 )
+import spincat.metrology as metrology
 from spincat.metrology import FD_STEP_MAX, FD_STEP_MIN, QFI_DIVERGENCE_FLOOR
 
 from support import random_cat
@@ -223,6 +224,14 @@ def test_batch_rejects_bad_angles(angles):
     (t1, t2, p1, p2), message = angles
     with pytest.raises(ValueError, match=re.escape(message)):
         cat_crb_batch(SpinJ(2), Generator.X, [0.5, t1], [0.5, t2], [0.0, p1], [0.0, p2])
+    # the same bad values inside cached components: a (2, 1) x (2,) grid,
+    # and a first component constant over the batch
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cat_crb_batch(
+            SpinJ(2), Generator.X, [[0.5], [t1]], [0.5, t2], [[0.0], [p1]], [0.0, p2]
+        )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cat_crb_batch(SpinJ(2), Generator.X, t1, [0.5, t2], p1, [0.0, p2])
     with pytest.raises(ValueError):
         cat_crb(CatParams(SpinJ(2), CoherentParams(t1, p1), CoherentParams(t2, p2)), Generator.X)
 
@@ -242,6 +251,73 @@ def test_batch_clamps_theta_within_slack():
     a = cat_crb_batch(SpinJ(3), Generator.Y, [-slack], [math.pi + slack], 0.4, 1.1)
     b = cat_crb_batch(SpinJ(3), Generator.Y, [0.0], [math.pi], 0.4, 1.1)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+# --- components shared across the batch --------------------------------------
+
+_EDGE_THETAS = [-1e-10, 0.0, 0.7, math.pi / 2, math.pi, math.pi + 1e-10]
+
+
+def _broadcast_inputs(rng, n: int, wide: int) -> dict:
+    """Angle inputs that broadcast, by kind. Thetas include both poles and
+    the slack band, phases need reducing, and all but the grid pair theta
+    = pi components at phases pi apart."""
+    col = np.array(_EDGE_THETAS)[:, None]
+    row = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, n - 2)])
+    full = np.concatenate([row[None, :], rng.uniform(0.0, math.pi, (5, n))])
+    wide = np.concatenate([[math.pi], rng.uniform(0.0, math.pi, wide - 1)])
+    phase_col = rng.uniform(-9.0, 9.0, (len(_EDGE_THETAS), 1))
+    return {
+        "grid": (col, row, phase_col, rng.uniform(-9.0, 9.0, n)),
+        "scalar phases": (col, row, 0.0, math.pi),
+        "constant component": (math.pi, full, 0.0, math.pi + 4 * math.pi),
+        "column over many rows": (col, wide, 0.3, [0.3 + math.pi]),
+    }
+
+
+@pytest.mark.parametrize("amplitudes", [metrology.BATCH_AMPLITUDES, 7])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16])
+@pytest.mark.parametrize("gen", list(Generator))
+def test_batch_on_broadcast_components_matches_materialized_inputs(
+    monkeypatch, amplitudes, two_j, gen
+):
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
+    j = SpinJ(two_j)
+    # the last kind's second component spans more than one chunk
+    inputs = _broadcast_inputs(np.random.default_rng(two_j), 9, metrology.batch_cells(j) + 5)
+    for kind, args in inputs.items():
+        copies = [np.array(a) for a in np.broadcast_arrays(*map(np.asarray, args))]
+        got = cat_crb_batch(j, gen, *args)
+        want = cat_crb_batch(j, gen, *copies)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape == copies[0].shape, kind
+            assert x.tobytes() == y.tobytes(), kind
+        # at theta = pi the phases pi apart cancel for odd 2j only
+        assert got[2].any() == (kind != "grid" and two_j % 2 == 1), kind
+
+
+def test_batch_expands_each_broadcast_component_once(monkeypatch):
+    expanded = []
+    rows = metrology._coherent_rows
+
+    def counting(t, theta, phi):
+        expanded.append(np.broadcast(theta, phi).size)
+        return rows(t, theta, phi)
+
+    monkeypatch.setattr(metrology, "_coherent_rows", counting)
+    theta = np.linspace(0.0, math.pi, 40)
+    # (10, 1) x (40,): 10 + 40 coherent states, not 2 * 400
+    cat_crb_batch(SpinJ(2), Generator.Y, theta[:10, None], theta, 0.5, 1.5)
+    assert sorted(expanded) == [10, 40]
+    expanded.clear()
+    # no component is shared: both expanded chunk by chunk, as one pass
+    cat_crb_batch(SpinJ(2), Generator.Y, theta, theta[::-1], 0.5, theta)
+    assert expanded == [80]
+    expanded.clear()
+    # the second component broadcasts to more points than one chunk holds
+    wide = np.linspace(0.0, math.pi, metrology.batch_cells(SpinJ(2)) + 1)
+    cat_crb_batch(SpinJ(2), Generator.Y, theta[:3, None], wide, 0.5, 1.5)
+    assert expanded[0] == 3 and sum(expanded[1:]) == 3 * wide.size
 
 
 # --- the kernel's bits, pinned ------------------------------------------------

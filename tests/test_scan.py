@@ -7,6 +7,7 @@ import pytest
 
 from spincat import (
     MAX_RESOLUTION,
+    MAX_SEEDS,
     CatParams,
     CoherentParams,
     Generator,
@@ -232,4 +233,15 @@ def test_search_spec_validation():
         HlSearchSpec(j=HALF, generator=Generator.Z, tolerance=0.2)
     with pytest.raises(ValueError):
         HlSearchSpec(j=HALF, generator=Generator.Z, seeds=0)
+    assert HlSearchSpec(j=HALF, generator=Generator.Z, seeds=MAX_SEEDS).seeds == 2592
+    with pytest.raises(ValueError, match="at most 2592"):
+        HlSearchSpec(j=HALF, generator=Generator.Z, seeds=MAX_SEEDS + 1)
     assert HlSearchSpec(j=SpinJ(4), generator=Generator.Z).target == 0.25
+
+
+def test_max_seeds_is_the_size_of_the_seed_grid():
+    import spincat.scan as scan_mod
+
+    starts = scan_mod._seed_starts(lambda grid: np.zeros(len(grid)), MAX_SEEDS + 1)
+    assert starts.shape == (MAX_SEEDS, 4)
+    assert len(np.unique(starts, axis=0)) == MAX_SEEDS
