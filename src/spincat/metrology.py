@@ -209,6 +209,11 @@ def _check_angles(angles: np.ndarray) -> None:
     """Check rows (theta1, theta2, phi1, phi2) as CoherentParams does, then
     clamp theta onto [0, pi] and reduce phi modulo 2 pi, in place.
 
+    A row holds either its input over the whole batch or only the input's
+    own points, row-major and padded with 0.0. The first bad value of an
+    input in its own row-major order is its first in broadcast order, so
+    both report the same error.
+
     One min and one max per row decide whether anything is out of range;
     only then is the first bad value looked for, theta1 before theta2
     before phi1 before phi2.
@@ -304,9 +309,12 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
 
     The angles broadcast against each other; each output has their common
     shape. Angles are checked and reduced as CoherentParams does, and a
-    ValueError names the first bad one. qfi is the residual form of
-    qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf where qfi is at or
-    below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
+    ValueError names the first bad one. When a component broadcasts,
+    each input is checked on its own points before it is broadcast, so a
+    (rows, 1) x (n,) grid checks rows + n thetas, not 2 rows n; otherwise
+    the four inputs are checked together over the batch. qfi is the
+    residual form of qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf
+    where qfi is at or below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
     DegenerateCatError) qfi and crb are nan and the flag is set.
 
     Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. A
@@ -322,18 +330,32 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     table built once per (j, G), so a small batch costs little more than
     its arithmetic. Single cats are cheaper through cat_crb.
     """
-    shape = np.broadcast(theta1, theta2, phi1, phi2).shape
+    # the points each component's own angles broadcast to
+    owns = (np.broadcast(theta1, phi1), np.broadcast(theta2, phi2))
+    batch = np.broadcast(*owns)
+    shape, n = batch.shape, batch.size
     angles = np.empty((4, *shape))
-    angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
     flat = angles.reshape(4, -1)
-    _check_angles(flat)
+    if owns[0].size < n or owns[1].size < n:
+        # a component broadcasts: every input is checked and reduced on its
+        # own points, padded with 0.0, which lies in every range
+        inputs = (theta1, theta2, phi1, phi2)
+        sizes = [np.size(x) for x in inputs]
+        padded = np.zeros((4, max(sizes)))
+        for c, x in enumerate(inputs):
+            padded[c, : sizes[c]] = np.ravel(x)
+        _check_angles(padded)
+        for c, x in enumerate(inputs):
+            angles[c] = padded[c, : sizes[c]].reshape(np.shape(x))
+    else:
+        angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
+        _check_angles(flat)
     table = _kernel_table(j, g)
-    n = flat.shape[1]
     step = batch_cells(j)
     # a component is cached when its own angles broadcast to fewer points
     # than the batch holds, and to no more than one chunk
     cached = [None, None]
-    for c, own in enumerate((np.broadcast(theta1, phi1), np.broadcast(theta2, phi2))):
+    for c, own in enumerate(owns):
         if own.size < n and own.size <= step:
             cached[c] = _cached_component(table, angles[c::2], own.shape)
     qfi = np.empty(n)

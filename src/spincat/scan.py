@@ -77,6 +77,7 @@ class ScanSpec:
     theta axes run over [0, pi] with resolution points: theta_a = a*pi/(res-1),
     2 <= resolution <= MAX_RESOLUTION.
     cap is the plotting/CSV ceiling; raw values are kept uncapped.
+    phi1, phi2 and cap are stored as the floats they are validated as.
     """
 
     j: SpinJ
@@ -92,12 +93,15 @@ class ScanSpec:
         if not isinstance(self.generator, Generator):
             raise TypeError("generator must be a Generator")
         for name in ("phi1", "phi2"):
-            if not math.isfinite(float(getattr(self, name))):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         check_resolution(self.resolution)
         cap = float(self.cap)
         if not math.isfinite(cap) or cap <= 0.0:
             raise ValueError("cap must be a positive finite float")
+        object.__setattr__(self, "cap", cap)
 
     def theta_axis(self) -> np.ndarray:
         n = self.resolution
@@ -137,26 +141,34 @@ class GridResult:
 
         Overflow cells report crb = cap with overflow = 1; degenerate cells
         report crb = nan with degenerate = 1. Floats use %.12g.
+
+        Each column's cell text is built once in its three forms: finite,
+        with a %.12g slot for the value, overflow and degenerate. A grid
+        row picks the form of each cell, joins them behind its theta1 head
+        and fills all its finite values with one % on a tuple; each row is
+        one write, so no text grows with the whole grid.
         """
         stream.write("theta1,theta2,crb,overflow,degenerate\n")
         labels = ["%.12g" % t for t in self.theta.tolist()]
-        capped = "%.12g,1,0\n" % self.spec.cap
-        for i, t1 in enumerate(labels):
-            cells = zip(
-                labels,
-                self.values[i].tolist(),
-                self.overflow[i].tolist(),
-                self.degenerate[i].tolist(),
-            )
-            stream.write(
-                "".join(
-                    [
-                        f"{t1},{t2},"
-                        + ("nan,0,1\n" if deg else capped if over else "%.12g,0,0\n" % v)
-                        for t2, v, over, deg in cells
-                    ]
-                )
-            )
+        cap = "%.12g" % self.spec.cap
+        n = len(labels)
+        # forms[kind * n + column], kind 0 finite, 1 overflow, 2 degenerate
+        forms = np.array(
+            [f"{t2},%.12g,0,0\n" for t2 in labels]
+            + [f"{t2},{cap},1,0\n" for t2 in labels]
+            + [f"{t2},nan,0,1\n" for t2 in labels],
+            dtype=object,
+        )
+        # built in place in the smallest type that holds 3n, so the grid of
+        # indices costs less memory than the grid of values
+        index = self.overflow.astype(np.min_scalar_type(3 * n))
+        index[self.degenerate] = 2
+        index *= n
+        index += np.arange(n, dtype=index.dtype)
+        for t1, cells, values in zip(labels, index, self.values):
+            head = t1 + ","
+            row = head + head.join(forms[cells].tolist())
+            stream.write(row % tuple(values[cells < n].tolist()))
 
 
 def grid_scan(spec: ScanSpec) -> GridResult:
@@ -190,7 +202,8 @@ def grid_scan(spec: ScanSpec) -> GridResult:
 class HlSearchSpec:
     """Search request: find cat angles whose bound reaches 1/(2j).
 
-    tolerance is the relative acceptance slack (crb <= (1/(2j))(1+tol));
+    tolerance is the relative acceptance slack (crb <= (1/(2j))(1+tol)),
+    stored as a float;
     seeds is how many coarse-grid starts are polished, 1 <= seeds <=
     MAX_SEEDS. Grid points with no finite bound are never started from,
     so fewer may be polished.
@@ -209,6 +222,7 @@ class HlSearchSpec:
         tol = float(self.tolerance)
         if not 0.0 < tol <= 0.1:
             raise ValueError("tolerance must lie in (0, 0.1]")
+        object.__setattr__(self, "tolerance", tol)
         if not isinstance(self.seeds, int) or self.seeds < 1:
             raise ValueError("seeds must be a positive integer")
         if self.seeds > MAX_SEEDS:

@@ -1,6 +1,6 @@
 """Helpers shared across test modules: deterministic random states, and
-one-point-at-a-time references for the Heisenberg-limit search and the
-closed-form sweep."""
+one-point-at-a-time references for the Heisenberg-limit search, the
+closed-form sweep and the scan CSV writer."""
 import itertools
 import math
 
@@ -181,3 +181,28 @@ def sequential_sweep_family(case, resolution=50):
         event_mismatches=mismatches,
         worst_point=worst_point,
     )
+
+
+# ---------------------------------------------------------------------------
+# cell-by-cell CSV writer, the reference for GridResult.to_csv: every line
+# built and formatted on its own
+
+
+def reference_csv(result) -> str:
+    """The text GridResult.to_csv writes, one cell at a time."""
+    lines = ["theta1,theta2,crb,overflow,degenerate\n"]
+    labels = ["%.12g" % t for t in result.theta.tolist()]
+    capped = "%.12g,1,0\n" % result.spec.cap
+    for i, t1 in enumerate(labels):
+        cells = zip(
+            labels,
+            result.values[i].tolist(),
+            result.overflow[i].tolist(),
+            result.degenerate[i].tolist(),
+        )
+        for t2, v, over, deg in cells:
+            lines.append(
+                f"{t1},{t2},"
+                + ("nan,0,1\n" if deg else capped if over else "%.12g,0,0\n" % v)
+            )
+    return "".join(lines)

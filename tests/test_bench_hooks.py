@@ -38,13 +38,18 @@ def test_tracer_counts_formula_calls_and_restores_everything(capsys):
     "argv,span",
     [
         (["scan", "--j", "0.5", "--gen", "z", "--res", "3"], "scan.grid_scan"),
+        (
+            ["scan", "--j", "0.5", "--gen", "z", "--res", "3", "--output", "{tmp}/g.csv"],
+            "scan.to_csv",
+        ),
         (["verify", "--family", "half_z_phi0", "--res", "3"], "closedform.sweep_family.half_z_phi0"),
         (["find-hl", "--j", "0.5", "--gen", "z", "--seeds", "1"], "scan.find_hl.2j1_z"),
     ],
 )
-def test_tracer_sees_the_cli_call_edge(capsys, argv, span):
+def test_tracer_sees_the_cli_call_edge(capsys, tmp_path, argv, span):
     # the handlers must look these names up in spincat.cli when they run,
     # so that a tracer rebinding them sees the call
+    argv = [a.format(tmp=tmp_path) for a in argv]
     with spans.Tracer() as tracer:
         code = cli.main(argv)
     capsys.readouterr()

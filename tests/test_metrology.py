@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincat import (
@@ -318,6 +318,87 @@ def test_batch_expands_each_broadcast_component_once(monkeypatch):
     wide = np.linspace(0.0, math.pi, metrology.batch_cells(SpinJ(2)) + 1)
     cat_crb_batch(SpinJ(2), Generator.Y, theta[:3, None], wide, 0.5, 1.5)
     assert expanded[0] == 3 and sum(expanded[1:]) == 3 * wide.size
+
+
+# --- broadcast inputs are checked on their own points -------------------------
+
+# (theta1, theta2, phi1, phi2) shapes; each broadcasts to (3, 4)
+_BROADCAST_LAYOUTS = [
+    ((3, 1), (4,), (), ()),  # a scan block at fixed phases
+    ((3, 1), (4,), (3, 1), (4,)),
+    ((), (4,), (), (3, 1)),
+    ((3, 4), (4,), (), ()),  # one input already at the batch's shape
+    ((1, 4), (3, 1), (3, 4), ()),
+]
+_GOOD = {
+    "theta": [0.0, 0.7, math.pi, -1e-10, math.pi + 1e-10],
+    "phi": [0.0, 1.3, 2 * math.pi, -9.0, 13.0],
+}
+_BAD = {
+    "theta": [math.nan, math.inf, -math.inf, -0.01, math.pi + 1e-6, 4.0],
+    "phi": [math.nan, math.inf, -math.inf],
+}
+
+
+def _outcome(j, gen, inputs):
+    try:
+        return cat_crb_batch(j, gen, *inputs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _broadcast_batches(draw):
+    """Broadcasting angle inputs, each holding up to two bad values."""
+    layout = draw(st.sampled_from(_BROADCAST_LAYOUTS))
+    inputs = []
+    for c, shape in enumerate(layout):
+        kind = "theta" if c < 2 else "phi"
+        size = math.prod(shape)
+        cells = draw(st.lists(st.sampled_from(_GOOD[kind]), min_size=size, max_size=size))
+        bad = st.tuples(st.integers(0, size - 1), st.sampled_from(_BAD[kind]))
+        for i, v in draw(st.lists(bad, max_size=2)):
+            cells[i] = v
+        inputs.append(cells[0] if shape == () else np.reshape(cells, shape))
+    return inputs
+
+
+@settings(max_examples=300)
+@given(_broadcast_batches())
+def test_broadcast_inputs_raise_and_reduce_as_materialized_ones(inputs):
+    copies = [np.array(a) for a in np.broadcast_arrays(*map(np.asarray, inputs))]
+    got = _outcome(SpinJ(2), Generator.X, inputs)
+    want = _outcome(SpinJ(2), Generator.X, copies)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("layout", _BROADCAST_LAYOUTS)
+@pytest.mark.parametrize("position", range(4))
+def test_broadcast_error_names_the_first_bad_value_of_each_input(layout, position):
+    # two bad values in one input: the first in its own row-major order is
+    # the first in broadcast order
+    inputs = [np.full(shape, 0.5) for shape in layout]
+    first, second = (-1.0, 4.0) if position < 2 else (-math.inf, math.nan)
+    flat = inputs[position].reshape(-1)
+    flat[-1] = second
+    flat[len(flat) // 2] = first
+    copies = [np.array(a) for a in np.broadcast_arrays(*inputs)]
+    message = _outcome(SpinJ(3), Generator.Z, copies)
+    assert message.endswith(f"got {first!r}")
+    assert _outcome(SpinJ(3), Generator.Z, inputs) == message
+
+
+def test_empty_broadcast_batch_is_not_checked():
+    for inputs in (
+        ([4.0], np.empty(0), 0.0, 0.0),
+        ([[math.nan]], np.empty((0, 3)), math.inf, [0.0, 1.0, 2.0]),
+    ):
+        qfi, bound, degenerate = cat_crb_batch(SpinJ(1), Generator.Z, *inputs)
+        shape = np.broadcast(*inputs).shape
+        assert qfi.shape == bound.shape == degenerate.shape == shape
 
 
 # --- the kernel's bits, pinned ------------------------------------------------

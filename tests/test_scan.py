@@ -1,9 +1,12 @@
 """Grid scans and Heisenberg-limit search."""
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincat import (
     MAX_RESOLUTION,
@@ -11,6 +14,7 @@ from spincat import (
     CatParams,
     CoherentParams,
     Generator,
+    GridResult,
     HlSearchSpec,
     NoHlFoundError,
     ScanSpec,
@@ -20,7 +24,7 @@ from spincat import (
     grid_scan,
 )
 
-from support import sequential_find_hl
+from support import reference_csv, sequential_find_hl
 
 HALF = SpinJ(1)
 PI = math.pi
@@ -98,6 +102,70 @@ def test_csv_layout():
     for ln in caprow:
         assert float(ln.split(",")[2]) == 20.0
     assert "inf" not in buf.getvalue()
+
+
+def csv_text(result) -> str:
+    buf = io.StringIO()
+    result.to_csv(buf)
+    return buf.getvalue()
+
+
+# sha256 of the CSV text, recorded from the cell-by-cell writer; the first
+# panel is the benchmark's scan (2,570 overflow cells and one degenerate)
+@pytest.mark.parametrize(
+    "two_j,gen,phi1,phi2,res,cap,digest",
+    [
+        (1, "Z", 0.0, PI, 201, 20.0, "192b88d2c8724097dfa20d9fa96f3e6ac9c9f901d61b3201aedde3768c421bdb"),
+        (3, "Y", 0.3, 2.0, 101, 20.0, "e3d1ea0c97b69ac109dcfb87af00287e2779bd1657673c91bb702c07de7f68e1"),
+        (64, "X", 0.0, 0.5, 57, 20.0, "d7c683bb869a89bf6fb2df51a2bdb8da0bd51be89c86466e37cb9782e702a11b"),
+        (1, "X", 0.0, PI, 201, 3.0, "0ab234fb057b05a2ad7ad323e5c3b8460ffbfa53301311caca522e4b55f7778d"),
+        (2, "Z", 0.0, PI, 2, 20.0, "c0ad5914cdcee396bdc11aaf170feff1667991eec6a889826e20e264b7898a68"),
+    ],
+)
+def test_csv_bytes_are_pinned(two_j, gen, phi1, phi2, res, cap, digest):
+    g = grid_scan(spec(phi1, phi2, res, SpinJ(two_j), Generator[gen], cap))
+    text = csv_text(g)
+    assert text == reference_csv(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_CAPS = [2.5, 1e-7, 20.0, 1.0, 3.0]
+
+
+@st.composite
+def grid_results(draw):
+    """Synthetic GridResults whose rows are all finite, all special or mixed,
+    with values at the cap, just above it and at the ends of the float range."""
+    n = draw(st.integers(2, 7))
+    cap = draw(st.sampled_from(_CAPS) | st.floats(1e-300, 1e300))
+    special = [cap, math.nextafter(cap, math.inf), 1e-300, 1e300, math.inf, -0.0]
+    values = st.sampled_from(special) | st.floats(allow_nan=False)
+    rows, degenerate = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["finite", "special", "mixed"]))
+        row = draw(st.lists(values, min_size=n, max_size=n))
+        if kind == "finite":
+            row = [v if v <= cap else cap for v in row]
+            deg = [False] * n
+        elif kind == "special":
+            deg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            row = [v if v > cap else math.inf for v in row]
+        else:
+            deg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rows.append(row)
+        degenerate.append(deg)
+    theta = np.array(draw(st.lists(st.floats(0.0, PI), min_size=n, max_size=n)))
+    degenerate = np.array(degenerate)
+    values = np.where(degenerate, math.nan, np.array(rows))
+    with np.errstate(invalid="ignore"):
+        overflow = ~degenerate & (values > cap)
+    return GridResult(spec(res=n, cap=cap), theta, values, overflow, degenerate)
+
+
+@settings(max_examples=200)
+@given(grid_results())
+def test_csv_matches_the_cell_by_cell_writer(result):
+    assert csv_text(result) == reference_csv(result)
 
 
 @pytest.mark.parametrize("j", [HALF, SpinJ(16)], ids=["2j1", "2j16"])
@@ -237,6 +305,24 @@ def test_search_spec_validation():
     with pytest.raises(ValueError, match="at most 2592"):
         HlSearchSpec(j=HALF, generator=Generator.Z, seeds=MAX_SEEDS + 1)
     assert HlSearchSpec(j=SpinJ(4), generator=Generator.Z).target == 0.25
+
+
+def test_specs_store_the_floats_they_validate():
+    text = ScanSpec(HALF, Generator.Z, "0", "3.141592653589793", resolution=5, cap="5")
+    numeric = ScanSpec(HALF, Generator.Z, 0.0, PI, resolution=5, cap=5.0)
+    assert (text.phi1, text.phi2, text.cap) == (0.0, PI, 5.0)
+    assert all(type(v) is float for v in (text.phi1, text.phi2, text.cap))
+    assert text == numeric
+    assert csv_text(grid_scan(text)) == csv_text(grid_scan(numeric))
+    ints = ScanSpec(HALF, Generator.Z, np.float32(0.5), 1, resolution=5, cap=3)
+    assert all(type(v) is float for v in (ints.phi1, ints.phi2, ints.cap))
+    search = HlSearchSpec(HALF, Generator.Z, tolerance="0.01", seeds=1)
+    assert search.tolerance == 0.01 and type(search.tolerance) is float
+    assert find_hl(search) == find_hl(HlSearchSpec(HALF, Generator.Z, tolerance=0.01, seeds=1))
+    with pytest.raises(ValueError):
+        ScanSpec(HALF, Generator.Z, "nan", 0.0, resolution=5)
+    with pytest.raises(ValueError):
+        HlSearchSpec(HALF, Generator.Z, tolerance="abc")
 
 
 def test_max_seeds_is_the_size_of_the_seed_grid():
