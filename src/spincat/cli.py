@@ -20,6 +20,7 @@ error, 5 no Heisenberg-limit point found. A closed stdout pipe also exits
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from typing import Mapping
 
 from .catstate import CatParams, DegenerateCatError, normalization
 from .closedform import FAMILIES, ClosedFormCase, sweep_family
-from .coherent import CoherentParams, coherent_overlap
+from .coherent import CoherentParams, check_phi, check_theta, coherent_overlap
 from .dicke import SpinJ
 from .metrology import Generator, cat_crb
 from .scan import (
@@ -37,7 +38,10 @@ from .scan import (
     HlSearchSpec,
     NoHlFoundError,
     ScanSpec,
+    check_cap,
     check_resolution,
+    check_seeds,
+    check_tolerance,
     find_hl,
     grid_scan,
 )
@@ -76,39 +80,33 @@ def parse_angle(token: str, pi_units: bool = False) -> float:
         raise _UsageError(f"invalid angle {token!r}") from None
 
 
-def _parse_j(text: str) -> SpinJ:
-    try:
-        return SpinJ.from_j(float(text))
-    except ValueError as exc:
-        raise _UsageError(f"invalid spin {text!r}: {exc}") from None
+def _converter(parse, message: str):
+    """Converter of option text: parse(*args), where a ValueError or
+    KeyError becomes a usage error, message formatted with the option's
+    text and the exception."""
+    def convert(*args):
+        try:
+            return parse(*args)
+        except (ValueError, KeyError) as exc:
+            raise _UsageError(message.format(text=args[0], exc=exc)) from None
+    return convert
 
 
-def _parse_generator(text: str) -> Generator:
-    try:
-        return Generator[text.strip().upper()]
-    except KeyError:
-        raise _UsageError(f"generator must be x, y or z, got {text!r}") from None
+def _ranged(parse, rule):
+    """Converter that parses, then checks the value with the library's
+    range rule; the rule's message is the usage error's."""
+    return _converter(lambda *args: rule(parse(*args)), "{exc}")
 
 
-def _parse_family(text: str) -> ClosedFormCase:
-    try:
-        return ClosedFormCase(text.strip().lower())
-    except ValueError:
-        raise _UsageError(f"unknown family {text!r}") from None
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise _UsageError(f"invalid integer {text!r}") from None
-
-
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise _UsageError(f"invalid number {text!r}") from None
+_parse_j = _converter(lambda text: SpinJ.from_j(float(text)), "invalid spin {text!r}: {exc}")
+_parse_generator = _converter(
+    lambda text: Generator[text.strip().upper()], "generator must be x, y or z, got {text!r}"
+)
+_parse_family = _converter(
+    lambda text: ClosedFormCase(text.strip().lower()), "unknown family {text!r}"
+)
+_parse_int = _converter(int, "invalid integer {text!r}")
+_parse_float = _converter(float, "invalid number {text!r}")
 
 
 def _parse_format(text: str) -> str:
@@ -116,6 +114,14 @@ def _parse_format(text: str) -> str:
     if fmt not in ("text", "json"):
         raise _UsageError(f"format must be text or json, got {text!r}")
     return fmt
+
+
+def _parse_tol(text: str) -> float:
+    tol = _parse_float(text)
+    # an infinite tolerance would pass every family whatever the deviation
+    if not 0 < tol < math.inf:
+        raise _UsageError("--tol must be positive and finite")
+    return tol
 
 
 def _parse_bool(text: str) -> bool:
@@ -135,43 +141,51 @@ _SPIN = (("--j",), _parse_j, _REQUIRED, "spin")
 _GENERATOR = (("--generator", "--gen"), _parse_generator, _REQUIRED, "x, y or z")
 _FORMAT = (("--format",), _parse_format, "text", "text or json")
 
+_RESOLUTION = _ranged(_parse_int, check_resolution)
+# ScanSpec names the phase in its error
+_PHI1, _PHI2 = (functools.partial(check_phi, name=name) for name in ("phi1", "phi2"))
+_ANGLES = ("theta1", "theta2", "phi1", "phi2")
+
 # Every subcommand's help line and its options in --help order, each as
 # (flags, converter, default or _REQUIRED, help). The option's config key
 # is its first flag without the dashes. Flags and config values go through
-# the same converter in this order; parse_angle marks an angle, which is
-# converted last because it needs pi_units. _parse_bool marks an on/off flag.
+# the same converter in this order, except that the _ANGLES come last
+# because their converters also take pi_units. A converter checks the
+# value's range with the library's rule as it converts it. _parse_bool
+# marks an on/off flag.
 _COMMANDS = {
     "crb": ("bound for one cat state", (
         _PI_UNITS,
         (("--j",), _parse_j, _REQUIRED, "spin (0.5, 1, 1.5, ...)"),
         _GENERATOR,
-        (("--theta1",), parse_angle, _REQUIRED, "theta1 angle"),
-        (("--theta2",), parse_angle, _REQUIRED, "theta2 angle"),
-        (("--phi1",), parse_angle, "0", "phi1 angle"),
-        (("--phi2",), parse_angle, "0", "phi2 angle"),
+        (("--theta1",), _ranged(parse_angle, check_theta), _REQUIRED, "theta1 angle"),
+        (("--theta2",), _ranged(parse_angle, check_theta), _REQUIRED, "theta2 angle"),
+        (("--phi1",), _ranged(parse_angle, check_phi), "0", "phi1 angle"),
+        (("--phi2",), _ranged(parse_angle, check_phi), "0", "phi2 angle"),
         _FORMAT,
     )),
     "verify": ("sweep closed forms against the engine", (
         (("--family",), _parse_family, None, "one family name (default: all)"),
         (("--all",), _parse_bool, False, "sweep every family"),
-        (("--res",), _parse_int, 50, "grid resolution per free parameter"),
-        (("--tol",), _parse_float, 1e-9, "max allowed |formula - engine|"),
+        (("--res",), _RESOLUTION, 50, "grid resolution per free parameter"),
+        (("--tol",), _parse_tol, 1e-9, "max allowed |formula - engine|"),
     )),
     "scan": ("grid scan over (theta1, theta2)", (
         _PI_UNITS,
         _SPIN,
         _GENERATOR,
-        (("--phi1",), parse_angle, "0", "first phase"),
-        (("--phi2",), parse_angle, "0", "second phase"),
-        (("--res",), _parse_int, 201, "grid resolution"),
-        (("--cap",), _parse_float, 20.0, "CSV ceiling for diverging bounds"),
+        (("--phi1",), _ranged(parse_angle, _PHI1), "0", "first phase"),
+        (("--phi2",), _ranged(parse_angle, _PHI2), "0", "second phase"),
+        (("--res",), _RESOLUTION, 201, "grid resolution"),
+        (("--cap",), _ranged(_parse_float, check_cap), 20.0, "CSV ceiling for diverging bounds"),
         (("--output",), str, None, "CSV path (default: stdout)"),
     )),
     "find-hl": ("search for Heisenberg-limit points", (
         _SPIN,
         _GENERATOR,
-        (("--tolerance",), _parse_float, 1e-3, "relative acceptance slack"),
-        (("--seeds",), _parse_int, 16, "coarse starts to polish"),
+        (("--tolerance",), _ranged(_parse_float, check_tolerance), 1e-3,
+         "relative acceptance slack"),
+        (("--seeds",), _ranged(_parse_int, check_seeds), 16, "coarse starts to polish"),
         (("--output",), str, None, "write the report to this path"),
         _FORMAT,
     )),
@@ -214,7 +228,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     Flags and config go through identical converters, so equivalent
     spellings produce byte-identical reports. Errors are reported in a
     fixed order: an unknown config key, then a missing option, then the
-    first value that fails to convert in table order, angles last.
+    first value that fails to convert or is out of range, in table order
+    with angles last.
     """
     command = args.command
     options = _COMMANDS[command][1]
@@ -232,12 +247,12 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     for key, value in opts.items():
         if value is _REQUIRED:
             raise _UsageError(f"--{key.replace('_', '-')} is required")
-    angles = [key for key, convert in converters.items() if convert is parse_angle]
     for key, convert in converters.items():
-        if key not in angles and isinstance(opts[key], str):
+        if key not in _ANGLES and isinstance(opts[key], str):
             opts[key] = convert(opts[key])
-    for key in angles:
-        opts[key] = parse_angle(opts[key], bool(opts.get("pi_units")))
+    for key in _ANGLES:
+        if key in opts:
+            opts[key] = converters[key](opts[key], bool(opts.get("pi_units")))
     return opts
 
 
@@ -256,14 +271,11 @@ def _fmt(x: float) -> str:
 
 def _cmd_crb(opts: Mapping) -> int:
     j: SpinJ = opts["j"]
-    try:
-        cat = CatParams(
-            j,
-            CoherentParams(opts["theta1"], opts["phi1"]),
-            CoherentParams(opts["theta2"], opts["phi2"]),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cat = CatParams(
+        j,
+        CoherentParams(opts["theta1"], opts["phi1"]),
+        CoherentParams(opts["theta2"], opts["phi2"]),
+    )
     norm = normalization(cat)
     overlap = coherent_overlap(j, cat.p1, cat.p2)
     result = cat_crb(cat, opts["generator"])
@@ -305,12 +317,6 @@ def _cmd_verify(opts: Mapping) -> int:
         cases = list(FAMILIES)
     res = opts["res"]
     tol = opts["tol"]
-    try:
-        check_resolution(res)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if not 0 < tol < math.inf:
-        raise _UsageError("--tol must be positive and finite")
     failures = []
     started = time.perf_counter()
     for case in cases:
@@ -348,17 +354,14 @@ def _scan_summary(result: GridResult) -> str:
 
 
 def _cmd_scan(opts: Mapping) -> int:
-    try:
-        spec = ScanSpec(
-            j=opts["j"],
-            generator=opts["generator"],
-            phi1=opts["phi1"],
-            phi2=opts["phi2"],
-            resolution=opts["res"],
-            cap=opts["cap"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
+    spec = ScanSpec(
+        j=opts["j"],
+        generator=opts["generator"],
+        phi1=opts["phi1"],
+        phi2=opts["phi2"],
+        resolution=opts["res"],
+        cap=opts["cap"],
+    )
     result = grid_scan(spec)
     if opts["output"] is None:
         result.to_csv(sys.stdout)
@@ -370,15 +373,12 @@ def _cmd_scan(opts: Mapping) -> int:
 
 
 def _cmd_find_hl(opts: Mapping) -> int:
-    try:
-        spec = HlSearchSpec(
-            j=opts["j"],
-            generator=opts["generator"],
-            tolerance=opts["tolerance"],
-            seeds=opts["seeds"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
+    spec = HlSearchSpec(
+        j=opts["j"],
+        generator=opts["generator"],
+        tolerance=opts["tolerance"],
+        seeds=opts["seeds"],
+    )
     points = find_hl(spec)
     if opts["format"] == "json":
         doc = {

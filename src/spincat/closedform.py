@@ -36,7 +36,7 @@ import numpy as np
 # CatParams, CoherentParams and cat_crb are not called here any more; they
 # stay importable from this module because bench/spans.py rebinds them
 from .catstate import DEGENERACY_FLOOR, CatParams  # noqa: F401
-from .coherent import CoherentParams, check_theta  # noqa: F401
+from .coherent import CoherentParams, check_phi, check_theta  # noqa: F401
 from .dicke import SpinJ
 from .metrology import (  # noqa: F401
     Generator,
@@ -556,13 +556,8 @@ def closed_form(case: ClosedFormCase, **params: float) -> float:
         )
     checked = {}
     for name, lo, hi in defn.free_params:
-        if (lo, hi) == _THETA_DOMAIN:
-            checked[name] = check_theta(params[name], name)
-        else:
-            value = float(params[name])
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {params[name]!r}")
-            checked[name] = value
+        check = check_theta if (lo, hi) == _THETA_DOMAIN else check_phi
+        checked[name] = check(params[name], name)
     return defn.formula(checked)
 
 

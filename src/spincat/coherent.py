@@ -48,6 +48,14 @@ def check_theta(theta: float, name: str = "theta") -> float:
     return min(max(value, 0.0), math.pi)
 
 
+def check_phi(phi: float, name: str = "phi") -> float:
+    """phi as a finite float, not reduced; ValueError if it is not finite."""
+    value = float(phi)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CoherentParams:
     """Bloch-sphere direction of one coherent state.
@@ -61,10 +69,7 @@ class CoherentParams:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", check_theta(self.theta))
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {phi!r}")
-        object.__setattr__(self, "phi", phi % TWO_PI)
+        object.__setattr__(self, "phi", check_phi(self.phi) % TWO_PI)
 
 
 @functools.lru_cache(maxsize=None)

@@ -206,13 +206,9 @@ def _kernel_table(j: SpinJ, g: Generator) -> _KernelTable:
 
 
 def _check_angles(angles: np.ndarray) -> None:
-    """Check rows (theta1, theta2, phi1, phi2) as CoherentParams does, then
-    clamp theta onto [0, pi] and reduce phi modulo 2 pi, in place.
-
-    A row holds either its input over the whole batch or only the input's
-    own points, row-major and padded with 0.0. The first bad value of an
-    input in its own row-major order is its first in broadcast order, so
-    both report the same error.
+    """Check rows (theta1, theta2, phi1, phi2) over the batch as
+    CoherentParams does, then clamp theta onto [0, pi] and reduce phi
+    modulo 2 pi, in place, each only where a value needs it.
 
     One min and one max per row decide whether anything is out of range;
     only then is the first bad value looked for, theta1 before theta2
@@ -233,11 +229,13 @@ def _check_angles(angles: np.ndarray) -> None:
     if not (-math.inf < p1_lo and -math.inf < p2_lo and p1_hi < math.inf and p2_hi < math.inf):
         phi = angles[2:].ravel()
         raise ValueError(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])!r}")
-    # np.clip leaves values in [0, pi] as they are, so it is only needed
-    # when something lies in the slack band
+    # values already in range are left as np.clip and np.mod would leave
+    # them (np.mod turns -0.0 into 0.0, which gives the kernel the same bits)
     if t1_lo < 0.0 or t2_lo < 0.0 or t1_hi > math.pi or t2_hi > math.pi:
         np.clip(angles[:2], 0.0, math.pi, out=angles[:2])
-    np.mod(angles[2:], TWO_PI, out=angles[2:])
+    for row, lo, hi in ((2, p1_lo, p1_hi), (3, p2_lo, p2_hi)):
+        if lo < 0.0 or hi >= TWO_PI:
+            np.mod(angles[row], TWO_PI, out=angles[row])
 
 
 def _coherent_rows(t: _KernelTable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -308,13 +306,11 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     """Bounds for many cats of one spin and generator -> (qfi, crb, degenerate).
 
     The angles broadcast against each other; each output has their common
-    shape. Angles are checked and reduced as CoherentParams does, and a
-    ValueError names the first bad one. When a component broadcasts,
-    each input is checked on its own points before it is broadcast, so a
-    (rows, 1) x (n,) grid checks rows + n thetas, not 2 rows n; otherwise
-    the four inputs are checked together over the batch. qfi is the
-    residual form of qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf
-    where qfi is at or below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
+    shape. Angles are checked over the batch as CoherentParams does, and
+    a ValueError names the first bad one; theta is clamped and phi
+    reduced only where a value needs it. qfi is the residual form of
+    qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf where qfi is at or
+    below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
     DegenerateCatError) qfi and crb are nan and the flag is set.
 
     Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. A
@@ -324,32 +320,18 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     (rows, 1) x (n,) grid expands rows + n coherent states, not 2 rows n.
     Every other component is expanded chunk by chunk. The values are the
     same either way. Memory does not grow with the batch beyond the
-    inputs, the outputs and one gather index per cat: the working arrays
-    of a chunk and each cached component hold at most BATCH_AMPLITUDES
-    amplitudes. The per-spin powers and the generator's bands come from a
-    table built once per (j, G), so a small batch costs little more than
-    its arithmetic. Single cats are cheaper through cat_crb.
+    inputs, the outputs, the checked angles and one gather index per cat:
+    the working arrays of a chunk and each cached component hold at most
+    BATCH_AMPLITUDES amplitudes. Single cats are cheaper through cat_crb.
     """
     # the points each component's own angles broadcast to
     owns = (np.broadcast(theta1, phi1), np.broadcast(theta2, phi2))
     batch = np.broadcast(*owns)
     shape, n = batch.shape, batch.size
     angles = np.empty((4, *shape))
+    angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
     flat = angles.reshape(4, -1)
-    if owns[0].size < n or owns[1].size < n:
-        # a component broadcasts: every input is checked and reduced on its
-        # own points, padded with 0.0, which lies in every range
-        inputs = (theta1, theta2, phi1, phi2)
-        sizes = [np.size(x) for x in inputs]
-        padded = np.zeros((4, max(sizes)))
-        for c, x in enumerate(inputs):
-            padded[c, : sizes[c]] = np.ravel(x)
-        _check_angles(padded)
-        for c, x in enumerate(inputs):
-            angles[c] = padded[c, : sizes[c]].reshape(np.shape(x))
-    else:
-        angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
-        _check_angles(flat)
+    _check_angles(flat)
     table = _kernel_table(j, g)
     step = batch_cells(j)
     # a component is cached when its own angles broadcast to fewer points

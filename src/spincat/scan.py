@@ -29,7 +29,7 @@ import numpy as np
 # CatParams, CoherentParams and cat_crb are not called here any more; they
 # stay importable from this module because bench/spans.py rebinds them
 from .catstate import CatParams  # noqa: F401
-from .coherent import CoherentParams  # noqa: F401
+from .coherent import CoherentParams, check_phi  # noqa: F401
 from .dicke import SpinJ
 from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch  # noqa: F401
 
@@ -62,12 +62,40 @@ class NoHlFoundError(RuntimeError):
     """No Heisenberg-limit point found within the requested tolerance."""
 
 
-def check_resolution(resolution) -> None:
-    """Raise ValueError unless resolution is an int in [2, MAX_RESOLUTION]."""
+def check_resolution(resolution) -> int:
+    """resolution, or ValueError unless it is an int in [2, MAX_RESOLUTION]."""
     if not isinstance(resolution, int) or not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(
             f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}"
         )
+    return resolution
+
+
+def check_cap(cap) -> float:
+    """cap as a float; ValueError unless it is positive and finite."""
+    value = float(cap)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError("cap must be a positive finite float")
+    return value
+
+
+def check_tolerance(tolerance) -> float:
+    """tolerance as a float; ValueError unless it lies in (0, 0.1]."""
+    value = float(tolerance)
+    if not 0.0 < value <= 0.1:
+        raise ValueError("tolerance must lie in (0, 0.1]")
+    return value
+
+
+def check_seeds(seeds) -> int:
+    """seeds, or ValueError unless it is an int, not a bool, in [1, MAX_SEEDS]."""
+    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
+        raise ValueError("seeds must be a positive integer")
+    if seeds > MAX_SEEDS:
+        raise ValueError(
+            f"seeds must be at most {MAX_SEEDS}, the points of the seed grid, got {seeds}"
+        )
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -93,15 +121,9 @@ class ScanSpec:
         if not isinstance(self.generator, Generator):
             raise TypeError("generator must be a Generator")
         for name in ("phi1", "phi2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_phi(getattr(self, name), name))
         check_resolution(self.resolution)
-        cap = float(self.cap)
-        if not math.isfinite(cap) or cap <= 0.0:
-            raise ValueError("cap must be a positive finite float")
-        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "cap", check_cap(self.cap))
 
     def theta_axis(self) -> np.ndarray:
         n = self.resolution
@@ -219,17 +241,8 @@ class HlSearchSpec:
             raise TypeError("j must be a SpinJ")
         if not isinstance(self.generator, Generator):
             raise TypeError("generator must be a Generator")
-        tol = float(self.tolerance)
-        if not 0.0 < tol <= 0.1:
-            raise ValueError("tolerance must lie in (0, 0.1]")
-        object.__setattr__(self, "tolerance", tol)
-        if not isinstance(self.seeds, int) or self.seeds < 1:
-            raise ValueError("seeds must be a positive integer")
-        if self.seeds > MAX_SEEDS:
-            raise ValueError(
-                f"seeds must be at most {MAX_SEEDS}, the points of the seed grid, "
-                f"got {self.seeds}"
-            )
+        object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
+        check_seeds(self.seeds)
 
     @property
     def target(self) -> float:
@@ -247,8 +260,9 @@ class HlPoint:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# full angle box; phi1 only needs half its range in the seed grid because
-# a global phase rotation maps (phi1, phi2) -> (phi1 + c, phi2 + c)
+# full angle box; the seed grid needs half the phi1 range because shifting
+# both phases by pi, a rotation by pi about z, maps (Jx, Jy, Jz) to
+# (-Jx, -Jy, Jz) and F(-G) = F(G); other common shifts keep F under Jz only
 _BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
 
 

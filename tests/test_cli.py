@@ -189,6 +189,27 @@ def test_non_finite_tol_exits_one_unrun(capsys, monkeypatch, tmp_path):
             ("scan", "--j", "x", "--gen", "q", "--phi1", "zz", "--res", "y"),
             "invalid spin 'x'",
         ),
+        # an out-of-range value before a later value that does not parse
+        (
+            ("scan", "--j", "0.5", "--gen", "z", "--res", "5000", "--cap", "x"),
+            "resolution must be an integer in [2, 2001], got 5000",
+        ),
+        (
+            ("scan", "--j", "0.5", "--gen", "z", "--res", "5000", "--phi1", "zz"),
+            "resolution must be an integer in [2, 2001], got 5000",
+        ),
+        (
+            ("find-hl", "--j", "0.5", "--gen", "z", "--tolerance", "0.5", "--seeds", "x"),
+            "tolerance must lie in (0, 0.1]",
+        ),
+        (
+            ("verify", "--res", "1", "--tol", "x"),
+            "resolution must be an integer in [2, 2001], got 1",
+        ),
+        (
+            ("crb", "--j", "1", "--gen", "z", "--theta1", "5", "--theta2", "zz"),
+            "theta must lie in [0, pi], got 5.0",
+        ),
     ],
 )
 def test_several_errors_report_the_first_in_a_fixed_order(capsys, argv, message):

@@ -56,6 +56,22 @@ def test_a_common_phase_shift_leaves_jz_unchanged(two_j, t1, p1, t2, p2, shift):
 
 
 @pytest.mark.parametrize("two_j", TWO_JS)
+@pytest.mark.parametrize("gen", list(Generator))
+@given(t1=thetas, p1=phis, t2=thetas, p2=phis)
+def test_a_common_pi_shift_leaves_every_generator_unchanged(two_j, gen, t1, p1, t2, p2):
+    # a rotation by pi about z maps Jx, Jy to -Jx, -Jy, and F(-G) = F(G);
+    # find_hl's seed grid spans half the phi1 range because of it
+    j = SpinJ(two_j)
+    qfi, _, degenerate = cat_crb_batch(j, gen, t1, t2, p1, p2)
+    qfi_shifted, _, degenerate_shifted = cat_crb_batch(
+        j, gen, t1, t2, p1 + math.pi, p2 + math.pi
+    )
+    assert degenerate == degenerate_shifted
+    assume(not degenerate and qfi > 1e-6)
+    assert qfi_shifted == pytest.approx(qfi, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("two_j", TWO_JS)
 @given(t1=thetas, p1=phis, t2=thetas, p2=phis)
 def test_jy_is_jx_a_quarter_turn_back(two_j, t1, p1, t2, p2):
     j = SpinJ(two_j)

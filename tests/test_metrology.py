@@ -401,6 +401,74 @@ def test_empty_broadcast_batch_is_not_checked():
         assert qfi.shape == bound.shape == degenerate.shape == shape
 
 
+# --- phases are reduced only where a value needs it ---------------------------
+
+
+def _angle_block() -> np.ndarray:
+    # rows (theta1, theta2, phi1, phi2), every value inside its range
+    below_two_pi = np.nextafter(2 * math.pi, 0.0)
+    return np.array(
+        [
+            [0.0, 0.7, math.pi, 2.0],
+            [math.pi, 1.1, 0.0, 0.3],
+            [0.0, 1.3, below_two_pi, 6.0],
+            [math.pi, 0.0, 4.0, below_two_pi],
+        ]
+    )
+
+
+def test_check_angles_leaves_an_in_range_block_unchanged(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.mod ran on phases inside [0, 2 pi)")
+
+    monkeypatch.setattr(np, "mod", refuse)
+    block = _angle_block()
+    before = block.tobytes()
+    metrology._check_angles(block)
+    assert block.tobytes() == before
+
+
+@pytest.mark.parametrize("value", [2 * math.pi, -0.5, 7.0])
+@pytest.mark.parametrize("row", [2, 3])
+def test_check_angles_reduces_only_the_phase_row_that_needs_it(row, value):
+    block = _angle_block()
+    block[row, 1] = value
+    want = block.copy()
+    want[row] = np.mod(want[row], 2 * math.pi)
+    metrology._check_angles(block)
+    # the sibling phase row and both theta rows keep their bytes
+    assert block.tobytes() == want.tobytes()
+
+
+_PHASES = np.array([-0.0, 0.0, 2 * math.pi, -0.5, 7.0, -9.0, 13.0, 1.3, 6.0])
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("gen", list(Generator))
+def test_batch_reads_a_phase_and_its_reduction_alike(two_j, gen):
+    j = SpinJ(two_j)
+    theta = np.linspace(0.0, math.pi, len(_PHASES))
+    col, row = theta[:, None], theta
+    reduced = np.mod(_PHASES, 2 * math.pi)
+    assert reduced[0] == 0.0 and math.copysign(1.0, reduced[0]) == 1.0
+    cases = [
+        # array phases, then scalar phases paired with a shifted copy
+        ((_PHASES[:, None], _PHASES), (reduced[:, None], reduced)),
+        *(
+            ((a, b), (ra, rb))
+            for a, b, ra, rb in zip(_PHASES, np.roll(_PHASES, 1), reduced, np.roll(reduced, 1))
+        ),
+        # -0.0 and +0.0 in every phase
+        ((-0.0, np.full(len(theta), -0.0)), (0.0, np.zeros(len(theta)))),
+    ]
+    for phases, want_phases in cases:
+        want = cat_crb_batch(j, gen, col, row, *want_phases)
+        for args in ((col, row, *phases), np.broadcast_arrays(col, row, *phases)):
+            got = cat_crb_batch(j, gen, *[np.array(a) for a in args])
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes()
+
+
 # --- the kernel's bits, pinned ------------------------------------------------
 # The tests above hold the batch to the scalar path, which shares its
 # arithmetic; these literals hold it to itself. They are float.hex of

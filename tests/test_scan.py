@@ -307,6 +307,13 @@ def test_search_spec_validation():
     assert HlSearchSpec(j=SpinJ(4), generator=Generator.Z).target == 0.25
 
 
+@pytest.mark.parametrize("seeds", [True, False, 2.0])
+def test_search_spec_refuses_seeds_that_are_not_ints(seeds):
+    # True == 1 would pass a range check alone
+    with pytest.raises(ValueError, match="seeds must be a positive integer"):
+        HlSearchSpec(j=HALF, generator=Generator.Z, seeds=seeds)
+
+
 def test_specs_store_the_floats_they_validate():
     text = ScanSpec(HALF, Generator.Z, "0", "3.141592653589793", resolution=5, cap="5")
     numeric = ScanSpec(HALF, Generator.Z, 0.0, PI, resolution=5, cap=5.0)
