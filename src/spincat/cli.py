@@ -29,7 +29,7 @@ import time
 from typing import Mapping
 
 from .catstate import CatParams, DegenerateCatError, normalization
-from .closedform import FAMILIES, ClosedFormCase, sweep_family
+from .closedform import FAMILIES, ClosedFormCase, check_tol, sweep_family
 from .coherent import CoherentParams, check_phi, check_theta, coherent_overlap
 from .dicke import SpinJ
 from .metrology import Generator, cat_crb
@@ -116,14 +116,6 @@ def _parse_format(text: str) -> str:
     return fmt
 
 
-def _parse_tol(text: str) -> float:
-    tol = _parse_float(text)
-    # an infinite tolerance would pass every family whatever the deviation
-    if not 0 < tol < math.inf:
-        raise _UsageError("--tol must be positive and finite")
-    return tol
-
-
 def _parse_bool(text: str) -> bool:
     low = str(text).strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -142,6 +134,7 @@ _GENERATOR = (("--generator", "--gen"), _parse_generator, _REQUIRED, "x, y or z"
 _FORMAT = (("--format",), _parse_format, "text", "text or json")
 
 _RESOLUTION = _ranged(_parse_int, check_resolution)
+_TOL = _ranged(_parse_float, functools.partial(check_tol, name="--tol"))
 # ScanSpec names the phase in its error
 _PHI1, _PHI2 = (functools.partial(check_phi, name=name) for name in ("phi1", "phi2"))
 _ANGLES = ("theta1", "theta2", "phi1", "phi2")
@@ -168,7 +161,7 @@ _COMMANDS = {
         (("--family",), _parse_family, None, "one family name (default: all)"),
         (("--all",), _parse_bool, False, "sweep every family"),
         (("--res",), _RESOLUTION, 50, "grid resolution per free parameter"),
-        (("--tol",), _parse_tol, 1e-9, "max allowed |formula - engine|"),
+        (("--tol",), _TOL, 1e-9, "max allowed |formula - engine|"),
     )),
     "scan": ("grid scan over (theta1, theta2)", (
         _PI_UNITS,

@@ -561,6 +561,16 @@ def closed_form(case: ClosedFormCase, **params: float) -> float:
     return defn.formula(checked)
 
 
+def check_tol(tol, name: str = "tol") -> float:
+    """tol as a float; ValueError unless it is positive and finite and not
+    a bool. An infinite tolerance would pass every family whatever the
+    deviation."""
+    value = float(tol)
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Outcome of one formula-vs-engine constraint-surface sweep."""
@@ -573,6 +583,8 @@ class SweepReport:
     worst_point: tuple | None
 
     def passed(self, tol: float) -> bool:
+        """No event mismatch and no deviation above tol, which check_tol checks."""
+        tol = check_tol(tol)
         return self.event_mismatches == 0 and self.max_abs_deviation <= tol
 
 

@@ -15,6 +15,14 @@ components of every cat are expanded in one pass, so a call on a few cats
 costs little more than its arithmetic. A component shared across the
 batch, such as each axis of a (theta1, theta2) grid at fixed phases, is
 expanded once per distinct point instead of once per cat.
+
+cat_crb_line serves line searches that move one angle of many cats. Built
+once per line, it checks the three fixed angles, expands the component
+they fix and caches the other component's factor that the moving angle
+leaves alone: its phases exp(phi (-ik)) on a theta line, its magnitudes
+sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k on a phi line. Each call
+checks and expands only the moving factor. Both paths share the same
+expressions, so every value is the one cat_crb_batch gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -41,6 +49,7 @@ __all__ = [
     "crb_from_qfi",
     "cat_crb",
     "cat_crb_batch",
+    "cat_crb_line",
     "BATCH_AMPLITUDES",
     "QFI_DIVERGENCE_FLOOR",
     "FD_STEP_MIN",
@@ -205,49 +214,62 @@ def _kernel_table(j: SpinJ, g: Generator) -> _KernelTable:
     return _KernelTable(k, rest, roots, minus_ik, bands)
 
 
-def _check_angles(angles: np.ndarray) -> None:
-    """Check rows (theta1, theta2, phi1, phi2) over the batch as
-    CoherentParams does, then clamp theta onto [0, pi] and reduce phi
-    modulo 2 pi, in place, each only where a value needs it.
+def _check_angles(angles: np.ndarray, inputs: tuple[int, ...] = (0, 1, 2, 3)) -> None:
+    """Check the rows of angles over the batch as CoherentParams does, then
+    clamp theta onto [0, pi] and reduce phi modulo 2 pi, in place, each
+    only where a value needs it.
 
-    One min and one max per row decide whether anything is out of range;
-    only then is the first bad value looked for, theta1 before theta2
-    before phi1 before phi2.
+    inputs names the input each row holds, in increasing order: 0 theta1,
+    1 theta2, 2 phi1, 3 phi2. One min and one max per row decide whether
+    anything is out of range; only then is the first bad value looked for,
+    theta1 before theta2 before phi1 before phi2. A value is checked,
+    clamped and reduced the same whichever rows or cats share the call.
     """
     # initial values inside every range keep an empty batch valid
-    t1_lo, t2_lo, p1_lo, p2_lo = np.minimum.reduce(angles, axis=1, initial=math.pi).tolist()
-    t1_hi, t2_hi, p1_hi, p2_hi = np.maximum.reduce(angles, axis=1, initial=0.0).tolist()
+    los = np.minimum.reduce(angles, axis=1, initial=math.pi).tolist()
+    his = np.maximum.reduce(angles, axis=1, initial=0.0).tolist()
+    thetas = [r for r, i in enumerate(inputs) if i < 2]
+    phis = [r for r, i in enumerate(inputs) if i >= 2]
     # nan fails every comparison, so it is caught with the out-of-range values
-    theta_ok = (
-        t1_lo >= -_THETA_SLACK and t2_lo >= -_THETA_SLACK
-        and t1_hi <= _THETA_TOP and t2_hi <= _THETA_TOP
-    )
-    if not theta_ok:
-        theta = angles[:2].ravel()
-        bad = ~((theta >= -_THETA_SLACK) & (theta <= _THETA_TOP))
-        raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad][0])!r}")
-    if not (-math.inf < p1_lo and -math.inf < p2_lo and p1_hi < math.inf and p2_hi < math.inf):
-        phi = angles[2:].ravel()
-        raise ValueError(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])!r}")
+    for r in thetas:
+        if not (los[r] >= -_THETA_SLACK and his[r] <= _THETA_TOP):
+            theta = angles[thetas].ravel()
+            bad = ~((theta >= -_THETA_SLACK) & (theta <= _THETA_TOP))
+            raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad][0])!r}")
+    for r in phis:
+        if not (-math.inf < los[r] and his[r] < math.inf):
+            phi = angles[phis].ravel()
+            raise ValueError(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])!r}")
     # values already in range are left as np.clip and np.mod would leave
     # them (np.mod turns -0.0 into 0.0, which gives the kernel the same bits)
-    if t1_lo < 0.0 or t2_lo < 0.0 or t1_hi > math.pi or t2_hi > math.pi:
-        np.clip(angles[:2], 0.0, math.pi, out=angles[:2])
-    for row, lo, hi in ((2, p1_lo, p1_hi), (3, p2_lo, p2_hi)):
-        if lo < 0.0 or hi >= TWO_PI:
-            np.mod(angles[row], TWO_PI, out=angles[row])
+    for r in thetas:
+        if los[r] < 0.0 or his[r] > math.pi:
+            np.clip(angles[r], 0.0, math.pi, out=angles[r])
+    for r in phis:
+        if los[r] < 0.0 or his[r] >= TWO_PI:
+            np.mod(angles[r], TWO_PI, out=angles[r])
 
 
-def _coherent_rows(t: _KernelTable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Amplitudes of |theta, phi, j>, along a new last axis, for every entry
-    of theta and phi. The arithmetic of coherent_state, elementwise.
+def _magnitudes(t: _KernelTable, theta: np.ndarray) -> np.ndarray:
+    """|c_k| of |theta, phi, j>, along a new last axis, for every entry of
+    theta: sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k."""
+    half = theta[..., None] / 2
+    return t.roots * np.cos(half) ** t.rest * np.sin(half) ** t.k
+
+
+def _phases(t: _KernelTable, phi: np.ndarray) -> np.ndarray:
+    """e^(-i phi k), along a new last axis, for every entry of phi.
 
     The exponent phi * (-1j k) is formed in one product; its imaginary part
     is -(phi k), rounded once, exactly as in -1j * phi * k.
     """
-    half = theta[..., None] / 2
-    mags = t.roots * np.cos(half) ** t.rest * np.sin(half) ** t.k
-    return mags * np.exp(phi[..., None] * t.minus_ik)
+    return np.exp(phi[..., None] * t.minus_ik)
+
+
+def _coherent_rows(t: _KernelTable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Amplitudes of |theta, phi, j>, along a new last axis, for every entry
+    of theta and phi. The arithmetic of coherent_state, elementwise."""
+    return _magnitudes(t, theta) * _phases(t, phi)
 
 
 def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -358,7 +380,62 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
             )
             summed = v1 + v2
         qfi[part], degenerate[part] = _qfi_chunk(table, summed)
+    qfi, crb = _bounds(qfi, degenerate)
+    return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
+
+
+def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
+    """Bounds along angle k of each cat of base -> line(values, rows).
+
+    base is an (m, 4) array of points (theta1, theta2, phi1, phi2) and k
+    the index of the angle a line search moves. line(values, rows) returns
+    (qfi, crb, degenerate) of the cats base[rows] with angle k set to
+    values, bit for bit what cat_crb_batch gives on those points.
+
+    The three fixed angles are checked when the line is built, and a bad
+    one raises ValueError then. The component they fix is expanded once,
+    and so is the factor of the moving component that angle k leaves
+    alone: its phases on a theta line, its magnitudes on a phi line. A call
+    checks only values, by the same rules, computes only the moving factor
+    and adds the two components as v1 + v2, in chunks of BATCH_AMPLITUDES
+    amplitudes. The two caches hold 2 m (2j + 1) amplitudes.
+    """
+    table = _kernel_table(j, g)
+    fixed = tuple(i for i in range(4) if i != k)
+    angles = np.asarray(base, dtype=float).T[list(fixed)]
+    _check_angles(angles, fixed)
+    held = dict(zip(fixed, angles))
+    moved = k % 2  # the component angle k belongs to
+    other = _coherent_rows(table, held[1 - moved], held[3 - moved])
+    theta_line = k < 2
+    factor = _phases(table, held[k + 2]) if theta_line else _magnitudes(table, held[k - 2])
+    step = batch_cells(j)
+
+    def line(values, rows):
+        moving = np.array(values, dtype=float).reshape(1, -1)
+        _check_angles(moving, (k,))
+        moving = moving[0]
+        n = moving.size
+        qfi = np.empty(n)
+        degenerate = np.empty(n, dtype=bool)
+        for lo in range(0, n, step):
+            part = slice(lo, lo + step)
+            pick = rows[part]
+            if theta_line:
+                v = _magnitudes(table, moving[part]) * factor[pick]
+            else:
+                v = factor[pick] * _phases(table, moving[part])
+            summed = v + other[pick] if moved == 0 else other[pick] + v
+            qfi[part], degenerate[part] = _qfi_chunk(table, summed)
+        return (*_bounds(qfi, degenerate), degenerate)
+
+    return line
+
+
+def _bounds(qfi: np.ndarray, degenerate: np.ndarray):
+    """-> (qfi, crb): nan at degenerate cats, crb +inf where qfi is at or
+    below QFI_DIVERGENCE_FLOOR; qfi is updated in place."""
     np.copyto(qfi, math.nan, where=degenerate)
     crb = np.where(degenerate, math.nan, math.inf)
     np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)
-    return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
+    return qfi, crb

@@ -9,13 +9,19 @@ the batched kernel cat_crb_batch a block of rows at a time.
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
 cyclic coordinate descent with golden-section line minimization. The seed
-grid is one cat_crb_batch call, and all seeds are polished in lockstep:
-each golden-section step is one cat_crb_batch call holding the next point
-of every seed still searching. The golden-section state is kept only for
-the seeds still searching and updated with np.where, so the search costs
-little beyond its kernel calls. Each seed takes exactly the steps it would
-take searched on its own, so the search is exact-arithmetic
-deterministic: same spec, same result.
+grid is one cat_crb_batch call, and all seeds are polished in lockstep.
+Each line search moves one angle of every seed still sweeping, and runs on
+one cat_crb_line built for it: the cat component the three fixed angles
+determine, and the factor of the other that the moving angle leaves alone,
+are expanded once per line, so each golden-section step expands only the
+moving factor of the next point of every seed still searching. The caches
+hold 2 m (2j + 1) amplitudes for m seeds, about 5.4 MB at MAX_SEEDS and
+2j = 64. The golden-section state is kept only for the seeds still
+searching and updated with np.where, so the search costs little beyond its
+kernel calls. One last cat_crb_batch call over the polished points decides
+acceptance, and it reproduces the line searches' values bit for bit. Each
+seed takes exactly the steps it would take searched on its own, so the
+search is exact-arithmetic deterministic: same spec, same result.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ from .catstate import CatParams  # noqa: F401
 from .coherent import CoherentParams, check_phi  # noqa: F401
 from .dicke import SpinJ
 from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch  # noqa: F401
+from .metrology import cat_crb_line
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -72,9 +79,10 @@ def check_resolution(resolution) -> int:
 
 
 def check_cap(cap) -> float:
-    """cap as a float; ValueError unless it is positive and finite."""
+    """cap as a float; ValueError unless it is positive and finite and not
+    a bool."""
     value = float(cap)
-    if not math.isfinite(value) or value <= 0.0:
+    if isinstance(cap, (bool, np.bool_)) or not math.isfinite(value) or value <= 0.0:
         raise ValueError("cap must be a positive finite float")
     return value
 
@@ -276,6 +284,23 @@ def _objective(j: SpinJ, g: Generator, points: np.ndarray) -> np.ndarray:
     return np.where(degenerate, math.inf, crb)
 
 
+def _line_objective(j: SpinJ, g: Generator, base: np.ndarray, k: int):
+    """_objective along angle k of each row of base -> line(v, rows).
+
+    line(v, rows) is _objective at the points base[rows] with angle k set
+    to v, bit for bit, through cat_crb_line: the cat component angle k
+    leaves fixed, and the factor of the other that it leaves alone, are
+    expanded once per line instead of once per step.
+    """
+    crb_line = cat_crb_line(j, g, base, k)
+
+    def line(v, rows):
+        _, crb, degenerate = crb_line(v, rows)
+        return np.where(degenerate, math.inf, crb)
+
+    return line
+
+
 def _golden_min(line, n: int, lo: float, hi: float, tol: float = 1e-12):
     """Golden-section minima of n line objectives on [lo, hi], in lockstep.
 
@@ -322,11 +347,13 @@ def _golden_min(line, n: int, lo: float, hi: float, tol: float = 1e-12):
     return xmin, fmin
 
 
-def _polish(f, starts, max_sweeps: int = 40):
+def _polish(f, line_for, starts, max_sweeps: int = 40):
     """Cyclic coordinate descent from every start at once.
 
-    f maps an (m, 4) array of points to m objective values. A row stops
-    sweeping after the first sweep that improves it by less than 1e-13.
+    f maps an (m, 4) array of points to m objective values, and
+    line_for(base, k) gives the objective along angle k of each row of
+    base as a line(v, rows) of _golden_min. A row stops sweeping after the
+    first sweep that improves it by less than 1e-13.
     -> (x, best): the polished points and their objective values.
     """
     x = np.array(starts, dtype=float)
@@ -335,14 +362,7 @@ def _polish(f, starts, max_sweeps: int = 40):
     for _ in range(max_sweeps):
         before = best[live]
         for k, (lo, hi) in enumerate(_BOUNDS):
-            base = x[live]
-
-            def line(v, rows):
-                trial = base[rows]
-                trial[:, k] = v
-                return f(trial)
-
-            v, fv = _golden_min(line, live.size, lo, hi)
+            v, fv = _golden_min(line_for(x[live], k), live.size, lo, hi)
             better = fv < best[live]
             x[live[better], k] = v[better]
             best[live[better]] = fv[better]
@@ -370,16 +390,21 @@ def _seed_starts(f, seeds: int) -> np.ndarray:
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    The MAX_SEEDS-point seed grid is evaluated in one batch and the best
-    spec.seeds points are polished together, every objective evaluation
-    going through cat_crb_batch. Returns accepted points sorted by
-    (crb, theta1, theta2, phi1, phi2); raises NoHlFoundError when no
-    polished seed reaches the target within the acceptance slack.
+    The MAX_SEEDS-point seed grid is evaluated in one cat_crb_batch call
+    and the best spec.seeds points are polished together, each line search
+    on one cat_crb_line that expands the factors it leaves fixed once. One
+    final cat_crb_batch call over the polished points gives the values
+    that decide acceptance, the same bits the line searches found.
+    Returns accepted points sorted by (crb, theta1, theta2, phi1, phi2);
+    raises NoHlFoundError when no polished seed reaches the target within
+    the acceptance slack.
     """
     objective = functools.partial(_objective, spec.j, spec.generator)
+    line_for = functools.partial(_line_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
     found: dict[tuple, HlPoint] = {}
-    xs, vals = _polish(objective, _seed_starts(objective, spec.seeds))
+    xs, _ = _polish(objective, line_for, _seed_starts(objective, spec.seeds))
+    vals = objective(xs)
     for x, val in zip(xs.tolist(), vals.tolist()):
         if val <= accept:
             key = tuple(round(v, 9) for v in x)

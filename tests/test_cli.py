@@ -1,4 +1,5 @@
 """Command-line interface: argument handling, outputs, exit codes."""
+import hashlib
 import json
 import math
 import os
@@ -431,6 +432,31 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
         ("qfi", result.qfi), ("crb", result.crb), ("normalization", normalization(cat)),
     ):
         assert doc[key] == float(f"{value:.15g}"), key
+
+
+# sha256 of find-hl stdout, text and JSON, recorded from the search that sent
+# every golden-section step through one full cat_crb_batch call
+@pytest.mark.parametrize(
+    "j,gen,fmt,digest",
+    [
+        ("0.5", "z", "text", "0bebbe42caa164a79117d397057325645639de7150105c27c9e83dd633ac4b2a"),
+        ("0.5", "z", "json", "59458c5cbaf80f0f9ac0f3072d96de25e9e2656a0b3f8fcebb05e841d5e698c2"),
+        ("1", "z", "text", "3b102df62aad8d24172b6361a840fee4f22fccaa54369adbc56bf9f9a3447b96"),
+        ("1", "z", "json", "8254f2989e9a98c8e50f637c06b0f3c3d01b9ce13f682b16feb80203b3280256"),
+        ("1.5", "y", "text", "7939fb77258b37c4e52e47a572436761c479eab84e8470199634d00c0a7867f6"),
+        ("1.5", "y", "json", "6ba76a9f48df11285944015136422fe37a2e5f71a96b5fa36028d3702ba17e8a"),
+        ("32", "y", "text", "13c38ba7929db51aa60b52030ab3d5f63d168ab27e133fdd69f9f40af47edbf6"),
+        ("32", "y", "json", "ecf71d4efbd1ad8fdc4118e26d864e3c57a0a93ef11918e858f50b1cfd5cf6cc"),
+        ("1", "x", "text", "c28803ce4abfbb15d99d9a993288eebe6bf5959613327c938d0cc4f08c197173"),
+        ("1", "x", "json", "3a28d3f1a047ca5032618cf55a4229f11cb4422bc464cc0132e424205ea12cde"),
+        ("2", "x", "text", "d9625f992d24bb8afad05488bdae07800be01f88f48036ef3adb4b2f48047495"),
+        ("2", "x", "json", "7edaf6cfadbaad3608010cfae48b4ec2266d4fdf12ddd81da052b6a04d59d011"),
+    ],
+)
+def test_find_hl_stdout_is_pinned(capsys, j, gen, fmt, digest):
+    code, out, _ = run(capsys, "find-hl", "--j", j, "--gen", gen, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_help_exits_zero(capsys):

@@ -15,6 +15,7 @@ from spincat import (
     DegenerateCatError,
     Generator,
     SpinJ,
+    SweepReport,
     cat_crb,
     cat_crb_batch,
     closed_form,
@@ -121,6 +122,20 @@ def test_quick_engine_sweeps(case):
     assert report.max_abs_deviation <= 1e-9
     assert report.points == 225
     assert report.passed(1e-9)
+
+
+@pytest.mark.parametrize(
+    "tol", [math.inf, -math.inf, math.nan, 0.0, -1e-9, True, False, np.True_]
+)
+def test_passed_refuses_tolerances_that_are_not_positive_finite(tol):
+    # an infinite tolerance would pass every family whatever the deviation,
+    # and True would pass as a tolerance of 1
+    report = SweepReport(ClosedFormCase.ONE_Z_PHIHALF, 144, 144, 1.7e-13, 0, None)
+    assert report.passed(1e-9) and report.passed(1) and not report.passed(1e-17)
+    mismatched = dataclasses.replace(report, event_mismatches=1)
+    for r in (report, mismatched):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            r.passed(tol)
 
 
 def test_sweep_rejects_tiny_resolution():

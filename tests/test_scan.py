@@ -338,3 +338,108 @@ def test_max_seeds_is_the_size_of_the_seed_grid():
     starts = scan_mod._seed_starts(lambda grid: np.zeros(len(grid)), MAX_SEEDS + 1)
     assert starts.shape == (MAX_SEEDS, 4)
     assert len(np.unique(starts, axis=0)) == MAX_SEEDS
+
+
+@pytest.mark.parametrize("cap", [True, False, np.True_])
+def test_scan_spec_refuses_bool_caps(cap):
+    # True would pass as a cap of 1.0
+    with pytest.raises(ValueError, match="cap must be a positive finite float"):
+        spec(cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# line objective: _objective along one angle, with the fixed factors cached
+
+
+def _line_case(two_j: int):
+    """(base, rows, values by angle) for the line objective tests.
+
+    base[0] is a degenerate cat: both components at the south pole with
+    phases pi/(2j) apart, so the amplitudes at k = 2j cancel. Each values
+    list starts with base[0]'s own angle, so the first trial point is that
+    cat. rows leaves rows 3 and 5 out and repeats others.
+    """
+    rng = np.random.default_rng(two_j)
+    base = np.column_stack(
+        [rng.uniform(0, PI, 6), rng.uniform(0, PI, 6), rng.uniform(0, 2 * PI, 6), rng.uniform(0, 2 * PI, 6)]
+    )
+    base[0] = (PI, PI, 0.0, PI / two_j)
+    base[1] = (-1e-10, PI + 1e-10, 2 * PI, -0.0)
+    base[2] = (PI + 1e-10, -1e-10, 7.0, 2 * PI)
+    rows = np.array([0, 1, 2, 4, 4, 1, 0, 2, 1])
+    thetas = [-1e-10, PI + 1e-10, 0.3, PI, 0.0, -0.0, 1.7, 2.9]
+    phis = [2 * PI, -0.0, 7.0, 0.0, PI, 0.4, 5.5, 2 * PI + 1e-9]
+    values = [[base[0, k]] + (thetas if k < 2 else phis) for k in range(4)]
+    return base, rows, values
+
+
+@pytest.mark.parametrize("amplitudes", [4096, 7])
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+def test_line_objective_matches_the_objective_on_trial_points(monkeypatch, two_j, gen, amplitudes):
+    import spincat.metrology as metrology
+    import spincat.scan as scan_mod
+
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
+    j = SpinJ(two_j)
+    base, rows, values = _line_case(two_j)
+    kept = base.copy()
+    for k in range(4):
+        v = np.array(values[k])
+        trial = base[rows]
+        trial[:, k] = v
+        expected = scan_mod._objective(j, gen, trial)
+        got = scan_mod._line_objective(j, gen, base, k)(v, rows)
+        assert got.tobytes() == expected.tobytes(), k
+        assert math.isinf(got[0])  # the degenerate cat
+        # the caller's points and abscissae are not clamped or reduced in place
+        assert np.array_equal(v, values[k]) and base.tobytes() == kept.tobytes()
+    _, _, degenerate = metrology.cat_crb_batch(j, gen, *base[0])
+    assert degenerate
+
+
+_BAD_ANGLES = [(0, -0.1), (1, PI + 1e-6), (0, math.nan), (1, math.nan), (2, math.inf), (3, math.inf)]
+
+
+def _error_text(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("where,bad", _BAD_ANGLES)
+@pytest.mark.parametrize("two_j", [1, 3])
+def test_line_objective_raises_as_the_objective_does(two_j, where, bad, k):
+    # the bad angle is one the line moves (where == k) or one it holds fixed
+    import spincat.scan as scan_mod
+
+    j, gen = SpinJ(two_j), Generator.Y
+    base, rows, values = _line_case(two_j)
+    v = np.array(values[k])
+    if where == k:
+        v[3] = bad
+    else:
+        base[rows[3], where] = bad
+    trial = base[rows]
+    trial[:, k] = v
+    expected = _error_text(lambda: scan_mod._objective(j, gen, trial))
+    assert expected.startswith("theta must" if where < 2 else "phi must")
+    assert _error_text(lambda: scan_mod._line_objective(j, gen, base, k)(v, rows)) == expected
+
+
+@pytest.mark.parametrize(
+    "two_j,gen", [(1, "Z"), (2, "Z"), (3, "Y"), (64, "Y"), (2, "X"), (4, "X")]
+)
+def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
+    # find_hl accepts on one cat_crb_batch call over the polished points;
+    # the line searches must have found exactly those values
+    import functools
+
+    import spincat.scan as scan_mod
+
+    j, g = SpinJ(two_j), Generator[gen]
+    objective = functools.partial(scan_mod._objective, j, g)
+    line_for = functools.partial(scan_mod._line_objective, j, g)
+    xs, best = scan_mod._polish(objective, line_for, scan_mod._seed_starts(objective, 16))
+    assert objective(xs).tobytes() == best.tobytes()
