@@ -17,12 +17,6 @@ closed form evaluating above CRB_DIVERGENCE_CEILING = (1e-14)^(-1/2) is
 clamped to +inf so that exact zeros of the engine (qfi floor 1e-14) and
 exact zeros of a formula denominator classify identically. Degenerate cat
 points, where no state exists, also compare as divergence events in sweeps.
-
-Two deliberately wrong variants, crb_one_z_phi_pi_variant and
-crb_one_z_phi_pi_equal_theta_variant, are kept as discrepancy witnesses:
-they look like the phi = pi family but disagree with the numeric engine
-except on thin slices, and regression tests pin that disagreement so the
-family evaluators cannot quietly regress to them.
 """
 from __future__ import annotations
 
@@ -53,8 +47,6 @@ __all__ = [
     "closed_form",
     "crb_half_z",
     "crb_half_x",
-    "crb_one_z_phi_pi_variant",
-    "crb_one_z_phi_pi_equal_theta_variant",
     "FamilyDefinition",
     "FAMILIES",
     "SweepReport",
@@ -274,36 +266,6 @@ def _one_z_phihalf_equal_theta(theta1: float) -> float:
 def _one_z_phipi_equal_theta(theta1: float) -> float:
     s2 = math.sin(theta1) ** 2
     return math.inf if s2 == 0.0 else _extended((3.0 + math.cos(2 * theta1)) / (4.0 * s2))
-
-
-# ---------------------------------------------------------------------------
-# discrepancy witnesses: variants that look right and are not
-
-def crb_one_z_phi_pi_variant(theta1: float, theta2: float) -> float:
-    """Sign-flipped variant of the phi = pi family. Witness only.
-
-    Identical to the ONE_Z_PHIPI formula except cos(theta1 - 3 theta2) replaces
-    cos(theta1 + 3 theta2). It agrees with the numeric engine on the
-    theta1 = theta2 = pi/2 point and strays elsewhere (regression-tested),
-    so it must never be promoted into the family evaluator.
-    """
-    a = math.cos(3 * theta1 + theta2) + math.cos(theta1 - 3 * theta2)
-    b = math.cos(2 * theta1) + math.cos(2 * theta2)
-    c = math.cos(2 * (theta1 + theta2))
-    d = math.cos(theta1 - theta2)
-    num = 2.0 * (math.cos(theta1 + theta2) + 3.0) ** 2
-    return _sqrt_ratio(num, a - 8.0 * b + 2.0 * c - 18.0 * d + 30.0)
-
-
-def crb_one_z_phi_pi_equal_theta_variant(theta1: float) -> float:
-    """Equal-theta variant with |sin t1| unsquared. Witness only.
-
-    Coincides with the exact reduction (3+cos 2t1)/(4 sin^2 t1) exactly at
-    t1 = pi/2 and nowhere else away from the poles; regression-tested as a
-    known-wrong form.
-    """
-    s = abs(math.sin(theta1))
-    return math.inf if s == 0.0 else _extended((3.0 + math.cos(2 * theta1)) / (4.0 * s))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,12 @@ def check_theta(theta: float, name: str = "theta") -> float:
     """theta as a float on [0, pi].
 
     A value at most _THETA_SLACK outside the interval is clamped onto it;
-    a non-finite value, or one further out, raises ValueError.
+    a bool, a non-finite value, or one further out, raises ValueError.
     """
+    # a float is never a bool; testing it first keeps the common case to
+    # one type comparison (closed-form sweeps check thetas point by point)
+    if type(theta) is not float and isinstance(theta, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {theta!r}")
     value = float(theta)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -49,7 +53,10 @@ def check_theta(theta: float, name: str = "theta") -> float:
 
 
 def check_phi(phi: float, name: str = "phi") -> float:
-    """phi as a finite float, not reduced; ValueError if it is not finite."""
+    """phi as a finite float, not reduced; ValueError if it is a bool or
+    not finite."""
+    if type(phi) is not float and isinstance(phi, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {phi!r}")
     value = float(phi)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")

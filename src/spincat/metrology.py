@@ -10,19 +10,23 @@ finite-difference of the overlap decay.
 cat_crb_batch evaluates many cats of one spin and generator with the
 arithmetic of the single-state path, elementwise. What does not depend on
 the angles (the exponents k and 2j - k, the prefactors sqrt(C(2j, k)) and
-the nonzero bands of G) sits in a table built once per (j, G), and both
-components of every cat are expanded in one pass, so a call on a few cats
-costs little more than its arithmetic. A component shared across the
-batch, such as each axis of a (theta1, theta2) grid at fixed phases, is
-expanded once per distinct point instead of once per cat.
+the nonzero bands of G) sits in a table built once per (j, G), so a call
+on a few cats costs little more than its arithmetic. A component shared
+across the batch, such as each axis of a (theta1, theta2) grid at fixed
+phases, is expanded once per distinct point instead of once per cat.
 
 cat_crb_line serves line searches that move one angle of many cats. Built
 once per line, it checks the three fixed angles, expands the component
 they fix and caches the other component's factor that the moving angle
 leaves alone: its phases exp(phi (-ik)) on a theta line, its magnitudes
 sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k on a phi line. Each call
-checks and expands only the moving factor. Both paths share the same
-expressions, so every value is the one cat_crb_batch gives, bit for bit.
+checks and expands only the moving factor.
+
+Both run one chunk loop, _evaluate: each tells it how to produce the two
+components of a slice of cats, and it adds them, takes the QFI of each
+chunk and applies the degenerate and divergence rules. Both paths share
+the same expressions, so every value is the one cat_crb_batch gives, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -324,6 +328,25 @@ def _cached_component(t: _KernelTable, checked: np.ndarray, own: tuple):
     return rows.reshape(size, -1), index
 
 
+def _evaluate(t: _KernelTable, step: int, n: int, v1, v2):
+    """-> (qfi, crb, degenerate) for n cats, in chunks of step cats.
+
+    v1(part) and v2(part) give the amplitudes of each component for the
+    cats in the slice part; the chunk's cat is v1 + v2. qfi and crb are nan
+    where the cat is degenerate, and crb is +inf where qfi is at or below
+    QFI_DIVERGENCE_FLOOR.
+    """
+    qfi = np.empty(n)
+    degenerate = np.empty(n, dtype=bool)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        qfi[part], degenerate[part] = _qfi_chunk(t, v1(part) + v2(part))
+    np.copyto(qfi, math.nan, where=degenerate)
+    crb = np.where(degenerate, math.nan, math.inf)
+    np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)
+    return qfi, crb, degenerate
+
+
 def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     """Bounds for many cats of one spin and generator -> (qfi, crb, degenerate).
 
@@ -356,31 +379,16 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     _check_angles(flat)
     table = _kernel_table(j, g)
     step = batch_cells(j)
-    # a component is cached when its own angles broadcast to fewer points
-    # than the batch holds, and to no more than one chunk
-    cached = [None, None]
-    for c, own in enumerate(owns):
-        if own.size < n and own.size <= step:
-            cached[c] = _cached_component(table, angles[c::2], own.shape)
-    qfi = np.empty(n)
-    degenerate = np.empty(n, dtype=bool)
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        if cached == [None, None]:
-            # both components of every cat in one pass
-            rows = _coherent_rows(table, flat[:2, part], flat[2:, part])
-            summed = rows[0] + rows[1]
-        else:
-            # a cached component is gathered, the other one expanded
-            v1, v2 = (
-                _coherent_rows(table, flat[c, part], flat[c + 2, part])
-                if hit is None
-                else hit[0][hit[1][part]]
-                for c, hit in enumerate(cached)
-            )
-            summed = v1 + v2
-        qfi[part], degenerate[part] = _qfi_chunk(table, summed)
-    qfi, crb = _bounds(qfi, degenerate)
+
+    def component(c: int):
+        # cached when its own angles broadcast to fewer points than the
+        # batch holds, and to no more than one chunk
+        if owns[c].size < n and owns[c].size <= step:
+            rows, index = _cached_component(table, angles[c::2], owns[c].shape)
+            return lambda part: rows[index[part]]
+        return lambda part: _coherent_rows(table, flat[c, part], flat[c + 2, part])
+
+    qfi, crb, degenerate = _evaluate(table, step, n, component(0), component(1))
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 
 
@@ -397,8 +405,8 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     and so is the factor of the moving component that angle k leaves
     alone: its phases on a theta line, its magnitudes on a phi line. A call
     checks only values, by the same rules, computes only the moving factor
-    and adds the two components as v1 + v2, in chunks of BATCH_AMPLITUDES
-    amplitudes. The two caches hold 2 m (2j + 1) amplitudes.
+    and multiplies it into the cached one, through the chunk loop of
+    cat_crb_batch. The two caches hold 2 m (2j + 1) amplitudes.
     """
     table = _kernel_table(j, g)
     fixed = tuple(i for i in range(4) if i != k)
@@ -407,35 +415,24 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     held = dict(zip(fixed, angles))
     moved = k % 2  # the component angle k belongs to
     other = _coherent_rows(table, held[1 - moved], held[3 - moved])
-    theta_line = k < 2
-    factor = _phases(table, held[k + 2]) if theta_line else _magnitudes(table, held[k - 2])
+    if k < 2:
+        move, factor = _magnitudes, _phases(table, held[k + 2])
+    else:
+        move, factor = _phases, _magnitudes(table, held[k - 2])
     step = batch_cells(j)
 
     def line(values, rows):
         moving = np.array(values, dtype=float).reshape(1, -1)
         _check_angles(moving, (k,))
         moving = moving[0]
-        n = moving.size
-        qfi = np.empty(n)
-        degenerate = np.empty(n, dtype=bool)
-        for lo in range(0, n, step):
-            part = slice(lo, lo + step)
-            pick = rows[part]
-            if theta_line:
-                v = _magnitudes(table, moving[part]) * factor[pick]
-            else:
-                v = factor[pick] * _phases(table, moving[part])
-            summed = v + other[pick] if moved == 0 else other[pick] + v
-            qfi[part], degenerate[part] = _qfi_chunk(table, summed)
-        return (*_bounds(qfi, degenerate), degenerate)
+        # complex products and sums commute exactly, so neither the order
+        # of the two factors nor that of the two components moves a bit
+        return _evaluate(
+            table,
+            step,
+            moving.size,
+            lambda part: move(table, moving[part]) * factor[rows[part]],
+            lambda part: other[rows[part]],
+        )
 
     return line
-
-
-def _bounds(qfi: np.ndarray, degenerate: np.ndarray):
-    """-> (qfi, crb): nan at degenerate cats, crb +inf where qfi is at or
-    below QFI_DIVERGENCE_FLOOR; qfi is updated in place."""
-    np.copyto(qfi, math.nan, where=degenerate)
-    crb = np.where(degenerate, math.nan, math.inf)
-    np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)
-    return qfi, crb

@@ -273,6 +273,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # (-Jx, -Jy, Jz) and F(-G) = F(G); other common shifts keep F under Jz only
 _BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
 
+# a golden-section bracket closes once it is no wider than this
+_BRACKET_TOL = 1e-12
+
+# coordinate-descent sweeps at most per search
+_MAX_SWEEPS = 40
+
 
 def _objective(j: SpinJ, g: Generator, points: np.ndarray) -> np.ndarray:
     """Bound at each row (theta1, theta2, phi1, phi2) of points; inf where
@@ -301,14 +307,14 @@ def _line_objective(j: SpinJ, g: Generator, base: np.ndarray, k: int):
     return line
 
 
-def _golden_min(line, n: int, lo: float, hi: float, tol: float = 1e-12):
+def _golden_min(line, n: int, lo: float, hi: float):
     """Golden-section minima of n line objectives on [lo, hi], in lockstep.
 
     line(v, rows) returns the objective of each listed row at its abscissa
     in v. Every row keeps its own bracket and stops once it is no wider
-    than tol; each step makes one line call holding the next point of every
-    row still running. A row's arithmetic is that of a search on its own,
-    so it takes the same steps whichever rows share its calls.
+    than _BRACKET_TOL; each step makes one line call holding the next point
+    of every row still running. A row's arithmetic is that of a search on
+    its own, so it takes the same steps whichever rows share its calls.
 
     The bracket state (a, b, c, d, fc, fd) is held only for the rows still
     running, and each step updates all of it with np.where; a row's result
@@ -326,8 +332,8 @@ def _golden_min(line, n: int, lo: float, hi: float, tol: float = 1e-12):
     both = line(np.concatenate([c, d]), np.concatenate([rows, rows]))
     fc, fd = both[:n], both[n:]
     while rows.size:
-        if np.minimum.reduce(h) <= tol:
-            closed = h <= tol
+        if np.minimum.reduce(h) <= _BRACKET_TOL:
+            closed = h <= _BRACKET_TOL
             lower = fc < fd
             xmin[rows[closed]] = np.where(lower, c, d)[closed]
             fmin[rows[closed]] = np.where(lower, fc, fd)[closed]
@@ -347,19 +353,20 @@ def _golden_min(line, n: int, lo: float, hi: float, tol: float = 1e-12):
     return xmin, fmin
 
 
-def _polish(f, line_for, starts, max_sweeps: int = 40):
+def _polish(f, line_for, starts):
     """Cyclic coordinate descent from every start at once.
 
     f maps an (m, 4) array of points to m objective values, and
     line_for(base, k) gives the objective along angle k of each row of
     base as a line(v, rows) of _golden_min. A row stops sweeping after the
-    first sweep that improves it by less than 1e-13.
+    first sweep that improves it by less than 1e-13, and every row after
+    _MAX_SWEEPS sweeps.
     -> (x, best): the polished points and their objective values.
     """
     x = np.array(starts, dtype=float)
     best = f(x)
     live = np.arange(len(x))
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         before = best[live]
         for k, (lo, hi) in enumerate(_BOUNDS):
             v, fv = _golden_min(line_for(x[live], k), live.size, lo, hi)

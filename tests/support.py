@@ -1,6 +1,7 @@
-"""Helpers shared across test modules: deterministic random states, and
+"""Helpers shared across test modules: deterministic random states,
 one-point-at-a-time references for the Heisenberg-limit search, the
-closed-form sweep and the scan CSV writer."""
+closed-form sweep and the scan CSV writer, and two deliberately wrong
+closed forms that the tests pin as discrepancy witnesses."""
 import itertools
 import math
 
@@ -14,7 +15,7 @@ from spincat import (
     SpinJ,
     cat_crb,
 )
-from spincat.closedform import FAMILIES, SweepReport
+from spincat.closedform import FAMILIES, SweepReport, _extended, _sqrt_ratio
 from spincat.metrology import batch_cells, cat_crb_batch
 from spincat.scan import HlPoint, _objective, check_resolution
 
@@ -206,3 +207,36 @@ def reference_csv(result) -> str:
                 + ("nan,0,1\n" if deg else capped if over else "%.12g,0,0\n" % v)
             )
     return "".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# discrepancy witnesses: variants of the spin-1 phi = pi family that look
+# right and are not; tests pin their disagreement with the engine so the
+# catalogue's formulas cannot quietly regress to them
+
+
+def crb_one_z_phi_pi_variant(theta1: float, theta2: float) -> float:
+    """Sign-flipped variant of the phi = pi family. Witness only.
+
+    Identical to the ONE_Z_PHIPI formula except cos(theta1 - 3 theta2) replaces
+    cos(theta1 + 3 theta2). It agrees with the numeric engine on the
+    theta1 = theta2 = pi/2 point and strays elsewhere (regression-tested),
+    so it must never be promoted into the family evaluator.
+    """
+    a = math.cos(3 * theta1 + theta2) + math.cos(theta1 - 3 * theta2)
+    b = math.cos(2 * theta1) + math.cos(2 * theta2)
+    c = math.cos(2 * (theta1 + theta2))
+    d = math.cos(theta1 - theta2)
+    num = 2.0 * (math.cos(theta1 + theta2) + 3.0) ** 2
+    return _sqrt_ratio(num, a - 8.0 * b + 2.0 * c - 18.0 * d + 30.0)
+
+
+def crb_one_z_phi_pi_equal_theta_variant(theta1: float) -> float:
+    """Equal-theta variant with |sin t1| unsquared. Witness only.
+
+    Coincides with the exact reduction (3+cos 2t1)/(4 sin^2 t1) exactly at
+    t1 = pi/2 and nowhere else away from the poles; regression-tested as a
+    known-wrong form.
+    """
+    s = abs(math.sin(theta1))
+    return math.inf if s == 0.0 else _extended((3.0 + math.cos(2 * theta1)) / (4.0 * s))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -457,6 +458,17 @@ def test_find_hl_stdout_is_pinned(capsys, j, gen, fmt, digest):
     code, out, _ = run(capsys, "find-hl", "--j", j, "--gen", gen, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    # sha256 of verify --all --res 50 stdout with the elapsed time masked,
+    # recorded from the kernel with a chunk loop in each of cat_crb_batch
+    # and cat_crb_line
+    code, out, _ = run(capsys, "verify", "--all", "--res", "50")
+    assert code == 0
+    masked = re.sub(r', [0-9.]+s\)', ', <elapsed>)', out)
+    digest = "c1a7e83049edfe37ae13f488d8a0db71958619f45bcbf032cfcec46cd085556f"
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
 def test_help_exits_zero(capsys):

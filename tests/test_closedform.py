@@ -23,14 +23,14 @@ from spincat import (
     crb_half_z,
     sweep_family,
 )
-from spincat.closedform import (
-    CRB_DIVERGENCE_CEILING,
-    FamilyDefinition,
+from spincat.closedform import CRB_DIVERGENCE_CEILING, FamilyDefinition
+
+from support import (
     crb_one_z_phi_pi_equal_theta_variant,
     crb_one_z_phi_pi_variant,
+    grid_points,
+    sequential_sweep_family,
 )
-
-from support import grid_points, sequential_sweep_family
 
 HALF_PI = math.pi / 2
 PI = math.pi
@@ -136,6 +136,15 @@ def test_passed_refuses_tolerances_that_are_not_positive_finite(tol):
     for r in (report, mismatched):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             r.passed(tol)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_closed_form_refuses_bool_angles(flag):
+    # True would pass as an angle of 1.0
+    with pytest.raises(ValueError, match="theta1 must be a number, not a bool"):
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=flag, theta2=0.5)
+    with pytest.raises(ValueError, match="theta2 must be a number, not a bool"):
+        closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=0.5, theta2=flag)
 
 
 def test_sweep_rejects_tiny_resolution():

@@ -91,3 +91,12 @@ def test_theta_domain_and_phi_wrapping():
     assert CoherentParams(-1e-12, 0.0).theta == 0.0
     assert CoherentParams(math.pi + 1e-12, 0.0).theta == math.pi
     assert CoherentParams(1.0, 2 * math.pi + 0.25).phi == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_coherent_params_refuse_bool_angles(flag):
+    # True would pass as an angle of 1.0
+    with pytest.raises(ValueError, match="theta must be a number, not a bool"):
+        CoherentParams(flag, 0.5)
+    with pytest.raises(ValueError, match="phi must be a number, not a bool"):
+        CoherentParams(0.5, flag)

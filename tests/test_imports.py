@@ -1,10 +1,16 @@
-"""Every imported name is used: a stand-in for a linter's unused-import rule.
+"""Every imported name is used, and every private definition is read:
+stand-ins for a linter's unused-import and unused-code rules.
 
 A name bound by an import in src/spincat/*.py or tests/*.py must be read
 somewhere in its file, or be listed in the file's __all__. An import
 statement carrying `# noqa: F401` (or a bare `# noqa`) on any of its lines
 is exempt; that marks imports kept on purpose, such as names another
 module rebinds.
+
+A private module-level function, class or constant of src/spincat/*.py
+(a name with one leading underscore) must be read, as a name or as an
+attribute, in some file of src/spincat; a helper that lost its last
+caller fails.
 """
 import ast
 import re
@@ -13,7 +19,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "spincat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "spincat").glob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 
@@ -103,3 +110,70 @@ def test_checker_flags_an_unused_import(tmp_path):
         "from typing import Iterable\n"
     )
     assert unused_imports(sample, tmp_path) == ["sample.py:1: os", "sample.py:6: pi"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of every module-level def, class or assigned name with
+    one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and re.fullmatch(r"_[^_].*", name.id):
+                    yield name.id, node.lineno
+
+
+def dead_definitions(paths: list[Path], root: Path = ROOT) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        f"{path.relative_to(root)}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_no_dead_private_definitions():
+    assert dead_definitions(SOURCES) == []
+
+
+def test_checker_flags_a_dead_private_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_A, (_B, _C) = 1, (2, 3)\n"
+        "_typed: int = 4\n"
+        "__dunder__ = 5\n"
+        "public = 6\n"
+        "def _helper():\n"
+        "    return _LIMIT + _B\n"
+        "def _dead():\n"
+        "    return _helper()\n"
+        "class _Dead:\n"
+        "    pass\n"
+        "class _Read:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\nvalue = a._Read\n_C = 7\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert dead_definitions(paths, tmp_path) == [
+        "a.py:2: _A",
+        "a.py:2: _C",
+        "a.py:3: _typed",
+        "a.py:8: _dead",
+        "a.py:10: _Dead",
+        "b.py:3: _C",
+    ]

@@ -310,9 +310,9 @@ def test_batch_expands_each_broadcast_component_once(monkeypatch):
     cat_crb_batch(SpinJ(2), Generator.Y, theta[:10, None], theta, 0.5, 1.5)
     assert sorted(expanded) == [10, 40]
     expanded.clear()
-    # no component is shared: both expanded chunk by chunk, as one pass
+    # no component is shared: each expanded chunk by chunk
     cat_crb_batch(SpinJ(2), Generator.Y, theta, theta[::-1], 0.5, theta)
-    assert expanded == [80]
+    assert expanded == [40, 40]
     expanded.clear()
     # the second component broadcasts to more points than one chunk holds
     wide = np.linspace(0.0, math.pi, metrology.batch_cells(SpinJ(2)) + 1)

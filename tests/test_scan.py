@@ -347,6 +347,14 @@ def test_scan_spec_refuses_bool_caps(cap):
         spec(cap=cap)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_scan_spec_refuses_bool_phases(flag):
+    with pytest.raises(ValueError, match="phi1 must be a number, not a bool"):
+        spec(phi1=flag)
+    with pytest.raises(ValueError, match="phi2 must be a number, not a bool"):
+        spec(phi2=flag)
+
+
 # ---------------------------------------------------------------------------
 # line objective: _objective along one angle, with the fixed factors cached
 
