@@ -9,7 +9,8 @@ angles (theta1, theta2, phi1, phi2) and the formula on that surface.
 closed_form(case, **params) evaluates one case at checked parameters, and
 sweep_family compares a row's formula against the numeric engine at every
 point of a grid on its constraint surface. crb_half_z and crb_half_x are
-the general four-angle spin-1/2 forms that the spin-1/2 rows restrict.
+the general four-angle spin-1/2 forms; they check their angles, and the
+spin-1/2 rows restrict their unchecked cores.
 
 Conventions shared with the engine: a bound is returned as a float, with
 +inf standing for a diverging bound (vanishing Fisher information). A
@@ -105,6 +106,16 @@ def _sqrt_ratio(num: float, den: float) -> float:
     return _extended(math.sqrt(num / den))
 
 
+def _checked(theta1, theta2, phi1, phi2) -> tuple[float, float, float, float]:
+    """The four cat angles as floats, each checked by its own name."""
+    return (
+        check_theta(theta1, "theta1"),
+        check_theta(theta2, "theta2"),
+        check_phi(phi1, "phi1"),
+        check_phi(phi2, "phi2"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # spin-1/2, generator Jz
 
@@ -116,10 +127,13 @@ def crb_half_z(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
 
     with ck = cos(tk/2), sk = sin(tk/2). The denominator bracket is
     evaluated as 2(s1-s2)^2 + 4(1+cos dphi) s1 s2, an exact half-angle
-    identity that avoids cancellation near the dphi = pi diagonal.
+    identity that avoids cancellation near the dphi = pi diagonal. Each
+    angle is checked as closed_form checks it; a bad one raises ValueError.
     """
-    theta1 = check_theta(theta1, "theta1")
-    theta2 = check_theta(theta2, "theta2")
+    return _half_z(*_checked(theta1, theta2, phi1, phi2))
+
+
+def _half_z(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
     c1, c2 = math.cos(theta1 / 2), math.cos(theta2 / 2)
     s1, s2 = math.sin(theta1 / 2), math.sin(theta2 / 2)
     cphi = math.cos(phi1 - phi2)
@@ -174,10 +188,13 @@ def crb_half_x(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
               / (1 + c1 c2 + cos(phi1-phi2) s1 s2)^2 ]^(-1/2)
 
     Both phases enter individually: the bound hits the Heisenberg limit
-    exactly on cos(phi1) s1 + cos(phi2) s2 = 0.
+    exactly on cos(phi1) s1 + cos(phi2) s2 = 0. Each angle is checked as
+    closed_form checks it; a bad one raises ValueError.
     """
-    theta1 = check_theta(theta1, "theta1")
-    theta2 = check_theta(theta2, "theta2")
+    return _half_x(*_checked(theta1, theta2, phi1, phi2))
+
+
+def _half_x(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
     c1, c2 = math.cos(theta1 / 2), math.cos(theta2 / 2)
     s1, s2 = math.sin(theta1 / 2), math.sin(theta2 / 2)
     half_norm = 1.0 + c1 * c2 + math.cos(phi1 - phi2) * s1 * s2
@@ -321,7 +338,7 @@ FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
             Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], *_GENERAL_Z_PHASES),
-            lambda p: crb_half_z(p["theta1"], p["theta2"], *_GENERAL_Z_PHASES),
+            lambda p: _half_z(p["theta1"], p["theta2"], *_GENERAL_Z_PHASES),
         ),
         FamilyDefinition(
             ClosedFormCase.HALF_Z_MIRROR,
@@ -369,7 +386,7 @@ FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
             Generator.X,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], *_GENERAL_X_PHASES),
-            lambda p: crb_half_x(p["theta1"], p["theta2"], *_GENERAL_X_PHASES),
+            lambda p: _half_x(p["theta1"], p["theta2"], *_GENERAL_X_PHASES),
         ),
         FamilyDefinition(
             ClosedFormCase.HALF_X_PHI2HALF,
@@ -377,7 +394,7 @@ FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
             Generator.X,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, HALF_PI),
-            lambda p: crb_half_x(p["theta1"], p["theta2"], 0.0, HALF_PI),
+            lambda p: _half_x(p["theta1"], p["theta2"], 0.0, HALF_PI),
         ),
         FamilyDefinition(
             ClosedFormCase.HALF_X_EQUALTHETA,

@@ -46,7 +46,10 @@ class SpinJ:
 
     @classmethod
     def from_j(cls, j: float) -> "SpinJ":
-        """Build from j itself (0.5, 1, 1.5, ...); j must be a finite half-integer."""
+        """Build from j itself (0.5, 1, 1.5, ...); j must be a finite
+        half-integer, and not a bool."""
+        if isinstance(j, (bool, np.bool_)):
+            raise ValueError(f"j must be a number, not a bool, got {j!r}")
         if not math.isfinite(j):
             raise ValueError(f"j must be finite, got {j!r}")
         two_j = round(2 * j)

@@ -20,7 +20,8 @@ once per line, it checks the three fixed angles, expands the component
 they fix and caches the other component's factor that the moving angle
 leaves alone: its phases exp(phi (-ik)) on a theta line, its magnitudes
 sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k on a phi line. Each call
-checks and expands only the moving factor.
+takes one value of the moving angle per cat, and checks and expands only
+the moving factor.
 
 Both run one chunk loop, _evaluate: each tells it how to produce the two
 components of a slice of cats, and it adds them, takes the QFI of each
@@ -393,12 +394,14 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
 
 
 def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
-    """Bounds along angle k of each cat of base -> line(values, rows).
+    """Bounds along angle k of each cat of base -> line(values).
 
     base is an (m, 4) array of points (theta1, theta2, phi1, phi2) and k
-    the index of the angle a line search moves. line(values, rows) returns
-    (qfi, crb, degenerate) of the cats base[rows] with angle k set to
-    values, bit for bit what cat_crb_batch gives on those points.
+    in range(4) the index of the angle a line search moves. line(values)
+    takes one value per row of base and returns (qfi, crb, degenerate) of
+    those cats with angle k set to the values, bit for bit what
+    cat_crb_batch gives on those points. Any other k, base shape or
+    number of values raises ValueError.
 
     The three fixed angles are checked when the line is built, and a bad
     one raises ValueError then. The component they fix is expanded once,
@@ -408,9 +411,15 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     and multiplies it into the cached one, through the chunk loop of
     cat_crb_batch. The two caches hold 2 m (2j + 1) amplitudes.
     """
+    if k not in range(4):
+        raise ValueError(f"k must be an angle index in range(4), got {k!r}")
+    points = np.asarray(base, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 4:
+        raise ValueError(f"base must be an (m, 4) array of points, got shape {points.shape}")
+    m = len(points)
     table = _kernel_table(j, g)
     fixed = tuple(i for i in range(4) if i != k)
-    angles = np.asarray(base, dtype=float).T[list(fixed)]
+    angles = points.T[list(fixed)]
     _check_angles(angles, fixed)
     held = dict(zip(fixed, angles))
     moved = k % 2  # the component angle k belongs to
@@ -421,18 +430,19 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
         move, factor = _phases, _magnitudes(table, held[k - 2])
     step = batch_cells(j)
 
-    def line(values, rows):
-        moving = np.array(values, dtype=float).reshape(1, -1)
-        _check_angles(moving, (k,))
-        moving = moving[0]
+    def line(values):
+        moving = np.array(values, dtype=float)
+        if moving.shape != (m,):
+            raise ValueError(f"line takes {m} values, one per point, got shape {moving.shape}")
+        _check_angles(moving[None], (k,))
         # complex products and sums commute exactly, so neither the order
         # of the two factors nor that of the two components moves a bit
         return _evaluate(
             table,
             step,
-            moving.size,
-            lambda part: move(table, moving[part]) * factor[rows[part]],
-            lambda part: other[rows[part]],
+            m,
+            lambda part: move(table, moving[part]) * factor[part],
+            lambda part: other[part],
         )
 
     return line

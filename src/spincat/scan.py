@@ -9,16 +9,16 @@ the batched kernel cat_crb_batch a block of rows at a time.
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
 cyclic coordinate descent with golden-section line minimization. The seed
-grid is one cat_crb_batch call, and all seeds are polished in lockstep.
-Each line search moves one angle of every seed still sweeping, and runs on
-one cat_crb_line built for it: the cat component the three fixed angles
-determine, and the factor of the other that the moving angle leaves alone,
-are expanded once per line, so each golden-section step expands only the
-moving factor of the next point of every seed still searching. The caches
-hold 2 m (2j + 1) amplitudes for m seeds, about 5.4 MB at MAX_SEEDS and
-2j = 64. The golden-section state is kept only for the seeds still
-searching and updated with np.where, so the search costs little beyond its
-kernel calls. One last cat_crb_batch call over the polished points decides
+grid is one cat_crb_batch call, its values are where the polish starts,
+and all seeds are polished in lockstep. Each line search moves one angle
+of every seed still sweeping, and runs on one cat_crb_line built for it:
+the cat component the three fixed angles determine, and the factor of the
+other that the moving angle leaves alone, are expanded once per line, so
+each golden-section step expands only the moving factor of the next point
+of every seed. The caches hold 2 m (2j + 1) amplitudes for m seeds, about
+5.4 MB at MAX_SEEDS and 2j = 64. Every bracket of a line closes on the
+same step (see _golden_min), so the search keeps no per-seed closing
+state. One last cat_crb_batch call over the polished points decides
 acceptance, and it reproduces the line searches' values bit for bit. Each
 seed takes exactly the steps it would take searched on its own, so the
 search is exact-arithmetic deterministic: same spec, same result.
@@ -291,17 +291,17 @@ def _objective(j: SpinJ, g: Generator, points: np.ndarray) -> np.ndarray:
 
 
 def _line_objective(j: SpinJ, g: Generator, base: np.ndarray, k: int):
-    """_objective along angle k of each row of base -> line(v, rows).
+    """_objective along angle k of each row of base -> line(v).
 
-    line(v, rows) is _objective at the points base[rows] with angle k set
-    to v, bit for bit, through cat_crb_line: the cat component angle k
-    leaves fixed, and the factor of the other that it leaves alone, are
-    expanded once per line instead of once per step.
+    line(v) is _objective at the points of base with angle k set to v, one
+    value per row, bit for bit, through cat_crb_line: the cat component
+    angle k leaves fixed, and the factor of the other that it leaves
+    alone, are expanded once per line instead of once per step.
     """
     crb_line = cat_crb_line(j, g, base, k)
 
-    def line(v, rows):
-        _, crb, degenerate = crb_line(v, rows)
+    def line(v):
+        _, crb, degenerate = crb_line(v)
         return np.where(degenerate, math.inf, crb)
 
     return line
@@ -310,61 +310,48 @@ def _line_objective(j: SpinJ, g: Generator, base: np.ndarray, k: int):
 def _golden_min(line, n: int, lo: float, hi: float):
     """Golden-section minima of n line objectives on [lo, hi], in lockstep.
 
-    line(v, rows) returns the objective of each listed row at its abscissa
-    in v. Every row keeps its own bracket and stops once it is no wider
-    than _BRACKET_TOL; each step makes one line call holding the next point
-    of every row still running. A row's arithmetic is that of a search on
-    its own, so it takes the same steps whichever rows share its calls.
-
-    The bracket state (a, b, c, d, fc, fd) is held only for the rows still
-    running, and each step updates all of it with np.where; a row's result
-    is written out when its bracket closes, and the state is compacted.
+    line(v) returns the objective of each row at its abscissa in v, and
+    each step makes one line call holding the next point of every row.
+    Every row starts on the same bracket and shrinks it by the golden
+    ratio at each step, so all brackets close on the same step whichever
+    branches the rows take: on the two _BOUNDS brackets the widths of the
+    last two steps lie at least 9% either side of _BRACKET_TOL, far beyond
+    the roundoff of b - a, and a line takes 62 calls on [0, pi] and 64 on
+    [0, 2 pi]. So the loop runs until the widest bracket closes, and a
+    row's arithmetic is that of a search on its own, bit for bit.
     -> (argmin, min) arrays of length n.
     """
-    xmin = np.empty(n)
-    fmin = np.empty(n)
-    rows = np.arange(n)
     a = np.full(n, lo)
     b = np.full(n, hi)
     h = b - a
     c = b - _INVPHI * h
     d = a + _INVPHI * h
-    both = line(np.concatenate([c, d]), np.concatenate([rows, rows]))
-    fc, fd = both[:n], both[n:]
-    while rows.size:
-        if np.minimum.reduce(h) <= _BRACKET_TOL:
-            closed = h <= _BRACKET_TOL
-            lower = fc < fd
-            xmin[rows[closed]] = np.where(lower, c, d)[closed]
-            fmin[rows[closed]] = np.where(lower, fc, fd)[closed]
-            run = ~closed
-            rows, a, b, c, d, fc, fd = (v[run] for v in (rows, a, b, c, d, fc, fd))
-            if not rows.size:
-                break
+    fc, fd = line(c), line(d)
+    while np.maximum.reduce(h, initial=0.0) > _BRACKET_TOL:
         # left: the minimum is bracketed by [a, d]; right: by [c, b]
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         h = b - a
         step = _INVPHI * h
         new = np.where(left, b - step, a + step)
-        vals = line(new, rows)
+        vals = line(new)
         c, d = np.where(left, new, d), np.where(left, c, new)
         fc, fd = np.where(left, vals, fd), np.where(left, fc, vals)
-    return xmin, fmin
+    lower = fc < fd
+    return np.where(lower, c, d), np.where(lower, fc, fd)
 
 
-def _polish(f, line_for, starts):
+def _polish(line_for, starts, values):
     """Cyclic coordinate descent from every start at once.
 
-    f maps an (m, 4) array of points to m objective values, and
-    line_for(base, k) gives the objective along angle k of each row of
-    base as a line(v, rows) of _golden_min. A row stops sweeping after the
-    first sweep that improves it by less than 1e-13, and every row after
-    _MAX_SWEEPS sweeps.
+    values holds the objective at each start, and line_for(base, k) gives
+    the objective along angle k of each row of base as a line(v) of
+    _golden_min. A row stops sweeping after the first sweep that improves
+    it by less than 1e-13, and every row after _MAX_SWEEPS sweeps.
     -> (x, best): the polished points and their objective values.
     """
     x = np.array(starts, dtype=float)
-    best = f(x)
+    best = np.array(values, dtype=float)
     live = np.arange(len(x))
     for _ in range(_MAX_SWEEPS):
         before = best[live]
@@ -379,9 +366,9 @@ def _polish(f, line_for, starts):
     return x, best
 
 
-def _seed_starts(f, seeds: int) -> np.ndarray:
+def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     """The seeds best finite points of the coarse grid, ranked by
-    (value, theta1, theta2, phi1, phi2)."""
+    (value, theta1, theta2, phi1, phi2) -> (starts, values)."""
     thetas = math.pi * np.arange(9) / 8
     phis = math.pi * np.arange(8) / 4
     grid = np.stack(
@@ -390,18 +377,19 @@ def _seed_starts(f, seeds: int) -> np.ndarray:
     vals = f(grid)
     keep = np.isfinite(vals)
     grid, vals = grid[keep], vals[keep]
-    order = np.lexsort((grid[:, 3], grid[:, 2], grid[:, 1], grid[:, 0], vals))
-    return grid[order[:seeds]]
+    order = np.lexsort((grid[:, 3], grid[:, 2], grid[:, 1], grid[:, 0], vals))[:seeds]
+    return grid[order], vals[order]
 
 
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
     The MAX_SEEDS-point seed grid is evaluated in one cat_crb_batch call
-    and the best spec.seeds points are polished together, each line search
-    on one cat_crb_line that expands the factors it leaves fixed once. One
-    final cat_crb_batch call over the polished points gives the values
-    that decide acceptance, the same bits the line searches found.
+    and the best spec.seeds points are polished together from the grid's
+    values, each line search on one cat_crb_line that expands the factors
+    it leaves fixed once. One final cat_crb_batch call over the polished
+    points gives the values that decide acceptance, the same bits the line
+    searches found.
     Returns accepted points sorted by (crb, theta1, theta2, phi1, phi2);
     raises NoHlFoundError when no polished seed reaches the target within
     the acceptance slack.
@@ -410,7 +398,7 @@ def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     line_for = functools.partial(_line_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
     found: dict[tuple, HlPoint] = {}
-    xs, _ = _polish(objective, line_for, _seed_starts(objective, spec.seeds))
+    xs, _ = _polish(line_for, *_seed_starts(objective, spec.seeds))
     vals = objective(xs)
     for x, val in zip(xs.tolist(), vals.tolist()):
         if val <= accept:

@@ -14,7 +14,7 @@ from spincat import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from bench import spans  # noqa: E402
+from bench import spans, workloads  # noqa: E402
 
 
 def test_tracer_counts_formula_calls_and_restores_everything(capsys):
@@ -55,3 +55,14 @@ def test_tracer_sees_the_cli_call_edge(capsys, tmp_path, argv, span):
     capsys.readouterr()
     assert code == 0
     assert tracer.summary().count(span) == 1
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_each_workload_passes_its_own_checks(name, tmp_path):
+    # one untimed pass of the benchmark's job and its output checks: a change
+    # that fails the benchmark's correctness gate fails here first
+    wl = workloads.WORKLOADS[name](1, tmp_path)
+    tally = workloads.Tally()
+    wl.check(wl.run_pass(workloads.make_api()), tally)
+    assert tally.attempted > 0
+    assert tally.failed == 0, tally.messages

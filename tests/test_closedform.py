@@ -147,6 +147,27 @@ def test_closed_form_refuses_bool_angles(flag):
         closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=0.5, theta2=flag)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (math.nan, "must be finite"),
+        (math.inf, "must be finite"),
+        (-math.inf, "must be finite"),
+        (True, "must be a number, not a bool"),
+        (np.True_, "must be a number, not a bool"),
+    ],
+)
+@pytest.mark.parametrize("position", [2, 3])
+@pytest.mark.parametrize("formula", [crb_half_z, crb_half_x], ids=lambda f: f.__name__)
+def test_general_forms_check_both_phases(formula, position, bad, message):
+    # unchecked, nan came back as a divergent bound, inf raised a bare
+    # math domain error and True passed as a phase of 1.0
+    angles = [0.7, 1.9, 0.4, 2.2]
+    angles[position] = bad
+    with pytest.raises(ValueError, match=f"phi{position - 1} {message}"):
+        formula(*angles)
+
+
 def test_sweep_rejects_tiny_resolution():
     with pytest.raises(ValueError):
         sweep_family(ClosedFormCase.HALF_Z_PHI0, 1)

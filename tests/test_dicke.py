@@ -114,3 +114,10 @@ def test_dicke_vector_validation():
 def test_from_j_rejects_a_non_finite_spin(j):
     with pytest.raises(ValueError, match="finite"):
         SpinJ.from_j(j)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_from_j_refuses_bools(flag):
+    # True would pass as spin 1, although SpinJ(True) raises
+    with pytest.raises(ValueError, match="j must be a number, not a bool"):
+        SpinJ.from_j(flag)

@@ -26,7 +26,7 @@ from spincat import (
     qfi_sld_oracle,
 )
 import spincat.metrology as metrology
-from spincat.metrology import FD_STEP_MAX, FD_STEP_MIN, QFI_DIVERGENCE_FLOOR
+from spincat.metrology import FD_STEP_MAX, FD_STEP_MIN, QFI_DIVERGENCE_FLOOR, cat_crb_line
 
 from support import random_cat
 
@@ -598,3 +598,35 @@ def test_batch_qfi_bits_are_pinned(two_j, gen):
     assert degenerate.tolist() == [i == 3 for i in range(10)]
     assert math.isinf(bound["zxy".index(gen)])
 
+
+# ---------------------------------------------------------------------------
+# cat_crb_line input checks
+
+_LINE_BASE = np.array([[0.4, 2.1, 0.3, 5.0], [1.2, 0.8, 4.0, 1.1]])
+
+
+@pytest.mark.parametrize("k", [-1, 4, 5, 1.5])
+def test_line_refuses_an_angle_index_outside_range_4(k):
+    # -1, 4 and 5 used to give finite bounds built from the wrong angles
+    with pytest.raises(ValueError, match=r"k must be an angle index in range\(4\)"):
+        cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, k)
+
+
+@pytest.mark.parametrize(
+    "base", [_LINE_BASE[0], _LINE_BASE[:, :3], _LINE_BASE[..., None], np.zeros(0)],
+    ids=["one point", "three angles", "3-d", "empty 1-d"],
+)
+def test_line_refuses_a_base_that_is_not_m_by_4(base):
+    with pytest.raises(ValueError, match=r"base must be an \(m, 4\) array"):
+        cat_crb_line(SpinJ(2), Generator.Y, base, 1)
+
+
+@pytest.mark.parametrize("values", [[0.3], [0.3, 0.4, 0.5], [[0.3, 0.4]], 0.3])
+def test_line_takes_one_value_per_point(values):
+    line = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, 1)
+    with pytest.raises(ValueError, match="line takes 2 values, one per point"):
+        line(values)
+    points = _LINE_BASE.copy()
+    points[:, 1] = (0.3, 0.4)
+    for got, want in zip(line([0.3, 0.4]), cat_crb_batch(SpinJ(2), Generator.Y, *points.T)):
+        assert got.tobytes() == want.tobytes()

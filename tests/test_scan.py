@@ -335,7 +335,7 @@ def test_specs_store_the_floats_they_validate():
 def test_max_seeds_is_the_size_of_the_seed_grid():
     import spincat.scan as scan_mod
 
-    starts = scan_mod._seed_starts(lambda grid: np.zeros(len(grid)), MAX_SEEDS + 1)
+    starts, _ = scan_mod._seed_starts(lambda grid: np.zeros(len(grid)), MAX_SEEDS + 1)
     assert starts.shape == (MAX_SEEDS, 4)
     assert len(np.unique(starts, axis=0)) == MAX_SEEDS
 
@@ -391,17 +391,18 @@ def test_line_objective_matches_the_objective_on_trial_points(monkeypatch, two_j
     monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
     j = SpinJ(two_j)
     base, rows, values = _line_case(two_j)
-    kept = base.copy()
+    points = base[rows]
+    kept = points.copy()
     for k in range(4):
         v = np.array(values[k])
-        trial = base[rows]
+        trial = points.copy()
         trial[:, k] = v
         expected = scan_mod._objective(j, gen, trial)
-        got = scan_mod._line_objective(j, gen, base, k)(v, rows)
+        got = scan_mod._line_objective(j, gen, points, k)(v)
         assert got.tobytes() == expected.tobytes(), k
         assert math.isinf(got[0])  # the degenerate cat
         # the caller's points and abscissae are not clamped or reduced in place
-        assert np.array_equal(v, values[k]) and base.tobytes() == kept.tobytes()
+        assert np.array_equal(v, values[k]) and points.tobytes() == kept.tobytes()
     _, _, degenerate = metrology.cat_crb_batch(j, gen, *base[0])
     assert degenerate
 
@@ -433,7 +434,7 @@ def test_line_objective_raises_as_the_objective_does(two_j, where, bad, k):
     trial[:, k] = v
     expected = _error_text(lambda: scan_mod._objective(j, gen, trial))
     assert expected.startswith("theta must" if where < 2 else "phi must")
-    assert _error_text(lambda: scan_mod._line_objective(j, gen, base, k)(v, rows)) == expected
+    assert _error_text(lambda: scan_mod._line_objective(j, gen, base[rows], k)(v)) == expected
 
 
 @pytest.mark.parametrize(
@@ -449,5 +450,36 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
     j, g = SpinJ(two_j), Generator[gen]
     objective = functools.partial(scan_mod._objective, j, g)
     line_for = functools.partial(scan_mod._line_objective, j, g)
-    xs, best = scan_mod._polish(objective, line_for, scan_mod._seed_starts(objective, 16))
+    xs, best = scan_mod._polish(line_for, *scan_mod._seed_starts(objective, 16))
     assert objective(xs).tobytes() == best.tobytes()
+
+
+def _wave(x, row):
+    # a triangle wave of period 2e-7 in x, shifted by row / 128 periods
+    # of 2; exactly rounded operations only, so a float and an array entry
+    # agree bit for bit
+    return abs((1e7 * x + row / 128) % 2.0 - 1.0)
+
+
+@pytest.mark.parametrize("lo,hi,calls", [(0.0, PI, 62), (0.0, 2 * PI, 64)])
+def test_lockstep_brackets_close_on_the_same_step(lo, hi, calls):
+    # _golden_min stops every row once the widest bracket closes; rows of
+    # a rapidly oscillating objective take different branches, and each
+    # must still take exactly the steps of a search on its own
+    import spincat.scan as scan_mod
+    from support import _golden_min as golden_min_one
+
+    assert (lo, hi) in scan_mod._BOUNDS
+    rows = np.arange(256)
+    sizes = []
+
+    def line(v):
+        sizes.append(len(v))
+        return _wave(v, rows)
+
+    x, f = scan_mod._golden_min(line, len(rows), lo, hi)
+    assert sizes == [len(rows)] * calls
+    assert len(set(x.tolist())) > 200  # the rows went their own ways
+    for row in rows.tolist():
+        want = golden_min_one(lambda v: _wave(v, row), lo, hi)
+        assert (x[row].hex(), f[row].hex()) == (want[0].hex(), want[1].hex()), row
