@@ -607,7 +607,7 @@ def sweep_family(case: ClosedFormCase, resolution: int = 50) -> SweepReport:
     resolution is points per free parameter, 2 <= resolution <=
     MAX_RESOLUTION; one-parameter families take resolution**2 points.
     """
-    check_resolution(resolution)
+    resolution = check_resolution(resolution)
     defn = FAMILIES[case]
     points = finite = mismatches = 0
     worst = 0.0

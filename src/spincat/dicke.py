@@ -47,11 +47,16 @@ class SpinJ:
     @classmethod
     def from_j(cls, j: float) -> "SpinJ":
         """Build from j itself (0.5, 1, 1.5, ...); j must be a finite
-        half-integer, and not a bool."""
+        half-integer in [1/2, MAX_TWO_J / 2], and not a bool."""
         if isinstance(j, (bool, np.bool_)):
             raise ValueError(f"j must be a number, not a bool, got {j!r}")
-        if not math.isfinite(j):
+        # comparisons, unlike math.isfinite, take an int of any size
+        if not -math.inf < j < math.inf:
             raise ValueError(f"j must be finite, got {j!r}")
+        # checked before round(2 * j), which overflows for a huge j, with the
+        # half-integer test's slack
+        if not 1 - 1e-9 <= 2 * j <= MAX_TWO_J + 1e-9:
+            raise ValueError(f"j must lie in [1/2, {MAX_TWO_J // 2}], got {j!r}")
         two_j = round(2 * j)
         if abs(2 * j - two_j) > 1e-9:
             raise ValueError(f"j must be a half-integer, got {j!r}")
@@ -78,7 +83,7 @@ def _as_unit_amplitudes(dim: int, amps) -> np.ndarray:
     if arr.shape != (dim,):
         raise ValueError(f"expected {dim} amplitudes, got shape {arr.shape}")
     nrm = math.sqrt(np.vdot(arr, arr).real)
-    if abs(nrm - 1.0) > _NORM_TOL:
+    if not abs(nrm - 1.0) <= _NORM_TOL:  # nan fails, too
         raise ValueError(f"amplitudes are not unit norm (|psi| = {nrm!r})")
     arr = arr.copy()
     arr.flags.writeable = False

@@ -16,12 +16,12 @@ across the batch, such as each axis of a (theta1, theta2) grid at fixed
 phases, is expanded once per distinct point instead of once per cat.
 
 cat_crb_line serves line searches that move one angle of many cats. Built
-once per line, it checks the three fixed angles, expands the component
-they fix and caches the other component's factor that the moving angle
-leaves alone: its phases exp(phi (-ik)) on a theta line, its magnitudes
+once per line, it expands the component the three fixed angles fix and
+caches the factor of the other that the moving angle leaves alone: its
+phases exp(phi (-ik)) on a theta line, its magnitudes
 sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k on a phi line. Each call
-takes one value of the moving angle per cat, and checks and expands only
-the moving factor.
+expands only the moving factor, and checks the line's whole (4, m) block
+of points with the call cat_crb_batch makes.
 
 Both run one chunk loop, _evaluate: each tells it how to produce the two
 components of a slice of cats, and it adds them, takes the QFI of each
@@ -219,38 +219,35 @@ def _kernel_table(j: SpinJ, g: Generator) -> _KernelTable:
     return _KernelTable(k, rest, roots, minus_ik, bands)
 
 
-def _check_angles(angles: np.ndarray, inputs: tuple[int, ...] = (0, 1, 2, 3)) -> None:
-    """Check the rows of angles over the batch as CoherentParams does, then
-    clamp theta onto [0, pi] and reduce phi modulo 2 pi, in place, each
-    only where a value needs it.
+def _check_angles(angles: np.ndarray) -> None:
+    """Check a (4, n) block of points (theta1, theta2, phi1, phi2) as
+    CoherentParams does, then clamp theta onto [0, pi] and reduce phi
+    modulo 2 pi, in place, each only where a value needs it. Both kernels
+    check with it: cat_crb_batch its batch, cat_crb_line its (4, m) block.
 
-    inputs names the input each row holds, in increasing order: 0 theta1,
-    1 theta2, 2 phi1, 3 phi2. One min and one max per row decide whether
-    anything is out of range; only then is the first bad value looked for,
-    theta1 before theta2 before phi1 before phi2. A value is checked,
-    clamped and reduced the same whichever rows or cats share the call.
+    Only when the min or max of a row is out of range is the first bad
+    value looked for, theta1 before theta2 before phi1 before phi2; a
+    value is checked, clamped and reduced the same whichever cats share the call.
     """
     # initial values inside every range keep an empty batch valid
     los = np.minimum.reduce(angles, axis=1, initial=math.pi).tolist()
     his = np.maximum.reduce(angles, axis=1, initial=0.0).tolist()
-    thetas = [r for r, i in enumerate(inputs) if i < 2]
-    phis = [r for r, i in enumerate(inputs) if i >= 2]
     # nan fails every comparison, so it is caught with the out-of-range values
-    for r in thetas:
+    for r in (0, 1):
         if not (los[r] >= -_THETA_SLACK and his[r] <= _THETA_TOP):
-            theta = angles[thetas].ravel()
+            theta = angles[:2].ravel()
             bad = ~((theta >= -_THETA_SLACK) & (theta <= _THETA_TOP))
             raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad][0])!r}")
-    for r in phis:
+    for r in (2, 3):
         if not (-math.inf < los[r] and his[r] < math.inf):
-            phi = angles[phis].ravel()
+            phi = angles[2:].ravel()
             raise ValueError(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])!r}")
     # values already in range are left as np.clip and np.mod would leave
     # them (np.mod turns -0.0 into 0.0, which gives the kernel the same bits)
-    for r in thetas:
+    for r in (0, 1):
         if los[r] < 0.0 or his[r] > math.pi:
             np.clip(angles[r], 0.0, math.pi, out=angles[r])
-    for r in phis:
+    for r in (2, 3):
         if los[r] < 0.0 or his[r] >= TWO_PI:
             np.mod(angles[r], TWO_PI, out=angles[r])
 
@@ -396,52 +393,50 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
 def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     """Bounds along angle k of each cat of base -> line(values).
 
-    base is an (m, 4) array of points (theta1, theta2, phi1, phi2) and k
-    in range(4) the index of the angle a line search moves. line(values)
-    takes one value per row of base and returns (qfi, crb, degenerate) of
-    those cats with angle k set to the values, bit for bit what
-    cat_crb_batch gives on those points. Any other k, base shape or
-    number of values raises ValueError.
+    base is an (m, 4) array of points (theta1, theta2, phi1, phi2) and k,
+    an int in range(4), the index of the angle a line search moves.
+    line(values) takes one value per row of base and returns (qfi, crb,
+    degenerate) of those cats with angle k set to the values, bit for bit
+    what cat_crb_batch gives on those points. Any other k (a bool too),
+    base shape or number of values raises ValueError.
 
-    The three fixed angles are checked when the line is built, and a bad
-    one raises ValueError then. The component they fix is expanded once,
-    and so is the factor of the moving component that angle k leaves
-    alone: its phases on a theta line, its magnitudes on a phi line. A call
-    checks only values, by the same rules, computes only the moving factor
-    and multiplies it into the cached one, through the chunk loop of
-    cat_crb_batch. The two caches hold 2 m (2j + 1) amplitudes.
+    The line keeps its points as one (4, m) block and checks it with the
+    call cat_crb_batch makes: when it is built, so a bad angle of base
+    raises then, and at every call, with the values in row k. The fixed
+    component is expanded once, and so is the factor of the moving one
+    that angle k leaves alone: its phases on a theta line, its magnitudes
+    on a phi line. A call computes only the moving factor, through the
+    chunk loop of cat_crb_batch. The caches hold 2 m (2j + 1) amplitudes.
     """
-    if k not in range(4):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in range(4):
         raise ValueError(f"k must be an angle index in range(4), got {k!r}")
     points = np.asarray(base, dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"base must be an (m, 4) array of points, got shape {points.shape}")
     m = len(points)
+    block = points.T.copy()
+    _check_angles(block)
     table = _kernel_table(j, g)
-    fixed = tuple(i for i in range(4) if i != k)
-    angles = points.T[list(fixed)]
-    _check_angles(angles, fixed)
-    held = dict(zip(fixed, angles))
     moved = k % 2  # the component angle k belongs to
-    other = _coherent_rows(table, held[1 - moved], held[3 - moved])
+    other = _coherent_rows(table, block[1 - moved], block[3 - moved])
     if k < 2:
-        move, factor = _magnitudes, _phases(table, held[k + 2])
+        move, factor = _magnitudes, _phases(table, block[k + 2])
     else:
-        move, factor = _phases, _magnitudes(table, held[k - 2])
-    step = batch_cells(j)
+        move, factor = _phases, _magnitudes(table, block[k - 2])
 
     def line(values):
-        moving = np.array(values, dtype=float)
-        if moving.shape != (m,):
-            raise ValueError(f"line takes {m} values, one per point, got shape {moving.shape}")
-        _check_angles(moving[None], (k,))
+        if np.shape(values) != (m,):
+            raise ValueError(f"line takes {m} values, one per point, got shape {np.shape(values)}")
+        block[k] = values
+        # the fixed rows stay as the caches read them, bar a phi reduced to 2 pi
+        _check_angles(block)
         # complex products and sums commute exactly, so neither the order
         # of the two factors nor that of the two components moves a bit
         return _evaluate(
             table,
-            step,
+            batch_cells(j),
             m,
-            lambda part: move(table, moving[part]) * factor[part],
+            lambda part: move(table, block[k, part]) * factor[part],
             lambda part: other[part],
         )
 

@@ -9,24 +9,25 @@ the batched kernel cat_crb_batch a block of rows at a time.
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
 cyclic coordinate descent with golden-section line minimization. The seed
-grid is one cat_crb_batch call, its values are where the polish starts,
-and all seeds are polished in lockstep. Each line search moves one angle
-of every seed still sweeping, and runs on one cat_crb_line built for it:
-the cat component the three fixed angles determine, and the factor of the
-other that the moving angle leaves alone, are expanded once per line, so
-each golden-section step expands only the moving factor of the next point
-of every seed. The caches hold 2 m (2j + 1) amplitudes for m seeds, about
+grid is the search's one cat_crb_batch call, and all seeds are polished
+in lockstep from its values. Each line search moves one angle of every
+seed still sweeping, and runs on one cat_crb_line built for it: the cat
+component the three fixed angles determine, and the factor of the other
+that the moving angle leaves alone, are expanded once per line, so each
+golden-section step expands only the moving factor of the next point of
+every seed. The caches hold 2 m (2j + 1) amplitudes for m seeds, about
 5.4 MB at MAX_SEEDS and 2j = 64. Every bracket of a line closes on the
-same step (see _golden_min), so the search keeps no per-seed closing
-state. One last cat_crb_batch call over the polished points decides
-acceptance, and it reproduces the line searches' values bit for bit. Each
-seed takes exactly the steps it would take searched on its own, so the
-search is exact-arithmetic deterministic: same spec, same result.
+same step (see _golden_min). The values the polish ends on, the ones
+cat_crb_batch gives at the polished points, bit for bit, decide
+acceptance. Each seed takes exactly the steps it would take searched on
+its own, so the search is exact-arithmetic deterministic: same spec, same
+result.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO
 
@@ -37,8 +38,7 @@ import numpy as np
 from .catstate import CatParams  # noqa: F401
 from .coherent import CoherentParams, check_phi  # noqa: F401
 from .dicke import SpinJ
-from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch  # noqa: F401
-from .metrology import cat_crb_line
+from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch, cat_crb_line  # noqa: F401
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -69,13 +69,20 @@ class NoHlFoundError(RuntimeError):
     """No Heisenberg-limit point found within the requested tolerance."""
 
 
+def _integer(value) -> int | None:
+    """value as an int if it is an integer, NumPy's too, but not a bool; else None."""
+    ok = hasattr(type(value), "__index__") and not isinstance(value, (bool, np.bool_))
+    return operator.index(value) if ok else None
+
+
 def check_resolution(resolution) -> int:
-    """resolution, or ValueError unless it is an int in [2, MAX_RESOLUTION]."""
-    if not isinstance(resolution, int) or not 2 <= resolution <= MAX_RESOLUTION:
+    """resolution as an int, or ValueError unless it lies in [2, MAX_RESOLUTION]."""
+    value = _integer(resolution)
+    if value is None or not 2 <= value <= MAX_RESOLUTION:
         raise ValueError(
             f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}"
         )
-    return resolution
+    return value
 
 
 def check_cap(cap) -> float:
@@ -96,14 +103,15 @@ def check_tolerance(tolerance) -> float:
 
 
 def check_seeds(seeds) -> int:
-    """seeds, or ValueError unless it is an int, not a bool, in [1, MAX_SEEDS]."""
-    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
+    """seeds as an int, or ValueError unless it lies in [1, MAX_SEEDS]."""
+    value = _integer(seeds)
+    if value is None or value < 1:
         raise ValueError("seeds must be a positive integer")
-    if seeds > MAX_SEEDS:
+    if value > MAX_SEEDS:
         raise ValueError(
-            f"seeds must be at most {MAX_SEEDS}, the points of the seed grid, got {seeds}"
+            f"seeds must be at most {MAX_SEEDS}, the points of the seed grid, got {value}"
         )
-    return seeds
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ class ScanSpec:
     theta axes run over [0, pi] with resolution points: theta_a = a*pi/(res-1),
     2 <= resolution <= MAX_RESOLUTION.
     cap is the plotting/CSV ceiling; raw values are kept uncapped.
-    phi1, phi2 and cap are stored as the floats they are validated as.
+    phi1, phi2, cap (floats) and resolution (an int) are stored as validated.
     """
 
     j: SpinJ
@@ -130,7 +138,7 @@ class ScanSpec:
             raise TypeError("generator must be a Generator")
         for name in ("phi1", "phi2"):
             object.__setattr__(self, name, check_phi(getattr(self, name), name))
-        check_resolution(self.resolution)
+        object.__setattr__(self, "resolution", check_resolution(self.resolution))
         object.__setattr__(self, "cap", check_cap(self.cap))
 
     def theta_axis(self) -> np.ndarray:
@@ -233,10 +241,9 @@ class HlSearchSpec:
     """Search request: find cat angles whose bound reaches 1/(2j).
 
     tolerance is the relative acceptance slack (crb <= (1/(2j))(1+tol)),
-    stored as a float;
-    seeds is how many coarse-grid starts are polished, 1 <= seeds <=
-    MAX_SEEDS. Grid points with no finite bound are never started from,
-    so fewer may be polished.
+    stored as a float; seeds is how many coarse-grid starts are polished,
+    1 <= seeds <= MAX_SEEDS, stored as an int. Grid points with no finite
+    bound are never started from, so fewer may be polished.
     """
 
     j: SpinJ
@@ -250,7 +257,7 @@ class HlSearchSpec:
         if not isinstance(self.generator, Generator):
             raise TypeError("generator must be a Generator")
         object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
-        check_seeds(self.seeds)
+        object.__setattr__(self, "seeds", check_seeds(self.seeds))
 
     @property
     def target(self) -> float:
@@ -384,12 +391,10 @@ def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    The MAX_SEEDS-point seed grid is evaluated in one cat_crb_batch call
-    and the best spec.seeds points are polished together from the grid's
-    values, each line search on one cat_crb_line that expands the factors
-    it leaves fixed once. One final cat_crb_batch call over the polished
-    points gives the values that decide acceptance, the same bits the line
-    searches found.
+    The MAX_SEEDS-point seed grid is the search's one cat_crb_batch call,
+    and the best spec.seeds points are polished together from its values,
+    each line search on one cat_crb_line that expands the factors it
+    leaves fixed once; the values the polish ends on decide acceptance.
     Returns accepted points sorted by (crb, theta1, theta2, phi1, phi2);
     raises NoHlFoundError when no polished seed reaches the target within
     the acceptance slack.
@@ -398,8 +403,7 @@ def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     line_for = functools.partial(_line_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
     found: dict[tuple, HlPoint] = {}
-    xs, _ = _polish(line_for, *_seed_starts(objective, spec.seeds))
-    vals = objective(xs)
+    xs, vals = _polish(line_for, *_seed_starts(objective, spec.seeds))
     for x, val in zip(xs.tolist(), vals.tolist()):
         if val <= accept:
             key = tuple(round(v, 9) for v in x)

@@ -212,6 +212,15 @@ def test_non_finite_tol_exits_one_unrun(capsys, monkeypatch, tmp_path):
             ("crb", "--j", "1", "--gen", "z", "--theta1", "5", "--theta2", "zz"),
             "theta must lie in [0, pi], got 5.0",
         ),
+        # a spin too large to round, and one whose 2j has 201 digits
+        (
+            ("crb", "--j", "1e308", "--gen", "z", "--theta1", "0", "--theta2", "1"),
+            "invalid spin '1e308': j must lie in [1/2, 32], got 1e+308",
+        ),
+        (
+            ("scan", "--j", "1e200", "--gen", "z"),
+            "invalid spin '1e200': j must lie in [1/2, 32], got 1e+200",
+        ),
     ],
 )
 def test_several_errors_report_the_first_in_a_fixed_order(capsys, argv, message):

@@ -173,6 +173,13 @@ def test_sweep_rejects_tiny_resolution():
         sweep_family(ClosedFormCase.HALF_Z_PHI0, 1)
 
 
+def test_sweep_takes_a_numpy_integer_resolution():
+    case = ClosedFormCase.HALF_X_GENERAL
+    assert sweep_family(case, np.int64(7)) == sweep_family(case, 7)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        sweep_family(case, np.True_)
+
+
 def test_sweep_rejects_resolution_above_the_cap(monkeypatch):
     import spincat.closedform as closedform
 

@@ -1,5 +1,6 @@
 """Spin algebra and Dicke-basis plumbing."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,3 +122,26 @@ def test_from_j_refuses_bools(flag):
     # True would pass as spin 1, although SpinJ(True) raises
     with pytest.raises(ValueError, match="j must be a number, not a bool"):
         SpinJ.from_j(flag)
+
+
+@pytest.mark.parametrize(
+    "j,shown",
+    [(1e308, "1e+308"), (1e200, "1e+200"), (10**400, str(10**400)), (0, "0"), (-1, "-1"),
+     (33, "33"), (32.5, "32.5"), (0.25, "0.25")],
+    ids=["1e308", "1e200", "10**400", "0", "-1", "33", "32.5", "0.25"],
+)
+def test_from_j_names_a_spin_out_of_range(j, shown):
+    # 1e308 used to overflow round(2 * j), and 1e200 to name a 200-digit 2j
+    with pytest.raises(ValueError, match=rf"^j must lie in \[1/2, 32\], got {re.escape(shown)}$"):
+        SpinJ.from_j(j)
+    assert SpinJ.from_j(32) == SpinJ(64)
+
+
+@pytest.mark.parametrize(
+    "amps", [[math.nan, 0.0], [complex(0.0, math.nan), 0.0], [math.inf, 0.0]],
+    ids=["nan", "nan imaginary part", "inf"],
+)
+def test_dicke_vector_refuses_non_finite_amplitudes(amps):
+    # a nan norm fails every comparison, so it must fail the norm test too
+    with pytest.raises(ValueError, match="not unit norm"):
+        DickeVector(SpinJ(1), amps)

@@ -605,7 +605,7 @@ def test_batch_qfi_bits_are_pinned(two_j, gen):
 _LINE_BASE = np.array([[0.4, 2.1, 0.3, 5.0], [1.2, 0.8, 4.0, 1.1]])
 
 
-@pytest.mark.parametrize("k", [-1, 4, 5, 1.5])
+@pytest.mark.parametrize("k", [-1, 4, 5, 1.5, True, 1.0])
 def test_line_refuses_an_angle_index_outside_range_4(k):
     # -1, 4 and 5 used to give finite bounds built from the wrong angles
     with pytest.raises(ValueError, match=r"k must be an angle index in range\(4\)"):
@@ -630,3 +630,39 @@ def test_line_takes_one_value_per_point(values):
     points[:, 1] = (0.3, 0.4)
     for got, want in zip(line([0.3, 0.4]), cat_crb_batch(SpinJ(2), Generator.Y, *points.T)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_line_takes_a_numpy_integer_k():
+    values = np.array([0.7, 2.9])
+    want = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, 2)(values)
+    got = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, np.int64(2))(values)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_line_checks_every_column_of_base_when_built(k):
+    # column k is replaced by the first call's values, but is checked too
+    base = _LINE_BASE.copy()
+    base[1, k] = math.nan
+    with pytest.raises(ValueError, match="theta must lie in" if k < 2 else "phi must be finite"):
+        cat_crb_line(SpinJ(2), Generator.Y, base, k)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("two_j", [3, 16])
+@pytest.mark.parametrize("gen", list(Generator))
+def test_line_keeps_the_batch_bits_across_calls_and_refusals(gen, two_j, k):
+    # -1e-17 reduces to 2 pi, which the next check of the line's block
+    # reduces again, to 0; the caches must still be those of the batch
+    base = np.array([[0.4, 2.1, -1e-17, 5.0], [1.2, -1e-17, 4.0, -1e-17]])
+    line = cat_crb_line(SpinJ(two_j), gen, base, k)
+    bad = 4.0 if k < 2 else math.inf
+    for values in ([0.5, 1.5], [bad, 1.0], [-1e-17, 3.0], [2.5, 0.1]):
+        points = base.copy()
+        points[:, k] = values
+        if values[0] == bad:
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                line(values)
+            continue
+        want = cat_crb_batch(SpinJ(two_j), gen, *points.T)
+        assert [a.tobytes() for a in line(values)] == [b.tobytes() for b in want]

@@ -234,6 +234,7 @@ def test_find_hl_reports_failure(monkeypatch):
         return np.full(shape, 0.01), np.full(shape, 10.0), np.zeros(shape, dtype=bool)
 
     monkeypatch.setattr(scan_mod, "cat_crb_batch", tens)
+    monkeypatch.setattr(scan_mod, "cat_crb_line", lambda j, g, base, k: lambda v: tens(j, g, v))
     with pytest.raises(NoHlFoundError, match="no point reached"):
         find_hl(HlSearchSpec(j=HALF, generator=Generator.Z, seeds=2))
 
@@ -330,6 +331,24 @@ def test_specs_store_the_floats_they_validate():
         ScanSpec(HALF, Generator.Z, "nan", 0.0, resolution=5)
     with pytest.raises(ValueError):
         HlSearchSpec(HALF, Generator.Z, tolerance="abc")
+
+
+def test_specs_take_numpy_integers_and_store_ints():
+    scan = spec(res=np.int64(5))
+    assert type(scan.resolution) is int
+    assert csv_text(grid_scan(scan)) == csv_text(grid_scan(spec(res=5)))
+    search = HlSearchSpec(HALF, Generator.Z, seeds=np.uint16(4))
+    assert type(search.seeds) is int
+    assert find_hl(search) == find_hl(HlSearchSpec(HALF, Generator.Z, seeds=4))
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_specs_refuse_bool_counts(flag):
+    # a NumPy bool is no integer either, although np.True_ == 1
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        spec(res=flag)
+    with pytest.raises(ValueError, match="seeds must be a positive integer"):
+        HlSearchSpec(HALF, Generator.Z, seeds=flag)
 
 
 def test_max_seeds_is_the_size_of_the_seed_grid():
@@ -441,8 +460,8 @@ def test_line_objective_raises_as_the_objective_does(two_j, where, bad, k):
     "two_j,gen", [(1, "Z"), (2, "Z"), (3, "Y"), (64, "Y"), (2, "X"), (4, "X")]
 )
 def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
-    # find_hl accepts on one cat_crb_batch call over the polished points;
-    # the line searches must have found exactly those values
+    # find_hl accepts on the values the polish ends on, so they must be
+    # exactly those cat_crb_batch gives at the polished points
     import functools
 
     import spincat.scan as scan_mod
@@ -452,6 +471,38 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
     line_for = functools.partial(scan_mod._line_objective, j, g)
     xs, best = scan_mod._polish(line_for, *scan_mod._seed_starts(objective, 16))
     assert objective(xs).tobytes() == best.tobytes()
+
+
+def test_find_hl_kernel_traffic(monkeypatch):
+    # the seed grid is the search's one cat_crb_batch call; at j = 1/2
+    # under Jz the 16 seeds settle in one sweep of four lines, which take
+    # 62, 62, 64 and 64 calls of 16 values each
+    import spincat.metrology as metrology
+    import spincat.scan as scan_mod
+
+    batches, builds, calls = [], [], []
+
+    def batch(j, g, *angles):
+        out = metrology.cat_crb_batch(j, g, *angles)
+        batches.append(out[0].size)
+        return out
+
+    def line_for(j, g, base, k):
+        line = metrology.cat_crb_line(j, g, base, k)
+        builds.append(k)
+
+        def counted(values):
+            calls.append(len(values))
+            return line(values)
+
+        return counted
+
+    monkeypatch.setattr(scan_mod, "cat_crb_batch", batch)
+    monkeypatch.setattr(scan_mod, "cat_crb_line", line_for)
+    find_hl(HlSearchSpec(SpinJ(1), Generator.Z))
+    assert batches == [MAX_SEEDS]
+    assert builds == [0, 1, 2, 3]
+    assert (len(calls), sum(calls)) == (252, 4032)
 
 
 def _wave(x, row):
