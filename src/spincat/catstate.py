@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentParams, coherent_state
+# coherent_state is not called here any more; it stays importable from this
+# module because bench/spans.py rebinds it
+from .coherent import CoherentParams, _coherent_rows, _powers, coherent_state  # noqa: F401
 from .dicke import DickeVector, SpinJ
 
 __all__ = [
@@ -43,22 +45,28 @@ class CatParams:
 
 
 def _summed_amplitudes(c: CatParams) -> np.ndarray:
-    return coherent_state(c.j, c.p1).amplitudes + coherent_state(c.j, c.p2).amplitudes
-
-
-def _sum_norm_squared(summed: np.ndarray) -> float:
-    # componentwise |.|^2 keeps full relative precision where the equivalent
-    # 2 + 2 Re<1|2> cancels catastrophically (near-degenerate cats)
-    return float(np.sum(summed.real * summed.real + summed.imag * summed.imag))
+    # both components expanded in one (2, d) call, then v1 + v2
+    rows = _coherent_rows(
+        _powers(c.j.two_j), np.array([c.p1.theta, c.p2.theta]), np.array([c.p1.phi, c.p2.phi])
+    )
+    return rows[0] + rows[1]
 
 
 def _checked_norm_squared(summed: np.ndarray) -> float:
-    n2 = _sum_norm_squared(summed)
+    # componentwise |.|^2 keeps full relative precision where the equivalent
+    # 2 + 2 Re<1|2> cancels catastrophically (near-degenerate cats)
+    n2 = float(np.add.reduce(summed.real * summed.real + summed.imag * summed.imag))
     if n2 <= DEGENERACY_FLOOR:
         raise DegenerateCatError(
             f"cat state is degenerate: ||v1 + v2||^2 = {n2!r} <= {DEGENERACY_FLOOR}"
         )
     return n2
+
+
+def _cat_amplitudes(c: CatParams) -> np.ndarray:
+    """Unit-norm N (v1 + v2), checked once; DegenerateCatError at the floor."""
+    summed = _summed_amplitudes(c)
+    return summed / math.sqrt(_checked_norm_squared(summed))
 
 
 def normalization(c: CatParams) -> float:
@@ -72,6 +80,4 @@ def cat_state(c: CatParams) -> DickeVector:
     The sum is symmetric in (p1, p2), so swapping the components returns the
     identical vector, not merely the same ray.
     """
-    summed = _summed_amplitudes(c)
-    n2 = _checked_norm_squared(summed)
-    return DickeVector(c.j, summed / math.sqrt(n2))
+    return DickeVector(c.j, _cat_amplitudes(c))

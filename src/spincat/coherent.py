@@ -7,7 +7,9 @@ Expanded over the Dicke basis the amplitude at k = j + m is
     c_k = sqrt(C(2j, k)) cos(theta/2)^{2j-k} sin(theta/2)^{k} e^{-i phi k}
 
 which is finite and well behaved on the whole closed interval theta in
-[0, pi]; nothing here is ever routed through tan(theta/2).
+[0, pi]; nothing here is ever routed through tan(theta/2). It is written
+once, in _coherent_rows, for arrays of angles; coherent_state, the cat
+states and the batched kernels of metrology all expand through it.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,28 +82,47 @@ class CoherentParams:
         object.__setattr__(self, "phi", check_phi(self.phi) % TWO_PI)
 
 
-@functools.lru_cache(maxsize=None)
-def _powers(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, 2j - k, sqrt(C(2j, k))) for k = 0 .. 2j, as read-only float arrays.
+class _Powers(NamedTuple):
+    """The angle-free factors of c_k, k = 0 .. 2j, as read-only arrays."""
 
-    The exponents and prefactors of c_k, built once per spin and shared by
-    coherent_state and the batched kernel in metrology.
-    """
+    k: np.ndarray
+    rest: np.ndarray
+    roots: np.ndarray
+    minus_ik: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(two_j: int) -> _Powers:
+    """(k, 2j - k, sqrt(C(2j, k)), -1j * k), built once per spin."""
     k = np.arange(two_j + 1, dtype=float)
-    table = (k, two_j - k, np.sqrt([math.comb(two_j, i) for i in range(two_j + 1)]))
+    table = _Powers(k, two_j - k, np.sqrt([math.comb(two_j, i) for i in range(two_j + 1)]), -1j * k)
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
+def _magnitudes(t: _Powers, theta: np.ndarray) -> np.ndarray:
+    """|c_k| of |theta, phi, j>, along a new last axis, for every entry of
+    theta: sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k."""
+    half = theta[..., None] / 2
+    return t.roots * np.cos(half) ** t.rest * np.sin(half) ** t.k
+
+
+def _phases(t: _Powers, phi: np.ndarray) -> np.ndarray:
+    """e^(-i phi k), along a new last axis, for every entry of phi; the
+    exponent's imaginary part is -(phi k), rounded once."""
+    return np.exp(phi[..., None] * t.minus_ik)
+
+
+def _coherent_rows(t: _Powers, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Amplitudes c_k of |theta, phi, j>, along a new last axis, for every
+    entry of theta and phi (checked and reduced as CoherentParams does)."""
+    return _magnitudes(t, theta) * _phases(t, phi)
+
+
 def coherent_state(j: SpinJ, p: CoherentParams) -> DickeVector:
     """Amplitude vector of |theta, phi, j> over the Dicke basis."""
-    k, rest, roots = _powers(j.two_j)
-    c = math.cos(p.theta / 2)
-    s = math.sin(p.theta / 2)
-    mags = roots * c**rest * s**k
-    phases = np.exp(-1j * p.phi * k)
-    return DickeVector(j, mags * phases)
+    return DickeVector(j, _coherent_rows(_powers(j.two_j), np.array(p.theta), np.array(p.phi)))
 
 
 def coherent_overlap(j: SpinJ, p1: CoherentParams, p2: CoherentParams) -> complex:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +150,16 @@ def build_operators(j: SpinJ) -> SpinOperators:
 
 
 def dicke_to_fock(j: SpinJ, m: float) -> tuple[int, int]:
-    """Map |j, m> to the two-mode Fock occupation (Na, Nb) = (j+m, j-m)."""
+    """Map |j, m> to the two-mode Fock occupation (Na, Nb) = (j+m, j-m).
+
+    m must be a finite half-integer, not a bool, and a projection of j;
+    ValueError otherwise.
+    """
+    if isinstance(m, (bool, np.bool_)):
+        raise ValueError(f"m must be a number, not a bool, got {m!r}")
+    # comparisons, unlike math.isfinite, take an int of any size
+    if not -math.inf < m < math.inf:
+        raise ValueError(f"m must be finite, got {m!r}")
     two_m = round(2 * m)
     if abs(2 * m - two_m) > 1e-9:
         raise ValueError(f"m must be a half-integer, got {m!r}")
@@ -159,8 +169,21 @@ def dicke_to_fock(j: SpinJ, m: float) -> tuple[int, int]:
     return na, j.two_j - na
 
 
+def _occupation(value, name: str) -> int:
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an int, not a bool, got {value!r}")
+    if not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return operator.index(value)
+
+
 def fock_to_dicke(na: int, nb: int) -> tuple[SpinJ, float]:
-    """Inverse of dicke_to_fock: (Na, Nb) -> (j, m) with j = (Na+Nb)/2."""
+    """Inverse of dicke_to_fock: (Na, Nb) -> (j, m) with j = (Na+Nb)/2.
+
+    Na and Nb are ints, NumPy's too; a bool or any other type raises
+    TypeError naming the argument.
+    """
+    na, nb = _occupation(na, "na"), _occupation(nb, "nb")
     if na < 0 or nb < 0:
         raise ValueError("occupation numbers must be non-negative")
     j = SpinJ(na + nb)

@@ -7,13 +7,14 @@ of G, and the Cramer-Rao bound on any unbiased estimate of xi is
 provided: the symmetric-logarithmic-derivative spectral formula and a
 finite-difference of the overlap decay.
 
-cat_crb_batch evaluates many cats of one spin and generator with the
-arithmetic of the single-state path, elementwise. What does not depend on
-the angles (the exponents k and 2j - k, the prefactors sqrt(C(2j, k)) and
-the nonzero bands of G) sits in a table built once per (j, G), so a call
-on a few cats costs little more than its arithmetic. A component shared
-across the batch, such as each axis of a (theta1, theta2) grid at fixed
-phases, is expanded once per distinct point instead of once per cat.
+cat_crb_batch evaluates many cats of one spin and generator through the
+one coherent-state expression, coherent._coherent_rows, that cat_crb and
+coherent_state use too. What does not depend on the angles (the powers
+table of coherent and the nonzero bands of G) is built once per spin and
+generator, so a call on a few cats costs little more than its arithmetic.
+A component shared across the batch, such as each axis of a (theta1,
+theta2) grid at fixed phases, is expanded once per distinct point instead
+of once per cat.
 
 cat_crb_line serves line searches that move one angle of many cats. Built
 once per line, it expands the component the three fixed angles fix and
@@ -35,12 +36,13 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .catstate import DEGENERACY_FLOOR, CatParams, cat_state
-from .coherent import _THETA_SLACK, TWO_PI, _powers
+# cat_state is not called here any more; it stays importable from this
+# module because bench/spans.py rebinds it
+from .catstate import DEGENERACY_FLOOR, CatParams, _cat_amplitudes, cat_state  # noqa: F401
+from .coherent import _THETA_SLACK, TWO_PI, _coherent_rows, _magnitudes, _phases, _Powers, _powers
 from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
@@ -115,8 +117,12 @@ def qfi_pure(state: DickeVector, g: Generator) -> float:
     The residual form is a sum of squares, so a zero-variance eigenstate
     comes out at ~1e-32 instead of a cancellation-noise negative.
     """
-    psi = state.amplitudes
-    gpsi = g.matrix(state.j) @ psi
+    return _qfi(g.matrix(state.j), state.amplitudes)
+
+
+def _qfi(G: np.ndarray, psi: np.ndarray) -> float:
+    # qfi_pure's arithmetic on the dense matrix G and unit amplitudes psi
+    gpsi = G @ psi
     mean = np.vdot(psi, gpsi).real
     resid = gpsi - mean * psi
     return 4.0 * np.vdot(resid, resid).real
@@ -173,11 +179,13 @@ def crb(state: DickeVector, g: Generator) -> CrbResult:
 
 
 def cat_crb(c: CatParams, g: Generator) -> CrbResult:
-    """Convenience: bound for a cat state given directly by its parameters.
+    """Bound for a cat state given directly by its parameters: crb of
+    cat_state(c), with both components expanded in one call and the
+    amplitudes checked once.
 
     Propagates DegenerateCatError where the cat does not exist.
     """
-    return crb(cat_state(c), g)
+    return crb_from_qfi(_qfi(g.matrix(c.j), _cat_amplitudes(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,32 +199,15 @@ def batch_cells(j: SpinJ) -> int:
     return max(1, BATCH_AMPLITUDES // j.dim)
 
 
-class _KernelTable(NamedTuple):
-    """Constants of cat_crb_batch for one spin and generator.
-
-    k, rest = 2j - k and roots = sqrt(C(2j, k)) are the powers table of
-    coherent_state, and minus_ik = -1j * k. bands holds G's diagonal for
-    Jz, and its first lower and upper off-diagonals for Jx and Jy, which
-    have no other entries.
-    """
-
-    k: np.ndarray
-    rest: np.ndarray
-    roots: np.ndarray
-    minus_ik: np.ndarray
-    bands: tuple[np.ndarray, ...]
-
-
 @functools.lru_cache(maxsize=None)
-def _kernel_table(j: SpinJ, g: Generator) -> _KernelTable:
+def _bands(j: SpinJ, g: Generator) -> tuple[np.ndarray, ...]:
+    """G's nonzero bands, read-only: its diagonal for Jz, and its first
+    lower and upper off-diagonals for Jx and Jy, which have no other entries."""
     G = g.matrix(j)
-    offsets = (0,) if g is Generator.Z else (-1, 1)
-    bands = tuple(np.diagonal(G, o).copy() for o in offsets)
-    k, rest, roots = _powers(j.two_j)
-    minus_ik = -1j * k
-    for arr in (minus_ik, *bands):
+    bands = tuple(np.diagonal(G, o).copy() for o in ((0,) if g is Generator.Z else (-1, 1)))
+    for arr in bands:
         arr.flags.writeable = False
-    return _KernelTable(k, rest, roots, minus_ik, bands)
+    return bands
 
 
 def _check_angles(angles: np.ndarray) -> None:
@@ -252,28 +243,6 @@ def _check_angles(angles: np.ndarray) -> None:
             np.mod(angles[r], TWO_PI, out=angles[r])
 
 
-def _magnitudes(t: _KernelTable, theta: np.ndarray) -> np.ndarray:
-    """|c_k| of |theta, phi, j>, along a new last axis, for every entry of
-    theta: sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k."""
-    half = theta[..., None] / 2
-    return t.roots * np.cos(half) ** t.rest * np.sin(half) ** t.k
-
-
-def _phases(t: _KernelTable, phi: np.ndarray) -> np.ndarray:
-    """e^(-i phi k), along a new last axis, for every entry of phi.
-
-    The exponent phi * (-1j k) is formed in one product; its imaginary part
-    is -(phi k), rounded once, exactly as in -1j * phi * k.
-    """
-    return np.exp(phi[..., None] * t.minus_ik)
-
-
-def _coherent_rows(t: _KernelTable, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Amplitudes of |theta, phi, j>, along a new last axis, for every entry
-    of theta and phi. The arithmetic of coherent_state, elementwise."""
-    return _magnitudes(t, theta) * _phases(t, phi)
-
-
 def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # one <a_i|b_i> per row; a stack of vector products reaches the same
     # BLAS dot as np.vdot, so each row matches the single-state value
@@ -296,18 +265,18 @@ def _apply_generator(bands: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarr
     return out
 
 
-def _qfi_chunk(t: _KernelTable, summed: np.ndarray):
+def _qfi_chunk(bands: tuple[np.ndarray, ...], summed: np.ndarray):
     """-> (qfi, degenerate) for one chunk of unnormalized cats v1 + v2."""
     # componentwise |.|^2, as in catstate: never 2 + 2 Re<1|2>
     n2 = np.add.reduce(summed.real * summed.real + summed.imag * summed.imag, axis=1)
     degenerate = n2 <= DEGENERACY_FLOOR
     psi = summed / np.sqrt(np.where(degenerate, 1.0, n2))[:, None]
-    gpsi = _apply_generator(t.bands, psi)
+    gpsi = _apply_generator(bands, psi)
     resid = gpsi - _row_vdots(psi, gpsi)[:, None] * psi
     return 4.0 * _row_vdots(resid, resid), degenerate
 
 
-def _cached_component(t: _KernelTable, checked: np.ndarray, own: tuple):
+def _cached_component(powers: _Powers, checked: np.ndarray, own: tuple):
     """Amplitudes of one component at each of its distinct points, and for
     every cat the row that holds its own -> (rows, index).
 
@@ -320,13 +289,13 @@ def _cached_component(t: _KernelTable, checked: np.ndarray, own: tuple):
     own = (1,) * (len(shape) - len(own)) + own
     # a broadcast axis of the component is read at its first position
     pick = tuple(slice(None) if o == s else slice(0, 1) for o, s in zip(own, shape))
-    rows = _coherent_rows(t, checked[(0, *pick)], checked[(1, *pick)])
+    rows = _coherent_rows(powers, checked[(0, *pick)], checked[(1, *pick)])
     size = math.prod(own)
     index = np.broadcast_to(np.arange(size).reshape(own), shape).ravel()
     return rows.reshape(size, -1), index
 
 
-def _evaluate(t: _KernelTable, step: int, n: int, v1, v2):
+def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):
     """-> (qfi, crb, degenerate) for n cats, in chunks of step cats.
 
     v1(part) and v2(part) give the amplitudes of each component for the
@@ -338,7 +307,7 @@ def _evaluate(t: _KernelTable, step: int, n: int, v1, v2):
     degenerate = np.empty(n, dtype=bool)
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        qfi[part], degenerate[part] = _qfi_chunk(t, v1(part) + v2(part))
+        qfi[part], degenerate[part] = _qfi_chunk(bands, v1(part) + v2(part))
     np.copyto(qfi, math.nan, where=degenerate)
     crb = np.where(degenerate, math.nan, math.inf)
     np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)
@@ -365,7 +334,8 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     same either way. Memory does not grow with the batch beyond the
     inputs, the outputs, the checked angles and one gather index per cat:
     the working arrays of a chunk and each cached component hold at most
-    BATCH_AMPLITUDES amplitudes. Single cats are cheaper through cat_crb.
+    BATCH_AMPLITUDES amplitudes. A single cat is cheaper through cat_crb,
+    which expands it with the same expression.
     """
     # the points each component's own angles broadcast to
     owns = (np.broadcast(theta1, phi1), np.broadcast(theta2, phi2))
@@ -375,18 +345,18 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
     flat = angles.reshape(4, -1)
     _check_angles(flat)
-    table = _kernel_table(j, g)
+    powers = _powers(j.two_j)
     step = batch_cells(j)
 
     def component(c: int):
         # cached when its own angles broadcast to fewer points than the
         # batch holds, and to no more than one chunk
         if owns[c].size < n and owns[c].size <= step:
-            rows, index = _cached_component(table, angles[c::2], owns[c].shape)
+            rows, index = _cached_component(powers, angles[c::2], owns[c].shape)
             return lambda part: rows[index[part]]
-        return lambda part: _coherent_rows(table, flat[c, part], flat[c + 2, part])
+        return lambda part: _coherent_rows(powers, flat[c, part], flat[c + 2, part])
 
-    qfi, crb, degenerate = _evaluate(table, step, n, component(0), component(1))
+    qfi, crb, degenerate = _evaluate(_bands(j, g), step, n, component(0), component(1))
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 
 
@@ -416,13 +386,13 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     m = len(points)
     block = points.T.copy()
     _check_angles(block)
-    table = _kernel_table(j, g)
+    powers, bands = _powers(j.two_j), _bands(j, g)
     moved = k % 2  # the component angle k belongs to
-    other = _coherent_rows(table, block[1 - moved], block[3 - moved])
+    other = _coherent_rows(powers, block[1 - moved], block[3 - moved])
     if k < 2:
-        move, factor = _magnitudes, _phases(table, block[k + 2])
+        move, factor = _magnitudes, _phases(powers, block[k + 2])
     else:
-        move, factor = _phases, _magnitudes(table, block[k - 2])
+        move, factor = _phases, _magnitudes(powers, block[k - 2])
 
     def line(values):
         if np.shape(values) != (m,):
@@ -433,10 +403,10 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
         # complex products and sums commute exactly, so neither the order
         # of the two factors nor that of the two components moves a bit
         return _evaluate(
-            table,
+            bands,
             batch_cells(j),
             m,
-            lambda part: move(table, block[k, part]) * factor[part],
+            lambda part: move(powers, block[k, part]) * factor[part],
             lambda part: other[part],
         )
 

@@ -1,5 +1,6 @@
 """Spin coherent states: amplitudes, overlaps, rotation construction."""
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,29 @@ def test_pole_states(two_j):
     e_south[-1] = 1.0
     assert np.array_equal(north, e_north)  # sin(0/2) is exactly zero
     assert np.abs(south - e_south).max() < 1e-15
+
+
+# sha256 of coherent_state's amplitude bytes at the points of
+# test_coherent_state_bits_are_pinned, recorded while coherent_state
+# evaluated the amplitude formula with its own scalar arithmetic
+_PINNED_COHERENT = {
+    1: "c6f668f1fbbeb2547789a0d79565780ef5ccdb454f12fe9a8a8dcc8936a108ea",
+    2: "1adfdbaa6ea16f3fa4582f6a08f3173b9ff23e63e3395cac380bab74de654243",
+    3: "4a09def5a6f14b9ef1f60a816740a9030bd9987351ca0e812a2470846b80523b",
+    16: "51e71873f0f991d11d5c61527c151522fb7966c81d1551c9f79a84b72d9704cb",
+    64: "3d984f1ae157654fb8afe33e1d9448ed5b9ae680c7c36d1d98600ee1c0166423",
+}
+
+
+@pytest.mark.parametrize("two_j", sorted(_PINNED_COHERENT))
+def test_coherent_state_bits_are_pinned(two_j):
+    # the poles, theta in the clamped slack band, and phases to reduce
+    digest = hashlib.sha256()
+    for theta in (0.0, math.pi, math.pi + 5e-10, 0.7):
+        for phi in (0.0, 2 * math.pi - 1e-15, 7.0):
+            state = coherent_state(SpinJ(two_j), CoherentParams(theta, phi))
+            digest.update(state.amplitudes.tobytes())
+    assert digest.hexdigest() == _PINNED_COHERENT[two_j]
 
 
 def test_spin_half_amplitudes_match_half_angle_form():

@@ -70,6 +70,49 @@ def test_fock_map_examples():
     assert fock_to_dicke(0, 2) == (SpinJ(2), -1.0)
 
 
+
+@pytest.mark.parametrize(
+    "m", [math.inf, -math.inf, math.nan, np.float64(math.inf)], ids=["inf", "-inf", "nan", "np.inf"]
+)
+def test_dicke_to_fock_rejects_a_non_finite_m(m):
+    # inf used to raise OverflowError, and nan a message about int conversion
+    with pytest.raises(ValueError, match=r"^m must be finite, got "):
+        dicke_to_fock(SpinJ(2), m)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_dicke_to_fock_refuses_bools(flag):
+    # True used to be read as m = 1
+    with pytest.raises(ValueError, match="m must be a number, not a bool"):
+        dicke_to_fock(SpinJ(2), flag)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("position", [0, 1])
+def test_fock_to_dicke_refuses_bools(flag, position):
+    # fock_to_dicke(True, False) used to give (SpinJ(1), 0.5)
+    args = [1, 1]
+    args[position] = flag
+    name = ("na", "nb")[position]
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, not a bool, got "):
+        fock_to_dicke(*args)
+
+
+@pytest.mark.parametrize("value", [3.0, 1.5, "3", None], ids=["3.0", "1.5", "str", "None"])
+@pytest.mark.parametrize("position", [0, 1])
+def test_fock_to_dicke_names_a_non_integer_argument(value, position):
+    # a float used to fail inside SpinJ as "two_j must be an int"
+    args = [1, 1]
+    args[position] = value
+    name = ("na", "nb")[position]
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, got {re.escape(repr(value))}$"):
+        fock_to_dicke(*args)
+
+
+def test_fock_to_dicke_takes_numpy_integers():
+    assert fock_to_dicke(np.int64(2), np.uint8(1)) == (SpinJ(3), 0.5)
+    assert type(fock_to_dicke(np.int32(1), np.int32(1))[0].two_j) is int
+
 def test_rejects_invalid_spins_and_weights():
     with pytest.raises(ValueError):
         SpinJ(0)

@@ -5,7 +5,10 @@ A name bound by an import in src/spincat/*.py or tests/*.py must be read
 somewhere in its file, or be listed in the file's __all__. An import
 statement carrying `# noqa: F401` (or a bare `# noqa`) on any of its lines
 is exempt; that marks imports kept on purpose, such as names another
-module rebinds.
+module rebinds. In src/spincat/*.py the only such names are the ones the
+benchmark tracer rebinds: a name on an exempt import that its module never
+reads must be an attribute that bench/spans.py's _PATCHES rebinds on that
+module, so the imports kept for the tracer cannot drift from it.
 
 A private module-level function, class or constant of src/spincat/*.py
 (a name with one leading underscore) must be read, as a name or as an
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 SOURCES = sorted((ROOT / "src" / "spincat").glob("*.py"))
 FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
@@ -33,11 +37,12 @@ def _exempt(lines: list[str], node: ast.stmt) -> bool:
     return False
 
 
-def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
-    """name -> line of every binding made by a checked import statement."""
+def _imported(tree: ast.Module, lines: list[str], exempt: bool = False) -> dict[str, int]:
+    """name -> line of every binding made by a checked import statement, or
+    with exempt, by an exempt one."""
     names = {}
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)) or _exempt(lines, node):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or _exempt(lines, node) != exempt:
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
@@ -78,15 +83,18 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def unused_imports(path: Path, root: Path = ROOT) -> list[str]:
+def _unused(path: Path, exempt: bool = False) -> list[tuple[str, int]]:
+    """(name, line) of every binding of a checked, or with exempt, an
+    exempt import statement that the module never reads."""
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     used = _used(tree)
-    return [
-        f"{path.relative_to(root)}:{line}: {name}"
-        for name, line in _imported(tree, source.splitlines()).items()
-        if name not in used
-    ]
+    imported = _imported(tree, source.splitlines(), exempt)
+    return [(name, line) for name, line in imported.items() if name not in used]
+
+
+def unused_imports(path: Path, root: Path = ROOT) -> list[str]:
+    return [f"{path.relative_to(root)}:{line}: {name}" for name, line in _unused(path)]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -110,6 +118,69 @@ def test_checker_flags_an_unused_import(tmp_path):
         "from typing import Iterable\n"
     )
     assert unused_imports(sample, tmp_path) == ["sample.py:1: os", "sample.py:6: pi"]
+
+
+def tracer_patches(spans: Path) -> set[tuple[str, str]]:
+    """(module, attribute) of every _PATCHES entry in spans whose owner is a
+    module spincat.<module> itself, not a class in it."""
+    tree = ast.parse(spans.read_text(), filename=str(spans))
+    patches = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_PATCHES" for t in node.targets
+        ):
+            for owner, attr, *_ in (entry.elts for entry in node.value.elts):
+                module = owner.value if isinstance(owner, ast.Attribute) else None
+                if isinstance(module, ast.Name) and module.id == "spincat":
+                    patches.add((owner.attr, attr.value))
+    return patches
+
+
+def untraced_exempt_imports(
+    path: Path, patches: set[tuple[str, str]], root: Path = ROOT
+) -> list[str]:
+    """Names on exempt imports of path that it never reads and the tracer
+    does not rebind on it."""
+    return [
+        f"{path.relative_to(root)}:{line}: {name}"
+        for name, line in _unused(path, exempt=True)
+        if (path.stem, name) not in patches
+    ]
+
+
+def test_exempt_imports_are_the_tracers():
+    patches = tracer_patches(SPANS)
+    assert patches, "no module attributes found in _PATCHES"
+    assert [e for path in SOURCES for e in untraced_exempt_imports(path, patches)] == []
+
+
+def test_checker_flags_an_exempt_import_the_tracer_does_not_rebind(tmp_path):
+    (tmp_path / "spans.py").write_text(
+        "import spincat.sample\n"
+        "_PATCHES = (\n"
+        "    (spincat.sample, 'path', 'sample.path', None),\n"
+        "    (spincat.sample.Klass, 'escape', 'sample.escape', None),\n"
+        "    (spincat.other, 'compile', 'other.compile', None),\n"
+        ")\n"
+    )
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from os import path, sep  # noqa: F401\n"
+        "from re import (  # noqa: F401\n"
+        "    compile,\n"
+        "    escape,\n"
+        ")\n"
+        "import json  # noqa\n"
+        "import math\n"
+        "value = sep\n"
+    )
+    patches = tracer_patches(tmp_path / "spans.py")
+    assert patches == {("sample", "path"), ("other", "compile")}
+    assert untraced_exempt_imports(sample, patches, tmp_path) == [
+        "sample.py:2: compile",
+        "sample.py:2: escape",
+        "sample.py:6: json",
+    ]
 
 
 def _private_definitions(tree: ast.Module):

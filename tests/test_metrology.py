@@ -21,6 +21,7 @@ from spincat import (
     crb,
     crb_from_qfi,
     evolve,
+    normalization,
     qfi_fidelity_oracle,
     qfi_pure,
     qfi_sld_oracle,
@@ -597,6 +598,178 @@ def test_batch_qfi_bits_are_pinned(two_j, gen):
     assert [float(q).hex() for q in qfi] == _PINNED_QFI[two_j, gen].split()
     assert degenerate.tolist() == [i == 3 for i in range(10)]
     assert math.isinf(bound["zxy".index(gen)])
+
+
+# --- the scalar path's bits, pinned ------------------------------------------
+# float.hex of cat_crb's qfi/crb and of normalization for the cats of
+# _pinned_cats, recorded while cat_crb still built a DickeVector for each
+# component and for the cat; "degenerate" marks the cat that raises
+# DegenerateCatError.
+
+_PINNED_SCALAR = {
+    (1, "x"): (
+        "0x1.0000000000000p+0/0x1.0000000000000p+0 0x1.0000000000000p-105/inf "
+        "0x1.0000000000000p+0/0x1.0000000000000p+0 degenerate 0x1.0000000000000p-105/inf "
+        "0x1.0000000000000p+0/0x1.0000000000000p+0 0x1.836860fa71fcap-1/0x1.264ce4e83a2a3p+0 "
+        "0x1.e67a03af296e1p-4/0x1.736a22741476bp+1 0x1.0000000000000p-1/0x1.6a09e667f3bccp+0 "
+        "0x1.b9fd944f4d7c9p-2/0x1.85a86a4ceb06ap+0"
+    ),
+    (1, "y"): (
+        "0x1.0000000000000p+0/0x1.0000000000000p+0 0x1.0000000000000p+0/0x1.0000000000000p+0 "
+        "0x1.26ef9d0b14ba9p-105/inf degenerate 0x1.ffffffffffffep-1/0x1.0000000000001p+0 "
+        "0x1.0000000000000p+0/0x1.0000000000000p+0 0x1.4133c78761466p-1/0x1.4335ec6a4df56p+0 "
+        "0x1.f22cb6ad03de8p-1/0x1.0387276a543c2p+0 0x1.0000000000001p-1/0x1.6a09e667f3bccp+0 "
+        "0x1.230135d85941ap-1/0x1.53910a80e7db6p+0"
+    ),
+    (1, "z"): (
+        "0x0.0p+0/inf 0x1.0000000000000p+0/0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0/0x1.0000000000000p+0 degenerate "
+        "0x1.ffffffffffffep-1/0x1.0000000000001p+0 0x1.73d98cf0aa03fp-108/inf "
+        "0x1.3b63d77e2cbd0p-1/0x1.462cdc1436915p+0 0x1.d10408dd16f3fp-1/0x1.0c9f2865ed74bp+0 "
+        "0x1.0000000000000p+0/0x1.0000000000000p+0 0x1.ffffffffffffep-1/0x1.0000000000001p+0"
+    ),
+    (2, "x"): (
+        "0x1.0000000000001p+1/0x1.6a09e667f3bccp-1 0x1.8000000000000p-103/inf "
+        "0x1.0000000000002p+1/0x1.6a09e667f3bcbp-1 degenerate "
+        "0x1.0000000000000p+2/0x1.0000000000000p-1 0x1.8c4eae7d5b372p+1/0x1.22fa265958a7cp-1 "
+        "0x1.7f261c8aee188p+0/0x1.a282a40f7b3c2p-1 0x1.43a61542350fep+1/0x1.41fc9a34817ebp-1 "
+        "0x1.5d35c52ed4800p+0/0x1.b660352fbff9ap-1 0x1.230135d85941ap+1/0x1.53910a80e7db6p-1"
+    ),
+    (2, "y"): (
+        "0x1.0000000000001p+1/0x1.6a09e667f3bccp-1 0x1.0000000000002p+1/0x1.6a09e667f3bcbp-1 "
+        "0x1.9377ce858a5d4p-103/inf degenerate 0x1.377ce858a5d4ap-106/inf "
+        "0x1.cec5460a93245p-1/0x1.0d45c520cf28dp+0 0x1.c6aef16842bd8p+0/0x1.802e3a7fc04a3p-1 "
+        "0x1.bfa8c036de97dp-1/0x1.11c798814bc91p+0 0x1.5d35c52ed4800p+0/0x1.b660352fbff9ap-1 "
+        "0x1.b9fd944f4d7c8p+0/0x1.85a86a4ceb06bp-1"
+    ),
+    (2, "z"): (
+        "0x0.0p+0/inf 0x1.0000000000000p+1/0x1.6a09e667f3bccp-1 "
+        "0x1.0000000000000p+1/0x1.6a09e667f3bccp-1 degenerate "
+        "0x1.ffffffffffffep+1/0x1.0000000000001p-1 0x1.33989c1f9c598p+0/0x1.d316bf7415e1ep-1 "
+        "0x1.8975f0f992ae5p+1/0x1.240720bd702b5p-1 0x1.b73ff53ce3f4ap+1/0x1.1463523e4a1d2p-1 "
+        "0x1.be98eaeb4868ap+1/0x1.121ade2b0a0d2p-1 0x1.ffffffffffffdp+1/0x1.0000000000001p-1"
+    ),
+    (3, "x"): (
+        "0x1.7ffffffffffffp+1/0x1.279a74590331dp-1 0x1.0000000000000p-104/inf "
+        "0x1.8000000000000p+1/0x1.279a74590331dp-1 degenerate "
+        "0x1.8000000000000p+1/0x1.279a74590331dp-1 0x1.aadb497ef7251p+2/0x1.8c81586eb8f30p-2 "
+        "0x1.9482da8b615b3p+1/0x1.2002ec0084ea6p-1 0x1.9d1a2b98dbc7ep+1/0x1.1d0038a723884p-1 "
+        "0x1.39062e33be61ap+1/0x1.4767d1b452d7bp-1 0x1.7fffffffffffep+1/0x1.279a74590331dp-1"
+    ),
+    (3, "y"): (
+        "0x1.7ffffffffffffp+1/0x1.279a74590331dp-1 0x1.8000000000001p+1/0x1.279a74590331cp-1 "
+        "0x1.3a676b909f17dp-104/inf degenerate 0x1.7fffffffffffdp+1/0x1.279a74590331dp-1 "
+        "0x1.046cff54cf5d0p+0/0x1.fba17c15c65cfp-1 0x1.b9c7c1eeb90a6p+1/0x1.1398641c1bef7p-1 "
+        "0x1.8253bac494658p+1/0x1.26b631eb5da9dp-1 0x1.39062e33be61cp+1/0x1.4767d1b452d79p-1 "
+        "0x1.7fffffffffffep+1/0x1.279a74590331dp-1"
+    ),
+    (3, "z"): (
+        "0x0.0p+0/inf 0x1.7ffffffffffffp+1/0x1.279a74590331dp-1 "
+        "0x1.7ffffffffffffp+1/0x1.279a74590331dp-1 degenerate "
+        "0x1.1ffffffffffffp+3/0x1.5555555555556p-2 0x1.54ca1cdf8537cp+1/0x1.39c8e5c3c238dp-1 "
+        "0x1.97c500493f77cp+2/0x1.95add4ada4075p-2 0x1.ebc90191d7492p+2/0x1.71678fbb07ad1p-2 "
+        "0x1.f65ed954bb9dap+2/0x1.6d7df3d3dbfd1p-2 0x1.1ffffffffffffp+3/0x1.5555555555556p-2"
+    ),
+    (16, "x"): (
+        "0x1.0000000000000p+4/0x1.0000000000000p-2 0x1.2948000000000p-98/inf "
+        "0x1.0000000000000p+4/0x1.0000000000000p-2 degenerate "
+        "0x1.ffffffffffffep+3/0x1.0000000000001p-2 0x1.73db78f975d2ap+7/0x1.2c6412722bd5ep-4 "
+        "0x1.a81a7c6397800p+5/0x1.1947b5e76a91cp-3 0x1.a75d487f228b0p+4/0x1.8e2320fd9fc38p-3 "
+        "0x1.da82461929110p+3/0x1.09ebcc2ba4773p-2 0x1.fffffffffffffp+3/0x1.0000000000001p-2"
+    ),
+    (16, "y"): (
+        "0x1.0000000000000p+4/0x1.0000000000000p-2 0x1.0000000000000p+4/0x1.0000000000000p-2 "
+        "0x1.afafe546a5bbep-94/inf degenerate 0x1.ffffffffffffep+3/0x1.0000000000001p-2 "
+        "0x1.ff047af2c568fp+3/0x1.003ef877a2e3ap-2 0x1.cec973cee509dp+5/0x1.0d448de74d772p-3 "
+        "0x1.2b7af6291d49bp+5/0x1.4eba1f923044ep-3 0x1.da82461929108p+3/0x1.09ebcc2ba4776p-2 "
+        "0x1.fffffffffffffp+3/0x1.0000000000001p-2"
+    ),
+    (16, "z"): (
+        "0x0.0p+0/inf 0x1.0000000000000p+4/0x1.0000000000000p-2 "
+        "0x1.0000000000000p+4/0x1.0000000000000p-2 degenerate "
+        "0x1.ffffffffffffep+7/0x1.0000000000001p-4 0x1.6b30e4b9ad2ddp+3/0x1.2ff424b0b1579p-2 "
+        "0x1.1e3b8603aad84p+7/0x1.5662b544d2bcep-4 0x1.83cdbafa99ad3p+7/0x1.26266d4f8a267p-4 "
+        "0x1.b9b49e528532dp+7/0x1.139e5c9011bc0p-4 0x1.fffffffffffffp+7/0x1.0000000000001p-4"
+    ),
+    (64, "x"): (
+        "0x1.0000000000000p+6/0x1.0000000000000p-3 0x1.a7bec50b51112p-93/inf "
+        "0x1.0000000000000p+6/0x1.0000000000000p-3 degenerate "
+        "0x1.ffffffffffffep+5/0x1.0000000000001p-3 0x1.6cde76f7d890ep+11/0x1.2f41029d87093p-6 "
+        "0x1.59d626113cd38p+9/0x1.377c98fa869b7p-5 0x1.05fc168e15100p+8/0x1.fa1e42fee089fp-5 "
+        "0x1.da827999fcef8p+5/0x1.09ebbdbd2bb42p-3 0x1.ffffffffffffep+5/0x1.0000000000001p-3"
+    ),
+    (64, "y"): (
+        "0x1.0000000000000p+6/0x1.0000000000000p-3 0x1.0000000000000p+6/0x1.0000000000000p-3 "
+        "0x1.2000cb465ff1cp-85/inf degenerate 0x1.ffffffffffffep+5/0x1.0000000000001p-3 "
+        "0x1.ffffffffffff8p+5/0x1.0000000000002p-3 0x1.85033549dbc3fp+9/0x1.25b154b1206b1p-5 "
+        "0x1.a9485680b6478p+8/0x1.8d3d0374e44e8p-5 0x1.da827999fceecp+5/0x1.09ebbdbd2bb45p-3 "
+        "0x1.ffffffffffffep+5/0x1.0000000000001p-3"
+    ),
+    (64, "z"): (
+        "0x0.0p+0/inf 0x1.0000000000000p+6/0x1.0000000000000p-3 "
+        "0x1.0000000000000p+6/0x1.0000000000000p-3 degenerate "
+        "0x1.ffffffffffffep+11/0x1.0000000000001p-6 0x1.6a88995d4dc88p+5/0x1.303aa9620b221p-3 "
+        "0x1.143e2ec10e142p+11/0x1.5c8576f0a82b0p-6 "
+        "0x1.7daf91c4d3862p+11/0x1.287f8458ec65dp-6 "
+        "0x1.b630df6729f6dp+11/0x1.14b8c34de7e00p-6 "
+        "0x1.ffffffffffffep+11/0x1.0000000000001p-6"
+    ),
+}
+
+_PINNED_NORMALIZATION = {
+    1: (
+        "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 degenerate "
+        "0x1.6a09e667f3bccp-1 0x1.23b5dfbfd97b6p-1 0x1.35fe04bcae2efp-1 0x1.3f049b80def3ep-1 "
+        "0x1.33e37a1e0173ep-1 0x1.6a09e667f3bccp-1"
+    ),
+    2: (
+        "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 degenerate "
+        "0x1.6a09e667f3bccp-1 0x1.3e84fef3b3849p-1 0x1.54444953630f7p-1 0x1.61afdece5cddbp-1 "
+        "0x1.522026f5f8ccbp-1 0x1.6a09e667f3bccp-1"
+    ),
+    3: (
+        "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 degenerate "
+        "0x1.6a09e667f3bccp-1 0x1.50795b9f15703p-1 0x1.61b0b82eb1347p-1 0x1.6b365bed1d324p-1 "
+        "0x1.604d20ec8f96cp-1 0x1.6a09e667f3bccp-1"
+    ),
+    16: (
+        "0x1.0000000000000p-1 0x1.0000000000001p-1 0x1.0000000000001p-1 degenerate "
+        "0x1.6a09e667f3bccp-1 0x1.6a0774b0ce534p-1 0x1.6a09e5afbf153p-1 0x1.6a09e6d7ce966p-1 "
+        "0x1.6a09e3e57160bp-1 0x1.6a09e667f3bccp-1"
+    ),
+    64: (
+        "0x1.0000000000000p-1 0x1.0000000000003p-1 0x1.0000000000003p-1 degenerate "
+        "0x1.6a09e667f3bccp-1 0x1.6a09e667f3bbcp-1 0x1.6a09e667f3bccp-1 0x1.6a09e667f3bd0p-1 "
+        "0x1.6a09e667f3bd2p-1 0x1.6a09e667f3bccp-1"
+    ),
+}
+
+
+def _pinned_scalar(two_j: int, value) -> list[str]:
+    """value(cat) for each cat of _pinned_cats, or "degenerate"."""
+    j = SpinJ(two_j)
+    out = []
+    for t1, t2, p1, p2 in _pinned_cats(two_j).tolist():
+        try:
+            out.append(value(CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2))))
+        except DegenerateCatError:
+            out.append("degenerate")
+    return out
+
+
+@pytest.mark.parametrize("two_j,gen", sorted(_PINNED_SCALAR))
+def test_scalar_cat_crb_bits_are_pinned(two_j, gen):
+    def value(c):
+        r = cat_crb(c, Generator(gen))
+        return f"{float(r.qfi).hex()}/{float(r.crb).hex()}"
+
+    assert _pinned_scalar(two_j, value) == _PINNED_SCALAR[two_j, gen].split()
+
+
+@pytest.mark.parametrize("two_j", sorted(_PINNED_NORMALIZATION))
+def test_normalization_bits_are_pinned(two_j):
+    got = _pinned_scalar(two_j, lambda c: float(normalization(c)).hex())
+    assert got == _PINNED_NORMALIZATION[two_j].split()
 
 
 # ---------------------------------------------------------------------------
