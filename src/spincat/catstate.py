@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import instance
 # coherent_state is not called here any more; it stays importable from this
 # module because bench/spans.py rebinds it
 from .coherent import CoherentParams, _coherent_rows, _powers, coherent_state  # noqa: F401
@@ -34,11 +35,16 @@ class DegenerateCatError(ValueError):
 
 @dataclass(frozen=True)
 class CatParams:
-    """Defining data of one cat state."""
+    """Defining data of one cat state; each field must be of its type."""
 
     j: SpinJ
     p1: CoherentParams
     p2: CoherentParams
+
+    def __post_init__(self):
+        instance(self.j, SpinJ, "j")
+        instance(self.p1, CoherentParams, "p1")
+        instance(self.p2, CoherentParams, "p2")
 
     def swapped(self) -> "CatParams":
         return CatParams(self.j, self.p2, self.p1)

@@ -28,9 +28,10 @@ import sys
 import time
 from typing import Mapping
 
+from ._checks import real
 from .catstate import CatParams, DegenerateCatError, normalization
 from .closedform import FAMILIES, ClosedFormCase, check_tol, sweep_family
-from .coherent import CoherentParams, check_phi, check_theta, coherent_overlap
+from .coherent import CoherentParams, check_theta, coherent_overlap
 from .dicke import SpinJ
 from .metrology import Generator, cat_crb
 from .scan import (
@@ -135,9 +136,12 @@ _FORMAT = (("--format",), _parse_format, "text", "text or json")
 
 _RESOLUTION = _ranged(_parse_int, check_resolution)
 _TOL = _ranged(_parse_float, functools.partial(check_tol, name="--tol"))
-# ScanSpec names the phase in its error
-_PHI1, _PHI2 = (functools.partial(check_phi, name=name) for name in ("phi1", "phi2"))
 _ANGLES = ("theta1", "theta2", "phi1", "phi2")
+# each angle's converter, whose range error names the angle
+_THETA1, _THETA2, _PHI1, _PHI2 = (
+    _ranged(parse_angle, functools.partial(check_theta if n < 2 else real, name=name))
+    for n, name in enumerate(_ANGLES)
+)
 
 # Every subcommand's help line and its options in --help order, each as
 # (flags, converter, default or _REQUIRED, help). The option's config key
@@ -151,10 +155,10 @@ _COMMANDS = {
         _PI_UNITS,
         (("--j",), _parse_j, _REQUIRED, "spin (0.5, 1, 1.5, ...)"),
         _GENERATOR,
-        (("--theta1",), _ranged(parse_angle, check_theta), _REQUIRED, "theta1 angle"),
-        (("--theta2",), _ranged(parse_angle, check_theta), _REQUIRED, "theta2 angle"),
-        (("--phi1",), _ranged(parse_angle, check_phi), "0", "phi1 angle"),
-        (("--phi2",), _ranged(parse_angle, check_phi), "0", "phi2 angle"),
+        (("--theta1",), _THETA1, _REQUIRED, "theta1 angle"),
+        (("--theta2",), _THETA2, _REQUIRED, "theta2 angle"),
+        (("--phi1",), _PHI1, "0", "phi1 angle"),
+        (("--phi2",), _PHI2, "0", "phi2 angle"),
         _FORMAT,
     )),
     "verify": ("sweep closed forms against the engine", (
@@ -167,8 +171,8 @@ _COMMANDS = {
         _PI_UNITS,
         _SPIN,
         _GENERATOR,
-        (("--phi1",), _ranged(parse_angle, _PHI1), "0", "first phase"),
-        (("--phi2",), _ranged(parse_angle, _PHI2), "0", "second phase"),
+        (("--phi1",), _PHI1, "0", "first phase"),
+        (("--phi2",), _PHI2, "0", "second phase"),
         (("--res",), _RESOLUTION, 201, "grid resolution"),
         (("--cap",), _ranged(_parse_float, check_cap), 20.0, "CSV ceiling for diverging bounds"),
         (("--output",), str, None, "CSV path (default: stdout)"),

@@ -28,10 +28,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from ._checks import instance, real
 # CatParams, CoherentParams and cat_crb are not called here any more; they
 # stay importable from this module because bench/spans.py rebinds them
 from .catstate import DEGENERACY_FLOOR, CatParams  # noqa: F401
-from .coherent import CoherentParams, check_phi, check_theta  # noqa: F401
+from .coherent import CoherentParams, check_theta  # noqa: F401
 from .dicke import SpinJ
 from .metrology import (  # noqa: F401
     Generator,
@@ -111,8 +112,8 @@ def _checked(theta1, theta2, phi1, phi2) -> tuple[float, float, float, float]:
     return (
         check_theta(theta1, "theta1"),
         check_theta(theta2, "theta2"),
-        check_phi(phi1, "phi1"),
-        check_phi(phi2, "phi2"),
+        real(phi1, "phi1"),
+        real(phi2, "phi2"),
     )
 
 
@@ -520,11 +521,11 @@ def closed_form(case: ClosedFormCase, **params: float) -> float:
 
         closed_form(ClosedFormCase.HALF_Z_PHI0, theta1=0.0, theta2=pi / 3)
 
-    Every value must be finite, and each polar angle is checked and clamped
-    to [0, pi] as CoherentParams does; anything else raises ValueError.
-    A diverging bound is returned as +inf.
+    case must be a ClosedFormCase. Every value is a real argument, and each
+    polar angle is checked and clamped to [0, pi] as CoherentParams does;
+    anything else raises ValueError. A diverging bound is returned as +inf.
     """
-    defn = FAMILIES[case]
+    defn = FAMILIES[instance(case, ClosedFormCase, "case")]
     names = {name for name, _, _ in defn.free_params}
     missing = names - set(params)
     extra = set(params) - names
@@ -535,18 +536,18 @@ def closed_form(case: ClosedFormCase, **params: float) -> float:
         )
     checked = {}
     for name, lo, hi in defn.free_params:
-        check = check_theta if (lo, hi) == _THETA_DOMAIN else check_phi
+        check = check_theta if (lo, hi) == _THETA_DOMAIN else real
         checked[name] = check(params[name], name)
     return defn.formula(checked)
 
 
 def check_tol(tol, name: str = "tol") -> float:
-    """tol as a float; ValueError unless it is positive and finite and not
-    a bool. An infinite tolerance would pass every family whatever the
-    deviation."""
-    value = float(tol)
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+    """tol, a real argument, as a float; ValueError unless it is positive.
+    An infinite tolerance would pass every family whatever the deviation."""
+    rule = f"{name} must be positive and finite, got {tol!r}"
+    value = real(tol, name, rule)
+    if value <= 0.0:
+        raise ValueError(rule)
     return value
 
 
@@ -607,8 +608,8 @@ def sweep_family(case: ClosedFormCase, resolution: int = 50) -> SweepReport:
     resolution is points per free parameter, 2 <= resolution <=
     MAX_RESOLUTION; one-parameter families take resolution**2 points.
     """
+    defn = FAMILIES[instance(case, ClosedFormCase, "case")]
     resolution = check_resolution(resolution)
-    defn = FAMILIES[case]
     points = finite = mismatches = 0
     worst = 0.0
     worst_point = mismatch_point = None

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import real
 from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
@@ -38,40 +39,21 @@ _THETA_SLACK = 1e-9
 
 
 def check_theta(theta: float, name: str = "theta") -> float:
-    """theta as a float on [0, pi].
-
-    A value at most _THETA_SLACK outside the interval is clamped onto it;
-    a bool, a non-finite value, or one further out, raises ValueError.
-    """
-    # a float is never a bool; testing it first keeps the common case to
-    # one type comparison (closed-form sweeps check thetas point by point)
-    if type(theta) is not float and isinstance(theta, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, not a bool, got {theta!r}")
-    value = float(theta)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    """theta, a real argument, as a float on [0, pi]; a value at most
+    _THETA_SLACK outside the interval is clamped onto it, and one further
+    out raises ValueError."""
+    value = real(theta, name)
     if value < -_THETA_SLACK or value > math.pi + _THETA_SLACK:
         raise ValueError(f"{name} must lie in [0, pi], got {value!r}")
     return min(max(value, 0.0), math.pi)
-
-
-def check_phi(phi: float, name: str = "phi") -> float:
-    """phi as a finite float, not reduced; ValueError if it is a bool or
-    not finite."""
-    if type(phi) is not float and isinstance(phi, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, not a bool, got {phi!r}")
-    value = float(phi)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
 class CoherentParams:
     """Bloch-sphere direction of one coherent state.
 
-    theta is validated to [0, pi] (tiny float overshoot is clamped),
-    phi is reduced modulo 2*pi.
+    theta and phi are real arguments: theta is checked by check_theta
+    (tiny float overshoot is clamped), phi is reduced modulo 2*pi.
     """
 
     theta: float
@@ -79,7 +61,7 @@ class CoherentParams:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", check_theta(self.theta))
-        object.__setattr__(self, "phi", check_phi(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", real(self.phi, "phi") % TWO_PI)
 
 
 class _Powers(NamedTuple):

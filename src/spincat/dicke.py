@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._checks import instance, integer, real
 
 __all__ = [
     "SpinJ",
@@ -33,35 +34,29 @@ _NORM_TOL = 1e-9
 
 @dataclass(frozen=True, order=True)
 class SpinJ:
-    """Total spin quantum number, stored as the integer 2j."""
+    """Total spin quantum number, stored as the integer 2j (an integer
+    argument, NumPy's too)."""
 
     two_j: int
 
     def __post_init__(self):
-        if not isinstance(self.two_j, int) or isinstance(self.two_j, bool):
-            raise TypeError(f"two_j must be an int, got {self.two_j!r}")
-        if self.two_j < 1:
-            raise ValueError(f"two_j must be >= 1, got {self.two_j}")
-        if self.two_j > MAX_TWO_J:
-            raise ValueError(f"two_j must be <= {MAX_TWO_J}, got {self.two_j}")
+        two_j = integer(self.two_j, "two_j")
+        if not 1 <= two_j <= MAX_TWO_J:
+            raise ValueError(f"two_j must lie in [1, {MAX_TWO_J}], got {two_j}")
+        object.__setattr__(self, "two_j", two_j)
 
     @classmethod
     def from_j(cls, j: float) -> "SpinJ":
-        """Build from j itself (0.5, 1, 1.5, ...); j must be a finite
-        half-integer in [1/2, MAX_TWO_J / 2], and not a bool."""
-        if isinstance(j, (bool, np.bool_)):
-            raise ValueError(f"j must be a number, not a bool, got {j!r}")
-        # comparisons, unlike math.isfinite, take an int of any size
-        if not -math.inf < j < math.inf:
-            raise ValueError(f"j must be finite, got {j!r}")
-        # checked before round(2 * j), which overflows for a huge j, with the
-        # half-integer test's slack
-        if not 1 - 1e-9 <= 2 * j <= MAX_TWO_J + 1e-9:
+        """Build from j itself (0.5, 1, 1.5, ...), a real argument that must
+        be a half-integer in [1/2, MAX_TWO_J / 2]."""
+        # a Python int is exact at any size: 10**400 is out of range, not
+        # too large for a float; the range takes the half-integer slack
+        two_j = 2 * (j if type(j) is int else real(j, "j"))
+        if not 1 - 1e-9 <= two_j <= MAX_TWO_J + 1e-9:
             raise ValueError(f"j must lie in [1/2, {MAX_TWO_J // 2}], got {j!r}")
-        two_j = round(2 * j)
-        if abs(2 * j - two_j) > 1e-9:
+        if abs(two_j - round(two_j)) > 1e-9:
             raise ValueError(f"j must be a half-integer, got {j!r}")
-        return cls(two_j)
+        return cls(round(two_j))
 
     @property
     def j(self) -> float:
@@ -152,39 +147,31 @@ def build_operators(j: SpinJ) -> SpinOperators:
 def dicke_to_fock(j: SpinJ, m: float) -> tuple[int, int]:
     """Map |j, m> to the two-mode Fock occupation (Na, Nb) = (j+m, j-m).
 
-    m must be a finite half-integer, not a bool, and a projection of j;
+    m is a real argument that must be a half-integer projection of j;
     ValueError otherwise.
     """
-    if isinstance(m, (bool, np.bool_)):
-        raise ValueError(f"m must be a number, not a bool, got {m!r}")
-    # comparisons, unlike math.isfinite, take an int of any size
-    if not -math.inf < m < math.inf:
-        raise ValueError(f"m must be finite, got {m!r}")
-    two_m = round(2 * m)
-    if abs(2 * m - two_m) > 1e-9:
-        raise ValueError(f"m must be a half-integer, got {m!r}")
-    if (two_m - j.two_j) % 2 != 0 or abs(two_m) > j.two_j:
+    j, two_m = instance(j, SpinJ, "j"), 2 * real(m, "m")
+    # refused before round(two_m), which overflows for a huge m
+    if abs(two_m) > j.two_j + 1e-9:
         raise ValueError(f"m = {m!r} is not a valid projection for j = {j}")
-    na = (j.two_j + two_m) // 2
+    k = round(two_m)
+    if abs(two_m - k) > 1e-9:
+        raise ValueError(f"m must be a half-integer, got {m!r}")
+    if (k - j.two_j) % 2 != 0:
+        raise ValueError(f"m = {m!r} is not a valid projection for j = {j}")
+    na = (j.two_j + k) // 2
     return na, j.two_j - na
-
-
-def _occupation(value, name: str) -> int:
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be an int, not a bool, got {value!r}")
-    if not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    return operator.index(value)
 
 
 def fock_to_dicke(na: int, nb: int) -> tuple[SpinJ, float]:
     """Inverse of dicke_to_fock: (Na, Nb) -> (j, m) with j = (Na+Nb)/2.
 
-    Na and Nb are ints, NumPy's too; a bool or any other type raises
-    TypeError naming the argument.
+    Na and Nb are integer arguments, each at least 0, with 1 <= Na + Nb <=
+    MAX_TWO_J; a bool or any other type raises TypeError naming the argument.
     """
-    na, nb = _occupation(na, "na"), _occupation(nb, "nb")
+    na, nb = integer(na, "na"), integer(nb, "nb")
     if na < 0 or nb < 0:
-        raise ValueError("occupation numbers must be non-negative")
-    j = SpinJ(na + nb)
-    return j, (na - nb) / 2
+        raise ValueError(f"na and nb must be non-negative, got {na} and {nb}")
+    if not 1 <= na + nb <= MAX_TWO_J:
+        raise ValueError(f"na + nb must lie in [1, {MAX_TWO_J}], got {na + nb}")
+    return SpinJ(na + nb), (na - nb) / 2

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import instance, integer, real, real_array
 # cat_state is not called here any more; it stays importable from this
 # module because bench/spans.py rebinds it
 from .catstate import DEGENERACY_FLOOR, CatParams, _cat_amplitudes, cat_state  # noqa: F401
@@ -103,9 +104,9 @@ class CrbResult:
 
 
 def evolve(state: DickeVector, g: Generator, xi: float) -> DickeVector:
-    """Apply exp(i xi G) to the state."""
-    G = g.matrix(state.j)
-    w, V = np.linalg.eigh(G)
+    """Apply exp(i xi G) to the state; xi is a real argument."""
+    state, xi = instance(state, DickeVector, "state"), real(xi, "xi")
+    w, V = np.linalg.eigh(instance(g, Generator, "g").matrix(state.j))
     return DickeVector(
         state.j, V @ (np.exp(1j * xi * w) * (V.conj().T @ state.amplitudes))
     )
@@ -155,9 +156,11 @@ def qfi_fidelity_oracle(state: DickeVector, g: Generator, dxi: float) -> float:
 
     Carries an O(dxi^2) truncation bias; callers wanting more combine two
     step sizes by Richardson extrapolation. Steps outside
-    [FD_STEP_MIN, FD_STEP_MAX] are rejected rather than silently degraded.
+    [FD_STEP_MIN, FD_STEP_MAX] are rejected rather than silently degraded;
+    dxi is a real argument.
     """
-    if not (FD_STEP_MIN <= dxi <= FD_STEP_MAX):
+    dxi = real(dxi, "dxi")
+    if not FD_STEP_MIN <= dxi <= FD_STEP_MAX:
         raise ValueError(
             f"dxi = {dxi!r} outside the stable window [{FD_STEP_MIN}, {FD_STEP_MAX}]"
         )
@@ -167,7 +170,16 @@ def qfi_fidelity_oracle(state: DickeVector, g: Generator, dxi: float) -> float:
 
 
 def crb_from_qfi(qfi: float) -> CrbResult:
-    """Package a QFI value; at or below the divergence floor the bound is +inf."""
+    """Package a QFI value, a real argument that must not be negative; at
+    or below the divergence floor the bound is +inf."""
+    qfi = real(qfi, "qfi")
+    if qfi < 0.0:
+        raise ValueError(f"qfi must not be negative, got {qfi!r}")
+    return _packaged(qfi)
+
+
+def _packaged(qfi: float) -> CrbResult:
+    # crb_from_qfi's bound for a qfi of the residual form, never negative
     if qfi <= QFI_DIVERGENCE_FLOOR:
         return CrbResult(qfi=qfi, crb=math.inf)
     return CrbResult(qfi=qfi, crb=1.0 / math.sqrt(qfi))
@@ -175,7 +187,7 @@ def crb_from_qfi(qfi: float) -> CrbResult:
 
 def crb(state: DickeVector, g: Generator) -> CrbResult:
     """Cramer-Rao bound 1/sqrt(F_Q) for the given probe and generator."""
-    return crb_from_qfi(qfi_pure(state, g))
+    return _packaged(qfi_pure(state, g))
 
 
 def cat_crb(c: CatParams, g: Generator) -> CrbResult:
@@ -183,15 +195,20 @@ def cat_crb(c: CatParams, g: Generator) -> CrbResult:
     cat_state(c), with both components expanded in one call and the
     amplitudes checked once.
 
-    Propagates DegenerateCatError where the cat does not exist.
+    Propagates DegenerateCatError where the cat does not exist; a c or g
+    of another type raises TypeError.
     """
-    return crb_from_qfi(_qfi(g.matrix(c.j), _cat_amplitudes(c)))
+    G = instance(g, Generator, "g").matrix(instance(c, CatParams, "c").j)
+    return _packaged(_qfi(G, _cat_amplitudes(c)))
 
 
 # ---------------------------------------------------------------------------
 # batched kernel: many cats of one spin and generator at once
 
 _THETA_TOP = math.pi + _THETA_SLACK
+
+# the rows of a kernel's angle block, by the names its errors give them
+_ANGLES = ("theta1", "theta2", "phi1", "phi2")
 
 
 def batch_cells(j: SpinJ) -> int:
@@ -212,13 +229,14 @@ def _bands(j: SpinJ, g: Generator) -> tuple[np.ndarray, ...]:
 
 def _check_angles(angles: np.ndarray) -> None:
     """Check a (4, n) block of points (theta1, theta2, phi1, phi2) as
-    CoherentParams does, then clamp theta onto [0, pi] and reduce phi
-    modulo 2 pi, in place, each only where a value needs it. Both kernels
-    check with it: cat_crb_batch its batch, cat_crb_line its (4, m) block.
+    CoherentParams checks floats, then clamp theta onto [0, pi] and reduce
+    phi modulo 2 pi, in place, each only where a value needs it. Both
+    kernels check with it: cat_crb_batch its batch, cat_crb_line its block.
 
     Only when the min or max of a row is out of range is the first bad
-    value looked for, theta1 before theta2 before phi1 before phi2; a
-    value is checked, clamped and reduced the same whichever cats share the call.
+    value looked for and named, theta1 before theta2 before phi1 before
+    phi2; a value is checked, clamped and reduced the same whichever cats
+    share the call.
     """
     # initial values inside every range keep an empty batch valid
     los = np.minimum.reduce(angles, axis=1, initial=math.pi).tolist()
@@ -226,13 +244,13 @@ def _check_angles(angles: np.ndarray) -> None:
     # nan fails every comparison, so it is caught with the out-of-range values
     for r in (0, 1):
         if not (los[r] >= -_THETA_SLACK and his[r] <= _THETA_TOP):
-            theta = angles[:2].ravel()
-            bad = ~((theta >= -_THETA_SLACK) & (theta <= _THETA_TOP))
-            raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad][0])!r}")
+            row = angles[r]
+            bad = row[~((row >= -_THETA_SLACK) & (row <= _THETA_TOP))]
+            raise ValueError(f"{_ANGLES[r]} must lie in [0, pi], got {float(bad[0])!r}")
     for r in (2, 3):
         if not (-math.inf < los[r] and his[r] < math.inf):
-            phi = angles[2:].ravel()
-            raise ValueError(f"phi must be finite, got {float(phi[~np.isfinite(phi)][0])!r}")
+            bad = angles[r][~np.isfinite(angles[r])]
+            raise ValueError(f"{_ANGLES[r]} must be finite, got {float(bad[0])!r}")
     # values already in range are left as np.clip and np.mod would leave
     # them (np.mod turns -0.0 into 0.0, which gives the kernel the same bits)
     for r in (0, 1):
@@ -318,12 +336,14 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     """Bounds for many cats of one spin and generator -> (qfi, crb, degenerate).
 
     The angles broadcast against each other; each output has their common
-    shape. Angles are checked over the batch as CoherentParams does, and
-    a ValueError names the first bad one; theta is clamped and phi
-    reduced only where a value needs it. qfi is the residual form of
-    qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf where qfi is at or
-    below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
-    DegenerateCatError) qfi and crb are nan and the flag is set.
+    shape. j must be a SpinJ, g a Generator, and each angle input hold ints
+    or floats, or TypeError names it. Angles are checked over the batch as
+    CoherentParams checks floats, and a ValueError names the first bad
+    one; theta is clamped and phi reduced only where a value needs it. qfi
+    is the residual form of qfi_pure, 4 ||G psi - <G> psi||^2, and crb is
+    +inf where qfi is at or below QFI_DIVERGENCE_FLOOR. Where the cat is
+    degenerate (as in DegenerateCatError) qfi and crb are nan and the flag
+    is set.
 
     Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. A
     component whose own angles (theta1, phi1) or (theta2, phi2) broadcast
@@ -337,6 +357,8 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     BATCH_AMPLITUDES amplitudes. A single cat is cheaper through cat_crb,
     which expands it with the same expression.
     """
+    bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
+    theta1, theta2, phi1, phi2 = map(real_array, (theta1, theta2, phi1, phi2), _ANGLES)
     # the points each component's own angles broadcast to
     owns = (np.broadcast(theta1, phi1), np.broadcast(theta2, phi2))
     batch = np.broadcast(*owns)
@@ -356,7 +378,7 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
             return lambda part: rows[index[part]]
         return lambda part: _coherent_rows(powers, flat[c, part], flat[c + 2, part])
 
-    qfi, crb, degenerate = _evaluate(_bands(j, g), step, n, component(0), component(1))
+    qfi, crb, degenerate = _evaluate(bands, step, n, component(0), component(1))
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 
 
@@ -364,11 +386,12 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     """Bounds along angle k of each cat of base -> line(values).
 
     base is an (m, 4) array of points (theta1, theta2, phi1, phi2) and k,
-    an int in range(4), the index of the angle a line search moves.
-    line(values) takes one value per row of base and returns (qfi, crb,
-    degenerate) of those cats with angle k set to the values, bit for bit
-    what cat_crb_batch gives on those points. Any other k (a bool too),
-    base shape or number of values raises ValueError.
+    an integer argument in range(4), the index of the angle a line search
+    moves. line(values) takes one value per row of base and returns (qfi,
+    crb, degenerate) of those cats with angle k set to the values, bit for
+    bit what cat_crb_batch gives on those points. j, g, base and values
+    are checked as cat_crb_batch checks its inputs; any other k (a bool
+    too), base shape or number of values raises ValueError.
 
     The line keeps its points as one (4, m) block and checks it with the
     call cat_crb_batch makes: when it is built, so a bad angle of base
@@ -378,15 +401,18 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     on a phi line. A call computes only the moving factor, through the
     chunk loop of cat_crb_batch. The caches hold 2 m (2j + 1) amplitudes.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in range(4):
-        raise ValueError(f"k must be an angle index in range(4), got {k!r}")
-    points = np.asarray(base, dtype=float)
+    bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
+    rule = f"k must be an angle index in range(4), got {k!r}"
+    k = integer(k, "k", rule)
+    if k not in range(4):
+        raise ValueError(rule)
+    points = np.asarray(real_array(base, "base"), dtype=float)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"base must be an (m, 4) array of points, got shape {points.shape}")
     m = len(points)
     block = points.T.copy()
     _check_angles(block)
-    powers, bands = _powers(j.two_j), _bands(j, g)
+    powers = _powers(j.two_j)
     moved = k % 2  # the component angle k belongs to
     other = _coherent_rows(powers, block[1 - moved], block[3 - moved])
     if k < 2:
@@ -395,8 +421,9 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
         move, factor = _phases, _magnitudes(powers, block[k - 2])
 
     def line(values):
-        if np.shape(values) != (m,):
-            raise ValueError(f"line takes {m} values, one per point, got shape {np.shape(values)}")
+        values = real_array(values, "values")
+        if values.shape != (m,):
+            raise ValueError(f"line takes {m} values, one per point, got shape {values.shape}")
         block[k] = values
         # the fixed rows stay as the caches read them, bar a phi reduced to 2 pi
         _check_angles(block)

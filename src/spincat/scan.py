@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
+from ._checks import instance, integer, real
 # CatParams, CoherentParams and cat_crb are not called here any more; they
 # stay importable from this module because bench/spans.py rebinds them
 from .catstate import CatParams  # noqa: F401
-from .coherent import CoherentParams, check_phi  # noqa: F401
+from .coherent import CoherentParams  # noqa: F401
 from .dicke import SpinJ
 from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch, cat_crb_line  # noqa: F401
 
@@ -69,43 +69,37 @@ class NoHlFoundError(RuntimeError):
     """No Heisenberg-limit point found within the requested tolerance."""
 
 
-def _integer(value) -> int | None:
-    """value as an int if it is an integer, NumPy's too, but not a bool; else None."""
-    ok = hasattr(type(value), "__index__") and not isinstance(value, (bool, np.bool_))
-    return operator.index(value) if ok else None
-
-
 def check_resolution(resolution) -> int:
-    """resolution as an int, or ValueError unless it lies in [2, MAX_RESOLUTION]."""
-    value = _integer(resolution)
-    if value is None or not 2 <= value <= MAX_RESOLUTION:
-        raise ValueError(
-            f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}"
-        )
+    """resolution, an integer argument, as an int in [2, MAX_RESOLUTION]."""
+    rule = f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}"
+    value = integer(resolution, "resolution", rule)
+    if not 2 <= value <= MAX_RESOLUTION:
+        raise ValueError(rule)
     return value
 
 
 def check_cap(cap) -> float:
-    """cap as a float; ValueError unless it is positive and finite and not
-    a bool."""
-    value = float(cap)
-    if isinstance(cap, (bool, np.bool_)) or not math.isfinite(value) or value <= 0.0:
-        raise ValueError("cap must be a positive finite float")
+    """cap, a real argument, as a positive float."""
+    rule = "cap must be a positive finite float"
+    value = real(cap, "cap", rule)
+    if value <= 0.0:
+        raise ValueError(rule)
     return value
 
 
 def check_tolerance(tolerance) -> float:
-    """tolerance as a float; ValueError unless it lies in (0, 0.1]."""
-    value = float(tolerance)
+    """tolerance, a real argument, as a float in (0, 0.1]."""
+    rule = "tolerance must lie in (0, 0.1]"
+    value = real(tolerance, "tolerance", rule)
     if not 0.0 < value <= 0.1:
-        raise ValueError("tolerance must lie in (0, 0.1]")
+        raise ValueError(rule)
     return value
 
 
 def check_seeds(seeds) -> int:
-    """seeds as an int, or ValueError unless it lies in [1, MAX_SEEDS]."""
-    value = _integer(seeds)
-    if value is None or value < 1:
+    """seeds, an integer argument, as an int in [1, MAX_SEEDS]."""
+    value = integer(seeds, "seeds", "seeds must be a positive integer")
+    if value < 1:
         raise ValueError("seeds must be a positive integer")
     if value > MAX_SEEDS:
         raise ValueError(
@@ -121,7 +115,8 @@ class ScanSpec:
     theta axes run over [0, pi] with resolution points: theta_a = a*pi/(res-1),
     2 <= resolution <= MAX_RESOLUTION.
     cap is the plotting/CSV ceiling; raw values are kept uncapped.
-    phi1, phi2, cap (floats) and resolution (an int) are stored as validated.
+    j must be a SpinJ and generator a Generator; phi1, phi2 and cap (real
+    arguments) are stored as floats, resolution (an integer one) as an int.
     """
 
     j: SpinJ
@@ -132,12 +127,10 @@ class ScanSpec:
     cap: float = DEFAULT_CAP
 
     def __post_init__(self):
-        if not isinstance(self.j, SpinJ):
-            raise TypeError("j must be a SpinJ")
-        if not isinstance(self.generator, Generator):
-            raise TypeError("generator must be a Generator")
+        instance(self.j, SpinJ, "j")
+        instance(self.generator, Generator, "generator")
         for name in ("phi1", "phi2"):
-            object.__setattr__(self, name, check_phi(getattr(self, name), name))
+            object.__setattr__(self, name, real(getattr(self, name), name))
         object.__setattr__(self, "resolution", check_resolution(self.resolution))
         object.__setattr__(self, "cap", check_cap(self.cap))
 
@@ -240,10 +233,11 @@ def grid_scan(spec: ScanSpec) -> GridResult:
 class HlSearchSpec:
     """Search request: find cat angles whose bound reaches 1/(2j).
 
-    tolerance is the relative acceptance slack (crb <= (1/(2j))(1+tol)),
-    stored as a float; seeds is how many coarse-grid starts are polished,
-    1 <= seeds <= MAX_SEEDS, stored as an int. Grid points with no finite
-    bound are never started from, so fewer may be polished.
+    j must be a SpinJ and generator a Generator. tolerance is the relative
+    acceptance slack (crb <= (1/(2j))(1+tol)), a real argument stored as a
+    float; seeds, an integer argument stored as an int, is how many
+    coarse-grid starts are polished, 1 <= seeds <= MAX_SEEDS. Grid points
+    with no finite bound are never started from, so fewer may be polished.
     """
 
     j: SpinJ
@@ -252,10 +246,8 @@ class HlSearchSpec:
     seeds: int = 16
 
     def __post_init__(self):
-        if not isinstance(self.j, SpinJ):
-            raise TypeError("j must be a SpinJ")
-        if not isinstance(self.generator, Generator):
-            raise TypeError("generator must be a Generator")
+        instance(self.j, SpinJ, "j")
+        instance(self.generator, Generator, "generator")
         object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
         object.__setattr__(self, "seeds", check_seeds(self.seeds))
 

@@ -210,7 +210,7 @@ def test_non_finite_tol_exits_one_unrun(capsys, monkeypatch, tmp_path):
         ),
         (
             ("crb", "--j", "1", "--gen", "z", "--theta1", "5", "--theta2", "zz"),
-            "theta must lie in [0, pi], got 5.0",
+            "theta1 must lie in [0, pi], got 5.0",
         ),
         # a spin too large to round, and one whose 2j has 201 digits
         (

@@ -1,0 +1,154 @@
+"""The input contract of the public entry points, one table row per
+(callable, argument).
+
+Each row is called with valid arguments except the one it names, which
+takes every bad value in turn. The call must raise ValueError or TypeError
+whose message names the argument (or the sum it is part of), and never
+return, raise another type or warn. Real arguments take anything float()
+takes but a bool or a complex number; integer arguments anything
+operator.index() takes but a bool; object arguments an instance of their
+class; the angle arrays of the kernels ints or floats.
+"""
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from spincat import (
+    CatParams,
+    ClosedFormCase,
+    CoherentParams,
+    Generator,
+    HlSearchSpec,
+    ScanSpec,
+    SpinJ,
+    SweepReport,
+    cat_crb,
+    cat_crb_batch,
+    cat_state,
+    closed_form,
+    crb_from_qfi,
+    crb_half_x,
+    crb_half_z,
+    dicke_to_fock,
+    evolve,
+    fock_to_dicke,
+    qfi_fidelity_oracle,
+    sweep_family,
+)
+from spincat.metrology import cat_crb_line
+
+J, G = SpinJ(2), Generator.Y
+CAT = CatParams(J, CoherentParams(0.4, 0.3), CoherentParams(2.0, 1.7))
+STATE = cat_state(CAT)
+BASE = np.array([[0.4, 2.1, 0.3, 5.0], [1.2, 0.8, 4.0, 1.1]])
+REPORT = SweepReport(ClosedFormCase.ONE_Z_PHIHALF, 144, 144, 1.7e-13, 0, None)
+ANGLES = {"theta1": 0.7, "theta2": 1.9, "phi1": 0.4, "phi2": 2.2}
+
+BAD = [True, np.True_, math.nan, math.inf, -math.inf, 2**2000, "x", 1 + 1j, None]
+
+# (label, callable, valid keyword arguments, the kind of each checked one);
+# kinds: "real", "integer", "object", "array", and "real*" or "array*" for
+# a real argument that 1e308 lies outside the range of
+ROWS = [
+    ("SpinJ", SpinJ, {"two_j": 2}, {"two_j": "integer"}),
+    ("SpinJ.from_j", SpinJ.from_j, {"j": 1.0}, {"j": "real*"}),
+    ("dicke_to_fock", dicke_to_fock, {"j": J, "m": 0.0}, {"j": "object", "m": "real*"}),
+    ("fock_to_dicke", fock_to_dicke, {"na": 1, "nb": 1}, {"na": "integer", "nb": "integer"}),
+    ("CoherentParams", CoherentParams, {"theta": 0.4, "phi": 0.3},
+     {"theta": "real*", "phi": "real"}),
+    ("CatParams", CatParams, {"j": J, "p1": CAT.p1, "p2": CAT.p2},
+     {"j": "object", "p1": "object", "p2": "object"}),
+    ("cat_crb", cat_crb, {"c": CAT, "g": G}, {"c": "object", "g": "object"}),
+    ("cat_crb_batch", cat_crb_batch, {"j": J, "g": G, **ANGLES},
+     {"j": "object", "g": "object", "theta1": "array*", "theta2": "array*",
+      "phi1": "array", "phi2": "array"}),
+    ("cat_crb_line", cat_crb_line, {"j": J, "g": G, "base": BASE, "k": 1},
+     {"j": "object", "g": "object", "base": "array*", "k": "integer"}),
+    ("cat_crb_line(...)", lambda values: cat_crb_line(J, G, BASE, 1)(values),
+     {"values": [0.3, 0.4]}, {"values": "array*"}),
+    ("crb_from_qfi", crb_from_qfi, {"qfi": 0.5}, {"qfi": "real"}),
+    ("evolve", evolve, {"state": STATE, "g": G, "xi": 0.3},
+     {"state": "object", "g": "object", "xi": "real"}),
+    ("qfi_fidelity_oracle", qfi_fidelity_oracle, {"state": STATE, "g": G, "dxi": 1e-3},
+     {"state": "object", "g": "object", "dxi": "real*"}),
+    ("closed_form", closed_form,
+     {"case": ClosedFormCase.HALF_Z_PHI0, "theta1": 0.3, "theta2": 1.0},
+     {"case": "object", "theta1": "real*", "theta2": "real*"}),
+    *(
+        (f.__name__, f, ANGLES,
+         {"theta1": "real*", "theta2": "real*", "phi1": "real", "phi2": "real"})
+        for f in (crb_half_z, crb_half_x)
+    ),
+    ("sweep_family", sweep_family, {"case": ClosedFormCase.HALF_Z_PHI0, "resolution": 5},
+     {"case": "object", "resolution": "integer"}),
+    ("SweepReport.passed", REPORT.passed, {"tol": 1e-9}, {"tol": "real"}),
+    ("ScanSpec", ScanSpec,
+     {"j": J, "generator": G, "phi1": 0.0, "phi2": 1.0, "resolution": 5, "cap": 3.0},
+     {"j": "object", "generator": "object", "phi1": "real", "phi2": "real",
+      "resolution": "integer", "cap": "real"}),
+    ("HlSearchSpec", HlSearchSpec, {"j": J, "generator": G, "tolerance": 0.01, "seeds": 2},
+     {"j": "object", "generator": "object", "tolerance": "real*", "seeds": "integer"}),
+]
+
+
+def _bad_values(kind: str) -> list:
+    extra = {"integer": [1e308, 2.0, "5"], "real*": [1e308], "array*": [1e308]}
+    return BAD + extra.get(kind, [])
+
+
+CASES = [
+    pytest.param(call, valid, name, bad, id=f"{label}-{name}-{bad!r}"[:60])
+    for label, call, valid, kinds in ROWS
+    for name, kind in kinds.items()
+    for bad in _bad_values(kind)
+]
+
+
+@pytest.mark.parametrize("call,valid,name,bad", CASES)
+def test_every_bad_value_is_refused_by_name(call, valid, name, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as info:
+            call(**{**valid, name: bad})
+    assert type(info.value) in (ValueError, TypeError)
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+def test_every_row_runs_on_its_valid_arguments():
+    for label, call, valid, _ in ROWS:
+        call(**valid)
+
+
+# one positive row per rule: a numeric string and a NumPy float are real
+# arguments, a NumPy integer an integer one, and integer arrays kernel angles
+@pytest.mark.parametrize(
+    "got,want",
+    [
+        (lambda: CoherentParams("0.5", "0.3"), lambda: CoherentParams(0.5, 0.3)),
+        (lambda: SpinJ.from_j("1"), lambda: SpinJ(2)),
+        (lambda: dicke_to_fock(J, "1"), lambda: (2, 0)),
+        (lambda: crb_from_qfi("0.5"), lambda: crb_from_qfi(0.5)),
+        (lambda: evolve(STATE, G, "0.5").amplitudes.tobytes(),
+         lambda: evolve(STATE, G, 0.5).amplitudes.tobytes()),
+        (lambda: qfi_fidelity_oracle(STATE, G, "1e-3"), lambda: qfi_fidelity_oracle(STATE, G, 1e-3)),
+        (lambda: SpinJ(np.int64(2)), lambda: SpinJ(2)),
+        (lambda: type(SpinJ(np.int64(2)).two_j), lambda: int),
+        (lambda: fock_to_dicke(np.int64(1), np.uint8(1)), lambda: (J, 0.0)),
+        (lambda: CoherentParams(np.float32(0.5), 0.3), lambda: CoherentParams(0.5, 0.3)),
+        (lambda: type(CoherentParams(np.float32(0.5), 0.3).theta), lambda: float),
+        (lambda: crb_half_z(np.float32(0.5), 1, "0.2", 0), lambda: crb_half_z(0.5, 1.0, 0.2, 0.0)),
+        (lambda: [a.tobytes() for a in cat_crb_batch(J, G, [0, 1], 1, [0, 3], 0)],
+         lambda: [a.tobytes() for a in cat_crb_batch(J, G, [0.0, 1.0], 1.0, [0.0, 3.0], 0.0)]),
+    ],
+    ids=[
+        "CoherentParams-str", "from_j-str", "dicke_to_fock-str", "crb_from_qfi-str",
+        "evolve-str", "qfi_fidelity_oracle-str", "SpinJ-int64", "SpinJ-int64-stores-int",
+        "fock_to_dicke-numpy-ints", "CoherentParams-float32", "CoherentParams-float32-stores-float",
+        "crb_half_z-mixed", "cat_crb_batch-int-arrays",
+    ],
+)
+def test_each_rule_takes_its_valid_kinds(got, want):
+    assert got() == want()

@@ -14,6 +14,10 @@ A private module-level function, class or constant of src/spincat/*.py
 (a name with one leading underscore) must be read, as a name or as an
 attribute, in some file of src/spincat; a helper that lost its last
 caller fails.
+
+The number rules live in src/spincat/_checks.py alone: no other file of
+src/spincat names bool_ or operator.index, so a checker that needs to
+know what counts as a real number or an integer calls into that module.
 """
 import ast
 import re
@@ -247,4 +251,65 @@ def test_checker_flags_a_dead_private_definition(tmp_path):
         "a.py:8: _dead",
         "a.py:10: _Dead",
         "b.py:3: _C",
+    ]
+
+
+CHECKS = ROOT / "src" / "spincat" / "_checks.py"
+
+
+def rule_forks(paths: list[Path], root: Path = ROOT) -> list[str]:
+    """path:line: name of every use of bool_ or operator.index in paths,
+    as a name, an attribute or an import."""
+    found = []
+    for path in paths:
+        hits = []
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "bool_":
+                hit = "bool_"
+            elif isinstance(node, ast.Name) and node.id == "bool_":
+                hit = "bool_"
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "index"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "operator"
+            ):
+                hit = "operator.index"
+            elif isinstance(node, ast.ImportFrom) and any(
+                (node.module, a.name) in (("operator", "index"), ("numpy", "bool_"))
+                for a in node.names
+            ):
+                hit = "import"
+            else:
+                continue
+            hits.append((node.lineno, hit))
+        found += [f"{path.relative_to(root)}:{line}: {hit}" for line, hit in sorted(hits)]
+    return found
+
+
+def test_number_rules_live_in_one_module():
+    assert rule_forks([path for path in SOURCES if path != CHECKS]) == []
+    assert rule_forks([CHECKS]), "_checks.py no longer states the bool and integer rules"
+
+
+def test_checker_flags_a_number_rule_outside_the_checks_module(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import operator\n"
+        "import numpy as np\n"
+        "from numpy import bool_\n"
+        "from operator import index\n"
+        "def f(x):\n"
+        "    if isinstance(x, (bool, np.bool_)):\n"
+        "        return bool_(x)\n"
+        "    return operator.index(x)\n"
+        "def g(x):\n"
+        "    return index(x) + len(x.index)  # bool_ in a comment is fine\n"
+    )
+    assert rule_forks([sample], tmp_path) == [
+        "sample.py:3: import",
+        "sample.py:4: import",
+        "sample.py:6: bool_",
+        "sample.py:7: bool_",
+        "sample.py:8: operator.index",
     ]

@@ -206,19 +206,19 @@ def test_batch_broadcasts_and_flags_events():
     "angles",
     [
         # the second cat's (theta1, theta2, phi1, phi2), and the batch's error
-        ((math.nan, 1.0, 0.0, 0.0), "theta must lie in [0, pi], got nan"),
-        ((1.0, -0.01, 0.0, 0.0), "theta must lie in [0, pi], got -0.01"),
+        ((math.nan, 1.0, 0.0, 0.0), "theta1 must lie in [0, pi], got nan"),
+        ((1.0, -0.01, 0.0, 0.0), "theta2 must lie in [0, pi], got -0.01"),
         (
             (1.0, math.pi + 1e-6, 0.0, 0.0),
-            f"theta must lie in [0, pi], got {math.pi + 1e-6!r}",
+            f"theta2 must lie in [0, pi], got {math.pi + 1e-6!r}",
         ),
-        ((1.0, 1.0, math.inf, 0.0), "phi must be finite, got inf"),
-        ((1.0, 1.0, 0.0, math.nan), "phi must be finite, got nan"),
-        ((math.inf, 1.0, 0.0, 0.0), "theta must lie in [0, pi], got inf"),
-        ((1.0, -math.inf, 0.0, 0.0), "theta must lie in [0, pi], got -inf"),
+        ((1.0, 1.0, math.inf, 0.0), "phi1 must be finite, got inf"),
+        ((1.0, 1.0, 0.0, math.nan), "phi2 must be finite, got nan"),
+        ((math.inf, 1.0, 0.0, 0.0), "theta1 must lie in [0, pi], got inf"),
+        ((1.0, -math.inf, 0.0, 0.0), "theta2 must lie in [0, pi], got -inf"),
         # theta2 and phi1 both bad: every theta is checked before any phi
-        ((1.0, math.nan, math.inf, 0.0), "theta must lie in [0, pi], got nan"),
-        ((1.0, 1.0, -math.inf, math.nan), "phi must be finite, got -inf"),
+        ((1.0, math.nan, math.inf, 0.0), "theta2 must lie in [0, pi], got nan"),
+        ((1.0, 1.0, -math.inf, math.nan), "phi1 must be finite, got -inf"),
     ],
 )
 def test_batch_rejects_bad_angles(angles):
@@ -817,7 +817,8 @@ def test_line_checks_every_column_of_base_when_built(k):
     # column k is replaced by the first call's values, but is checked too
     base = _LINE_BASE.copy()
     base[1, k] = math.nan
-    with pytest.raises(ValueError, match="theta must lie in" if k < 2 else "phi must be finite"):
+    name = ("theta1", "theta2", "phi1", "phi2")[k]
+    with pytest.raises(ValueError, match=f"{name} must lie in" if k < 2 else f"{name} must be finite"):
         cat_crb_line(SpinJ(2), Generator.Y, base, k)
 
 

@@ -452,7 +452,7 @@ def test_line_objective_raises_as_the_objective_does(two_j, where, bad, k):
     trial = base[rows]
     trial[:, k] = v
     expected = _error_text(lambda: scan_mod._objective(j, gen, trial))
-    assert expected.startswith("theta must" if where < 2 else "phi must")
+    assert expected.startswith(("theta1", "theta2", "phi1", "phi2")[where] + " must")
     assert _error_text(lambda: scan_mod._line_objective(j, gen, base[rows], k)(v)) == expected
 
 
