@@ -76,7 +76,9 @@ def _cat_amplitudes(c: CatParams) -> np.ndarray:
 
 
 def normalization(c: CatParams) -> float:
-    """N = 1/sqrt(2 + 2 Re<1|2>); raises DegenerateCatError at the floor."""
+    """N = 1/sqrt(2 + 2 Re<1|2>); raises DegenerateCatError at the floor.
+    A c of another type raises TypeError."""
+    c = instance(c, CatParams, "c")
     return 1.0 / math.sqrt(_checked_norm_squared(_summed_amplitudes(c)))
 
 
@@ -84,6 +86,8 @@ def cat_state(c: CatParams) -> DickeVector:
     """Unit-norm N (v1 + v2) over the Dicke basis.
 
     The sum is symmetric in (p1, p2), so swapping the components returns the
-    identical vector, not merely the same ray.
+    identical vector, not merely the same ray. A c of another type raises
+    TypeError.
     """
+    c = instance(c, CatParams, "c")
     return DickeVector(c.j, _cat_amplitudes(c))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import real
+from ._checks import instance, real
 from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
@@ -103,7 +103,9 @@ def _coherent_rows(t: _Powers, theta: np.ndarray, phi: np.ndarray) -> np.ndarray
 
 
 def coherent_state(j: SpinJ, p: CoherentParams) -> DickeVector:
-    """Amplitude vector of |theta, phi, j> over the Dicke basis."""
+    """Amplitude vector of |theta, phi, j> over the Dicke basis; j must be a
+    SpinJ and p a CoherentParams."""
+    j, p = instance(j, SpinJ, "j"), instance(p, CoherentParams, "p")
     return DickeVector(j, _coherent_rows(_powers(j.two_j), np.array(p.theta), np.array(p.phi)))
 
 
@@ -113,8 +115,11 @@ def coherent_overlap(j: SpinJ, p1: CoherentParams, p2: CoherentParams) -> comple
     Equals [cos(t1/2)cos(t2/2) + e^{i(phi1-phi2)} sin(t1/2)sin(t2/2)]^{2j},
     the 2j-th power of the spin-1/2 overlap. The real sine product is formed
     before the phase multiplies it, so swapping the states gives exactly the
-    complex conjugate.
+    complex conjugate. j must be a SpinJ, p1 and p2 CoherentParams.
     """
+    instance(j, SpinJ, "j")
+    instance(p1, CoherentParams, "p1")
+    instance(p2, CoherentParams, "p2")
     base = math.cos(p1.theta / 2) * math.cos(p2.theta / 2) + cmath.exp(
         1j * (p1.phi - p2.phi)
     ) * (math.sin(p1.theta / 2) * math.sin(p2.theta / 2))
@@ -127,8 +132,10 @@ def rotation_matrix(j: SpinJ, p: CoherentParams) -> np.ndarray:
     The exponent K is anti-Hermitian, so U = exp(-iH) with H = iK Hermitian;
     H is diagonalized with eigh and re-exponentiated, which keeps U unitary
     to roundoff (no series truncation). Column 0 is the coherent state.
+    j must be a SpinJ and p a CoherentParams.
     """
     ops = build_operators(j)
+    p = instance(p, CoherentParams, "p")
     half = p.theta / 2
     K = half * (ops.jp * cmath.exp(-1j * p.phi) - ops.jm * cmath.exp(1j * p.phi))
     w, V = np.linalg.eigh(1j * K)

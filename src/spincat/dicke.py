@@ -88,12 +88,14 @@ def _as_unit_amplitudes(dim: int, amps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DickeVector:
-    """Normalized pure state, amplitudes indexed by k = m + j (ascending m)."""
+    """Normalized pure state, amplitudes indexed by k = m + j (ascending m);
+    j must be a SpinJ."""
 
     j: SpinJ
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        instance(self.j, SpinJ, "j")
         object.__setattr__(
             self, "amplitudes", _as_unit_amplitudes(self.j.dim, self.amplitudes)
         )
@@ -103,8 +105,9 @@ class DickeVector:
         return self.j.dim
 
     def inner(self, other: "DickeVector") -> complex:
-        """<self|other> in the shared Dicke basis."""
-        if self.j != other.j:
+        """<self|other> in the shared Dicke basis; other must be a
+        DickeVector."""
+        if self.j != instance(other, DickeVector, "other").j:
             raise ValueError("states carry different j")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
@@ -126,9 +129,10 @@ def build_operators(j: SpinJ) -> SpinOperators:
     """Construct J+, J-, Jx, Jy, Jz as dense complex matrices.
 
     J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>, so in ascending-m storage the
-    raising entries sit at [k+1, k]. Jz is diagonal with entries m.
+    raising entries sit at [k+1, k]. Jz is diagonal with entries m. A j of
+    another type raises TypeError; the check runs only when the cache misses.
     """
-    jj = j.j
+    jj = instance(j, SpinJ, "j").j
     d = j.dim
     m = j.m_values()
     # coefficients sqrt(j(j+1) - m(m+1)) for m = -j .. j-1

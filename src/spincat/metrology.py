@@ -116,9 +116,11 @@ def qfi_pure(state: DickeVector, g: Generator) -> float:
     """F_Q = 4 Var(G), computed as 4 ||(G - <G>) psi||^2.
 
     The residual form is a sum of squares, so a zero-variance eigenstate
-    comes out at ~1e-32 instead of a cancellation-noise negative.
+    comes out at ~1e-32 instead of a cancellation-noise negative. A state
+    or g of another type raises TypeError.
     """
-    return _qfi(g.matrix(state.j), state.amplitudes)
+    state = instance(state, DickeVector, "state")
+    return _qfi(instance(g, Generator, "g").matrix(state.j), state.amplitudes)
 
 
 def _qfi(G: np.ndarray, psi: np.ndarray) -> float:
@@ -136,10 +138,11 @@ def qfi_sld_oracle(state: DickeVector, g: Generator) -> float:
     analytically (d rho/d xi = i[G, rho]), and solves the SLD equation in the
     eigenbasis of rho: L_ab = 2 (d rho)_ab / (p_a + p_b), with pairs below
     the eigenvalue floor dropped. Deliberately matrix-heavy and independent
-    of the variance route.
+    of the variance route. A state or g of another type raises TypeError.
     """
+    state = instance(state, DickeVector, "state")
     psi = state.amplitudes
-    G = g.matrix(state.j)
+    G = instance(g, Generator, "g").matrix(state.j)
     rho = np.outer(psi, psi.conj())
     drho = 1j * (G @ rho - rho @ G)
     p, V = np.linalg.eigh(rho)
@@ -186,7 +189,8 @@ def _packaged(qfi: float) -> CrbResult:
 
 
 def crb(state: DickeVector, g: Generator) -> CrbResult:
-    """Cramer-Rao bound 1/sqrt(F_Q) for the given probe and generator."""
+    """Cramer-Rao bound 1/sqrt(F_Q) for the given probe and generator,
+    checked as qfi_pure checks them."""
     return _packaged(qfi_pure(state, g))
 
 

@@ -9,19 +9,25 @@ the batched kernel cat_crb_batch a block of rows at a time.
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
 cyclic coordinate descent with golden-section line minimization. The seed
-grid is the search's one cat_crb_batch call, and all seeds are polished
-in lockstep from its values. Each line search moves one angle of every
-seed still sweeping, and runs on one cat_crb_line built for it: the cat
-component the three fixed angles determine, and the factor of the other
-that the moving angle leaves alone, are expanded once per line, so each
-golden-section step expands only the moving factor of the next point of
-every seed. The caches hold 2 m (2j + 1) amplitudes for m seeds, about
-5.4 MB at MAX_SEEDS and 2j = 64. Every bracket of a line closes on the
-same step (see _golden_min). The values the polish ends on, the ones
-cat_crb_batch gives at the polished points, bit for bit, decide
-acceptance. Each seed takes exactly the steps it would take searched on
-its own, so the search is exact-arithmetic deterministic: same spec, same
-result.
+grid is the search's one cat_crb_batch call, given as four broadcast axes
+so the kernel expands a cat component once per distinct point of its own
+angles (36 and 72) wherever those fit in one chunk, and the seeds are
+polished in lockstep from its values. No pure state's bound goes below
+1/(2j), so a seed within a relative 1e-12 of it (or the tolerance, if
+smaller) is done: it leaves the polish before its first line search if
+the grid puts it there, or after the line search that brings it there.
+Each line search moves one angle of every seed still sweeping, and runs
+on one cat_crb_line built for it: the cat component the three fixed
+angles determine, and the factor of the other that the moving angle
+leaves alone, are expanded once per line, so each golden-section step
+expands only the moving factor of the next point of every seed. The
+caches hold 2 m (2j + 1) amplitudes for m seeds, about 5.4 MB at
+MAX_SEEDS and 2j = 64. Every bracket of a line closes on the same step
+(see _golden_min). The values the polish ends on, the ones cat_crb_batch
+gives at the polished points, bit for bit, decide acceptance. Each seed
+takes exactly the steps it would take searched on its own, and every
+stopping rule reads only its own values, so the search is
+exact-arithmetic deterministic: same spec, same result.
 """
 from __future__ import annotations
 
@@ -207,9 +213,10 @@ def grid_scan(spec: ScanSpec) -> GridResult:
 
     Rows go to the kernel in blocks of about one kernel chunk, so no
     temporary grows with resolution**2. Every cell is computed from its
-    own angles alone: block and chunk sizes do not change any value.
+    own angles alone: block and chunk sizes do not change any value. A
+    spec of another type raises TypeError.
     """
-    n = spec.resolution
+    n = instance(spec, ScanSpec, "spec").resolution
     theta = spec.theta_axis()
     values = np.empty((n, n))
     degenerate = np.empty((n, n), dtype=bool)
@@ -278,14 +285,21 @@ _BRACKET_TOL = 1e-12
 # coordinate-descent sweeps at most per search
 _MAX_SWEEPS = 40
 
+# relative slack above 1/(2j) within which a seed is at the limit and stops
+# being polished: no pure state's bound lies below 1/(2j), and the kernels'
+# roundoff there is at most about 2.2e-16, so further steps only move roundoff
+_LIMIT_SLACK = 1e-12
 
-def _objective(j: SpinJ, g: Generator, points: np.ndarray) -> np.ndarray:
-    """Bound at each row (theta1, theta2, phi1, phi2) of points; inf where
-    the cat is degenerate, so the search steps away from it.
+
+def _objective(j: SpinJ, g: Generator, *angles) -> np.ndarray:
+    """Bound at each cat the four angle arrays theta1, theta2, phi1 and phi2
+    broadcast to, or, given one (n, 4) array, at each of its rows (theta1,
+    theta2, phi1, phi2); inf where the cat is degenerate, so the search
+    steps away from it.
 
     Angles outside the CoherentParams domain raise ValueError.
     """
-    _, crb, degenerate = cat_crb_batch(j, g, *points.T)
+    _, crb, degenerate = cat_crb_batch(j, g, *(angles[0].T if len(angles) == 1 else angles))
     return np.where(degenerate, math.inf, crb)
 
 
@@ -340,40 +354,56 @@ def _golden_min(line, n: int, lo: float, hi: float):
     return np.where(lower, c, d), np.where(lower, fc, fd)
 
 
-def _polish(line_for, starts, values):
+def _polish(line_for, starts, values, stop: float):
     """Cyclic coordinate descent from every start at once.
 
     values holds the objective at each start, and line_for(base, k) gives
     the objective along angle k of each row of base as a line(v) of
-    _golden_min. A row stops sweeping after the first sweep that improves
-    it by less than 1e-13, and every row after _MAX_SWEEPS sweeps.
+    _golden_min. A row whose value is at most stop is done: it is never
+    polished if its start is, and leaves after the line search that brings
+    it there. Any other row stops after the first sweep that improves it
+    by less than 1e-13, and every row after _MAX_SWEEPS sweeps. Each rule
+    reads a row's own values only.
     -> (x, best): the polished points and their objective values.
     """
     x = np.array(starts, dtype=float)
     best = np.array(values, dtype=float)
-    live = np.arange(len(x))
+    live = np.flatnonzero(best > stop)
     for _ in range(_MAX_SWEEPS):
-        before = best[live]
+        before = best.copy()
         for k, (lo, hi) in enumerate(_BOUNDS):
+            if not live.size:
+                return x, best
             v, fv = _golden_min(line_for(x[live], k), live.size, lo, hi)
             better = fv < best[live]
             x[live[better], k] = v[better]
             best[live[better]] = fv[better]
-        live = live[~(before - best[live] < 1e-13)]
-        if not live.size:
-            break
+            live = live[best[live] > stop]
+        live = live[~(before[live] - best[live] < 1e-13)]
     return x, best
+
+
+def _stop_bound(spec: HlSearchSpec) -> float:
+    """The value at or below which find_hl stops polishing a seed:
+    target (1 + min(_LIMIT_SLACK, tolerance)), never above acceptance."""
+    return spec.target * (1.0 + min(_LIMIT_SLACK, spec.tolerance))
 
 
 def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     """The seeds best finite points of the coarse grid, ranked by
-    (value, theta1, theta2, phi1, phi2) -> (starts, values)."""
+    (value, theta1, theta2, phi1, phi2) -> (starts, values).
+
+    f(theta1, theta2, phi1, phi2) gives the objective at the points its
+    arguments broadcast to. It gets the grid as four axes, of shapes
+    (9, 1, 1, 1), (1, 9, 1, 1), (1, 1, 4, 1) and (1, 1, 1, 8), so
+    cat_crb_batch can expand each component once per distinct point of
+    its own angles; the values are those of the flat grid, bit for bit.
+    """
     thetas = math.pi * np.arange(9) / 8
     phis = math.pi * np.arange(8) / 4
-    grid = np.stack(
-        np.meshgrid(thetas, thetas, phis[:4], phis, indexing="ij"), axis=-1
-    ).reshape(-1, 4)
-    vals = f(grid)
+    axes = np.ix_(thetas, thetas, phis[:4], phis)
+    grid = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 4)
+    vals = f(*axes).reshape(-1)
     keep = np.isfinite(vals)
     grid, vals = grid[keep], vals[keep]
     order = np.lexsort((grid[:, 3], grid[:, 2], grid[:, 1], grid[:, 0], vals))[:seeds]
@@ -386,16 +416,22 @@ def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     The MAX_SEEDS-point seed grid is the search's one cat_crb_batch call,
     and the best spec.seeds points are polished together from its values,
     each line search on one cat_crb_line that expands the factors it
-    leaves fixed once; the values the polish ends on decide acceptance.
-    Returns accepted points sorted by (crb, theta1, theta2, phi1, phi2);
-    raises NoHlFoundError when no polished seed reaches the target within
-    the acceptance slack.
+    leaves fixed once. A seed whose bound is within a relative 1e-12 of
+    the target (or within the tolerance, if that is smaller) is at the
+    Heisenberg limit, which no pure state goes below, and is polished no
+    further: a grid point already there is reported as it is. The values
+    the polish ends on decide acceptance. Returns accepted points sorted
+    by (crb, theta1, theta2, phi1, phi2); raises NoHlFoundError when no
+    polished seed reaches the target within the acceptance slack, and
+    TypeError for a spec of another type.
     """
+    instance(spec, HlSearchSpec, "spec")
     objective = functools.partial(_objective, spec.j, spec.generator)
     line_for = functools.partial(_line_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
     found: dict[tuple, HlPoint] = {}
-    xs, vals = _polish(line_for, *_seed_starts(objective, spec.seeds))
+    starts, values = _seed_starts(objective, spec.seeds)
+    xs, vals = _polish(line_for, starts, values, _stop_bound(spec))
     for x, val in zip(xs.tolist(), vals.tolist()):
         if val <= accept:
             key = tuple(round(v, 9) for v in x)

@@ -70,9 +70,13 @@ def _golden_min(f, lo, hi, tol=1e-12):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _polish(f, start, max_sweeps=40):
+def _polish(f, start, stop, max_sweeps=40):
+    # a start at or below stop is at the limit already; a line search that
+    # brings the point there ends the polish
     x = list(start)
     best = f(x)
+    if best <= stop:
+        return x, best
     for _ in range(max_sweeps):
         before = best
         for k, (lo, hi) in enumerate(_BOUNDS):
@@ -85,6 +89,8 @@ def _polish(f, start, max_sweeps=40):
             if fv < best:
                 x[k] = v
                 best = fv
+            if best <= stop:
+                return x, best
         if before - best < 1e-13:
             break
     return x, best
@@ -112,9 +118,10 @@ def sequential_find_hl(spec):
         return float(_objective(spec.j, spec.generator, np.array([x]))[0])
 
     accept = spec.target * (1.0 + spec.tolerance)
+    stop = spec.target * (1.0 + min(1e-12, spec.tolerance))
     found = {}
     for start in _seed_starts(objective, spec.seeds):
-        x, val = _polish(objective, start)
+        x, val = _polish(objective, start, stop)
         if val <= accept:
             key = tuple(round(v, 9) for v in x)
             pt = HlPoint(x[0], x[1], x[2], x[3], val)

@@ -444,23 +444,23 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
         assert doc[key] == float(f"{value:.15g}"), key
 
 
-# sha256 of find-hl stdout, text and JSON, recorded from the search that sent
-# every golden-section step through one full cat_crb_batch call
+# sha256 of find-hl stdout, text and JSON, recorded from the search that
+# stops polishing a seed once its bound is at the Heisenberg limit
 @pytest.mark.parametrize(
     "j,gen,fmt,digest",
     [
-        ("0.5", "z", "text", "0bebbe42caa164a79117d397057325645639de7150105c27c9e83dd633ac4b2a"),
-        ("0.5", "z", "json", "59458c5cbaf80f0f9ac0f3072d96de25e9e2656a0b3f8fcebb05e841d5e698c2"),
-        ("1", "z", "text", "3b102df62aad8d24172b6361a840fee4f22fccaa54369adbc56bf9f9a3447b96"),
-        ("1", "z", "json", "8254f2989e9a98c8e50f637c06b0f3c3d01b9ce13f682b16feb80203b3280256"),
-        ("1.5", "y", "text", "7939fb77258b37c4e52e47a572436761c479eab84e8470199634d00c0a7867f6"),
-        ("1.5", "y", "json", "6ba76a9f48df11285944015136422fe37a2e5f71a96b5fa36028d3702ba17e8a"),
-        ("32", "y", "text", "13c38ba7929db51aa60b52030ab3d5f63d168ab27e133fdd69f9f40af47edbf6"),
-        ("32", "y", "json", "ecf71d4efbd1ad8fdc4118e26d864e3c57a0a93ef11918e858f50b1cfd5cf6cc"),
-        ("1", "x", "text", "c28803ce4abfbb15d99d9a993288eebe6bf5959613327c938d0cc4f08c197173"),
-        ("1", "x", "json", "3a28d3f1a047ca5032618cf55a4229f11cb4422bc464cc0132e424205ea12cde"),
-        ("2", "x", "text", "d9625f992d24bb8afad05488bdae07800be01f88f48036ef3adb4b2f48047495"),
-        ("2", "x", "json", "7edaf6cfadbaad3608010cfae48b4ec2266d4fdf12ddd81da052b6a04d59d011"),
+        ("0.5", "z", "text", "f78ea45217b98f0a71f1fb01192f4c2c1a4e13d418582d26ee667e270f6de9db"),
+        ("0.5", "z", "json", "f433b8109b91c06a8e0984b2c789c8cf8569b7644e441f7c0b21c1919b7dbf2e"),
+        ("1", "z", "text", "7c53a7b26aff5b615256c1a419b89f77e2d1442800a5f82125eb2582ea8dfe45"),
+        ("1", "z", "json", "5bb405e1ce41a79dede8c3b708f359825aaaf8e3ff69b54f9a396582de356401"),
+        ("1.5", "y", "text", "e3450a6361cffa7c6b19d9b3db4c7f64a9381d2bfde4e204cf1d41c525422b5f"),
+        ("1.5", "y", "json", "faf79cd3ec8aa01026277251ce7905b2678d990585019ee59527ac65d9055b50"),
+        ("32", "y", "text", "792cd8afb1a0c7d23c74a903b3f95162a0e686ed15e5101c925389708201112e"),
+        ("32", "y", "json", "4d15fde92efc3d8026a367bdf34290ebb04a2bbe3006b774827c776e6ce4b97e"),
+        ("1", "x", "text", "f15025b01fd91145f6d746ab613bc747da1868af33a0fac950bb96df440ae3cc"),
+        ("1", "x", "json", "7c8f7f66b2d9da22676de1611bab187b91f82d010a47a94bbb428dacfb92aef0"),
+        ("2", "x", "text", "602c29e76cc8b6b4fc4e425a333623f274b69015b057069f520eae8c79a7eb2b"),
+        ("2", "x", "json", "8173d07e79d194aed4e32800b80749b93d4aed5402934f66cb9c77b6485b8e5c"),
     ],
 )
 def test_find_hl_stdout_is_pinned(capsys, j, gen, fmt, digest):

@@ -20,22 +20,33 @@ from spincat import (
     CatParams,
     ClosedFormCase,
     CoherentParams,
+    DickeVector,
     Generator,
     HlSearchSpec,
     ScanSpec,
     SpinJ,
     SweepReport,
+    build_operators,
     cat_crb,
     cat_crb_batch,
     cat_state,
     closed_form,
+    coherent_overlap,
+    coherent_state,
+    crb,
     crb_from_qfi,
     crb_half_x,
     crb_half_z,
     dicke_to_fock,
     evolve,
+    find_hl,
     fock_to_dicke,
+    grid_scan,
+    normalization,
     qfi_fidelity_oracle,
+    qfi_pure,
+    qfi_sld_oracle,
+    rotation_matrix,
     sweep_family,
 )
 from spincat.metrology import cat_crb_line
@@ -55,12 +66,20 @@ BAD = [True, np.True_, math.nan, math.inf, -math.inf, 2**2000, "x", 1 + 1j, None
 ROWS = [
     ("SpinJ", SpinJ, {"two_j": 2}, {"two_j": "integer"}),
     ("SpinJ.from_j", SpinJ.from_j, {"j": 1.0}, {"j": "real*"}),
+    ("DickeVector", DickeVector, {"j": J, "amplitudes": STATE.amplitudes}, {"j": "object"}),
+    ("DickeVector.inner", STATE.inner, {"other": STATE}, {"other": "object"}),
+    ("build_operators", build_operators, {"j": J}, {"j": "object"}),
     ("dicke_to_fock", dicke_to_fock, {"j": J, "m": 0.0}, {"j": "object", "m": "real*"}),
     ("fock_to_dicke", fock_to_dicke, {"na": 1, "nb": 1}, {"na": "integer", "nb": "integer"}),
     ("CoherentParams", CoherentParams, {"theta": 0.4, "phi": 0.3},
      {"theta": "real*", "phi": "real"}),
+    ("coherent_state", coherent_state, {"j": J, "p": CAT.p1}, {"j": "object", "p": "object"}),
+    ("coherent_overlap", coherent_overlap, {"j": J, "p1": CAT.p1, "p2": CAT.p2},
+     {"j": "object", "p1": "object", "p2": "object"}),
+    ("rotation_matrix", rotation_matrix, {"j": J, "p": CAT.p1}, {"j": "object", "p": "object"}),
     ("CatParams", CatParams, {"j": J, "p1": CAT.p1, "p2": CAT.p2},
      {"j": "object", "p1": "object", "p2": "object"}),
+    *((f.__name__, f, {"c": CAT}, {"c": "object"}) for f in (normalization, cat_state)),
     ("cat_crb", cat_crb, {"c": CAT, "g": G}, {"c": "object", "g": "object"}),
     ("cat_crb_batch", cat_crb_batch, {"j": J, "g": G, **ANGLES},
      {"j": "object", "g": "object", "theta1": "array*", "theta2": "array*",
@@ -69,6 +88,10 @@ ROWS = [
      {"j": "object", "g": "object", "base": "array*", "k": "integer"}),
     ("cat_crb_line(...)", lambda values: cat_crb_line(J, G, BASE, 1)(values),
      {"values": [0.3, 0.4]}, {"values": "array*"}),
+    *(
+        (f.__name__, f, {"state": STATE, "g": G}, {"state": "object", "g": "object"})
+        for f in (qfi_pure, qfi_sld_oracle, crb)
+    ),
     ("crb_from_qfi", crb_from_qfi, {"qfi": 0.5}, {"qfi": "real"}),
     ("evolve", evolve, {"state": STATE, "g": G, "xi": 0.3},
      {"state": "object", "g": "object", "xi": "real"}),
@@ -91,6 +114,8 @@ ROWS = [
       "resolution": "integer", "cap": "real"}),
     ("HlSearchSpec", HlSearchSpec, {"j": J, "generator": G, "tolerance": 0.01, "seeds": 2},
      {"j": "object", "generator": "object", "tolerance": "real*", "seeds": "integer"}),
+    ("grid_scan", grid_scan, {"spec": ScanSpec(J, G, 0.0, 1.0, resolution=5)}, {"spec": "object"}),
+    ("find_hl", find_hl, {"spec": HlSearchSpec(J, G, seeds=2)}, {"spec": "object"}),
 ]
 
 

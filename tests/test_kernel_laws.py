@@ -1,11 +1,11 @@
-"""Exact laws of the batched kernel: its three symmetries and the antipodal
-Jz line, where the Heisenberg limit holds at the poles only (2j >= 3) or
-along the whole line (2j = 2)."""
+"""Exact laws of the batched kernel: its three symmetries, the Heisenberg
+limit no bound goes below, and the antipodal Jz line, where the limit holds
+at the poles only (2j >= 3) or along the whole line (2j = 2)."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spincat import (
@@ -17,6 +17,7 @@ from spincat import (
     closed_form,
     coherent_overlap,
 )
+from spincat.metrology import cat_crb_line
 
 TWO_JS = [1, 2, 3, 16, 64]
 thetas = st.floats(min_value=0.0, max_value=math.pi)
@@ -82,6 +83,58 @@ def test_jy_is_jx_a_quarter_turn_back(two_j, t1, p1, t2, p2):
     assert degenerate_y == degenerate_x
     assume(not degenerate_y and _well_conditioned(j, t1, t2, p1, p2, qfi_y))
     assert qfi_x == pytest.approx(qfi_y, rel=1e-12, abs=0)
+
+
+# no pure state has F_Q = 4 Var(G) above (2j)^2, so crb 2j >= 1; find_hl
+# stops polishing a seed within 1e-12 of the limit, which holds only while
+# the kernels' roundoff below it stays far smaller (it is at most 2.2e-16)
+HL_ROUNDOFF = 1e-14
+
+
+def _assert_not_below_the_limit(two_j, crb):
+    finite = np.isfinite(crb)
+    assert (crb[finite] * two_j >= 1 - HL_ROUNDOFF).all(), np.min(crb[finite]) * two_j
+
+
+def _seed_grid():
+    thetas = math.pi * np.arange(9) / 8
+    phis = math.pi * np.arange(8) / 4
+    return np.stack(np.meshgrid(thetas, thetas, phis[:4], phis, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
+def _random_points(rng, n):
+    return np.column_stack(
+        [rng.uniform(0, math.pi, (n, 2)), rng.uniform(0, 2 * math.pi, (n, 2))]
+    )
+
+
+@pytest.mark.parametrize("two_j", TWO_JS)
+@pytest.mark.parametrize("gen", list(Generator))
+def test_no_seed_grid_bound_falls_below_the_limit(two_j, gen):
+    _, crb, _ = cat_crb_batch(SpinJ(two_j), gen, *_seed_grid().T)
+    _assert_not_below_the_limit(two_j, crb)
+
+
+@pytest.mark.parametrize("two_j", TWO_JS)
+@pytest.mark.parametrize("gen", list(Generator))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_no_batch_or_line_bound_falls_below_the_limit(two_j, gen, seed):
+    # random cats, then lines along each angle through random cats and
+    # through the seed-grid points at the limit, where roundoff decides
+    rng = np.random.default_rng(seed)
+    j = SpinJ(two_j)
+    _, crb, _ = cat_crb_batch(j, gen, *_random_points(rng, 256).T)
+    _assert_not_below_the_limit(two_j, crb)
+    grid = _seed_grid()
+    _, at_grid, _ = cat_crb_batch(j, gen, *grid.T)
+    limit = grid[at_grid * two_j <= 1 + 1e-12]
+    base = np.concatenate([_random_points(rng, 16), limit[rng.permutation(len(limit))[:16]]])
+    for k in range(4):
+        top = math.pi if k < 2 else 2 * math.pi
+        for values in (rng.uniform(0, top, len(base)), base[:, k] + rng.normal(0, 1e-6, len(base))):
+            _, crb, _ = cat_crb_line(j, gen, base, k)(np.clip(values, 0, top))
+            _assert_not_below_the_limit(two_j, crb)
 
 
 # theta1 across [0, pi] on the line theta2 = pi - theta1, phi2 = phi1 + pi;

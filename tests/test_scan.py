@@ -257,26 +257,29 @@ def test_lockstep_search_matches_one_point_at_a_time(two_j, gen):
 
 
 # float.hex of (theta1, theta2, phi1, phi2, crb) for each point find_hl
-# reports at j = 3/2 under Jy, recorded before the kernel's per-call
-# overhead was cut. The lockstep test above compares the search with a
-# reference that calls the same kernel, so it cannot see the kernel drift.
+# reports at j = 3/2 under Jy, recorded from the search that stops
+# polishing a seed once its bound is at the limit. The lockstep test above
+# compares the search with a reference that calls the same kernel, so it
+# cannot see the kernel drift.
 _PINNED_HL_3Y = [
     "0x1.921fb59864785p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
     "0x1.2d97c7f3321d2p+2 0x1.5555555555554p-2",
-    "0x1.921fb57411fb1p+0 0x1.921fb52e15506p+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555555p-2",
-    "0x1.921fb56f3c6b0p+0 0x1.921fb5b77df06p+0 0x1.921fb53ff4436p+0 "
-    "0x1.2d97c8067f685p+2 0x1.5555555555556p-2",
+    "0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
     "0x1.921fb58d9ff8cp+0 0x1.921fb5158917cp+0 0x1.921fb58c9c70fp+0 "
     "0x1.2d97c80d1e5f3p+2 0x1.5555555555556p-2",
-    "0x1.921fb59868b27p+0 0x1.921fb52a708c2p+0 0x1.921fb4f2d1429p+0 "
-    "0x1.2d97c7fb19a17p+2 0x1.5555555555556p-2",
-    "0x1.921fb59ab165bp+0 0x1.921fb5b1a1c33p+0 0x1.921fb58b4d61dp+0 "
-    "0x1.2d97c7fd25e36p+2 0x1.5555555555556p-2",
     "0x1.921fb5aef09d9p+0 0x1.921fb5c02501dp+0 0x1.921fb54442d18p+0 "
     "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
-    "0x1.921fb5dc255a8p+0 0x1.921fb54f8764ep+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
+    "0x1.921fb59868b27p+0 0x1.921fb3ab1d318p+0 0x1.921fb4f2d1429p+0 "
+    "0x1.2d97c7fb19a17p+2 0x1.555555555555ep-2",
+    "0x1.921fb56f3c6b0p+0 0x1.921fb3a5518b6p+0 0x1.921fb53ff4436p+0 "
+    "0x1.2d97c8067f685p+2 0x1.555555555555fp-2",
+    "0x1.921fb83cec080p+0 0x1.921fb52e15506p+0 0x1.921fb54442d18p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555574p-2",
+    "0x1.921fb5f992d22p+0 0x1.921fb5b1a1c33p+0 0x1.921fb94970345p+0 "
+    "0x1.2d97c7fd25e36p+2 0x1.5555555555591p-2",
+    "0x1.921fce2b5ca21p+0 0x1.921fb54f8764ep+0 0x1.921fb54442d18p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555df2p-2",
 ]
 
 
@@ -284,6 +287,60 @@ def test_find_hl_points_are_pinned():
     points = find_hl(HlSearchSpec(SpinJ(3), Generator.Y))
     fields = [(p.theta1, p.theta2, p.phi1, p.phi2, p.crb) for p in points]
     assert [" ".join(float(v).hex() for v in f) for f in fields] == _PINNED_HL_3Y
+
+
+@pytest.mark.parametrize("tolerance", [0.1, 1e-3, 1e-12, 1e-13, 1e-16])
+def test_polish_stops_at_the_limit_within_the_smaller_slack(monkeypatch, tolerance):
+    # a seed stops at target (1 + min(1e-12, tolerance)), never looser than
+    # acceptance, so no seed stops that acceptance would refuse; the search
+    # still matches the one-point-at-a-time reference, which stops the same
+    import spincat.scan as scan_mod
+
+    search = HlSearchSpec(SpinJ(3), Generator.Y, tolerance=tolerance, seeds=4)
+    stops = []
+    polish = scan_mod._polish
+
+    def spy(line_for, starts, values, stop):
+        stops.append(stop)
+        return polish(line_for, starts, values, stop)
+
+    monkeypatch.setattr(scan_mod, "_polish", spy)
+    points = find_hl(search)
+    want = search.target * (1 + min(1e-12, tolerance))
+    assert stops == [want]
+    assert want <= search.target * (1 + tolerance)
+    assert points == sequential_find_hl(search)
+
+
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+def test_seed_grid_axes_give_the_flat_grid_values(two_j, gen):
+    # the seed grid reaches the kernel as four broadcast axes, so it can
+    # expand a cat component once per distinct point of its own angles;
+    # the values are those of the flat (MAX_SEEDS, 4) block, bit for bit
+    import spincat.scan as scan_mod
+
+    j = SpinJ(two_j)
+    thetas = PI * np.arange(9) / 8
+    phis = PI * np.arange(8) / 4
+    grid = np.stack(
+        np.meshgrid(thetas, thetas, phis[:4], phis, indexing="ij"), axis=-1
+    ).reshape(-1, 4)
+    seen = []
+
+    def objective(*axes):
+        seen.append([a.shape for a in axes])
+        seen.append(scan_mod._objective(j, gen, *axes))
+        return seen[-1]
+
+    starts, values = scan_mod._seed_starts(objective, MAX_SEEDS)
+    shapes, broadcast = seen
+    assert shapes == [(9, 1, 1, 1), (1, 9, 1, 1), (1, 1, 4, 1), (1, 1, 1, 8)]
+    flat = scan_mod._objective(j, gen, grid)
+    assert broadcast.reshape(-1).tobytes() == flat.tobytes()
+    finite = np.isfinite(flat)
+    assert sorted(map(tuple, starts.tolist())) == sorted(map(tuple, grid[finite].tolist()))
+    assert sorted(values.tolist()) == sorted(flat[finite].tolist())
 
 
 def test_search_chunk_size_does_not_change_points(monkeypatch):
@@ -354,7 +411,9 @@ def test_specs_refuse_bool_counts(flag):
 def test_max_seeds_is_the_size_of_the_seed_grid():
     import spincat.scan as scan_mod
 
-    starts, _ = scan_mod._seed_starts(lambda grid: np.zeros(len(grid)), MAX_SEEDS + 1)
+    starts, _ = scan_mod._seed_starts(
+        lambda *axes: np.zeros(np.broadcast_shapes(*(a.shape for a in axes))), MAX_SEEDS + 1
+    )
     assert starts.shape == (MAX_SEEDS, 4)
     assert len(np.unique(starts, axis=0)) == MAX_SEEDS
 
@@ -469,14 +528,18 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
     j, g = SpinJ(two_j), Generator[gen]
     objective = functools.partial(scan_mod._objective, j, g)
     line_for = functools.partial(scan_mod._line_objective, j, g)
-    xs, best = scan_mod._polish(line_for, *scan_mod._seed_starts(objective, 16))
+    stop = scan_mod._stop_bound(HlSearchSpec(j, g))
+    xs, best = scan_mod._polish(line_for, *scan_mod._seed_starts(objective, 16), stop)
     assert objective(xs).tobytes() == best.tobytes()
 
 
 def test_find_hl_kernel_traffic(monkeypatch):
-    # the seed grid is the search's one cat_crb_batch call; at j = 1/2
-    # under Jz the 16 seeds settle in one sweep of four lines, which take
-    # 62, 62, 64 and 64 calls of 16 values each
+    # the seed grid is the search's one cat_crb_batch call. At 2j = 1, 2,
+    # 16 and 64 under Jz the grid puts all 16 seeds at the limit, so no
+    # line is built. A line takes 62 calls on a theta range and 64 on a phi
+    # range, of one value per seed still sweeping. Over the four find-hl
+    # specs of the benchmark's scalar-search campaign (the first four
+    # below), (builds, calls, cells) sum to (30, 1888, 12558).
     import spincat.metrology as metrology
     import spincat.scan as scan_mod
 
@@ -499,10 +562,19 @@ def test_find_hl_kernel_traffic(monkeypatch):
 
     monkeypatch.setattr(scan_mod, "cat_crb_batch", batch)
     monkeypatch.setattr(scan_mod, "cat_crb_line", line_for)
-    find_hl(HlSearchSpec(SpinJ(1), Generator.Z))
-    assert batches == [MAX_SEEDS]
-    assert builds == [0, 1, 2, 3]
-    assert (len(calls), sum(calls)) == (252, 4032)
+    for two_j, gen, traffic in [
+        (1, "Z", (0, 0, 0)),
+        (2, "Z", (0, 0, 0)),
+        (3, "Y", (26, 1636, 10626)),
+        (64, "Y", (4, 252, 1932)),
+        (16, "Z", (0, 0, 0)),
+        (64, "Z", (0, 0, 0)),
+    ]:
+        batches.clear(), builds.clear(), calls.clear()
+        find_hl(HlSearchSpec(SpinJ(two_j), Generator[gen]))
+        assert batches == [MAX_SEEDS], (two_j, gen)
+        assert builds == [k % 4 for k in range(len(builds))], (two_j, gen)
+        assert (len(builds), len(calls), sum(calls)) == traffic, (two_j, gen)
 
 
 def _wave(x, row):
