@@ -124,14 +124,25 @@ class SpinOperators:
     jz: np.ndarray = field(repr=False)
 
 
-@functools.lru_cache(maxsize=None)
 def build_operators(j: SpinJ) -> SpinOperators:
     """Construct J+, J-, Jx, Jy, Jz as dense complex matrices.
 
     J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>, so in ascending-m storage the
     raising entries sit at [k+1, k]. Jz is diagonal with entries m. A j of
-    another type raises TypeError; the check runs only when the cache misses.
+    another type raises TypeError; the check runs only when the cache misses
+    or cannot hash j.
     """
+    try:
+        return _operators(j)
+    except TypeError:
+        # the cache refuses an unhashable j before the check can name it
+        instance(j, SpinJ, "j")
+        raise
+
+
+@functools.lru_cache(maxsize=None)
+def _operators(j: SpinJ) -> SpinOperators:
+    # build_operators, once per spin
     jj = instance(j, SpinJ, "j").j
     d = j.dim
     m = j.m_values()
@@ -146,6 +157,10 @@ def build_operators(j: SpinJ) -> SpinOperators:
     for arr in (jp, jm, jx, jy, jz):
         arr.flags.writeable = False
     return SpinOperators(j=j, jp=jp, jm=jm, jx=jx, jy=jy, jz=jz)
+
+
+# emptied as an lru_cache function's cache is, so a cold build can be timed
+build_operators.cache_clear = _operators.cache_clear
 
 
 def dicke_to_fock(j: SpinJ, m: float) -> tuple[int, int]:

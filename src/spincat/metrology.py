@@ -21,8 +21,9 @@ once per line, it expands the component the three fixed angles fix and
 caches the factor of the other that the moving angle leaves alone: its
 phases exp(phi (-ik)) on a theta line, its magnitudes
 sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k on a phi line. Each call
-expands only the moving factor, and checks the line's whole (4, m) block
-of points with the call cat_crb_batch makes.
+takes one value or a row of values per cat, checks them with the call
+cat_crb_batch makes, expands only the moving factor at each value and
+gathers the two caches by cat, so the caches never grow with the values.
 
 Both run one chunk loop, _evaluate: each tells it how to produce the two
 components of a slice of cats, and it adds them, takes the QFI of each
@@ -235,7 +236,8 @@ def _check_angles(angles: np.ndarray) -> None:
     """Check a (4, n) block of points (theta1, theta2, phi1, phi2) as
     CoherentParams checks floats, then clamp theta onto [0, pi] and reduce
     phi modulo 2 pi, in place, each only where a value needs it. Both
-    kernels check with it: cat_crb_batch its batch, cat_crb_line its block.
+    kernels check with it: cat_crb_batch its batch, cat_crb_line its base
+    and the values of each call.
 
     Only when the min or max of a row is out of range is the first bad
     value looked for and named, theta1 before theta2 before phi1 before
@@ -391,19 +393,22 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
 
     base is an (m, 4) array of points (theta1, theta2, phi1, phi2) and k,
     an integer argument in range(4), the index of the angle a line search
-    moves. line(values) takes one value per row of base and returns (qfi,
-    crb, degenerate) of those cats with angle k set to the values, bit for
-    bit what cat_crb_batch gives on those points. j, g, base and values
-    are checked as cat_crb_batch checks its inputs; any other k (a bool
-    too), base shape or number of values raises ValueError.
+    moves. line(values) takes one value per row of base, an (m,) array, or
+    s values per row, an (m, s) array, and returns (qfi, crb, degenerate)
+    of those cats with angle k set to the values, each of the values'
+    shape and bit for bit what cat_crb_batch gives on those points. j, g,
+    base and values are checked as cat_crb_batch checks its inputs; any
+    other k (a bool too), base shape or values shape raises ValueError.
 
-    The line keeps its points as one (4, m) block and checks it with the
-    call cat_crb_batch makes: when it is built, so a bad angle of base
-    raises then, and at every call, with the values in row k. The fixed
-    component is expanded once, and so is the factor of the moving one
-    that angle k leaves alone: its phases on a theta line, its magnitudes
-    on a phi line. A call computes only the moving factor, through the
-    chunk loop of cat_crb_batch. The caches hold 2 m (2j + 1) amplitudes.
+    base is checked as one (4, m) block with the call cat_crb_batch makes
+    when the line is built, so a bad angle of base raises then; a call
+    checks its values with the same call, in row k of a block whose other
+    rows hold 0, which every rule passes unchanged. The fixed component
+    is expanded once, and so is the factor of the moving one that angle k
+    leaves alone: its phases on a theta line, its magnitudes on a phi
+    line. A call computes only the moving factor, through the chunk loop
+    of cat_crb_batch, and gathers the two caches by row for its values.
+    The caches hold 2 m (2j + 1) amplitudes whatever s is.
     """
     bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
     rule = f"k must be an angle index in range(4), got {k!r}"
@@ -426,19 +431,24 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
 
     def line(values):
         values = real_array(values, "values")
-        if values.shape != (m,):
-            raise ValueError(f"line takes {m} values, one per point, got shape {values.shape}")
-        block[k] = values
-        # the fixed rows stay as the caches read them, bar a phi reduced to 2 pi
-        _check_angles(block)
+        if values.ndim not in (1, 2) or len(values) != m:
+            raise ValueError(
+                f"line takes {m} values, one per point, or an ({m}, s) array,"
+                f" got shape {values.shape}"
+            )
+        moving = np.zeros((4, values.size))
+        moving[k] = values.reshape(-1)
+        _check_angles(moving)
+        row = np.arange(m).repeat(values.size // max(m, 1))  # the base row of each value
         # complex products and sums commute exactly, so neither the order
         # of the two factors nor that of the two components moves a bit
-        return _evaluate(
+        out = _evaluate(
             bands,
             batch_cells(j),
-            m,
-            lambda part: move(powers, block[k, part]) * factor[part],
-            lambda part: other[part],
+            values.size,
+            lambda part: move(powers, moving[k, part]) * factor[row[part]],
+            lambda part: other[row[part]],
         )
+        return tuple(a.reshape(values.shape) for a in out)
 
     return line

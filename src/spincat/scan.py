@@ -8,10 +8,10 @@ the batched kernel cat_crb_batch a block of rows at a time.
 
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
-cyclic coordinate descent with golden-section line minimization. The seed
-grid is the search's one cat_crb_batch call, given as four broadcast axes
-so the kernel expands a cat component once per distinct point of its own
-angles (36 and 72) wherever those fit in one chunk, and the seeds are
+cyclic coordinate descent with a section search along each angle. The
+seed grid is the search's one cat_crb_batch call, given as four broadcast
+axes so the kernel expands a cat component once per distinct point of its
+own angles (36 and 72) wherever those fit in one chunk, and the seeds are
 polished in lockstep from its values. No pure state's bound goes below
 1/(2j), so a seed within a relative 1e-12 of it (or the tolerance, if
 smaller) is done: it leaves the polish before its first line search if
@@ -19,15 +19,16 @@ the grid puts it there, or after the line search that brings it there.
 Each line search moves one angle of every seed still sweeping, and runs
 on one cat_crb_line built for it: the cat component the three fixed
 angles determine, and the factor of the other that the moving angle
-leaves alone, are expanded once per line, so each golden-section step
-expands only the moving factor of the next point of every seed. The
-caches hold 2 m (2j + 1) amplitudes for m seeds, about 5.4 MB at
-MAX_SEEDS and 2j = 64. Every bracket of a line closes on the same step
-(see _golden_min). The values the polish ends on, the ones cat_crb_batch
-gives at the polished points, bit for bit, decide acceptance. Each seed
-takes exactly the steps it would take searched on its own, and every
-stopping rule reads only its own values, so the search is
-exact-arithmetic deterministic: same spec, same result.
+leaves alone, are expanded once per line, so each step of the section
+search expands only the moving factor at the seven points it samples in
+the bracket of every seed. The caches hold 2 m (2j + 1) amplitudes for m
+seeds, about 5.4 MB at MAX_SEEDS and 2j = 64, however many points a step
+samples. Every bracket of a line narrows by 4 at each step and closes on
+the same step (see _section_min). The values the polish ends on, the ones
+cat_crb_batch gives at the polished points, bit for bit, decide
+acceptance. Each seed takes exactly the steps it would take searched on
+its own, and every stopping rule reads only its own values, so the
+search is exact-arithmetic deterministic: same spec, same result.
 """
 from __future__ import annotations
 
@@ -272,15 +273,18 @@ class HlPoint:
     crb: float
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 # full angle box; the seed grid needs half the phi1 range because shifting
 # both phases by pi, a rotation by pi about z, maps (Jx, Jy, Jz) to
 # (-Jx, -Jy, Jz) and F(-G) = F(G); other common shifts keep F under Jz only
 _BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
 
-# a golden-section bracket closes once it is no wider than this
+# a section-search bracket closes once it is no wider than this
 _BRACKET_TOL = 1e-12
+
+# interior points each step of a section search samples per bracket, and
+# their offsets from the bracket's left end in units of the spacing
+_SAMPLES = 7
+_SECTIONS = np.arange(1.0, _SAMPLES + 1)
 
 # coordinate-descent sweeps at most per search
 _MAX_SWEEPS = 40
@@ -307,9 +311,10 @@ def _line_objective(j: SpinJ, g: Generator, base: np.ndarray, k: int):
     """_objective along angle k of each row of base -> line(v).
 
     line(v) is _objective at the points of base with angle k set to v, one
-    value per row, bit for bit, through cat_crb_line: the cat component
-    angle k leaves fixed, and the factor of the other that it leaves
-    alone, are expanded once per line instead of once per step.
+    value per row, or a row of values per row of base, bit for bit,
+    through cat_crb_line: the cat component angle k leaves fixed, and the
+    factor of the other that it leaves alone, are expanded once per line
+    instead of once per step.
     """
     crb_line = cat_crb_line(j, g, base, k)
 
@@ -320,49 +325,52 @@ def _line_objective(j: SpinJ, g: Generator, base: np.ndarray, k: int):
     return line
 
 
-def _golden_min(line, n: int, lo: float, hi: float):
-    """Golden-section minima of n line objectives on [lo, hi], in lockstep.
+def _section_min(line, n: int, lo: float, hi: float):
+    """Minima of n line objectives on [lo, hi] by a lockstep section search.
 
-    line(v) returns the objective of each row at its abscissa in v, and
-    each step makes one line call holding the next point of every row.
-    Every row starts on the same bracket and shrinks it by the golden
-    ratio at each step, so all brackets close on the same step whichever
-    branches the rows take: on the two _BOUNDS brackets the widths of the
-    last two steps lie at least 9% either side of _BRACKET_TOL, far beyond
-    the roundoff of b - a, and a line takes 62 calls on [0, pi] and 64 on
-    [0, 2 pi]. So the loop runs until the widest bracket closes, and a
-    row's arithmetic is that of a search on its own, bit for bit.
+    line(x) takes an (n, _SAMPLES) array of abscissae, one row per
+    objective, and returns the objective at each. Every step makes one
+    line call with _SAMPLES equally spaced interior points of each row's
+    bracket [a, a + w], a + i w / (_SAMPLES + 1) for i = 1 .. _SAMPLES,
+    and keeps the two neighbours of the row's best sample (the first on
+    ties) as its next bracket, of width w / 4. Every bracket has the same
+    width, kept as one float that division by 4 leaves exact, so all rows
+    stop on the same step: a line takes 21 calls on [0, pi] and 22 on
+    [0, 2 pi] before the width is at most _BRACKET_TOL. Each row keeps the
+    best sample it has seen (strictly smaller values only; nan and inf if
+    every sample is inf), and its arithmetic is that of a search on its
+    own, bit for bit.
     -> (argmin, min) arrays of length n.
     """
+    rows = np.arange(n)
     a = np.full(n, lo)
-    b = np.full(n, hi)
-    h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = line(c), line(d)
-    while np.maximum.reduce(h, initial=0.0) > _BRACKET_TOL:
-        # left: the minimum is bracketed by [a, d]; right: by [c, b]
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        h = b - a
-        step = _INVPHI * h
-        new = np.where(left, b - step, a + step)
-        vals = line(new)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, vals, fd), np.where(left, fc, vals)
-    lower = fc < fd
-    return np.where(lower, c, d), np.where(lower, fc, fd)
+    w = hi - lo
+    x_best = np.full(n, math.nan)
+    f_best = np.full(n, math.inf)
+    while w > _BRACKET_TOL:
+        step = w / (_SAMPLES + 1)
+        x = a[:, None] + _SECTIONS * step
+        f = line(x)
+        i = f.argmin(axis=1)
+        f_i = f[rows, i]
+        better = f_i < f_best
+        np.copyto(x_best, x[rows, i], where=better)
+        np.copyto(f_best, f_i, where=better)
+        a = a + i * step
+        w = 2 * step
+    return x_best, f_best
 
 
 def _polish(line_for, starts, values, stop: float):
     """Cyclic coordinate descent from every start at once.
 
     values holds the objective at each start, and line_for(base, k) gives
-    the objective along angle k of each row of base as a line(v) of
-    _golden_min. A row whose value is at most stop is done: it is never
-    polished if its start is, and leaves after the line search that brings
-    it there. Any other row stops after the first sweep that improves it
-    by less than 1e-13, and every row after _MAX_SWEEPS sweeps. Each rule
+    the objective along angle k of each row of base as a line of
+    _section_min, which samples every row's bracket at seven points per
+    call. A row whose value is at most stop is done: it is never polished
+    if its start is, and leaves after the line search that brings it
+    there. Any other row stops after the first sweep that improves it by
+    less than 1e-13, and every row after _MAX_SWEEPS sweeps. Each rule
     reads a row's own values only.
     -> (x, best): the polished points and their objective values.
     """
@@ -374,7 +382,7 @@ def _polish(line_for, starts, values, stop: float):
         for k, (lo, hi) in enumerate(_BOUNDS):
             if not live.size:
                 return x, best
-            v, fv = _golden_min(line_for(x[live], k), live.size, lo, hi)
+            v, fv = _section_min(line_for(x[live], k), live.size, lo, hi)
             better = fv < best[live]
             x[live[better], k] = v[better]
             best[live[better]] = fv[better]
@@ -416,14 +424,15 @@ def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     The MAX_SEEDS-point seed grid is the search's one cat_crb_batch call,
     and the best spec.seeds points are polished together from its values,
     each line search on one cat_crb_line that expands the factors it
-    leaves fixed once. A seed whose bound is within a relative 1e-12 of
-    the target (or within the tolerance, if that is smaller) is at the
-    Heisenberg limit, which no pure state goes below, and is polished no
-    further: a grid point already there is reported as it is. The values
-    the polish ends on decide acceptance. Returns accepted points sorted
-    by (crb, theta1, theta2, phi1, phi2); raises NoHlFoundError when no
-    polished seed reaches the target within the acceptance slack, and
-    TypeError for a spec of another type.
+    leaves fixed once, and each of its steps sampling seven points of
+    every seed's bracket in one call. A seed whose bound is within a
+    relative 1e-12 of the target (or within the tolerance, if that is
+    smaller) is at the Heisenberg limit, which no pure state goes below,
+    and is polished no further: a grid point already there is reported as
+    it is. The values the polish ends on decide acceptance. Returns
+    accepted points sorted by (crb, theta1, theta2, phi1, phi2); raises
+    NoHlFoundError when no polished seed reaches the target within the
+    acceptance slack, and TypeError for a spec of another type.
     """
     instance(spec, HlSearchSpec, "spec")
     objective = functools.partial(_objective, spec.j, spec.generator)

@@ -43,31 +43,27 @@ def random_cat(rng, max_two_j: int = 10, min_qfi: float = 1e-2, generator=None):
 
 # ---------------------------------------------------------------------------
 # one-point-at-a-time Heisenberg-limit search, the reference for the
-# lockstep search in spincat.scan: same seed grid, same golden-section and
+# lockstep search in spincat.scan: same seed grid, same section-search and
 # coordinate-descent arithmetic, one objective call per point
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
 
 
-def _golden_min(f, lo, hi, tol=1e-12):
-    a, b = lo, hi
-    h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+def _section_min(f, lo, hi, tol=1e-12, samples=7):
+    # each step samples the bracket [a, a + w] at a + i w / (samples + 1),
+    # i = 1 .. samples, and narrows it to the best sample's two neighbours
+    a, w = lo, hi - lo
+    x_best, f_best = math.nan, math.inf
+    while w > tol:
+        step = w / (samples + 1)
+        xs = [a + i * step for i in range(1, samples + 1)]
+        fs = [f(x) for x in xs]
+        i = min(range(samples), key=fs.__getitem__)
+        if fs[i] < f_best:
+            x_best, f_best = xs[i], fs[i]
+        a = a + i * step
+        w = 2 * step
+    return x_best, f_best
 
 
 def _polish(f, start, stop, max_sweeps=40):
@@ -85,7 +81,7 @@ def _polish(f, start, stop, max_sweeps=40):
                 trial[k] = v
                 return f(trial)
 
-            v, fv = _golden_min(line, lo, hi)
+            v, fv = _section_min(line, lo, hi)
             if fv < best:
                 x[k] = v
                 best = fv

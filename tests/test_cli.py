@@ -444,8 +444,8 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
         assert doc[key] == float(f"{value:.15g}"), key
 
 
-# sha256 of find-hl stdout, text and JSON, recorded from the search that
-# stops polishing a seed once its bound is at the Heisenberg limit
+# sha256 of find-hl stdout, text and JSON, recorded from the section
+# search that samples seven points of every bracket per step
 @pytest.mark.parametrize(
     "j,gen,fmt,digest",
     [
@@ -453,14 +453,14 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
         ("0.5", "z", "json", "f433b8109b91c06a8e0984b2c789c8cf8569b7644e441f7c0b21c1919b7dbf2e"),
         ("1", "z", "text", "7c53a7b26aff5b615256c1a419b89f77e2d1442800a5f82125eb2582ea8dfe45"),
         ("1", "z", "json", "5bb405e1ce41a79dede8c3b708f359825aaaf8e3ff69b54f9a396582de356401"),
-        ("1.5", "y", "text", "e3450a6361cffa7c6b19d9b3db4c7f64a9381d2bfde4e204cf1d41c525422b5f"),
-        ("1.5", "y", "json", "faf79cd3ec8aa01026277251ce7905b2678d990585019ee59527ac65d9055b50"),
-        ("32", "y", "text", "792cd8afb1a0c7d23c74a903b3f95162a0e686ed15e5101c925389708201112e"),
-        ("32", "y", "json", "4d15fde92efc3d8026a367bdf34290ebb04a2bbe3006b774827c776e6ce4b97e"),
+        ("1.5", "y", "text", "a52cde4197ed25ace34662aec9bda2c948aa72b1f67c784618f80b717e7af154"),
+        ("1.5", "y", "json", "24292c6a633b1639a771b19fe621b8caff7c68ce6dc766018a96ad846d9b4231"),
+        ("32", "y", "text", "44a107a7175cf60ed39af4471f34ecffe33cbe270107753f8a082a32b4a8c711"),
+        ("32", "y", "json", "1e99337605bec5c4ade94d7376aaaa3000edb249dc4511f7dfc37828cc4950bf"),
         ("1", "x", "text", "f15025b01fd91145f6d746ab613bc747da1868af33a0fac950bb96df440ae3cc"),
         ("1", "x", "json", "7c8f7f66b2d9da22676de1611bab187b91f82d010a47a94bbb428dacfb92aef0"),
-        ("2", "x", "text", "602c29e76cc8b6b4fc4e425a333623f274b69015b057069f520eae8c79a7eb2b"),
-        ("2", "x", "json", "8173d07e79d194aed4e32800b80749b93d4aed5402934f66cb9c77b6485b8e5c"),
+        ("2", "x", "text", "5e93834047f94c1427e5957caea7f6dac5e357cefd92faeeec4cb27d9e5d6c3e"),
+        ("2", "x", "json", "0334f6a322ed5cef48d3e5b27b508f6b86608d373b68ea0f0bafa62e7e2e9bb0"),
     ],
 )
 def test_find_hl_stdout_is_pinned(capsys, j, gen, fmt, digest):

@@ -77,6 +77,7 @@ ROWS = [
     ("coherent_overlap", coherent_overlap, {"j": J, "p1": CAT.p1, "p2": CAT.p2},
      {"j": "object", "p1": "object", "p2": "object"}),
     ("rotation_matrix", rotation_matrix, {"j": J, "p": CAT.p1}, {"j": "object", "p": "object"}),
+    ("Generator.matrix", Generator.Z.matrix, {"j": J}, {"j": "object"}),
     ("CatParams", CatParams, {"j": J, "p1": CAT.p1, "p2": CAT.p2},
      {"j": "object", "p1": "object", "p2": "object"}),
     *((f.__name__, f, {"c": CAT}, {"c": "object"}) for f in (normalization, cat_state)),
@@ -120,7 +121,8 @@ ROWS = [
 
 
 def _bad_values(kind: str) -> list:
-    extra = {"integer": [1e308, 2.0, "5"], "real*": [1e308], "array*": [1e308]}
+    # an unhashable object must be named too, not refused by a cache
+    extra = {"integer": [1e308, 2.0, "5"], "real*": [1e308], "array*": [1e308], "object": [[1]]}
     return BAD + extra.get(kind, [])
 
 

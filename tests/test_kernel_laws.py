@@ -169,3 +169,19 @@ def test_antipodal_jz_line_reaches_the_limit_only_at_the_poles(two_j, phi1):
     assert (scaled[1:-1] > 1 + 1e-4).all()
     # the equator: the standard quantum limit, crb = 1/sqrt(2j)
     assert crb[50] == pytest.approx(1 / math.sqrt(two_j), rel=3.4e-16, abs=0)
+
+
+@pytest.mark.parametrize("two_j,peak", [(3, math.sqrt(3)), (4, 2.0), (16, 4.0)])
+@pytest.mark.parametrize("phi1", [0.0, 1.3])
+def test_antipodal_jz_line_peaks_at_the_equator(two_j, peak, phi1):
+    # crb 2j rises from the Heisenberg limit at each pole to its largest
+    # value, sqrt(2j), at theta1 = pi/2, and the line is symmetric under
+    # theta1 -> pi - theta1, which swaps the two components
+    _, crb, _ = cat_crb_batch(
+        SpinJ(two_j), Generator.Z, LINE, math.pi - LINE, phi1, phi1 + math.pi
+    )
+    scaled = crb * two_j
+    assert int(np.argmax(scaled)) == 50
+    assert scaled[50] == pytest.approx(peak, rel=1e-15, abs=0)
+    assert (np.diff(scaled[:51]) > 0).all() and (np.diff(scaled[50:]) < 0).all()
+    np.testing.assert_allclose(scaled, scaled[::-1], rtol=1e-14, atol=0)

@@ -840,3 +840,104 @@ def test_line_keeps_the_batch_bits_across_calls_and_refusals(gen, two_j, k):
             continue
         want = cat_crb_batch(SpinJ(two_j), gen, *points.T)
         assert [a.tobytes() for a in line(values)] == [b.tobytes() for b in want]
+
+
+# cat_crb_line with s values per point: the search samples several points
+# of every bracket in one call
+
+def _sampled_line_case(two_j: int):
+    """(base, values by angle) with 5 values per point of base.
+
+    base[0] is degenerate (both components at the south pole, phases
+    pi/(2j) apart), base[1] and base[2] hold angles that are clamped or
+    reduced, and each values row mixes values inside the ranges with ones
+    the checks clamp or reduce.
+    """
+    rng = np.random.default_rng(100 + two_j)
+    base = np.column_stack(
+        [rng.uniform(0, math.pi, 6), rng.uniform(0, math.pi, 6),
+         rng.uniform(0, 2 * math.pi, 6), rng.uniform(0, 2 * math.pi, 6)]
+    )
+    base[0] = (math.pi, math.pi, 0.0, math.pi / two_j)
+    base[1] = (-1e-10, math.pi + 1e-10, 2 * math.pi, -0.0)
+    base[2] = (math.pi + 1e-10, -1e-10, 7.0, -1e-17)
+    values = []
+    for k in range(4):
+        top = math.pi if k < 2 else 2 * math.pi
+        v = rng.uniform(0, top, (6, 5))
+        v[0, 0] = base[0, k]  # the degenerate cat itself
+        v[1, :3] = (-1e-10, top + 1e-10, -0.0) if k < 2 else (-1e-17, top, 9.5)
+        values.append(v)
+    return base, values
+
+
+@pytest.mark.parametrize("amplitudes", [4096, 7])
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+def test_line_with_samples_per_point_matches_the_batch(monkeypatch, two_j, gen, amplitudes):
+    # every (row, sample) is the cat_crb_batch value at its point, bit for
+    # bit, whether or not a chunk boundary splits the samples of a row
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
+    j = SpinJ(two_j)
+    base, values = _sampled_line_case(two_j)
+    kept = base.copy()
+    for k in range(4):
+        v = values[k]
+        given_v = v.copy()
+        points = np.repeat(base[:, None, :], v.shape[1], axis=1)
+        points[..., k] = v
+        want = cat_crb_batch(j, gen, *np.moveaxis(points, -1, 0))
+        got = cat_crb_line(j, gen, base, k)(v)
+        assert [a.shape for a in got] == [v.shape] * 3
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], k
+        assert got[2][0, 0]  # the degenerate cat
+        assert v.tobytes() == given_v.tobytes() and base.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 7), (3, 7), (2, 3, 1), (7, 2), (0, 2)], ids=lambda s: "x".join(map(str, s))
+)
+def test_line_refuses_samples_not_held_by_one_row_per_point(shape):
+    line = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, 1)
+    rule = "line takes 2 values, one per point, or an (2, s) array"
+    with pytest.raises(ValueError, match=re.escape(rule)):
+        line(np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("cell", [(0, 0), (1, 2), (0, 4)])
+def test_line_with_samples_names_the_first_bad_value_as_the_batch_does(k, cell):
+    # the batch names the first bad value in row-major (point, sample) order
+    j, g = SpinJ(3), Generator.Y
+    values = np.full((2, 5), 0.5)
+    values[cell] = math.nan
+    values[1, 4] = -3.0 if k < 2 else math.inf
+    points = np.repeat(_LINE_BASE[:, None, :], 5, axis=1)
+    points[..., k] = values
+    with pytest.raises(ValueError) as batch:
+        cat_crb_batch(j, g, *np.moveaxis(points, -1, 0))
+    with pytest.raises(ValueError) as line:
+        cat_crb_line(j, g, _LINE_BASE, k)(values)
+    assert str(line.value) == str(batch.value)
+    assert "nan" in str(line.value)
+
+
+def test_line_caches_do_not_grow_with_the_samples():
+    # the caches hold the fixed component and factor once per point of base
+    # (2 m (2j + 1) amplitudes); a call gathers them by row, so whatever
+    # number of samples it takes, it leaves nothing behind in the line
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    base = rng.uniform(0.1, 3.0, (16, 4))
+    tracemalloc.start()
+    try:
+        line = cat_crb_line(SpinJ(64), Generator.Y, base, 0)
+        built = tracemalloc.get_traced_memory()[0]
+        for samples in (1, 7, 64):
+            out = line(rng.uniform(0, math.pi, (16, samples)))
+            del out
+            assert tracemalloc.get_traced_memory()[0] - built < 4096, samples
+    finally:
+        tracemalloc.stop()
+    assert built >= 2 * 16 * 65 * 16  # the two caches

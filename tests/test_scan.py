@@ -257,29 +257,27 @@ def test_lockstep_search_matches_one_point_at_a_time(two_j, gen):
 
 
 # float.hex of (theta1, theta2, phi1, phi2, crb) for each point find_hl
-# reports at j = 3/2 under Jy, recorded from the search that stops
-# polishing a seed once its bound is at the limit. The lockstep test above
+# reports at j = 3/2 under Jy, recorded from the section search that
+# samples seven points of every bracket per step. The lockstep test above
 # compares the search with a reference that calls the same kernel, so it
 # cannot see the kernel drift.
 _PINNED_HL_3Y = [
-    "0x1.921fb59864785p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
+    "0x1.921fb4f8dcdf7p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
     "0x1.2d97c7f3321d2p+2 0x1.5555555555554p-2",
+    "0x1.921fb4dfbae42p+0 0x1.921fb54442d18p+0 0x1.921fb4d005a72p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
+    "0x1.921fb54442d18p+0 0x1.921fb4ba07eb2p+0 0x1.921fb511fedaep+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
     "0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
     "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
-    "0x1.921fb58d9ff8cp+0 0x1.921fb5158917cp+0 0x1.921fb58c9c70fp+0 "
-    "0x1.2d97c80d1e5f3p+2 0x1.5555555555556p-2",
-    "0x1.921fb5aef09d9p+0 0x1.921fb5c02501dp+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
-    "0x1.921fb59868b27p+0 0x1.921fb3ab1d318p+0 0x1.921fb4f2d1429p+0 "
-    "0x1.2d97c7fb19a17p+2 0x1.555555555555ep-2",
-    "0x1.921fb56f3c6b0p+0 0x1.921fb3a5518b6p+0 0x1.921fb53ff4436p+0 "
-    "0x1.2d97c8067f685p+2 0x1.555555555555fp-2",
-    "0x1.921fb83cec080p+0 0x1.921fb52e15506p+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555574p-2",
-    "0x1.921fb5f992d22p+0 0x1.921fb5b1a1c33p+0 0x1.921fb94970345p+0 "
-    "0x1.2d97c7fd25e36p+2 0x1.5555555555591p-2",
-    "0x1.921fce2b5ca21p+0 0x1.921fb54f8764ep+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555df2p-2",
+    "0x1.921fb54442d18p+0 0x1.921fb3e46712ep+0 0x1.921fb52b20d63p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.555555555555cp-2",
+    "0x1.921fb542b0b1cp+0 0x1.921fb3b2231c3p+0 0x1.921fb511fedaep+0 "
+    "0x1.2d97c7e6a11f8p+2 0x1.555555555555dp-2",
+    "0x1.921fb868823c0p+0 0x1.921fb4dfbae42p+0 0x1.921fb521b4180p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555578p-2",
+    "0x1.921fce01b6386p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555dd5p-2",
 ]
 
 
@@ -536,10 +534,11 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
 def test_find_hl_kernel_traffic(monkeypatch):
     # the seed grid is the search's one cat_crb_batch call. At 2j = 1, 2,
     # 16 and 64 under Jz the grid puts all 16 seeds at the limit, so no
-    # line is built. A line takes 62 calls on a theta range and 64 on a phi
-    # range, of one value per seed still sweeping. Over the four find-hl
-    # specs of the benchmark's scalar-search campaign (the first four
-    # below), (builds, calls, cells) sum to (30, 1888, 12558).
+    # line is built. A line takes 21 calls on a theta range and 22 on a
+    # phi range, each of seven values per seed still sweeping. Over the four
+    # find-hl specs of the benchmark's scalar-search campaign (the first
+    # four below), (builds, calls, values) sum to (29, 623, 29806), and
+    # every point reported lies within 1e-12 of the limit 1/(2j).
     import spincat.metrology as metrology
     import spincat.scan as scan_mod
 
@@ -555,7 +554,8 @@ def test_find_hl_kernel_traffic(monkeypatch):
         builds.append(k)
 
         def counted(values):
-            calls.append(len(values))
+            assert np.shape(values) == (len(base), 7)
+            calls.append(np.size(values))
             return line(values)
 
         return counted
@@ -565,13 +565,14 @@ def test_find_hl_kernel_traffic(monkeypatch):
     for two_j, gen, traffic in [
         (1, "Z", (0, 0, 0)),
         (2, "Z", (0, 0, 0)),
-        (3, "Y", (26, 1636, 10626)),
-        (64, "Y", (4, 252, 1932)),
+        (3, "Y", (25, 537, 25214)),
+        (64, "Y", (4, 86, 4592)),
         (16, "Z", (0, 0, 0)),
         (64, "Z", (0, 0, 0)),
     ]:
         batches.clear(), builds.clear(), calls.clear()
-        find_hl(HlSearchSpec(SpinJ(two_j), Generator[gen]))
+        points = find_hl(HlSearchSpec(SpinJ(two_j), Generator[gen]))
+        assert all(abs(p.crb - 1 / two_j) <= 1e-12 for p in points), (two_j, gen)
         assert batches == [MAX_SEEDS], (two_j, gen)
         assert builds == [k % 4 for k in range(len(builds))], (two_j, gen)
         assert (len(builds), len(calls), sum(calls)) == traffic, (two_j, gen)
@@ -584,25 +585,27 @@ def _wave(x, row):
     return abs((1e7 * x + row / 128) % 2.0 - 1.0)
 
 
-@pytest.mark.parametrize("lo,hi,calls", [(0.0, PI, 62), (0.0, 2 * PI, 64)])
+@pytest.mark.parametrize("lo,hi,calls", [(0.0, PI, 21), (0.0, 2 * PI, 22)])
 def test_lockstep_brackets_close_on_the_same_step(lo, hi, calls):
-    # _golden_min stops every row once the widest bracket closes; rows of
-    # a rapidly oscillating objective take different branches, and each
-    # must still take exactly the steps of a search on its own
+    # _section_min narrows every bracket by 4 at each step, so all rows stop
+    # on the same step; rows of a rapidly oscillating objective keep
+    # different samples, and each must still take exactly the steps of a
+    # search on its own, with every sample strictly inside (lo, hi)
     import spincat.scan as scan_mod
-    from support import _golden_min as golden_min_one
+    from support import _section_min as section_min_one
 
     assert (lo, hi) in scan_mod._BOUNDS
     rows = np.arange(256)
-    sizes = []
+    samples = []
 
-    def line(v):
-        sizes.append(len(v))
-        return _wave(v, rows)
+    def line(x):
+        samples.append(x.copy())
+        return _wave(x, rows[:, None])
 
-    x, f = scan_mod._golden_min(line, len(rows), lo, hi)
-    assert sizes == [len(rows)] * calls
+    x, f = scan_mod._section_min(line, len(rows), lo, hi)
+    assert [s.shape for s in samples] == [(len(rows), 7)] * calls
+    assert all(((lo < s) & (s < hi)).all() for s in samples)
     assert len(set(x.tolist())) > 200  # the rows went their own ways
     for row in rows.tolist():
-        want = golden_min_one(lambda v: _wave(v, row), lo, hi)
+        want = section_min_one(lambda v: _wave(v, row), lo, hi)
         assert (x[row].hex(), f[row].hex()) == (want[0].hex(), want[1].hex()), row
