@@ -14,7 +14,9 @@ table of coherent and the nonzero bands of G) is built once per spin and
 generator, so a call on a few cats costs little more than its arithmetic.
 A component shared across the batch, such as each axis of a (theta1,
 theta2) grid at fixed phases, is expanded once per distinct point instead
-of once per cat.
+of once per cat; a shared component too large for that may still share
+its two factors, the magnitudes at its own thetas and the phases at its
+own phis.
 
 cat_crb_line serves line searches that move one angle of many cats. Built
 once per line, it expands the component the three fixed angles fix and
@@ -24,6 +26,9 @@ sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k on a phi line. Each call
 takes one value or a row of values per cat, checks them with the call
 cat_crb_batch makes, expands only the moving factor at each value and
 gathers the two caches by cat, so the caches never grow with the values.
+
+Both kernels read every cache through _gather: a table of rows, one per
+point of an input, read by each cat at its own point, chunk by chunk.
 
 Both run one chunk loop, _evaluate: each tells it how to produce the two
 components of a slice of cats, and it adds them, takes the QFI of each
@@ -44,7 +49,7 @@ from ._checks import instance, integer, real, real_array
 # cat_state is not called here any more; it stays importable from this
 # module because bench/spans.py rebinds it
 from .catstate import DEGENERACY_FLOOR, CatParams, _cat_amplitudes, cat_state  # noqa: F401
-from .coherent import _THETA_SLACK, TWO_PI, _coherent_rows, _magnitudes, _phases, _Powers, _powers
+from .coherent import _THETA_SLACK, TWO_PI, _coherent_rows, _magnitudes, _phases, _powers
 from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
@@ -300,23 +305,17 @@ def _qfi_chunk(bands: tuple[np.ndarray, ...], summed: np.ndarray):
     return 4.0 * _row_vdots(resid, resid), degenerate
 
 
-def _cached_component(powers: _Powers, checked: np.ndarray, own: tuple):
-    """Amplitudes of one component at each of its distinct points, and for
-    every cat the row that holds its own -> (rows, index).
+def _gather(own: tuple, shape: tuple, *tables: np.ndarray) -> list:
+    """part -> table[index[part]], for each table.
 
-    checked holds the component's theta and phi over the whole batch,
-    checked and reduced, as a (2, *shape) array; own is the shape its
-    inputs broadcast to. The points are read back from checked, so they
-    carry the same clamping and phase reduction as every cat.
+    A table holds one row for each point of an input of shape own, in
+    row-major order; index maps each cat of a batch of the given shape, in
+    row-major order, to its point, and is shared by the tables. Each
+    function returned gathers the rows of the cats in the slice part, so
+    a chunk of cats reads a cached expansion instead of computing it.
     """
-    shape = checked.shape[1:]
-    own = (1,) * (len(shape) - len(own)) + own
-    # a broadcast axis of the component is read at its first position
-    pick = tuple(slice(None) if o == s else slice(0, 1) for o, s in zip(own, shape))
-    rows = _coherent_rows(powers, checked[(0, *pick)], checked[(1, *pick)])
-    size = math.prod(own)
-    index = np.broadcast_to(np.arange(size).reshape(own), shape).ravel()
-    return rows.reshape(size, -1), index
+    index = np.broadcast_to(np.arange(math.prod(own)).reshape(own), shape).ravel()
+    return [lambda part, t=t: t[index[part]] for t in tables]
 
 
 def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):
@@ -351,37 +350,59 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     degenerate (as in DegenerateCatError) qfi and crb are nan and the flag
     is set.
 
-    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. A
-    component whose own angles (theta1, phi1) or (theta2, phi2) broadcast
-    to fewer points than the batch, and to no more than one chunk, is
-    expanded once per distinct point and gathered into each chunk: a
-    (rows, 1) x (n,) grid expands rows + n coherent states, not 2 rows n.
-    Every other component is expanded chunk by chunk. The values are the
-    same either way. Memory does not grow with the batch beyond the
-    inputs, the outputs, the checked angles and one gather index per cat:
-    the working arrays of a chunk and each cached component hold at most
-    BATCH_AMPLITUDES amplitudes. A single cat is cheaper through cat_crb,
-    which expands it with the same expression.
+    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes, and an
+    input fits when it has fewer points than the batch and no more than
+    one chunk. A component whose own angles (theta1, phi1) or (theta2,
+    phi2) broadcast to points that fit is expanded once per distinct
+    point and gathered into each chunk: a (rows, 1) x (n,) grid expands
+    rows + n coherent states, not 2 rows n. Otherwise, if its theta and
+    its phi each fit, its magnitudes are expanded once per distinct theta
+    and its phases once per distinct phi, and each chunk gathers and
+    multiplies them: find_hl's seed grid at 2j = 64, whose (theta2, phi2)
+    component has 72 points against 63 cats per chunk, expands 9 + 8
+    factors instead of 2,592 cats. Every other component is expanded
+    chunk by chunk. Each way takes the same product of the same factors,
+    so the values are the same bits. Memory does not grow with the batch
+    beyond the inputs, the outputs, the checked angles and at most two
+    gather indices per cat and component: the working arrays of a chunk
+    and each cache hold at most BATCH_AMPLITUDES amplitudes. A single cat
+    is cheaper through cat_crb, which expands it with the same expression.
     """
     bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
-    theta1, theta2, phi1, phi2 = map(real_array, (theta1, theta2, phi1, phi2), _ANGLES)
-    # the points each component's own angles broadcast to
-    owns = (np.broadcast(theta1, phi1), np.broadcast(theta2, phi2))
-    batch = np.broadcast(*owns)
+    inputs = tuple(map(real_array, (theta1, theta2, phi1, phi2), _ANGLES))
+    batch = np.broadcast(*inputs)
     shape, n = batch.shape, batch.size
     angles = np.empty((4, *shape))
-    angles[0], angles[1], angles[2], angles[3] = theta1, theta2, phi1, phi2
+    angles[0], angles[1], angles[2], angles[3] = inputs
     flat = angles.reshape(4, -1)
     _check_angles(flat)
     powers = _powers(j.two_j)
     step = batch_cells(j)
 
+    def fits(own: tuple) -> bool:
+        # an input of this shape has fewer points than the batch, and no
+        # more than one chunk holds
+        return math.prod(own) < n and math.prod(own) <= step
+
+    def points(r: int, own: tuple) -> np.ndarray:
+        # the checked values of angle row r at the points of an input of
+        # shape own: a broadcast axis is read at its first position, so the
+        # points carry the clamping and phase reduction of every cat
+        own = (1,) * (len(shape) - len(own)) + own
+        pick = tuple(slice(None) if o == s else slice(0, 1) for o, s in zip(own, shape))
+        return angles[(r, *pick)].reshape(-1)
+
     def component(c: int):
-        # cached when its own angles broadcast to fewer points than the
-        # batch holds, and to no more than one chunk
-        if owns[c].size < n and owns[c].size <= step:
-            rows, index = _cached_component(powers, angles[c::2], owns[c].shape)
-            return lambda part: rows[index[part]]
+        t, p = inputs[c].shape, inputs[c + 2].shape
+        own = np.broadcast_shapes(t, p)
+        if fits(own):
+            (rows,) = _gather(own, shape, _coherent_rows(powers, points(c, own), points(c + 2, own)))
+            return rows
+        if fits(t) and fits(p):
+            (mags,) = _gather(t, shape, _magnitudes(powers, points(c, t)))
+            (phases,) = _gather(p, shape, _phases(powers, points(c + 2, p)))
+            # _coherent_rows' own product, of the same factors
+            return lambda part: mags(part) * phases(part)
         return lambda part: _coherent_rows(powers, flat[c, part], flat[c + 2, part])
 
     qfi, crb, degenerate = _evaluate(bands, step, n, component(0), component(1))
@@ -407,8 +428,12 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     is expanded once, and so is the factor of the moving one that angle k
     leaves alone: its phases on a theta line, its magnitudes on a phi
     line. A call computes only the moving factor, through the chunk loop
-    of cat_crb_batch, and gathers the two caches by row for its values.
-    The caches hold 2 m (2j + 1) amplitudes whatever s is.
+    of cat_crb_batch, and gathers the two caches by row for its values,
+    with the gather cat_crb_batch reads its caches through, then
+    multiplies the moving factor by the cached one as cat_crb_batch
+    multiplies cached factors. The caches hold 2 m (2j + 1) amplitudes
+    whatever s is; unlike those of cat_crb_batch they are not bounded by
+    one chunk, since they serve every call of the line.
     """
     bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
     rule = f"k must be an angle index in range(4), got {k!r}"
@@ -423,11 +448,11 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
     _check_angles(block)
     powers = _powers(j.two_j)
     moved = k % 2  # the component angle k belongs to
-    other = _coherent_rows(powers, block[1 - moved], block[3 - moved])
+    fixed = _coherent_rows(powers, block[1 - moved], block[3 - moved])
     if k < 2:
-        move, factor = _magnitudes, _phases(powers, block[k + 2])
+        move, kept = _magnitudes, _phases(powers, block[k + 2])
     else:
-        move, factor = _phases, _magnitudes(powers, block[k - 2])
+        move, kept = _phases, _magnitudes(powers, block[k - 2])
 
     def line(values):
         values = real_array(values, "values")
@@ -439,15 +464,16 @@ def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
         moving = np.zeros((4, values.size))
         moving[k] = values.reshape(-1)
         _check_angles(moving)
-        row = np.arange(m).repeat(values.size // max(m, 1))  # the base row of each value
+        # each value reads the caches at its base point
+        other, factor = _gather((m,) + (1,) * (values.ndim - 1), values.shape, fixed, kept)
         # complex products and sums commute exactly, so neither the order
         # of the two factors nor that of the two components moves a bit
         out = _evaluate(
             bands,
             batch_cells(j),
             values.size,
-            lambda part: move(powers, moving[k, part]) * factor[row[part]],
-            lambda part: other[row[part]],
+            lambda part: move(powers, moving[k, part]) * factor(part),
+            other,
         )
         return tuple(a.reshape(values.shape) for a in out)
 

@@ -24,11 +24,13 @@ search expands only the moving factor at the seven points it samples in
 the bracket of every seed. The caches hold 2 m (2j + 1) amplitudes for m
 seeds, about 5.4 MB at MAX_SEEDS and 2j = 64, however many points a step
 samples. Every bracket of a line narrows by 4 at each step and closes on
-the same step (see _section_min). The values the polish ends on, the ones
+the same step, once no wider than the angle resolution the objective
+has, 1e-8 (see _section_min). The values the polish ends on, the ones
 cat_crb_batch gives at the polished points, bit for bit, decide
-acceptance. Each seed takes exactly the steps it would take searched on
-its own, and every stopping rule reads only its own values, so the
-search is exact-arithmetic deterministic: same spec, same result.
+acceptance, and accepted points closer than _MERGE_RADIUS in every angle
+are reported once. Each seed takes exactly the steps it would take
+searched on its own, and every stopping rule reads only its own values,
+so the search is exact-arithmetic deterministic: same spec, same result.
 """
 from __future__ import annotations
 
@@ -278,8 +280,12 @@ class HlPoint:
 # (-Jx, -Jy, Jz) and F(-G) = F(G); other common shifts keep F under Jz only
 _BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
 
-# a section-search bracket closes once it is no wider than this
-_BRACKET_TOL = 1e-12
+# a section-search bracket closes once it is no wider than this. Near a
+# quadratic minimum the objective moves by a relative (x - x*)^2 times its
+# relative curvature, so in double precision (epsilon 2.2e-16) it resolves
+# the angle only to about sqrt(epsilon), 1.5e-8 at unit curvature: a
+# narrower bracket ranks its samples by roundoff
+_BRACKET_TOL = 1e-8
 
 # interior points each step of a section search samples per bracket, and
 # their offsets from the bracket's left end in units of the spacing
@@ -293,6 +299,15 @@ _MAX_SWEEPS = 40
 # being polished: no pure state's bound lies below 1/(2j), and the kernels'
 # roundoff there is at most about 2.2e-16, so further steps only move roundoff
 _LIMIT_SLACK = 1e-12
+
+# accepted points whose four angles all lie this close (phi modulo 2 pi) are
+# one point. A seed stops within a relative _LIMIT_SLACK of the limit, which
+# near a minimum of unit relative curvature leaves each angle free by about
+# sqrt(_LIMIT_SLACK) = 1e-6. The radius is ten times that: with 16 or 64
+# seeds, for 2j in 1..12, 16, 32 and 64 under each generator, every
+# accepted point lies within 2.1e-6 of the one reported for it, and the
+# points reported lie at least 0.17 apart
+_MERGE_RADIUS = 10 * math.sqrt(_LIMIT_SLACK)
 
 
 def _objective(j: SpinJ, g: Generator, *angles) -> np.ndarray:
@@ -335,11 +350,12 @@ def _section_min(line, n: int, lo: float, hi: float):
     and keeps the two neighbours of the row's best sample (the first on
     ties) as its next bracket, of width w / 4. Every bracket has the same
     width, kept as one float that division by 4 leaves exact, so all rows
-    stop on the same step: a line takes 21 calls on [0, pi] and 22 on
-    [0, 2 pi] before the width is at most _BRACKET_TOL. Each row keeps the
-    best sample it has seen (strictly smaller values only; nan and inf if
-    every sample is inf), and its arithmetic is that of a search on its
-    own, bit for bit.
+    stop on the same step: a line takes 15 calls on [0, pi] and on
+    [0, 2 pi] before the width is at most _BRACKET_TOL = 1e-8, about the
+    square root of the float epsilon, below which a quadratic minimum's
+    samples differ by roundoff only. Each row keeps the best sample it has
+    seen (strictly smaller values only; nan and inf if every sample is
+    inf), and its arithmetic is that of a search on its own, bit for bit.
     -> (argmin, min) arrays of length n.
     """
     rows = np.arange(n)
@@ -418,6 +434,32 @@ def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     return grid[order], vals[order]
 
 
+# the period of each angle (theta1, theta2, phi1, phi2) for _merged
+_PERIODS = np.array([math.inf, math.inf, 2 * math.pi, 2 * math.pi])
+
+
+def _merged(x: np.ndarray, values: np.ndarray) -> list[int]:
+    """Rows of the points x to report, one for each group of near points.
+
+    Rows are taken in order. A row whose four angles all lie within
+    _MERGE_RADIUS of those of a row already kept, phi compared modulo
+    2 pi, joins the first such row, and takes its place if its value is
+    strictly smaller; any other row is kept.
+    """
+    kept: list[int] = []
+    points = np.empty_like(x)  # the points of the kept rows, in order
+    for i, point in enumerate(x):
+        gap = np.remainder(np.abs(points[: len(kept)] - point), _PERIODS)
+        near = np.flatnonzero((np.minimum(gap, _PERIODS - gap) <= _MERGE_RADIUS).all(axis=1))
+        if not near.size:
+            points[len(kept)] = point
+            kept.append(i)
+        elif values[i] < values[kept[near[0]]]:
+            points[near[0]] = point
+            kept[near[0]] = i
+    return kept
+
+
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
@@ -429,7 +471,9 @@ def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     relative 1e-12 of the target (or within the tolerance, if that is
     smaller) is at the Heisenberg limit, which no pure state goes below,
     and is polished no further: a grid point already there is reported as
-    it is. The values the polish ends on decide acceptance. Returns
+    it is. The values the polish ends on decide acceptance, and accepted
+    points within _MERGE_RADIUS of each other in every angle (phi modulo
+    2 pi) are reported once, by the one with the smallest bound. Returns
     accepted points sorted by (crb, theta1, theta2, phi1, phi2); raises
     NoHlFoundError when no polished seed reaches the target within the
     acceptance slack, and TypeError for a spec of another type.
@@ -438,21 +482,14 @@ def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     objective = functools.partial(_objective, spec.j, spec.generator)
     line_for = functools.partial(_line_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
-    found: dict[tuple, HlPoint] = {}
     starts, values = _seed_starts(objective, spec.seeds)
     xs, vals = _polish(line_for, starts, values, _stop_bound(spec))
-    for x, val in zip(xs.tolist(), vals.tolist()):
-        if val <= accept:
-            key = tuple(round(v, 9) for v in x)
-            pt = HlPoint(x[0], x[1], x[2], x[3], val)
-            old = found.get(key)
-            if old is None or pt.crb < old.crb:
-                found[key] = pt
-    if not found:
+    accepted = vals <= accept
+    xs, vals = xs[accepted], vals[accepted]
+    if not vals.size:
         raise NoHlFoundError(
             f"no point reached crb <= {accept:.6g} for j={spec.j}, "
             f"generator {spec.generator.name}"
         )
-    return sorted(
-        found.values(), key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2)
-    )
+    found = [HlPoint(*xs[i].tolist(), vals[i].item()) for i in _merged(xs, vals)]
+    return sorted(found, key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2))

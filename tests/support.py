@@ -17,7 +17,7 @@ from spincat import (
 )
 from spincat.closedform import FAMILIES, SweepReport, _extended, _sqrt_ratio
 from spincat.metrology import batch_cells, cat_crb_batch
-from spincat.scan import HlPoint, _objective, check_resolution
+from spincat.scan import _BRACKET_TOL, _MERGE_RADIUS, HlPoint, _objective, check_resolution
 
 
 def random_coherent(rng) -> CoherentParams:
@@ -44,14 +44,16 @@ def random_cat(rng, max_two_j: int = 10, min_qfi: float = 1e-2, generator=None):
 # ---------------------------------------------------------------------------
 # one-point-at-a-time Heisenberg-limit search, the reference for the
 # lockstep search in spincat.scan: same seed grid, same section-search and
-# coordinate-descent arithmetic, one objective call per point
+# coordinate-descent arithmetic, one objective call per point, and the same
+# merge of accepted points, one pair of floats at a time
 
 _BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
 
 
-def _section_min(f, lo, hi, tol=1e-12, samples=7):
+def _section_min(f, lo, hi, tol=_BRACKET_TOL, samples=7):
     # each step samples the bracket [a, a + w] at a + i w / (samples + 1),
-    # i = 1 .. samples, and narrows it to the best sample's two neighbours
+    # i = 1 .. samples, and narrows it to the best sample's two neighbours,
+    # until it is no wider than the search's own tolerance
     a, w = lo, hi - lo
     x_best, f_best = math.nan, math.inf
     while w > tol:
@@ -115,16 +117,34 @@ def sequential_find_hl(spec):
 
     accept = spec.target * (1.0 + spec.tolerance)
     stop = spec.target * (1.0 + min(1e-12, spec.tolerance))
-    found = {}
+    found = []
     for start in _seed_starts(objective, spec.seeds):
         x, val = _polish(objective, start, stop)
         if val <= accept:
-            key = tuple(round(v, 9) for v in x)
-            pt = HlPoint(x[0], x[1], x[2], x[3], val)
-            old = found.get(key)
-            if old is None or pt.crb < old.crb:
-                found[key] = pt
-    return sorted(found.values(), key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2))
+            _merge(found, HlPoint(x[0], x[1], x[2], x[3], val))
+    return sorted(found, key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2))
+
+
+def _gap(a, b, periodic):
+    d = abs(a - b)
+    if periodic:
+        d = math.fmod(d, 2 * math.pi)
+        d = min(d, 2 * math.pi - d)
+    return d
+
+
+def _merge(found, pt):
+    """Add pt to the list found of points to report: a point within
+    _MERGE_RADIUS of a kept one in every angle, phi modulo 2 pi, joins the
+    first such point and takes its place if its bound is smaller."""
+    new = (pt.theta1, pt.theta2, pt.phi1, pt.phi2)
+    for i, old in enumerate(found):
+        kept = (old.theta1, old.theta2, old.phi1, old.phi2)
+        if all(_gap(a, b, r >= 2) <= _MERGE_RADIUS for r, (a, b) in enumerate(zip(new, kept))):
+            if pt.crb < old.crb:
+                found[i] = pt
+            return
+    found.append(pt)
 
 
 # ---------------------------------------------------------------------------

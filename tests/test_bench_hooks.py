@@ -66,3 +66,32 @@ def test_each_workload_passes_its_own_checks(name, tmp_path):
     wl.check(wl.run_pass(workloads.make_api()), tally)
     assert tally.attempted > 0
     assert tally.failed == 0, tally.messages
+
+
+def test_traced_measurement_runs_in_process(monkeypatch, tmp_path):
+    # bench/run.py reaches library attributes by name, such as
+    # build_operators.cache_clear, and the tracer rebinds others: a renamed
+    # one fails this traced pass of scan-half, with every per-layer metric
+    # of BENCHMARK.json reported and the output checks passed
+    import json
+    import os
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    # bench/run.py pins the thread pools through the environment when imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.syspath_prepend(str(bench))
+    from bench import run
+
+    monkeypatch.setattr(run, "ROOT", tmp_path)
+    monkeypatch.setattr(run, "OUTDIR", tmp_path)
+    wl = workloads.WORKLOADS["scan-half"](1, tmp_path)
+    tally = workloads.Tally()
+    metrics, notes = run.measure_traced(wl, tally)
+    assert tally.attempted > 0
+    assert tally.failed == 0, tally.messages
+    spec = json.loads((bench.parent / "BENCHMARK.json").read_text())
+    assert {m["name"]: m["unit"] for m in spec["per_layer"]} == {
+        name: unit for name, (_, unit) in metrics.items()
+    }
+    assert (tmp_path / "spans-scan-half.csv").is_file(), notes

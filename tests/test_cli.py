@@ -445,7 +445,8 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
 
 
 # sha256 of find-hl stdout, text and JSON, recorded from the section
-# search that samples seven points of every bracket per step
+# search that samples seven points of every bracket per step, closes its
+# brackets at 1e-8 and merges accepted points within 1e-5
 @pytest.mark.parametrize(
     "j,gen,fmt,digest",
     [
@@ -453,14 +454,14 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
         ("0.5", "z", "json", "f433b8109b91c06a8e0984b2c789c8cf8569b7644e441f7c0b21c1919b7dbf2e"),
         ("1", "z", "text", "7c53a7b26aff5b615256c1a419b89f77e2d1442800a5f82125eb2582ea8dfe45"),
         ("1", "z", "json", "5bb405e1ce41a79dede8c3b708f359825aaaf8e3ff69b54f9a396582de356401"),
-        ("1.5", "y", "text", "a52cde4197ed25ace34662aec9bda2c948aa72b1f67c784618f80b717e7af154"),
-        ("1.5", "y", "json", "24292c6a633b1639a771b19fe621b8caff7c68ce6dc766018a96ad846d9b4231"),
-        ("32", "y", "text", "44a107a7175cf60ed39af4471f34ecffe33cbe270107753f8a082a32b4a8c711"),
-        ("32", "y", "json", "1e99337605bec5c4ade94d7376aaaa3000edb249dc4511f7dfc37828cc4950bf"),
+        ("1.5", "y", "text", "e437c5584879e011f22bf6af276217a403050307129acdad7f037c62674d74db"),
+        ("1.5", "y", "json", "628acc93b48fba2ea5c339698d32f0fe6b4c5f6196b5a053ea7ae1986b2e4c5d"),
+        ("32", "y", "text", "e84c886b4f1ce18017f4292dc6bbdb09b6823961fae0896074523f88745e60b5"),
+        ("32", "y", "json", "eaf046ad488dab42baf409ad75c0c86c4a3f6ba15d08232a9d5b69dc48fcf7b3"),
         ("1", "x", "text", "f15025b01fd91145f6d746ab613bc747da1868af33a0fac950bb96df440ae3cc"),
         ("1", "x", "json", "7c8f7f66b2d9da22676de1611bab187b91f82d010a47a94bbb428dacfb92aef0"),
-        ("2", "x", "text", "5e93834047f94c1427e5957caea7f6dac5e357cefd92faeeec4cb27d9e5d6c3e"),
-        ("2", "x", "json", "0334f6a322ed5cef48d3e5b27b508f6b86608d373b68ea0f0bafa62e7e2e9bb0"),
+        ("2", "x", "text", "50a4c978413e98c7b7400ee2a7daa9bf35316370e96098c72e02380c686c649e"),
+        ("2", "x", "json", "08db7229cdc9e0ddd9b1d5f1a051fd4bf034ec63fe0da0a3b829f882f5bc0035"),
     ],
 )
 def test_find_hl_stdout_is_pinned(capsys, j, gen, fmt, digest):

@@ -323,13 +323,16 @@ def test_batch_expands_each_broadcast_component_once(monkeypatch):
 
 # --- broadcast inputs are checked on their own points -------------------------
 
-# (theta1, theta2, phi1, phi2) shapes; each broadcasts to (3, 4)
+# (theta1, theta2, phi1, phi2) shapes; each broadcasts to (3, 4) but the
+# last, find_hl's seed grid, whose second component holds 72 points: more
+# than one chunk holds at 2j = 64, so its two factors are cached instead
 _BROADCAST_LAYOUTS = [
     ((3, 1), (4,), (), ()),  # a scan block at fixed phases
     ((3, 1), (4,), (3, 1), (4,)),
     ((), (4,), (), (3, 1)),
     ((3, 4), (4,), (), ()),  # one input already at the batch's shape
     ((1, 4), (3, 1), (3, 4), ()),
+    ((9, 1, 1, 1), (1, 9, 1, 1), (1, 1, 4, 1), (1, 1, 1, 8)),
 ]
 _GOOD = {
     "theta": [0.0, 0.7, math.pi, -1e-10, math.pi + 1e-10],
@@ -368,12 +371,40 @@ def _broadcast_batches(draw):
 @given(_broadcast_batches())
 def test_broadcast_inputs_raise_and_reduce_as_materialized_ones(inputs):
     copies = [np.array(a) for a in np.broadcast_arrays(*map(np.asarray, inputs))]
-    got = _outcome(SpinJ(2), Generator.X, inputs)
-    want = _outcome(SpinJ(2), Generator.X, copies)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    for two_j in (2, 64):
+        got = _outcome(SpinJ(two_j), Generator.X, inputs)
+        want = _outcome(SpinJ(two_j), Generator.X, copies)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def test_seed_grid_expands_each_factor_at_its_own_points(monkeypatch):
+    # at 2j = 64 a chunk holds 63 cats: the seed grid's (theta1, phi1)
+    # component, 36 points, is cached whole, and of its (theta2, phi2)
+    # component, 72 points, each factor is cached at its own 9 thetas and
+    # 8 phis, so the phases are expanded at 36 + 8 points, not 36 + 2,592
+    import spincat.coherent as coherent
+
+    rows = []
+    phases = coherent._phases
+
+    def counting(t, phi):
+        rows.append(np.size(phi))
+        return phases(t, phi)
+
+    for module in (coherent, metrology):
+        monkeypatch.setattr(module, "_phases", counting)
+    thetas, phis = math.pi * np.arange(9) / 8, math.pi * np.arange(8) / 4
+    axes = np.ix_(thetas, thetas, phis[:4], phis)
+    got = cat_crb_batch(SpinJ(64), Generator.Y, *axes)
+    assert metrology.batch_cells(SpinJ(64)) == 63
+    assert sorted(rows) == [8, 36]
+    rows.clear()
+    want = cat_crb_batch(SpinJ(64), Generator.Y, *np.broadcast_arrays(*axes))
+    assert sum(rows) == 2 * 9 * 9 * 4 * 8  # both components, chunk by chunk
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 @pytest.mark.parametrize("layout", _BROADCAST_LAYOUTS)

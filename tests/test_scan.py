@@ -257,27 +257,14 @@ def test_lockstep_search_matches_one_point_at_a_time(two_j, gen):
 
 
 # float.hex of (theta1, theta2, phi1, phi2, crb) for each point find_hl
-# reports at j = 3/2 under Jy, recorded from the section search that
-# samples seven points of every bracket per step. The lockstep test above
-# compares the search with a reference that calls the same kernel, so it
-# cannot see the kernel drift.
+# reports at j = 3/2 under Jy, recorded from the section search whose
+# brackets close at 1e-8 and whose accepted points merge within
+# _MERGE_RADIUS: the 16 seeds end within 2.1e-6 of one optimum. The
+# lockstep test above compares the search with a reference that calls the
+# same kernel, so it cannot see the kernel drift.
 _PINNED_HL_3Y = [
     "0x1.921fb4f8dcdf7p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
     "0x1.2d97c7f3321d2p+2 0x1.5555555555554p-2",
-    "0x1.921fb4dfbae42p+0 0x1.921fb54442d18p+0 0x1.921fb4d005a72p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
-    "0x1.921fb54442d18p+0 0x1.921fb4ba07eb2p+0 0x1.921fb511fedaep+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
-    "0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
-    "0x1.921fb54442d18p+0 0x1.921fb3e46712ep+0 0x1.921fb52b20d63p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.555555555555cp-2",
-    "0x1.921fb542b0b1cp+0 0x1.921fb3b2231c3p+0 0x1.921fb511fedaep+0 "
-    "0x1.2d97c7e6a11f8p+2 0x1.555555555555dp-2",
-    "0x1.921fb868823c0p+0 0x1.921fb4dfbae42p+0 0x1.921fb521b4180p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555578p-2",
-    "0x1.921fce01b6386p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555dd5p-2",
 ]
 
 
@@ -285,6 +272,38 @@ def test_find_hl_points_are_pinned():
     points = find_hl(HlSearchSpec(SpinJ(3), Generator.Y))
     fields = [(p.theta1, p.theta2, p.phi1, p.phi2, p.crb) for p in points]
     assert [" ".join(float(v).hex() for v in f) for f in fields] == _PINNED_HL_3Y
+
+
+@pytest.mark.parametrize("smaller", [False, True])
+@pytest.mark.parametrize(
+    "k,shift",
+    [(0, 1e-9), (1, -1e-9), (2, 1e-9), (3, -1e-9), (2, 2 * PI - 1e-9), (3, -(2 * PI - 1e-9))],
+)
+def test_find_hl_reports_a_point_and_its_shifted_copy_once(monkeypatch, k, shift, smaller):
+    # accepted points merge when all four angles lie within _MERGE_RADIUS
+    # of a point already kept, phi modulo 2 pi: a copy shifted by 1e-9, or
+    # by 2 pi - 1e-9 in phi, is reported once, by the smaller bound (the
+    # first point on a tie), and a copy shifted by twice the radius is not
+    import spincat.scan as scan_mod
+
+    polish = scan_mod._polish
+    polished = []
+
+    def with_copies(line_for, starts, values, stop):
+        x, best = polish(line_for, starts, values, stop)
+        near, far = x.copy(), x.copy()
+        near[0, k] += shift
+        far[0, k] += 2 * scan_mod._MERGE_RADIUS
+        bound = np.nextafter(best, 0.0) if smaller else best
+        xs, vals = np.vstack([x, near, far]), np.concatenate([best, bound, best])
+        polished.extend((*row, val) for row, val in zip(xs.tolist(), vals.tolist()))
+        return xs, vals
+
+    monkeypatch.setattr(scan_mod, "_polish", with_copies)
+    points = find_hl(HlSearchSpec(SpinJ(3), Generator.Y, seeds=1))
+    first, near, far = polished
+    reported = {(p.theta1, p.theta2, p.phi1, p.phi2, p.crb) for p in points}
+    assert reported == {near if smaller else first, far}
 
 
 @pytest.mark.parametrize("tolerance", [0.1, 1e-3, 1e-12, 1e-13, 1e-16])
@@ -534,10 +553,10 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
 def test_find_hl_kernel_traffic(monkeypatch):
     # the seed grid is the search's one cat_crb_batch call. At 2j = 1, 2,
     # 16 and 64 under Jz the grid puts all 16 seeds at the limit, so no
-    # line is built. A line takes 21 calls on a theta range and 22 on a
-    # phi range, each of seven values per seed still sweeping. Over the four
+    # line is built. A line takes 15 calls on a theta range and on a phi
+    # range, each of seven values per seed still sweeping. Over the four
     # find-hl specs of the benchmark's scalar-search campaign (the first
-    # four below), (builds, calls, values) sum to (29, 623, 29806), and
+    # four below), (builds, calls, values) sum to (29, 435, 20895), and
     # every point reported lies within 1e-12 of the limit 1/(2j).
     import spincat.metrology as metrology
     import spincat.scan as scan_mod
@@ -565,8 +584,8 @@ def test_find_hl_kernel_traffic(monkeypatch):
     for two_j, gen, traffic in [
         (1, "Z", (0, 0, 0)),
         (2, "Z", (0, 0, 0)),
-        (3, "Y", (25, 537, 25214)),
-        (64, "Y", (4, 86, 4592)),
+        (3, "Y", (25, 375, 17640)),
+        (64, "Y", (4, 60, 3255)),
         (16, "Z", (0, 0, 0)),
         (64, "Z", (0, 0, 0)),
     ]:
@@ -579,13 +598,14 @@ def test_find_hl_kernel_traffic(monkeypatch):
 
 
 def _wave(x, row):
-    # a triangle wave of period 2e-7 in x, shifted by row / 128 periods
-    # of 2; exactly rounded operations only, so a float and an array entry
-    # agree bit for bit
-    return abs((1e7 * x + row / 128) % 2.0 - 1.0)
+    # a triangle wave of period 2e-6 in x, shifted by row / 128 periods
+    # of 2, so the minima of neighbouring rows lie 7.8e-9 apart, more than
+    # the last step's sample spacing on [0, 2 pi] (7.3e-10); exactly rounded
+    # operations only, so a float and an array entry agree bit for bit
+    return abs((1e6 * x + row / 128) % 2.0 - 1.0)
 
 
-@pytest.mark.parametrize("lo,hi,calls", [(0.0, PI, 21), (0.0, 2 * PI, 22)])
+@pytest.mark.parametrize("lo,hi,calls", [(0.0, PI, 15), (0.0, 2 * PI, 15)])
 def test_lockstep_brackets_close_on_the_same_step(lo, hi, calls):
     # _section_min narrows every bracket by 4 at each step, so all rows stop
     # on the same step; rows of a rapidly oscillating objective keep
