@@ -14,27 +14,14 @@ table of coherent and the nonzero bands of G) is built once per spin and
 generator, so a call on a few cats costs little more than its arithmetic.
 A component shared across the batch, such as each axis of a (theta1,
 theta2) grid at fixed phases, is expanded once per distinct point instead
-of once per cat; a shared component too large for that may still share
-its two factors, the magnitudes at its own thetas and the phases at its
-own phis.
-
-cat_crb_line serves line searches that move one angle of many cats. Built
-once per line, it expands the component the three fixed angles fix and
-caches the factor of the other that the moving angle leaves alone: its
-phases exp(phi (-ik)) on a theta line, its magnitudes
-sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k on a phi line. Each call
-takes one value or a row of values per cat, checks them with the call
-cat_crb_batch makes, expands only the moving factor at each value and
-gathers the two caches by cat, so the caches never grow with the values.
-
-Both kernels read every cache through _gather: a table of rows, one per
-point of an input, read by each cat at its own point, chunk by chunk.
-
-Both run one chunk loop, _evaluate: each tells it how to produce the two
-components of a slice of cats, and it adds them, takes the QFI of each
-chunk and applies the degenerate and divergence rules. Both paths share
-the same expressions, so every value is the one cat_crb_batch gives, bit
-for bit.
+of once per cat; a component too large for that still shares each of its
+two factors whose own input is small enough, the magnitudes
+sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k at its own thetas and
+the phases exp(phi (-ik)) at its own phis. Every cache is read through
+_gather: a table of rows, one per point of an input, read by each cat at
+its own point, chunk by chunk. The chunk loop, _evaluate, adds the two
+components of each chunk, takes its QFI and applies the degenerate and
+divergence rules.
 """
 from __future__ import annotations
 
@@ -45,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import instance, integer, real, real_array
+from ._checks import instance, real, real_array
 # cat_state is not called here any more; it stays importable from this
 # module because bench/spans.py rebinds it
 from .catstate import DEGENERACY_FLOOR, CatParams, _cat_amplitudes, cat_state  # noqa: F401
@@ -63,7 +50,6 @@ __all__ = [
     "crb_from_qfi",
     "cat_crb",
     "cat_crb_batch",
-    "cat_crb_line",
     "BATCH_AMPLITUDES",
     "QFI_DIVERGENCE_FLOOR",
     "FD_STEP_MIN",
@@ -240,9 +226,7 @@ def _bands(j: SpinJ, g: Generator) -> tuple[np.ndarray, ...]:
 def _check_angles(angles: np.ndarray) -> None:
     """Check a (4, n) block of points (theta1, theta2, phi1, phi2) as
     CoherentParams checks floats, then clamp theta onto [0, pi] and reduce
-    phi modulo 2 pi, in place, each only where a value needs it. Both
-    kernels check with it: cat_crb_batch its batch, cat_crb_line its base
-    and the values of each call.
+    phi modulo 2 pi, in place, each only where a value needs it.
 
     Only when the min or max of a row is out of range is the first bad
     value looked for and named, theta1 before theta2 before phi1 before
@@ -355,14 +339,16 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     one chunk. A component whose own angles (theta1, phi1) or (theta2,
     phi2) broadcast to points that fit is expanded once per distinct
     point and gathered into each chunk: a (rows, 1) x (n,) grid expands
-    rows + n coherent states, not 2 rows n. Otherwise, if its theta and
-    its phi each fit, its magnitudes are expanded once per distinct theta
-    and its phases once per distinct phi, and each chunk gathers and
-    multiplies them: find_hl's seed grid at 2j = 64, whose (theta2, phi2)
-    component has 72 points against 63 cats per chunk, expands 9 + 8
-    factors instead of 2,592 cats. Every other component is expanded
-    chunk by chunk. Each way takes the same product of the same factors,
-    so the values are the same bits. Memory does not grow with the batch
+    rows + n coherent states, not 2 rows n. Otherwise each of its two
+    factors whose own input fits is expanded once per distinct point of
+    that input, the magnitudes at its thetas and the phases at its phis,
+    and a factor whose input does not fit is expanded chunk by chunk; each
+    chunk gathers and multiplies the two. find_hl's seed grid at 2j = 64,
+    whose (theta2, phi2) component has 72 points against 63 cats per
+    chunk, expands 9 + 8 factors instead of 2,592 cats, and a scan block
+    (1, 1) x (201,) at 2j = 64 and fixed phases expands its one phi2 once
+    instead of 201 times. Each way takes the same product of the same
+    factors, so the values are the same bits. Memory does not grow with the batch
     beyond the inputs, the outputs, the checked angles and at most two
     gather indices per cat and component: the working arrays of a chunk
     and each cache hold at most BATCH_AMPLITUDES amplitudes. A single cat
@@ -392,89 +378,24 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
         pick = tuple(slice(None) if o == s else slice(0, 1) for o, s in zip(own, shape))
         return angles[(r, *pick)].reshape(-1)
 
+    def factor(r: int, expand):
+        # expand's rows for angle row r, cached at its input's own points
+        # if those fit, else expanded chunk by chunk
+        own = inputs[r].shape
+        if fits(own):
+            (rows,) = _gather(own, shape, expand(powers, points(r, own)))
+            return rows
+        return lambda part: expand(powers, flat[r, part])
+
     def component(c: int):
-        t, p = inputs[c].shape, inputs[c + 2].shape
-        own = np.broadcast_shapes(t, p)
+        own = np.broadcast_shapes(inputs[c].shape, inputs[c + 2].shape)
         if fits(own):
             (rows,) = _gather(own, shape, _coherent_rows(powers, points(c, own), points(c + 2, own)))
             return rows
-        if fits(t) and fits(p):
-            (mags,) = _gather(t, shape, _magnitudes(powers, points(c, t)))
-            (phases,) = _gather(p, shape, _phases(powers, points(c + 2, p)))
-            # _coherent_rows' own product, of the same factors
-            return lambda part: mags(part) * phases(part)
-        return lambda part: _coherent_rows(powers, flat[c, part], flat[c + 2, part])
+        mags, phases = factor(c, _magnitudes), factor(c + 2, _phases)
+        # _coherent_rows' own product, of the same factors
+        return lambda part: mags(part) * phases(part)
 
     qfi, crb, degenerate = _evaluate(bands, step, n, component(0), component(1))
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 
-
-def cat_crb_line(j: SpinJ, g: Generator, base, k: int):
-    """Bounds along angle k of each cat of base -> line(values).
-
-    base is an (m, 4) array of points (theta1, theta2, phi1, phi2) and k,
-    an integer argument in range(4), the index of the angle a line search
-    moves. line(values) takes one value per row of base, an (m,) array, or
-    s values per row, an (m, s) array, and returns (qfi, crb, degenerate)
-    of those cats with angle k set to the values, each of the values'
-    shape and bit for bit what cat_crb_batch gives on those points. j, g,
-    base and values are checked as cat_crb_batch checks its inputs; any
-    other k (a bool too), base shape or values shape raises ValueError.
-
-    base is checked as one (4, m) block with the call cat_crb_batch makes
-    when the line is built, so a bad angle of base raises then; a call
-    checks its values with the same call, in row k of a block whose other
-    rows hold 0, which every rule passes unchanged. The fixed component
-    is expanded once, and so is the factor of the moving one that angle k
-    leaves alone: its phases on a theta line, its magnitudes on a phi
-    line. A call computes only the moving factor, through the chunk loop
-    of cat_crb_batch, and gathers the two caches by row for its values,
-    with the gather cat_crb_batch reads its caches through, then
-    multiplies the moving factor by the cached one as cat_crb_batch
-    multiplies cached factors. The caches hold 2 m (2j + 1) amplitudes
-    whatever s is; unlike those of cat_crb_batch they are not bounded by
-    one chunk, since they serve every call of the line.
-    """
-    bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
-    rule = f"k must be an angle index in range(4), got {k!r}"
-    k = integer(k, "k", rule)
-    if k not in range(4):
-        raise ValueError(rule)
-    points = np.asarray(real_array(base, "base"), dtype=float)
-    if points.ndim != 2 or points.shape[1] != 4:
-        raise ValueError(f"base must be an (m, 4) array of points, got shape {points.shape}")
-    m = len(points)
-    block = points.T.copy()
-    _check_angles(block)
-    powers = _powers(j.two_j)
-    moved = k % 2  # the component angle k belongs to
-    fixed = _coherent_rows(powers, block[1 - moved], block[3 - moved])
-    if k < 2:
-        move, kept = _magnitudes, _phases(powers, block[k + 2])
-    else:
-        move, kept = _phases, _magnitudes(powers, block[k - 2])
-
-    def line(values):
-        values = real_array(values, "values")
-        if values.ndim not in (1, 2) or len(values) != m:
-            raise ValueError(
-                f"line takes {m} values, one per point, or an ({m}, s) array,"
-                f" got shape {values.shape}"
-            )
-        moving = np.zeros((4, values.size))
-        moving[k] = values.reshape(-1)
-        _check_angles(moving)
-        # each value reads the caches at its base point
-        other, factor = _gather((m,) + (1,) * (values.ndim - 1), values.shape, fixed, kept)
-        # complex products and sums commute exactly, so neither the order
-        # of the two factors nor that of the two components moves a bit
-        out = _evaluate(
-            bands,
-            batch_cells(j),
-            values.size,
-            lambda part: move(powers, moving[k, part]) * factor(part),
-            other,
-        )
-        return tuple(a.reshape(values.shape) for a in out)
-
-    return line

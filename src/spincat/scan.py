@@ -7,30 +7,38 @@ can cap divergences without losing information. The grid goes through
 the batched kernel cat_crb_batch a block of rows at a time.
 
 find_hl searches the full four-angle space for points whose bound reaches
-the Heisenberg limit 1/(2j): deterministic coarse seeding followed by
-cyclic coordinate descent with a section search along each angle. The
-seed grid is the search's one cat_crb_batch call, given as four broadcast
-axes so the kernel expands a cat component once per distinct point of its
-own angles (36 and 72) wherever those fit in one chunk, and the seeds are
-polished in lockstep from its values. No pure state's bound goes below
-1/(2j), so a seed within a relative 1e-12 of it (or the tolerance, if
-smaller) is done: it leaves the polish before its first line search if
-the grid puts it there, or after the line search that brings it there.
-Each line search moves one angle of every seed still sweeping, and runs
-on one cat_crb_line built for it: the cat component the three fixed
-angles determine, and the factor of the other that the moving angle
-leaves alone, are expanded once per line, so each step of the section
-search expands only the moving factor at the seven points it samples in
-the bracket of every seed. The caches hold 2 m (2j + 1) amplitudes for m
-seeds, about 5.4 MB at MAX_SEEDS and 2j = 64, however many points a step
-samples. Every bracket of a line narrows by 4 at each step and closes on
-the same step, once no wider than the angle resolution the objective
-has, 1e-8 (see _section_min). The values the polish ends on, the ones
-cat_crb_batch gives at the polished points, bit for bit, decide
-acceptance, and accepted points closer than _MERGE_RADIUS in every angle
-are reported once. Each seed takes exactly the steps it would take
-searched on its own, and every stopping rule reads only its own values,
-so the search is exact-arithmetic deterministic: same spec, same result.
+the Heisenberg limit 1/(2j): deterministic coarse seeding followed by a
+damped Newton polish of every seed at once. The seed grid is one
+cat_crb_batch call, given as four broadcast axes so the kernel expands a
+cat component once per distinct point of its own angles (36 and 72)
+wherever those fit in one chunk. No pure state's bound goes below 1/(2j),
+so a seed within a relative 1e-12 of it (or the tolerance, if smaller) is
+done: it is never polished if the grid puts it there, and leaves after
+the step that brings it there.
+
+Each Newton step makes two cat_crb_batch calls for all the seeds still
+polishing. The first evaluates a finite-difference stencil of 15 points
+around each seed, the centre, +-h along each angle and +h along each pair
+of angles, h = 1e-4, and from it come the gradient g and the Hessian H.
+The second evaluates six trial points per seed, the damped steps
+d(lam) = -(H + lam s I)^-1 g for lam in (0, 1e-3, 1e-2, 0.1, 1, 10), with
+s the largest eigenvalue magnitude of H and each eigenvalue of H + lam s I
+floored at 1e-8 s, so that each step is that of a positive definite model;
+a seed moves to its best trial if that is strictly lower. A seed stops
+when its best trial is not lower, or lower by less than a relative 1e-13,
+and after 40 steps. phi is periodic. Below theta = 0 a point is reflected
+through the pole, (-theta, phi) -> (theta, phi + pi), the same coherent
+state. Above theta = pi, (2 pi - theta, phi + pi) is the same state at
+even 2j, and a point is reflected there too; at odd 2j it carries a sign
+(-1)^(2j) on its component, so it is not the same cat: the stencil is
+moved inward to theta = pi - h and the trial points are clipped to pi.
+
+The values the polish ends on, the ones cat_crb_batch gives at the
+polished points, bit for bit, decide acceptance, and accepted points
+closer than _MERGE_RADIUS in every angle are reported once. Each seed
+takes exactly the steps it would take searched on its own, and every
+stopping rule reads only its own values, so the search is
+exact-arithmetic deterministic: same spec, same result.
 """
 from __future__ import annotations
 
@@ -47,7 +55,7 @@ from ._checks import instance, integer, real
 from .catstate import CatParams  # noqa: F401
 from .coherent import CoherentParams  # noqa: F401
 from .dicke import SpinJ
-from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch, cat_crb_line  # noqa: F401
+from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch  # noqa: F401
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -275,25 +283,31 @@ class HlPoint:
     crb: float
 
 
-# full angle box; the seed grid needs half the phi1 range because shifting
-# both phases by pi, a rotation by pi about z, maps (Jx, Jy, Jz) to
-# (-Jx, -Jy, Jz) and F(-G) = F(G); other common shifts keep F under Jz only
-_BOUNDS = ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
+# half-width of find_hl's finite-difference stencil in every angle. The
+# bound is smooth in the four angles, and near a minimum it moves by a
+# relative (h^2) times its curvature across the stencil, about 1e-8 here,
+# so the second differences keep about eight digits in double precision,
+# and the first differences' O(h^2) error moves a Newton step's end by
+# about 1e-8 rad, a relative 1e-16 of the bound
+_STEP = 1e-4
 
-# a section-search bracket closes once it is no wider than this. Near a
-# quadratic minimum the objective moves by a relative (x - x*)^2 times its
-# relative curvature, so in double precision (epsilon 2.2e-16) it resolves
-# the angle only to about sqrt(epsilon), 1.5e-8 at unit curvature: a
-# narrower bracket ranks its samples by roundoff
-_BRACKET_TOL = 1e-8
+# the stencil around a centre c, in units of _STEP: c, then c + e_i and
+# c - e_i for each angle i, then c + e_i + e_j for each pair i < j
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_STENCIL = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4), np.eye(4)[list(_PAIRS)].sum(axis=1)])
 
-# interior points each step of a section search samples per bracket, and
-# their offsets from the bracket's left end in units of the spacing
-_SAMPLES = 7
-_SECTIONS = np.arange(1.0, _SAMPLES + 1)
+# the damping ladder: each step tries d(lam) = -(H + lam s I)^-1 g for each
+# lam, s the largest eigenvalue magnitude of the Hessian H, from the Newton
+# step (lam = 0) to a short step along -g (lam = 10)
+_DAMPING = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
-# coordinate-descent sweeps at most per search
-_MAX_SWEEPS = 40
+# eigenvalues of H + lam s I are floored at this fraction of s, so every
+# step is one of a positive definite model: a direction of negative or
+# vanishing curvature takes the longest steps of the ladder
+_EIG_FLOOR = 1e-8
+
+# Newton steps at most per seed
+_MAX_STEPS = 40
 
 # relative slack above 1/(2j) within which a seed is at the limit and stops
 # being polished: no pure state's bound lies below 1/(2j), and the kernels'
@@ -322,88 +336,116 @@ def _objective(j: SpinJ, g: Generator, *angles) -> np.ndarray:
     return np.where(degenerate, math.inf, crb)
 
 
-def _line_objective(j: SpinJ, g: Generator, base: np.ndarray, k: int):
-    """_objective along angle k of each row of base -> line(v).
+def _wrapped(x: np.ndarray, even: bool) -> np.ndarray:
+    """The points x, rows (theta1, theta2, phi1, phi2) along the last axis,
+    moved into the box the kernel takes, in place.
 
-    line(v) is _objective at the points of base with angle k set to v, one
-    value per row, or a row of values per row of base, bit for bit,
-    through cat_crb_line: the cat component angle k leaves fixed, and the
-    factor of the other that it leaves alone, are expanded once per line
-    instead of once per step.
+    A negative theta is reflected through the pole, (-theta, phi) ->
+    (theta, phi + pi), which is the same coherent state. So is
+    (2 pi - theta, phi + pi) for theta above pi at even 2j (even), and
+    there theta is reduced modulo 2 pi and reflected; at odd 2j that image
+    changes the sign of its component, so theta is clipped to pi instead.
+    Each reflection is exact in floating point. phi is reduced modulo 2 pi.
     """
-    crb_line = cat_crb_line(j, g, base, k)
-
-    def line(v):
-        _, crb, degenerate = crb_line(v)
-        return np.where(degenerate, math.inf, crb)
-
-    return line
-
-
-def _section_min(line, n: int, lo: float, hi: float):
-    """Minima of n line objectives on [lo, hi] by a lockstep section search.
-
-    line(x) takes an (n, _SAMPLES) array of abscissae, one row per
-    objective, and returns the objective at each. Every step makes one
-    line call with _SAMPLES equally spaced interior points of each row's
-    bracket [a, a + w], a + i w / (_SAMPLES + 1) for i = 1 .. _SAMPLES,
-    and keeps the two neighbours of the row's best sample (the first on
-    ties) as its next bracket, of width w / 4. Every bracket has the same
-    width, kept as one float that division by 4 leaves exact, so all rows
-    stop on the same step: a line takes 15 calls on [0, pi] and on
-    [0, 2 pi] before the width is at most _BRACKET_TOL = 1e-8, about the
-    square root of the float epsilon, below which a quadratic minimum's
-    samples differ by roundoff only. Each row keeps the best sample it has
-    seen (strictly smaller values only; nan and inf if every sample is
-    inf), and its arithmetic is that of a search on its own, bit for bit.
-    -> (argmin, min) arrays of length n.
-    """
-    rows = np.arange(n)
-    a = np.full(n, lo)
-    w = hi - lo
-    x_best = np.full(n, math.nan)
-    f_best = np.full(n, math.inf)
-    while w > _BRACKET_TOL:
-        step = w / (_SAMPLES + 1)
-        x = a[:, None] + _SECTIONS * step
-        f = line(x)
-        i = f.argmin(axis=1)
-        f_i = f[rows, i]
-        better = f_i < f_best
-        np.copyto(x_best, x[rows, i], where=better)
-        np.copyto(f_best, f_i, where=better)
-        a = a + i * step
-        w = 2 * step
-    return x_best, f_best
+    for r in (0, 1):
+        theta, phi = x[..., r], x[..., r + 2]
+        flip = theta < 0.0
+        theta[flip] = -theta[flip]
+        phi[flip] += math.pi
+        if even:
+            np.fmod(theta, 2 * math.pi, out=theta)
+            flip = theta > math.pi
+            theta[flip] = 2 * math.pi - theta[flip]
+            phi[flip] += math.pi
+    np.minimum(x[..., :2], math.pi, out=x[..., :2])
+    np.mod(x[..., 2:], 2 * math.pi, out=x[..., 2:])
+    return x
 
 
-def _polish(line_for, starts, values, stop: float):
-    """Cyclic coordinate descent from every start at once.
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    # the sum over the last axis of four terms, added left to right: a
+    # fixed order, which a one-seed search in Python floats can repeat
+    return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
 
-    values holds the objective at each start, and line_for(base, k) gives
-    the objective along angle k of each row of base as a line of
-    _section_min, which samples every row's bracket at seven points per
-    call. A row whose value is at most stop is done: it is never polished
-    if its start is, and leaves after the line search that brings it
-    there. Any other row stops after the first sweep that improves it by
-    less than 1e-13, and every row after _MAX_SWEEPS sweeps. Each rule
-    reads a row's own values only.
+
+def _derivatives(f: np.ndarray):
+    """-> (g, H): the gradient and Hessian, from the stencil values f, one
+    row of 15 per seed in _STENCIL's order. g_i is the central difference,
+    H_ii the central second difference and H_ij the forward mixed one."""
+    f0, up, down, pairs = f[:, :1], f[:, 1:5], f[:, 5:9], f[:, 9:]
+    hh = _STEP * _STEP
+    rise = up - f0
+    g = (up - down) / (2 * _STEP)
+    H = np.empty((len(f), 4, 4))
+    diagonal = np.arange(4)
+    H[:, diagonal, diagonal] = (rise + (down - f0)) / hh
+    for p, (a, b) in enumerate(_PAIRS):
+        H[:, a, b] = H[:, b, a] = ((pairs[:, p] - up[:, a]) - rise[:, b]) / hh
+    return g, H
+
+
+def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """-> d of shape (m, len(_DAMPING), 4): d(lam) = -(H + lam s I)^-1 g for
+    each seed and each lam of the ladder, through H's eigenvectors V and
+    eigenvalues w, each w + lam s floored at _EIG_FLOOR s, s = max |w|."""
+    w, V = np.linalg.eigh(H)
+    s = np.abs(w).max(axis=1)[:, None, None]
+    lam = np.array(_DAMPING)[None, :, None]
+    curvature = np.maximum(w[:, None, :] + lam * s, _EIG_FLOOR * s)
+    along = _ordered_sum(np.swapaxes(V * g[:, :, None], 1, 2))  # V^T g
+    return -_ordered_sum(V[:, None, :, :] * (along[:, None, :] / curvature)[:, :, None, :])
+
+
+def _polish(objective, starts, values, stop: float, even: bool):
+    """Damped Newton steps from every start at once.
+
+    objective(points) gives the bound at each row of an (n, 4) array of
+    points, values holds it at each start, and even says whether 2j is
+    even (see _wrapped). Each step makes two objective calls for all the
+    seeds still polishing. The first evaluates _STENCIL around each seed's
+    point, moved into the box by _wrapped; at odd 2j a theta above
+    pi - _STEP is lowered to it first, so the stencil needs no clipping.
+    From those 15 values per seed come the gradient g and Hessian H, and
+    from them the steps of _newton_steps, one per rung of the ladder. The
+    second call evaluates the trial points, the stencil's centre plus each
+    step, moved into the box, and a seed moves to its best trial (the
+    first on ties) if that is strictly lower than its value.
+
+    A row whose value is at most stop is done: it is never polished if its
+    start is, and leaves after the step that brings it there. Any other
+    row stops after a step that does not lower it, or lowers it by less
+    than a relative 1e-13, when its stencil gives a derivative that is not
+    finite or a Hessian that is all zero, and after _MAX_STEPS steps. Each
+    rule reads a row's own values only, and its arithmetic is that of a
+    search on its own.
     -> (x, best): the polished points and their objective values.
     """
     x = np.array(starts, dtype=float)
     best = np.array(values, dtype=float)
     live = np.flatnonzero(best > stop)
-    for _ in range(_MAX_SWEEPS):
-        before = best.copy()
-        for k, (lo, hi) in enumerate(_BOUNDS):
-            if not live.size:
-                return x, best
-            v, fv = _section_min(line_for(x[live], k), live.size, lo, hi)
-            better = fv < best[live]
-            x[live[better], k] = v[better]
-            best[live[better]] = fv[better]
-            live = live[best[live] > stop]
-        live = live[~(before[live] - best[live] < 1e-13)]
+    for _ in range(_MAX_STEPS):
+        if not live.size:
+            break
+        centre = x[live]
+        if not even:
+            np.minimum(centre[:, :2], math.pi - _STEP, out=centre[:, :2])
+        stencil = _wrapped(centre[:, None, :] + _STEP * _STENCIL, even)
+        g, H = _derivatives(objective(stencil.reshape(-1, 4)).reshape(-1, len(_STENCIL)))
+        usable = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+        usable[usable] = np.abs(H[usable]).max(axis=(1, 2)) > 0.0
+        live, centre, g, H = live[usable], centre[usable], g[usable], H[usable]
+        if not live.size:
+            break
+        trials = _wrapped(centre[:, None, :] + _newton_steps(g, H), even)
+        f = objective(trials.reshape(-1, 4)).reshape(len(live), len(_DAMPING))
+        pick = f.argmin(axis=1)
+        f_pick = f[np.arange(len(live)), pick]
+        before = best[live]
+        better = f_pick < before
+        x[live[better]] = trials[better, pick[better]]
+        best[live[better]] = f_pick[better]
+        after = best[live]
+        live = live[better & ~(before - after < 1e-13 * before) & (after > stop)]
     return x, best
 
 
@@ -416,6 +458,10 @@ def _stop_bound(spec: HlSearchSpec) -> float:
 def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     """The seeds best finite points of the coarse grid, ranked by
     (value, theta1, theta2, phi1, phi2) -> (starts, values).
+
+    The grid needs half the phi1 range: shifting both phases by pi, a
+    rotation by pi about z, maps (Jx, Jy, Jz) to (-Jx, -Jy, Jz), and
+    F(-G) = F(G).
 
     f(theta1, theta2, phi1, phi2) gives the objective at the points its
     arguments broadcast to. It gets the grid as four axes, of shapes
@@ -463,16 +509,15 @@ def _merged(x: np.ndarray, values: np.ndarray) -> list[int]:
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    The MAX_SEEDS-point seed grid is the search's one cat_crb_batch call,
-    and the best spec.seeds points are polished together from its values,
-    each line search on one cat_crb_line that expands the factors it
-    leaves fixed once, and each of its steps sampling seven points of
-    every seed's bracket in one call. A seed whose bound is within a
-    relative 1e-12 of the target (or within the tolerance, if that is
-    smaller) is at the Heisenberg limit, which no pure state goes below,
-    and is polished no further: a grid point already there is reported as
-    it is. The values the polish ends on decide acceptance, and accepted
-    points within _MERGE_RADIUS of each other in every angle (phi modulo
+    The MAX_SEEDS-point seed grid is one cat_crb_batch call, and the best
+    spec.seeds points are polished together from its values by damped
+    Newton steps (see _polish), two cat_crb_batch calls per step for all
+    the seeds still polishing. A seed whose bound is within a relative
+    1e-12 of the target (or within the tolerance, if that is smaller) is
+    at the Heisenberg limit, which no pure state goes below, and is
+    polished no further: a grid point already there is reported as it is.
+    The values the polish ends on decide acceptance, and accepted points
+    within _MERGE_RADIUS of each other in every angle (phi modulo
     2 pi) are reported once, by the one with the smallest bound. Returns
     accepted points sorted by (crb, theta1, theta2, phi1, phi2); raises
     NoHlFoundError when no polished seed reaches the target within the
@@ -480,10 +525,9 @@ def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """
     instance(spec, HlSearchSpec, "spec")
     objective = functools.partial(_objective, spec.j, spec.generator)
-    line_for = functools.partial(_line_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
     starts, values = _seed_starts(objective, spec.seeds)
-    xs, vals = _polish(line_for, starts, values, _stop_bound(spec))
+    xs, vals = _polish(objective, starts, values, _stop_bound(spec), spec.j.two_j % 2 == 0)
     accepted = vals <= accept
     xs, vals = xs[accepted], vals[accepted]
     if not vals.size:

@@ -49,12 +49,10 @@ from spincat import (
     rotation_matrix,
     sweep_family,
 )
-from spincat.metrology import cat_crb_line
 
 J, G = SpinJ(2), Generator.Y
 CAT = CatParams(J, CoherentParams(0.4, 0.3), CoherentParams(2.0, 1.7))
 STATE = cat_state(CAT)
-BASE = np.array([[0.4, 2.1, 0.3, 5.0], [1.2, 0.8, 4.0, 1.1]])
 REPORT = SweepReport(ClosedFormCase.ONE_Z_PHIHALF, 144, 144, 1.7e-13, 0, None)
 ANGLES = {"theta1": 0.7, "theta2": 1.9, "phi1": 0.4, "phi2": 2.2}
 
@@ -85,10 +83,6 @@ ROWS = [
     ("cat_crb_batch", cat_crb_batch, {"j": J, "g": G, **ANGLES},
      {"j": "object", "g": "object", "theta1": "array*", "theta2": "array*",
       "phi1": "array", "phi2": "array"}),
-    ("cat_crb_line", cat_crb_line, {"j": J, "g": G, "base": BASE, "k": 1},
-     {"j": "object", "g": "object", "base": "array*", "k": "integer"}),
-    ("cat_crb_line(...)", lambda values: cat_crb_line(J, G, BASE, 1)(values),
-     {"values": [0.3, 0.4]}, {"values": "array*"}),
     *(
         (f.__name__, f, {"state": STATE, "g": G}, {"state": "object", "g": "object"})
         for f in (qfi_pure, qfi_sld_oracle, crb)

@@ -9,15 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spincat import (
+    CatParams,
     ClosedFormCase,
     CoherentParams,
     Generator,
     SpinJ,
+    cat_crb,
     cat_crb_batch,
     closed_form,
     coherent_overlap,
 )
-from spincat.metrology import cat_crb_line
 
 TWO_JS = [1, 2, 3, 16, 64]
 thetas = st.floats(min_value=0.0, max_value=math.pi)
@@ -133,8 +134,70 @@ def test_no_batch_or_line_bound_falls_below_the_limit(two_j, gen, seed):
     for k in range(4):
         top = math.pi if k < 2 else 2 * math.pi
         for values in (rng.uniform(0, top, len(base)), base[:, k] + rng.normal(0, 1e-6, len(base))):
-            _, crb, _ = cat_crb_line(j, gen, base, k)(np.clip(values, 0, top))
+            points = base.copy()
+            points[:, k] = np.clip(values, 0, top)
+            _, crb, _ = cat_crb_batch(j, gen, *points.T)
             _assert_not_below_the_limit(two_j, crb)
+
+
+# ---------------------------------------------------------------------------
+# the conditions for the Heisenberg limit: F = 4 Var(G) <= N^2 (N = 2j), with
+# equality only for the GHZ state along G's axis; for 2j >= 3 a cat of two
+# coherent states is that state exactly when its components sit at opposite
+# poles of the axis, where any phases the pole leaves free do not matter
+
+HL_TWO_JS = [3, 4, 16, 64]
+
+# the (theta, phi) of each pole of G's axis; None where phi is free
+POLES = {
+    Generator.X: ((math.pi / 2, 0.0), (math.pi / 2, math.pi)),
+    Generator.Y: ((math.pi / 2, math.pi / 2), (math.pi / 2, 3 * math.pi / 2)),
+    Generator.Z: ((0.0, None), (math.pi, None)),
+}
+
+
+def _both_kernels(j, gen, t1, t2, p1, p2) -> list[float]:
+    """qfi of one cat through cat_crb and through cat_crb_batch."""
+    one = cat_crb(CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2)), gen).qfi
+    return [one, float(cat_crb_batch(j, gen, t1, t2, p1, p2)[0])]
+
+
+def _ghz(gen, p1, p2, swap):
+    # the cat with its components at opposite poles of gen's axis, free
+    # phases p1 and p2 where the pole leaves phi free, in either order
+    (t1, q1), (t2, q2) = POLES[gen][::-1] if swap else POLES[gen]
+    return t1, t2, p1 if q1 is None else q1, p2 if q2 is None else q2
+
+
+@pytest.mark.parametrize("two_j", HL_TWO_JS)
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@pytest.mark.parametrize("swap", [False, True])
+@settings(max_examples=10)
+@given(p1=phis, p2=phis)
+def test_components_at_opposite_poles_reach_the_limit(two_j, gen, swap, p1, p2):
+    j = SpinJ(two_j)
+    for qfi in _both_kernels(j, gen, *_ghz(gen, p1, p2, swap)):
+        assert qfi / two_j**2 == pytest.approx(1.0, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("two_j", HL_TWO_JS)
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize(
+    "gen,angle",
+    [(Generator.X, 0), (Generator.X, 2), (Generator.Y, 0), (Generator.Y, 2), (Generator.Z, 0)],
+    ids=["X-theta1", "X-phi1", "Y-theta1", "Y-phi1", "Z-theta1"],
+)
+def test_a_tilt_off_the_pole_costs_a_second_order_loss(two_j, gen, swap, angle):
+    # tilting the first component by delta along theta, or along phi where
+    # it lies on the equator (phi is free at the poles of z), gives
+    # 1 - F/N^2 = ((N - 1)/(2N)) delta^2 to leading order; at delta = 1e-3
+    # the next order is a relative 1e-6
+    delta = 1e-3
+    point = list(_ghz(gen, 0.4, 2.9, swap))
+    point[angle] += delta if point[angle] < math.pi else -delta
+    want = (two_j - 1) / (2 * two_j) * delta**2
+    for qfi in _both_kernels(SpinJ(two_j), gen, *point):
+        assert 1 - qfi / two_j**2 == pytest.approx(want, rel=1e-6, abs=0)
 
 
 # theta1 across [0, pi] on the line theta2 = pi - theta1, phi2 = phi1 + pi;

@@ -13,6 +13,7 @@ from spincat import (
     DegenerateCatError,
     DickeVector,
     Generator,
+    ScanSpec,
     SpinJ,
     cat_crb,
     cat_crb_batch,
@@ -21,13 +22,14 @@ from spincat import (
     crb,
     crb_from_qfi,
     evolve,
+    grid_scan,
     normalization,
     qfi_fidelity_oracle,
     qfi_pure,
     qfi_sld_oracle,
 )
 import spincat.metrology as metrology
-from spincat.metrology import FD_STEP_MAX, FD_STEP_MIN, QFI_DIVERGENCE_FLOOR, cat_crb_line
+from spincat.metrology import FD_STEP_MAX, FD_STEP_MIN, QFI_DIVERGENCE_FLOOR
 
 from support import random_cat
 
@@ -311,14 +313,48 @@ def test_batch_expands_each_broadcast_component_once(monkeypatch):
     cat_crb_batch(SpinJ(2), Generator.Y, theta[:10, None], theta, 0.5, 1.5)
     assert sorted(expanded) == [10, 40]
     expanded.clear()
-    # no component is shared: each expanded chunk by chunk
+    # no component is shared: each is multiplied from its factors chunk by
+    # chunk, and the first one's single phi1 is expanded once
     cat_crb_batch(SpinJ(2), Generator.Y, theta, theta[::-1], 0.5, theta)
-    assert expanded == [40, 40]
+    assert expanded == []
     expanded.clear()
-    # the second component broadcasts to more points than one chunk holds
+    # the second component broadcasts to more points than one chunk holds,
+    # so only the first is expanded whole; the second's one phi2 is cached
     wide = np.linspace(0.0, math.pi, metrology.batch_cells(SpinJ(2)) + 1)
     cat_crb_batch(SpinJ(2), Generator.Y, theta[:3, None], wide, 0.5, 1.5)
-    assert expanded[0] == 3 and sum(expanded[1:]) == 3 * wide.size
+    assert expanded == [3]
+
+
+def _counting_phases(monkeypatch) -> list:
+    # the number of phis each _phases call expands, whether it comes
+    # through _coherent_rows or straight from the kernel
+    import spincat.coherent as coherent
+
+    rows = []
+    phases = coherent._phases
+
+    def counting(t, phi):
+        rows.append(np.size(phi))
+        return phases(t, phi)
+
+    for module in (coherent, metrology):
+        monkeypatch.setattr(module, "_phases", counting)
+    return rows
+
+
+def test_a_scan_at_large_spin_expands_each_fixed_phase_once_per_block(monkeypatch):
+    # at 2j = 64 a chunk holds 63 cats, so a 201-point scan goes to the
+    # kernel one row at a time, (1, 1) x (201,): the theta2 axis does not
+    # fit, but its one phi2 does, and is expanded once per block, not once
+    # per cat. 201 blocks expand 2 phis each, where 202 each were expanded
+    rows = _counting_phases(monkeypatch)
+    spec = ScanSpec(SpinJ(64), Generator.X, 0.0, 0.5, resolution=201)
+    got = grid_scan(spec)
+    assert sum(rows) == 402
+    theta = spec.theta_axis()
+    want = cat_crb_batch(SpinJ(64), Generator.X, *np.broadcast_arrays(theta[:, None], theta, 0.0, 0.5))
+    assert got.values.tobytes() == want[1].tobytes()
+    assert got.degenerate.tobytes() == want[2].tobytes()
 
 
 # --- broadcast inputs are checked on their own points -------------------------
@@ -385,17 +421,7 @@ def test_seed_grid_expands_each_factor_at_its_own_points(monkeypatch):
     # component, 36 points, is cached whole, and of its (theta2, phi2)
     # component, 72 points, each factor is cached at its own 9 thetas and
     # 8 phis, so the phases are expanded at 36 + 8 points, not 36 + 2,592
-    import spincat.coherent as coherent
-
-    rows = []
-    phases = coherent._phases
-
-    def counting(t, phi):
-        rows.append(np.size(phi))
-        return phases(t, phi)
-
-    for module in (coherent, metrology):
-        monkeypatch.setattr(module, "_phases", counting)
+    rows = _counting_phases(monkeypatch)
     thetas, phis = math.pi * np.arange(9) / 8, math.pi * np.arange(8) / 4
     axes = np.ix_(thetas, thetas, phis[:4], phis)
     got = cat_crb_batch(SpinJ(64), Generator.Y, *axes)
@@ -801,174 +827,3 @@ def test_scalar_cat_crb_bits_are_pinned(two_j, gen):
 def test_normalization_bits_are_pinned(two_j):
     got = _pinned_scalar(two_j, lambda c: float(normalization(c)).hex())
     assert got == _PINNED_NORMALIZATION[two_j].split()
-
-
-# ---------------------------------------------------------------------------
-# cat_crb_line input checks
-
-_LINE_BASE = np.array([[0.4, 2.1, 0.3, 5.0], [1.2, 0.8, 4.0, 1.1]])
-
-
-@pytest.mark.parametrize("k", [-1, 4, 5, 1.5, True, 1.0])
-def test_line_refuses_an_angle_index_outside_range_4(k):
-    # -1, 4 and 5 used to give finite bounds built from the wrong angles
-    with pytest.raises(ValueError, match=r"k must be an angle index in range\(4\)"):
-        cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, k)
-
-
-@pytest.mark.parametrize(
-    "base", [_LINE_BASE[0], _LINE_BASE[:, :3], _LINE_BASE[..., None], np.zeros(0)],
-    ids=["one point", "three angles", "3-d", "empty 1-d"],
-)
-def test_line_refuses_a_base_that_is_not_m_by_4(base):
-    with pytest.raises(ValueError, match=r"base must be an \(m, 4\) array"):
-        cat_crb_line(SpinJ(2), Generator.Y, base, 1)
-
-
-@pytest.mark.parametrize("values", [[0.3], [0.3, 0.4, 0.5], [[0.3, 0.4]], 0.3])
-def test_line_takes_one_value_per_point(values):
-    line = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, 1)
-    with pytest.raises(ValueError, match="line takes 2 values, one per point"):
-        line(values)
-    points = _LINE_BASE.copy()
-    points[:, 1] = (0.3, 0.4)
-    for got, want in zip(line([0.3, 0.4]), cat_crb_batch(SpinJ(2), Generator.Y, *points.T)):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_line_takes_a_numpy_integer_k():
-    values = np.array([0.7, 2.9])
-    want = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, 2)(values)
-    got = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, np.int64(2))(values)
-    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-
-
-@pytest.mark.parametrize("k", range(4))
-def test_line_checks_every_column_of_base_when_built(k):
-    # column k is replaced by the first call's values, but is checked too
-    base = _LINE_BASE.copy()
-    base[1, k] = math.nan
-    name = ("theta1", "theta2", "phi1", "phi2")[k]
-    with pytest.raises(ValueError, match=f"{name} must lie in" if k < 2 else f"{name} must be finite"):
-        cat_crb_line(SpinJ(2), Generator.Y, base, k)
-
-
-@pytest.mark.parametrize("k", range(4))
-@pytest.mark.parametrize("two_j", [3, 16])
-@pytest.mark.parametrize("gen", list(Generator))
-def test_line_keeps_the_batch_bits_across_calls_and_refusals(gen, two_j, k):
-    # -1e-17 reduces to 2 pi, which the next check of the line's block
-    # reduces again, to 0; the caches must still be those of the batch
-    base = np.array([[0.4, 2.1, -1e-17, 5.0], [1.2, -1e-17, 4.0, -1e-17]])
-    line = cat_crb_line(SpinJ(two_j), gen, base, k)
-    bad = 4.0 if k < 2 else math.inf
-    for values in ([0.5, 1.5], [bad, 1.0], [-1e-17, 3.0], [2.5, 0.1]):
-        points = base.copy()
-        points[:, k] = values
-        if values[0] == bad:
-            with pytest.raises(ValueError, match=re.escape(repr(bad))):
-                line(values)
-            continue
-        want = cat_crb_batch(SpinJ(two_j), gen, *points.T)
-        assert [a.tobytes() for a in line(values)] == [b.tobytes() for b in want]
-
-
-# cat_crb_line with s values per point: the search samples several points
-# of every bracket in one call
-
-def _sampled_line_case(two_j: int):
-    """(base, values by angle) with 5 values per point of base.
-
-    base[0] is degenerate (both components at the south pole, phases
-    pi/(2j) apart), base[1] and base[2] hold angles that are clamped or
-    reduced, and each values row mixes values inside the ranges with ones
-    the checks clamp or reduce.
-    """
-    rng = np.random.default_rng(100 + two_j)
-    base = np.column_stack(
-        [rng.uniform(0, math.pi, 6), rng.uniform(0, math.pi, 6),
-         rng.uniform(0, 2 * math.pi, 6), rng.uniform(0, 2 * math.pi, 6)]
-    )
-    base[0] = (math.pi, math.pi, 0.0, math.pi / two_j)
-    base[1] = (-1e-10, math.pi + 1e-10, 2 * math.pi, -0.0)
-    base[2] = (math.pi + 1e-10, -1e-10, 7.0, -1e-17)
-    values = []
-    for k in range(4):
-        top = math.pi if k < 2 else 2 * math.pi
-        v = rng.uniform(0, top, (6, 5))
-        v[0, 0] = base[0, k]  # the degenerate cat itself
-        v[1, :3] = (-1e-10, top + 1e-10, -0.0) if k < 2 else (-1e-17, top, 9.5)
-        values.append(v)
-    return base, values
-
-
-@pytest.mark.parametrize("amplitudes", [4096, 7])
-@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
-@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
-def test_line_with_samples_per_point_matches_the_batch(monkeypatch, two_j, gen, amplitudes):
-    # every (row, sample) is the cat_crb_batch value at its point, bit for
-    # bit, whether or not a chunk boundary splits the samples of a row
-    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
-    j = SpinJ(two_j)
-    base, values = _sampled_line_case(two_j)
-    kept = base.copy()
-    for k in range(4):
-        v = values[k]
-        given_v = v.copy()
-        points = np.repeat(base[:, None, :], v.shape[1], axis=1)
-        points[..., k] = v
-        want = cat_crb_batch(j, gen, *np.moveaxis(points, -1, 0))
-        got = cat_crb_line(j, gen, base, k)(v)
-        assert [a.shape for a in got] == [v.shape] * 3
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], k
-        assert got[2][0, 0]  # the degenerate cat
-        assert v.tobytes() == given_v.tobytes() and base.tobytes() == kept.tobytes()
-
-
-@pytest.mark.parametrize(
-    "shape", [(1, 7), (3, 7), (2, 3, 1), (7, 2), (0, 2)], ids=lambda s: "x".join(map(str, s))
-)
-def test_line_refuses_samples_not_held_by_one_row_per_point(shape):
-    line = cat_crb_line(SpinJ(2), Generator.Y, _LINE_BASE, 1)
-    rule = "line takes 2 values, one per point, or an (2, s) array"
-    with pytest.raises(ValueError, match=re.escape(rule)):
-        line(np.full(shape, 0.5))
-
-
-@pytest.mark.parametrize("k", range(4))
-@pytest.mark.parametrize("cell", [(0, 0), (1, 2), (0, 4)])
-def test_line_with_samples_names_the_first_bad_value_as_the_batch_does(k, cell):
-    # the batch names the first bad value in row-major (point, sample) order
-    j, g = SpinJ(3), Generator.Y
-    values = np.full((2, 5), 0.5)
-    values[cell] = math.nan
-    values[1, 4] = -3.0 if k < 2 else math.inf
-    points = np.repeat(_LINE_BASE[:, None, :], 5, axis=1)
-    points[..., k] = values
-    with pytest.raises(ValueError) as batch:
-        cat_crb_batch(j, g, *np.moveaxis(points, -1, 0))
-    with pytest.raises(ValueError) as line:
-        cat_crb_line(j, g, _LINE_BASE, k)(values)
-    assert str(line.value) == str(batch.value)
-    assert "nan" in str(line.value)
-
-
-def test_line_caches_do_not_grow_with_the_samples():
-    # the caches hold the fixed component and factor once per point of base
-    # (2 m (2j + 1) amplitudes); a call gathers them by row, so whatever
-    # number of samples it takes, it leaves nothing behind in the line
-    import tracemalloc
-
-    rng = np.random.default_rng(5)
-    base = rng.uniform(0.1, 3.0, (16, 4))
-    tracemalloc.start()
-    try:
-        line = cat_crb_line(SpinJ(64), Generator.Y, base, 0)
-        built = tracemalloc.get_traced_memory()[0]
-        for samples in (1, 7, 64):
-            out = line(rng.uniform(0, math.pi, (16, samples)))
-            del out
-            assert tracemalloc.get_traced_memory()[0] - built < 4096, samples
-    finally:
-        tracemalloc.stop()
-    assert built >= 2 * 16 * 65 * 16  # the two caches

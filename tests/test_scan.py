@@ -20,11 +20,12 @@ from spincat import (
     ScanSpec,
     SpinJ,
     cat_crb,
+    coherent_state,
     find_hl,
     grid_scan,
 )
 
-from support import reference_csv, sequential_find_hl
+from support import reference_csv, sequential_find_hl, sequential_polish
 
 HALF = SpinJ(1)
 PI = math.pi
@@ -234,7 +235,6 @@ def test_find_hl_reports_failure(monkeypatch):
         return np.full(shape, 0.01), np.full(shape, 10.0), np.zeros(shape, dtype=bool)
 
     monkeypatch.setattr(scan_mod, "cat_crb_batch", tens)
-    monkeypatch.setattr(scan_mod, "cat_crb_line", lambda j, g, base, k: lambda v: tens(j, g, v))
     with pytest.raises(NoHlFoundError, match="no point reached"):
         find_hl(HlSearchSpec(j=HALF, generator=Generator.Z, seeds=2))
 
@@ -248,6 +248,60 @@ def test_search_objective_rejects_bad_theta(theta):
         scan_mod._objective(HALF, Generator.Z, points)
 
 
+_BOWL = np.array([[3.0, 1.0, 0.0, 0.5], [1.0, 2.0, 0.3, 0.0], [0.0, 0.3, 1.0, 0.2], [0.5, 0.0, 0.2, 4.0]])
+_BOWL_MIN = np.array([1.0, 2.0, 3.0, 4.0])
+
+
+def _bowl(points):
+    # 1 + (x - x*)^T A (x - x*) / 2, positive definite, least value 1 at x*
+    d = points - _BOWL_MIN
+    return 1.0 + 0.5 * np.einsum("ni,ij,nj->n", d, _BOWL, d)
+
+
+def test_polish_steps_onto_the_minimum_of_a_quadratic_bowl():
+    # the stencil's differences are exact on a quadratic but for roundoff,
+    # so the undamped rung lands on the minimum and the seed stops there
+    import spincat.scan as scan_mod
+
+    calls = []
+
+    def objective(points):
+        calls.append(len(points))
+        return _bowl(points)
+
+    start = np.array([[1.2, 1.9, 3.3, 3.8]])
+    x, best = scan_mod._polish(objective, start, _bowl(start), 1.0 + 1e-12, False)
+    assert calls == [15, 6]
+    np.testing.assert_allclose(x[0], _BOWL_MIN, rtol=0, atol=1e-6)
+    assert best[0] <= 1.0 + 1e-12
+
+
+def test_polish_stops_a_seed_whose_stencil_meets_an_inf():
+    import spincat.scan as scan_mod
+
+    def objective(points):
+        values = _bowl(points)
+        values[1] = math.inf  # the stencil's first point past the centre
+        return values
+
+    start = np.array([[1.2, 1.9, 3.3, 3.8]])
+    x, best = scan_mod._polish(objective, start, _bowl(start), 1.0, False)
+    assert x.tobytes() == start.tobytes() and best.tobytes() == _bowl(start).tobytes()
+
+
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+def test_search_objective_is_inf_where_the_cat_is_degenerate(two_j, gen):
+    # both components at the south pole with phases pi/(2j) apart: the
+    # amplitudes at k = 2j cancel; the polish stops a seed whose stencil
+    # meets such a cat
+    import spincat.scan as scan_mod
+
+    points = np.array([[PI, PI, 0.0, PI / two_j], [0.5, 1.0, 0.0, 0.0]])
+    values = scan_mod._objective(SpinJ(two_j), gen, points)
+    assert math.isinf(values[0]) and math.isfinite(values[1])
+
+
 @pytest.mark.parametrize(
     "two_j,gen", [(1, Generator.Z), (2, Generator.X), (3, Generator.Y)]
 )
@@ -256,15 +310,34 @@ def test_lockstep_search_matches_one_point_at_a_time(two_j, gen):
     assert find_hl(search) == sequential_find_hl(search)
 
 
+@pytest.mark.parametrize("two_j,gen", [(2, Generator.X), (3, Generator.Y)])
+def test_lockstep_polish_of_64_seeds_matches_one_seed_at_a_time(two_j, gen):
+    # every seed, refused ones too, which find_hl does not report: at
+    # 2j = 2 under Jx seeds step through theta = pi, and at 2j = 3 under Jy
+    # seeds are held below it, and two of them take 37 steps along it
+    # before they stop 0.134 above the limit
+    import functools
+
+    import spincat.scan as scan_mod
+
+    search = HlSearchSpec(j=SpinJ(two_j), generator=gen, seeds=64)
+    objective = functools.partial(scan_mod._objective, search.j, gen)
+    starts, values = scan_mod._seed_starts(objective, search.seeds)
+    stop = scan_mod._stop_bound(search)
+    xs, best = scan_mod._polish(objective, starts, values, stop, two_j % 2 == 0)
+    for start, x, value in zip(starts.tolist(), xs.tolist(), best.tolist()):
+        assert (x, value) == sequential_polish(search, start), start
+
+
 # float.hex of (theta1, theta2, phi1, phi2, crb) for each point find_hl
-# reports at j = 3/2 under Jy, recorded from the section search whose
-# brackets close at 1e-8 and whose accepted points merge within
-# _MERGE_RADIUS: the 16 seeds end within 2.1e-6 of one optimum. The
-# lockstep test above compares the search with a reference that calls the
-# same kernel, so it cannot see the kernel drift.
+# reports at j = 3/2 under Jy, recorded from the damped Newton polish
+# whose accepted points merge within _MERGE_RADIUS: the 16 seeds end
+# within 2.1e-6 of one optimum. The lockstep test above compares the
+# search with a reference that calls the same kernel, so it cannot see the
+# kernel drift.
 _PINNED_HL_3Y = [
-    "0x1.921fb4f8dcdf7p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
-    "0x1.2d97c7f3321d2p+2 0x1.5555555555554p-2",
+    "0x1.921fb5457f1bdp+0 0x1.921fb545095d5p+0 0x1.921fb543a2a0dp+0 "
+    "0x1.2d97c7f31860ep+2 0x1.5555555555555p-2",
 ]
 
 
@@ -289,8 +362,8 @@ def test_find_hl_reports_a_point_and_its_shifted_copy_once(monkeypatch, k, shift
     polish = scan_mod._polish
     polished = []
 
-    def with_copies(line_for, starts, values, stop):
-        x, best = polish(line_for, starts, values, stop)
+    def with_copies(*args):
+        x, best = polish(*args)
         near, far = x.copy(), x.copy()
         near[0, k] += shift
         far[0, k] += 2 * scan_mod._MERGE_RADIUS
@@ -317,9 +390,9 @@ def test_polish_stops_at_the_limit_within_the_smaller_slack(monkeypatch, toleran
     stops = []
     polish = scan_mod._polish
 
-    def spy(line_for, starts, values, stop):
+    def spy(objective, starts, values, stop, even):
         stops.append(stop)
-        return polish(line_for, starts, values, stop)
+        return polish(objective, starts, values, stop, even)
 
     monkeypatch.setattr(scan_mod, "_polish", spy)
     points = find_hl(search)
@@ -450,86 +523,35 @@ def test_scan_spec_refuses_bool_phases(flag):
         spec(phi2=flag)
 
 
-# ---------------------------------------------------------------------------
-# line objective: _objective along one angle, with the fixed factors cached
+def _continued(two_j, theta, phi):
+    # the coherent-state amplitudes of spincat.coherent, taken at any theta
+    k = np.arange(two_j + 1)
+    roots = np.sqrt([math.comb(two_j, i) for i in k])
+    return roots * np.cos(theta / 2) ** (two_j - k) * np.sin(theta / 2) ** k * np.exp(-1j * k * phi)
 
 
-def _line_case(two_j: int):
-    """(base, rows, values by angle) for the line objective tests.
-
-    base[0] is a degenerate cat: both components at the south pole with
-    phases pi/(2j) apart, so the amplitudes at k = 2j cancel. Each values
-    list starts with base[0]'s own angle, so the first trial point is that
-    cat. rows leaves rows 3 and 5 out and repeats others.
-    """
-    rng = np.random.default_rng(two_j)
-    base = np.column_stack(
-        [rng.uniform(0, PI, 6), rng.uniform(0, PI, 6), rng.uniform(0, 2 * PI, 6), rng.uniform(0, 2 * PI, 6)]
-    )
-    base[0] = (PI, PI, 0.0, PI / two_j)
-    base[1] = (-1e-10, PI + 1e-10, 2 * PI, -0.0)
-    base[2] = (PI + 1e-10, -1e-10, 7.0, 2 * PI)
-    rows = np.array([0, 1, 2, 4, 4, 1, 0, 2, 1])
-    thetas = [-1e-10, PI + 1e-10, 0.3, PI, 0.0, -0.0, 1.7, 2.9]
-    phis = [2 * PI, -0.0, 7.0, 0.0, PI, 0.4, 5.5, 2 * PI + 1e-9]
-    values = [[base[0, k]] + (thetas if k < 2 else phis) for k in range(4)]
-    return base, rows, values
-
-
-@pytest.mark.parametrize("amplitudes", [4096, 7])
-@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
-@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
-def test_line_objective_matches_the_objective_on_trial_points(monkeypatch, two_j, gen, amplitudes):
-    import spincat.metrology as metrology
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 16])
+def test_wrapped_points_are_the_same_cat(two_j):
+    # the polish steps past theta = 0 and pi. Continued past 0, the
+    # amplitudes at (-t, phi) are those of (t, phi + pi); past pi, those at
+    # (pi + t, phi) are (-1)^(2j) times those of (pi - t, phi + pi), so the
+    # same state at even 2j, where _wrapped reflects, and at odd 2j it clips
     import spincat.scan as scan_mod
 
-    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
-    j = SpinJ(two_j)
-    base, rows, values = _line_case(two_j)
-    points = base[rows]
-    kept = points.copy()
-    for k in range(4):
-        v = np.array(values[k])
-        trial = points.copy()
-        trial[:, k] = v
-        expected = scan_mod._objective(j, gen, trial)
-        got = scan_mod._line_objective(j, gen, points, k)(v)
-        assert got.tobytes() == expected.tobytes(), k
-        assert math.isinf(got[0])  # the degenerate cat
-        # the caller's points and abscissae are not clamped or reduced in place
-        assert np.array_equal(v, values[k]) and points.tobytes() == kept.tobytes()
-    _, _, degenerate = metrology.cat_crb_batch(j, gen, *base[0])
-    assert degenerate
-
-
-_BAD_ANGLES = [(0, -0.1), (1, PI + 1e-6), (0, math.nan), (1, math.nan), (2, math.inf), (3, math.inf)]
-
-
-def _error_text(call) -> str:
-    with pytest.raises(ValueError) as info:
-        call()
-    return str(info.value)
-
-
-@pytest.mark.parametrize("k", range(4))
-@pytest.mark.parametrize("where,bad", _BAD_ANGLES)
-@pytest.mark.parametrize("two_j", [1, 3])
-def test_line_objective_raises_as_the_objective_does(two_j, where, bad, k):
-    # the bad angle is one the line moves (where == k) or one it holds fixed
-    import spincat.scan as scan_mod
-
-    j, gen = SpinJ(two_j), Generator.Y
-    base, rows, values = _line_case(two_j)
-    v = np.array(values[k])
-    if where == k:
-        v[3] = bad
+    j, even = SpinJ(two_j), two_j % 2 == 0
+    point = np.array([-0.3, PI + 0.2, 1.0, 6.0])
+    wrapped = scan_mod._wrapped(point.copy()[None, :], even)[0]
+    assert (0 <= wrapped[:2]).all() and (wrapped[:2] <= PI).all()
+    assert (0 <= wrapped[2:]).all() and (wrapped[2:] < 2 * PI).all()
+    first = coherent_state(j, CoherentParams(wrapped[0], wrapped[2])).amplitudes
+    np.testing.assert_allclose(first, _continued(two_j, point[0], point[2]), rtol=0, atol=1e-14)
+    second = coherent_state(j, CoherentParams(wrapped[1], wrapped[3])).amplitudes
+    if even:
+        np.testing.assert_allclose(second, _continued(two_j, point[1], point[3]), rtol=0, atol=1e-14)
     else:
-        base[rows[3], where] = bad
-    trial = base[rows]
-    trial[:, k] = v
-    expected = _error_text(lambda: scan_mod._objective(j, gen, trial))
-    assert expected.startswith(("theta1", "theta2", "phi1", "phi2")[where] + " must")
-    assert _error_text(lambda: scan_mod._line_objective(j, gen, base[rows], k)(v)) == expected
+        assert (wrapped[1], wrapped[3]) == (PI, point[3])
+        image = _continued(two_j, 2 * PI - point[1], point[3] + PI)
+        np.testing.assert_allclose(-image, _continued(two_j, point[1], point[3]), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -544,88 +566,65 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
 
     j, g = SpinJ(two_j), Generator[gen]
     objective = functools.partial(scan_mod._objective, j, g)
-    line_for = functools.partial(scan_mod._line_objective, j, g)
     stop = scan_mod._stop_bound(HlSearchSpec(j, g))
-    xs, best = scan_mod._polish(line_for, *scan_mod._seed_starts(objective, 16), stop)
+    starts, values = scan_mod._seed_starts(objective, 16)
+    xs, best = scan_mod._polish(objective, starts, values, stop, two_j % 2 == 0)
     assert objective(xs).tobytes() == best.tobytes()
 
 
 def test_find_hl_kernel_traffic(monkeypatch):
-    # the seed grid is the search's one cat_crb_batch call. At 2j = 1, 2,
-    # 16 and 64 under Jz the grid puts all 16 seeds at the limit, so no
-    # line is built. A line takes 15 calls on a theta range and on a phi
-    # range, each of seven values per seed still sweeping. Over the four
-    # find-hl specs of the benchmark's scalar-search campaign (the first
-    # four below), (builds, calls, values) sum to (29, 435, 20895), and
-    # every point reported lies within 1e-12 of the limit 1/(2j).
+    # the seed grid is the search's first cat_crb_batch call. At 2j = 1, 2,
+    # 16 and 64 under Jz the grid puts all 16 seeds at the limit, so it is
+    # the only one. Each Newton step then makes two calls: the 15-point
+    # stencil of every seed still polishing, and its six trial points. Over
+    # the four find-hl specs of the benchmark's scalar-search campaign (the
+    # first four below), (calls, cells) sum to (22, 12741), and every point
+    # reported lies within 1e-12 of the limit 1/(2j).
     import spincat.metrology as metrology
     import spincat.scan as scan_mod
 
-    batches, builds, calls = [], [], []
+    batches = []
 
     def batch(j, g, *angles):
         out = metrology.cat_crb_batch(j, g, *angles)
         batches.append(out[0].size)
         return out
 
-    def line_for(j, g, base, k):
-        line = metrology.cat_crb_line(j, g, base, k)
-        builds.append(k)
-
-        def counted(values):
-            assert np.shape(values) == (len(base), 7)
-            calls.append(np.size(values))
-            return line(values)
-
-        return counted
-
     monkeypatch.setattr(scan_mod, "cat_crb_batch", batch)
-    monkeypatch.setattr(scan_mod, "cat_crb_line", line_for)
     for two_j, gen, traffic in [
-        (1, "Z", (0, 0, 0)),
-        (2, "Z", (0, 0, 0)),
-        (3, "Y", (25, 375, 17640)),
-        (64, "Y", (4, 60, 3255)),
-        (16, "Z", (0, 0, 0)),
-        (64, "Z", (0, 0, 0)),
+        (1, "Z", (1, 2592)),
+        (2, "Z", (1, 2592)),
+        (3, "Y", (13, 4020)),
+        (64, "Y", (7, 3537)),
+        (16, "Z", (1, 2592)),
+        (64, "Z", (1, 2592)),
     ]:
-        batches.clear(), builds.clear(), calls.clear()
+        batches.clear()
         points = find_hl(HlSearchSpec(SpinJ(two_j), Generator[gen]))
         assert all(abs(p.crb - 1 / two_j) <= 1e-12 for p in points), (two_j, gen)
-        assert batches == [MAX_SEEDS], (two_j, gen)
-        assert builds == [k % 4 for k in range(len(builds))], (two_j, gen)
-        assert (len(builds), len(calls), sum(calls)) == traffic, (two_j, gen)
+        assert batches[0] == MAX_SEEDS, (two_j, gen)
+        stencils, trials = batches[1::2], batches[2::2]
+        assert [n % 15 for n in stencils] == [0] * len(stencils), (two_j, gen)
+        assert [n // 6 for n in trials] == [n // 15 for n in stencils], (two_j, gen)
+        assert (len(batches), sum(batches)) == traffic, (two_j, gen)
 
 
-def _wave(x, row):
-    # a triangle wave of period 2e-6 in x, shifted by row / 128 periods
-    # of 2, so the minima of neighbouring rows lie 7.8e-9 apart, more than
-    # the last step's sample spacing on [0, 2 pi] (7.3e-10); exactly rounded
-    # operations only, so a float and an array entry agree bit for bit
-    return abs((1e6 * x + row / 128) % 2.0 - 1.0)
+@pytest.mark.parametrize("gen", [Generator.X, Generator.Y], ids=lambda g: g.name)
+@pytest.mark.parametrize("two_j", [3, 4, 16])
+def test_no_seed_crawls_short_of_the_limit(two_j, gen):
+    # 64 seeds: every point accepted lies at the limit, not merely within
+    # the acceptance slack, as points a coordinate descent left crawling in
+    # a valley off the axes did
+    points = find_hl(HlSearchSpec(SpinJ(two_j), gen, seeds=64))
+    assert points
+    assert all(p.crb * two_j - 1 <= 1e-12 for p in points)
 
 
-@pytest.mark.parametrize("lo,hi,calls", [(0.0, PI, 15), (0.0, 2 * PI, 15)])
-def test_lockstep_brackets_close_on_the_same_step(lo, hi, calls):
-    # _section_min narrows every bracket by 4 at each step, so all rows stop
-    # on the same step; rows of a rapidly oscillating objective keep
-    # different samples, and each must still take exactly the steps of a
-    # search on its own, with every sample strictly inside (lo, hi)
-    import spincat.scan as scan_mod
-    from support import _section_min as section_min_one
-
-    assert (lo, hi) in scan_mod._BOUNDS
-    rows = np.arange(256)
-    samples = []
-
-    def line(x):
-        samples.append(x.copy())
-        return _wave(x, rows[:, None])
-
-    x, f = scan_mod._section_min(line, len(rows), lo, hi)
-    assert [s.shape for s in samples] == [(len(rows), 7)] * calls
-    assert all(((lo < s) & (s < hi)).all() for s in samples)
-    assert len(set(x.tolist())) > 200  # the rows went their own ways
-    for row in rows.tolist():
-        want = section_min_one(lambda v: _wave(v, row), lo, hi)
-        assert (x[row].hex(), f[row].hex()) == (want[0].hex(), want[1].hex()), row
+@pytest.mark.parametrize("gen", [Generator.X, Generator.Y], ids=lambda g: g.name)
+def test_spin_one_seeds_reflect_through_the_south_pole_to_the_limit(gen):
+    # at 2j = 2 some of 64 seeds start at theta = pi with the bound falling
+    # past it; at even 2j (2 pi - theta, phi + pi) is the same state, so
+    # they step through it to the limit, where a coordinate descent left
+    # them up to 1.1e-4 above it
+    points = find_hl(HlSearchSpec(SpinJ(2), gen, seeds=64))
+    assert max(p.crb * 2 - 1 for p in points) <= 1e-12
