@@ -1,6 +1,7 @@
 """Exact laws of the batched kernel: its three symmetries, the Heisenberg
-limit no bound goes below, and the antipodal Jz line, where the limit holds
-at the poles only (2j >= 3) or along the whole line (2j = 2)."""
+limit no bound goes below, the conditions for reaching it, and the
+antipodal Jz line, where the limit holds at the poles only (2j >= 3) or
+along the whole line (2j = 2)."""
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from spincat import (
     SpinJ,
     cat_crb,
     cat_crb_batch,
+    cat_state,
     closed_form,
     coherent_overlap,
 )
@@ -198,6 +200,21 @@ def test_a_tilt_off_the_pole_costs_a_second_order_loss(two_j, gen, swap, angle):
     want = (two_j - 1) / (2 * two_j) * delta**2
     for qfi in _both_kernels(SpinJ(two_j), gen, *point):
         assert 1 - qfi / two_j**2 == pytest.approx(want, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@settings(max_examples=50)
+@given(t1=thetas, t2=thetas, p1=phis, p2=phis)
+def test_spin_half_information_is_one_less_the_squared_bloch_component(gen, t1, t2, p1, p2):
+    # at 2j = 1, F = 4 Var(G) = 1 - (2 <G>)^2, so the limit F = 1 holds
+    # exactly where the cat's Bloch vector is orthogonal to G's axis
+    j = SpinJ(1)
+    p, q = CoherentParams(t1, p1), CoherentParams(t2, p2)
+    assume(2 + 2 * coherent_overlap(j, p, q).real >= 0.1)
+    v = cat_state(CatParams(j, p, q)).amplitudes
+    bloch = 2 * np.vdot(v, gen.matrix(j) @ v).real
+    for qfi in _both_kernels(j, gen, t1, t2, p1, p2):
+        assert qfi == pytest.approx(1 - bloch**2, rel=0, abs=1e-12)
 
 
 # theta1 across [0, pi] on the line theta2 = pi - theta1, phi2 = phi1 + pi;

@@ -357,6 +357,67 @@ def test_a_scan_at_large_spin_expands_each_fixed_phase_once_per_block(monkeypatc
     assert got.degenerate.tobytes() == want[2].tobytes()
 
 
+def _one_factor_inputs(rng, wide: int) -> dict:
+    # (theta1, theta2, phi1, phi2) with one component whose own points do
+    # not fit in a chunk (wide is more than one chunk holds), but one of
+    # whose two factors does; thetas take both poles, phis values outside
+    # [0, 2 pi) that the kernel reduces
+    thetas = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, wide - 2)])
+    phis = rng.uniform(-9.0, 9.0, wide)
+    column = np.array([[-7.5], [0.4], [2 * math.pi]])
+    return {
+        "theta row, phase scalar": (0.3, thetas, 0.2, 1.1),
+        "theta row, phase column": (0.3, thetas[None, :], 0.2, column),
+        "theta column, phase row": (np.array([[0.0], [1.2], [math.pi]]), 0.3, phis[None, :], 0.2),
+        "phase row, theta scalar": (1.0, 0.3, phis, 0.2),
+    }
+
+
+# (magnitude rows, phase rows) each layout expands at 2j = 64, where a
+# chunk holds 63 cats and the wide inputs have 68 points: a factor that
+# fits is expanded once per point of its own input, one that does not
+# once per cat, chunk by chunk
+_ONE_FACTOR_ROWS = {
+    "theta row, phase scalar": (1 + 68, 1 + 1),
+    "theta row, phase column": (1 + 3 * 68, 1 + 3),
+    "theta column, phase row": (3 + 1, 3 * 68 + 1),
+    "phase row, theta scalar": (1 + 1, 68 + 1),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_ONE_FACTOR_ROWS))
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+def test_caching_the_one_factor_that_fits_keeps_every_bit(layout, two_j, gen):
+    j = SpinJ(two_j)
+    args = _one_factor_inputs(np.random.default_rng(two_j), metrology.batch_cells(j) + 5)[layout]
+    copies = [np.array(a) for a in np.broadcast_arrays(*map(np.asarray, args))]
+    got = cat_crb_batch(j, gen, *args)
+    want = cat_crb_batch(j, gen, *copies)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("layout", sorted(_ONE_FACTOR_ROWS))
+def test_the_one_factor_that_fits_is_expanded_once_per_point(monkeypatch, layout):
+    import spincat.coherent as coherent
+
+    counts = {"_magnitudes": [], "_phases": []}
+    for name, rows in counts.items():
+        expand = getattr(coherent, name)
+
+        def counting(t, angle, expand=expand, rows=rows):
+            rows.append(np.size(angle))
+            return expand(t, angle)
+
+        for module in (coherent, metrology):
+            monkeypatch.setattr(module, name, counting)
+    j = SpinJ(64)
+    assert metrology.batch_cells(j) == 63
+    args = _one_factor_inputs(np.random.default_rng(0), 68)[layout]
+    cat_crb_batch(j, Generator.Y, *args)
+    assert (sum(counts["_magnitudes"]), sum(counts["_phases"])) == _ONE_FACTOR_ROWS[layout]
+
+
 # --- broadcast inputs are checked on their own points -------------------------
 
 # (theta1, theta2, phi1, phi2) shapes; each broadcasts to (3, 4) but the

@@ -20,6 +20,7 @@ from spincat import (
     ScanSpec,
     SpinJ,
     cat_crb,
+    cat_state,
     coherent_state,
     find_hl,
     grid_scan,
@@ -289,6 +290,81 @@ def test_polish_stops_a_seed_whose_stencil_meets_an_inf():
     assert x.tobytes() == start.tobytes() and best.tobytes() == _bowl(start).tobytes()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_stencil_differences_recover_a_quadratic(seed):
+    # on f = c + b.x + x^T A x / 2 the central and forward mixed
+    # differences are exact but for roundoff, about eps |f| / h^2 = 1e-7
+    # in the Hessian
+    import spincat.scan as scan_mod
+
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(4, 4))
+    A, b, c = root + root.T, rng.normal(size=4), rng.normal()
+    centre = rng.uniform(0.0, PI, 4)
+    points = centre + scan_mod._STEP * scan_mod._STENCIL
+    f = c + points @ b + 0.5 * np.einsum("ni,ij,nj->n", points, A, points)
+    g, H = scan_mod._derivatives(f[None, :])
+    np.testing.assert_allclose(g[0], b + A @ centre, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(H[0], A, rtol=0, atol=1e-5)
+    assert (H[0] == H[0].T).all()
+
+
+@pytest.mark.parametrize("rung", range(6))
+@pytest.mark.parametrize("eigenvalues", [(0.5, 1.0, 2.5, 5.0), (-2.0, -0.1, 0.3, 4.0)],
+                         ids=["definite", "indefinite"])
+def test_newton_steps_minimise_the_floored_damped_model(rung, eigenvalues):
+    # d(lam) solves (H + lam s I) d = -g with each eigenvalue of H + lam s I
+    # floored at 1e-8 s; where H is positive definite no floor acts, and
+    # every step goes downhill
+    import spincat.scan as scan_mod
+
+    rng = np.random.default_rng(rung)
+    V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    w = np.array(eigenvalues)
+    H, g = (V * w) @ V.T, rng.normal(size=4)
+    d = scan_mod._newton_steps(g[None, :], H[None, :, :])[0, rung]
+    s, lam = np.abs(w).max(), scan_mod._DAMPING[rung]
+    model = (V * np.maximum(w + lam * s, scan_mod._EIG_FLOOR * s)) @ V.T
+    np.testing.assert_allclose(d, np.linalg.solve(model, -g), rtol=1e-6, atol=0)
+    if min(w) > 0:
+        np.testing.assert_allclose(d, np.linalg.solve(H + lam * s * np.eye(4), -g), rtol=1e-12, atol=0)
+    assert g @ d < 0
+
+
+@pytest.mark.parametrize("thetas", [(0.0, 0.0), (0.0, PI), (PI, 0.0), (PI, PI)],
+                         ids=["0-0", "0-pi", "pi-0", "pi-pi"])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 16, 64])
+def test_a_seed_at_the_poles_is_stepped_inside_the_kernel_domain(monkeypatch, two_j, thetas):
+    # one step from a seed at theta = 0 or pi: every stencil and trial point
+    # lies in [0, pi] x [0, 2 pi), and each stencil point is the cat
+    # continued past the pole, from the centre that odd 2j lowers to pi - h
+    import spincat.scan as scan_mod
+
+    j, even, h = SpinJ(two_j), two_j % 2 == 0, scan_mod._STEP
+    calls = []
+
+    def objective(points):
+        calls.append(points.copy())
+        return scan_mod._objective(j, Generator.X, points)
+
+    monkeypatch.setattr(scan_mod, "_MAX_STEPS", 1)
+    start = np.array([[thetas[0], thetas[1], 0.7, 5.9]])
+    scan_mod._polish(objective, start, objective(start), 0.0, even)
+    stencil, trials = calls[1:]
+    assert stencil.shape == (15, 4) and trials.shape == (6, 4)
+    for points in (stencil, trials):
+        assert ((0 <= points[:, :2]) & (points[:, :2] <= PI)).all()
+        assert ((0 <= points[:, 2:]) & (points[:, 2:] < 2 * PI)).all()
+    centre = start[0].copy()
+    if not even:
+        centre[:2] = np.minimum(centre[:2], PI - h)
+    for point, continued in zip(stencil, centre + h * scan_mod._STENCIL):
+        for r in (0, 1):
+            got = coherent_state(j, CoherentParams(point[r], point[r + 2])).amplitudes
+            want = _continued(two_j, continued[r], continued[r + 2])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
 @pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
 def test_search_objective_is_inf_where_the_cat_is_degenerate(two_j, gen):
@@ -303,7 +379,18 @@ def test_search_objective_is_inf_where_the_cat_is_degenerate(two_j, gen):
 
 
 @pytest.mark.parametrize(
-    "two_j,gen", [(1, Generator.Z), (2, Generator.X), (3, Generator.Y)]
+    "two_j,gen",
+    [
+        (1, Generator.Z),
+        (2, Generator.X),
+        (3, Generator.Y),
+        (4, Generator.X),
+        (4, Generator.Y),
+        (5, Generator.X),
+        (5, Generator.Y),
+        (16, Generator.X),
+        (64, Generator.Y),
+    ],
 )
 def test_lockstep_search_matches_one_point_at_a_time(two_j, gen):
     search = HlSearchSpec(j=SpinJ(two_j), generator=gen, seeds=4)
@@ -628,3 +715,41 @@ def test_spin_one_seeds_reflect_through_the_south_pole_to_the_limit(gen):
     # them up to 1.1e-4 above it
     points = find_hl(HlSearchSpec(SpinJ(2), gen, seeds=64))
     assert max(p.crb * 2 - 1 for p in points) <= 1e-12
+
+
+# the unit vector of G's axis, and of a coherent state's (theta, phi)
+_AXES = {Generator.X: (1.0, 0.0, 0.0), Generator.Y: (0.0, 1.0, 0.0), Generator.Z: (0.0, 0.0, 1.0)}
+
+
+def _direction(theta, phi):
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+
+
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@pytest.mark.parametrize("two_j", [3, 4, 5, 16, 64])
+def test_points_found_at_2j_of_3_or_more_sit_at_opposite_poles(two_j, gen):
+    # for 2j >= 3 the limit holds only with the components at opposite
+    # poles of G's axis; tilting one by delta costs ((N - 1)/(2N)) delta^2
+    # of F/N^2, so a bound within a relative 1e-12 of the limit leaves each
+    # component within about 2.4e-6 of its pole
+    axis = np.array(_AXES[gen])
+    points = find_hl(HlSearchSpec(SpinJ(two_j), gen, seeds=64))
+    assert points
+    for p in points:
+        n1, n2 = _direction(p.theta1, p.phi1), _direction(p.theta2, p.phi2)
+        pole = math.copysign(1.0, n1 @ axis) * axis
+        assert np.abs(n1 - pole).max() <= 3e-6, p
+        assert np.abs(n2 + pole).max() <= 3e-6, p
+
+
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+def test_points_found_at_spin_half_have_no_bloch_component_along_the_axis(gen):
+    # at 2j = 1, F = 1 - (2 <G>)^2: a bound within a relative 1e-12 of the
+    # limit leaves |<G>| below about 7e-7
+    j = SpinJ(1)
+    points = find_hl(HlSearchSpec(j, gen, seeds=64))
+    assert points
+    for p in points:
+        state = cat_state(CatParams(j, CoherentParams(p.theta1, p.phi1), CoherentParams(p.theta2, p.phi2)))
+        v = state.amplitudes
+        assert abs(np.vdot(v, gen.matrix(j) @ v).real) <= 1e-6, p
