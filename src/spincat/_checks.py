@@ -2,8 +2,10 @@
 
 A real argument is anything float() takes but a bool or a complex number,
 an integer one anything operator.index() takes but a bool, and an object
-one an instance of its class. Each refusal names the argument; a checker
-given a rule, its own message, raises ValueError(rule) for every refusal.
+one an instance of its class. An array argument holds ints or floats
+(real_array), or ints, floats or complex numbers (complex_array). Each
+refusal names the argument; a checker given a rule, its own message,
+raises ValueError(rule) for every refusal.
 """
 import math
 import operator
@@ -57,4 +59,13 @@ def real_array(value, name: str) -> np.ndarray:
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def complex_array(value, name: str) -> np.ndarray:
+    """value as an array of ints, floats or complex numbers; TypeError for
+    any other dtype: bool, string and object arrays among them."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iufc":
+        raise TypeError(f"{name} must hold real or complex numbers, got dtype {arr.dtype}")
     return arr

@@ -8,16 +8,21 @@ its spin, its generator, its free parameters, their embedding into the cat
 angles (theta1, theta2, phi1, phi2) and the formula on that surface.
 closed_form(case, **params) evaluates one case at checked parameters, and
 sweep_family compares a row's formula against the numeric engine at every
-point of a grid on its constraint surface. crb_half_z and crb_half_x are
-the general four-angle spin-1/2 forms; they check their angles, and the
-spin-1/2 rows restrict their unchecked cores.
+point of a grid on its constraint surface, the engine side through scan's
+grid evaluator. crb_half_z and crb_half_x are the general four-angle
+spin-1/2 forms; they check their angles, and the spin-1/2 rows restrict
+their unchecked cores.
 
 Conventions shared with the engine: a bound is returned as a float, with
 +inf standing for a diverging bound (vanishing Fisher information). A
 closed form evaluating above CRB_DIVERGENCE_CEILING = (1e-14)^(-1/2) is
 clamped to +inf so that exact zeros of the engine (qfi floor 1e-14) and
-exact zeros of a formula denominator classify identically. Degenerate cat
-points, where no state exists, also compare as divergence events in sweeps.
+exact zeros of a formula denominator classify identically. The formulas
+state that rule through three helpers: _ratio (a zero denominator),
+_sqrt_ratio (a vanishing numerator or denominator) and _inverse_root (a
+Fisher-information-like term at or below the engine's floor). Degenerate
+cat points, where no state exists, also compare as divergence events in
+sweeps.
 """
 from __future__ import annotations
 
@@ -34,14 +39,8 @@ from ._checks import instance, real
 from .catstate import DEGENERACY_FLOOR, CatParams  # noqa: F401
 from .coherent import CoherentParams, check_theta  # noqa: F401
 from .dicke import SpinJ
-from .metrology import (  # noqa: F401
-    Generator,
-    QFI_DIVERGENCE_FLOOR,
-    batch_cells,
-    cat_crb,
-    cat_crb_batch,
-)
-from .scan import check_resolution
+from .metrology import QFI_DIVERGENCE_FLOOR, Generator, cat_crb  # noqa: F401
+from .scan import _axis, _grid_bounds, check_resolution
 
 __all__ = [
     "ClosedFormCase",
@@ -107,6 +106,17 @@ def _sqrt_ratio(num: float, den: float) -> float:
     return _extended(math.sqrt(num / den))
 
 
+def _ratio(num: float, den: float) -> float:
+    """num/den as an extended real; a zero denominator means divergence."""
+    return math.inf if den == 0.0 else _extended(num / den)
+
+
+def _inverse_root(q: float) -> float:
+    """1/sqrt(q) as an extended real; q at or below the engine's qfi floor
+    means divergence."""
+    return math.inf if q <= QFI_DIVERGENCE_FLOOR else _extended(1.0 / math.sqrt(q))
+
+
 def _checked(theta1, theta2, phi1, phi2) -> tuple[float, float, float, float]:
     """The four cat angles as floats, each checked by its own name."""
     return (
@@ -148,15 +158,11 @@ def _half_z_mirror(theta1: float, phi_diff: float) -> float:
     st = math.sin(theta1)
     cphi = math.cos(phi_diff)
     num = (2.0 + st * (1.0 + cphi)) ** 2
-    den = (1.0 + st) * (1.0 + st * cphi)
-    if den <= 0.0:
-        return math.inf
-    return _extended(0.5 * math.sqrt(num / den))
+    return _sqrt_ratio(num, 4.0 * (1.0 + st) * (1.0 + st * cphi))
 
 
 def _half_z_phi0(theta1: float, theta2: float) -> float:
-    s = abs(math.sin((theta1 + theta2) / 2))
-    return math.inf if s == 0.0 else _extended(1.0 / s)
+    return _ratio(1.0, abs(math.sin((theta1 + theta2) / 2)))
 
 
 def _half_z_phihalf(theta1: float, theta2: float) -> float:
@@ -168,15 +174,11 @@ def _half_z_phihalf(theta1: float, theta2: float) -> float:
 
 
 def _half_z_phipi(theta1: float, theta2: float) -> float:
-    s = abs(math.sin((theta1 - theta2) / 2))
-    return math.inf if s == 0.0 else _extended(1.0 / s)
+    return _ratio(1.0, abs(math.sin((theta1 - theta2) / 2)))
 
 
 def _half_z_equator(phi_diff: float) -> float:
-    den = 4.0 * abs(math.cos(phi_diff / 2))
-    if den == 0.0:
-        return math.inf
-    return _extended((3.0 + math.cos(phi_diff)) / den)
+    return _ratio(3.0 + math.cos(phi_diff), 4.0 * abs(math.cos(phi_diff / 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +204,7 @@ def _half_x(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
     if half_norm <= 0.0:
         return math.inf  # degenerate neighbourhood
     pol = (c1 + c2) * (math.cos(phi1) * s1 + math.cos(phi2) * s2) / half_norm
-    qfi_like = 1.0 - pol * pol
-    if qfi_like <= QFI_DIVERGENCE_FLOOR:
-        return math.inf
-    return _extended(1.0 / math.sqrt(qfi_like))
+    return _inverse_root(1.0 - pol * pol)
 
 
 def _half_x_equal_theta(theta: float) -> float:
@@ -217,15 +216,11 @@ def _half_x_equator(phi1: float, phi2: float) -> float:
     ratio = 4.0 * (math.cos(phi1) + math.cos(phi2)) ** 2 / (
         3.0 + math.cos(phi1 - phi2)
     ) ** 2
-    qfi_like = 1.0 - ratio
-    if qfi_like <= QFI_DIVERGENCE_FLOOR:
-        return math.inf
-    return _extended(1.0 / math.sqrt(qfi_like))
+    return _inverse_root(1.0 - ratio)
 
 
 def _inv_abs_cos(x: float) -> float:
-    c = abs(math.cos(x))
-    return math.inf if c == 0.0 else _extended(1.0 / c)
+    return _ratio(1.0, abs(math.cos(x)))
 
 
 def _half_x_phi_0pi(theta1: float, theta2: float) -> float:
@@ -277,13 +272,11 @@ def _one_z_phihalf_mirror(theta1: float) -> float:
 
 
 def _one_z_phihalf_equal_theta(theta1: float) -> float:
-    s = abs(math.sin(theta1))
-    return math.inf if s == 0.0 else _extended(1.0 / s)
+    return _ratio(1.0, abs(math.sin(theta1)))
 
 
 def _one_z_phipi_equal_theta(theta1: float) -> float:
-    s2 = math.sin(theta1) ** 2
-    return math.inf if s2 == 0.0 else _extended((3.0 + math.cos(2 * theta1)) / (4.0 * s2))
+    return _ratio(3.0 + math.cos(2 * theta1), 4.0 * math.sin(theta1) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +305,11 @@ class FamilyDefinition:
     outside input before calling it; sweep grids are valid by construction.
 
     angles is also applied to arrays: sweep_family passes it a mapping of
-    one array per free parameter, arrays that broadcast against each
-    other, once per block of grid points. It must therefore be elementwise
-    arithmetic on its values (+, -, * and constants), which gives the
-    same bits on an array as on each float alone. A constant entry, or
-    one that ignores a parameter, is fine.
+    one array per free parameter, a column of the first parameter's values
+    and the row of the second's, once per block of grid rows. It must
+    therefore be elementwise arithmetic on its values (+, -, * and
+    constants), which gives the same bits on an array as on each float
+    alone. A constant entry, or one that ignores a parameter, is fine.
     """
 
     case: ClosedFormCase
@@ -568,86 +561,67 @@ class SweepReport:
         return self.event_mismatches == 0 and self.max_abs_deviation <= tol
 
 
-def _grid_blocks(defn: FamilyDefinition, resolution: int):
-    """The family grid in row-major blocks of about one kernel chunk.
-
-    Yields (axes, points): axes maps each free parameter to an array, and
-    the arrays broadcast to the block's shape, (rows, 1) x (resolution,)
-    for two parameters; points are the block's parameter dicts of Python
-    floats, in the same order. Grid values are lo + (hi - lo) * (i / (n - 1)).
-    """
-    block = batch_cells(defn.spin)
-    if len(defn.free_params) == 1:
-        ((name, lo, hi),) = defn.free_params
-        n = resolution * resolution
-        for start in range(0, n, block):
-            values = lo + (hi - lo) * (np.arange(start, min(start + block, n)) / (n - 1))
-            yield {name: values}, [{name: v} for v in values.tolist()]
-    else:
-        (n1, lo1, hi1), (n2, lo2, hi2) = defn.free_params
-        index = np.arange(resolution) / (resolution - 1)
-        ys = lo2 + (hi2 - lo2) * index
-        y_list = ys.tolist()
-        rows = max(1, block // resolution)
-        for start in range(0, resolution, rows):
-            xs = lo1 + (hi1 - lo1) * index[start : start + rows]
-            points = [{n1: x, n2: y} for x in xs.tolist() for y in y_list]
-            yield {n1: xs[:, None], n2: ys}, points
-
-
 def sweep_family(case: ClosedFormCase, resolution: int = 50) -> SweepReport:
     """Compare the closed form against the numeric engine on the family grid.
 
     Divergences (and degenerate-cat points) must coincide as events; finite
-    points are compared by absolute deviation. The sweep runs on arrays a
-    block of the grid at a time: the row's angle map is applied to the
-    block's parameter arrays and the engine side is one cat_crb_batch call.
-    The formula is called once per point, in grid order. The reported
-    worst point is the last event mismatch if there is one, else the first
-    point of largest nonzero deviation; a nan deviation never counts.
-    resolution is points per free parameter, 2 <= resolution <=
-    MAX_RESOLUTION; one-parameter families take resolution**2 points.
+    points are compared by absolute deviation. resolution is points per
+    free parameter, 2 <= resolution <= MAX_RESOLUTION; one-parameter
+    families take resolution**2 points. The engine side is scan's grid
+    evaluator on the grid's axes, a one-parameter grid as a column of all
+    its points, with the row's angle map applied to them as arrays. The
+    formula is called once per point, in grid order, a grid row of
+    resolution points at a time, and the two sides are compared once over
+    the whole grid. The reported worst point is the last event mismatch if
+    there is one, else the first point of largest nonzero deviation; a nan
+    deviation never counts.
     """
     defn = FAMILIES[instance(case, ClosedFormCase, "case")]
     resolution = check_resolution(resolution)
-    points = finite = mismatches = 0
-    worst = 0.0
-    worst_point = mismatch_point = None
-    for axes, params in _grid_blocks(defn, resolution):
-        _, crbs, degenerate = cat_crb_batch(defn.spin, defn.generator, *defn.angles(axes))
-        # no state: compare as a divergence event; a map that ignores some
-        # parameter still yields one engine value per point
-        block = np.broadcast(*axes.values()).shape
-        engine = np.broadcast_to(np.where(degenerate, math.inf, crbs), block).ravel()
-        values = [defn.formula(p) for p in params]
-        formula = np.array(values, dtype=float)
-        points += len(values)
-        f_div, e_div = np.isinf(formula), np.isinf(engine)
-        mismatch = f_div != e_div
-        if mismatch.any():
-            mismatches += int(np.count_nonzero(mismatch))
-            mismatch_point = _point(params, values, engine, np.flatnonzero(mismatch)[-1])
-        both = ~(f_div | e_div)
-        finite += int(np.count_nonzero(both))
-        with np.errstate(invalid="ignore"):  # inf - inf where both diverge
-            dev = np.abs(formula - engine)
-        dev = np.where(both & (dev > 0.0), dev, 0.0)  # nan > 0 is false
-        first = int(np.argmax(dev))
-        if dev[first] > worst:
-            worst = float(dev[first])
-            worst_point = _point(params, values, engine, first)
-    if mismatch_point is not None:
-        worst_point = mismatch_point
+    names = [name for name, _, _ in defn.free_params]
+    f = defn.formula
+    formula = np.empty((resolution, resolution))
+    if len(names) == 1:
+        ((x_name, lo, hi),) = defn.free_params
+        rows, cols = _axis(lo, hi, resolution * resolution), np.zeros(1)
+        for block, xs in zip(formula, rows.reshape(resolution, resolution)):
+            block[:] = [f({x_name: x}) for x in xs.tolist()]
+    else:
+        (x_name, lo1, hi1), (y_name, lo2, hi2) = defn.free_params
+        rows, cols = _axis(lo1, hi1, resolution), _axis(lo2, hi2, resolution)
+        ys = cols.tolist()
+        for block, x in zip(formula, rows.tolist()):
+            block[:] = [f({x_name: x, y_name: y}) for y in ys]
+    crb, degenerate = _grid_bounds(
+        defn.spin, defn.generator, lambda x, y: defn.angles(dict(zip(names, (x, y)))), rows, cols
+    )
+    np.copyto(crb, math.inf, where=degenerate)  # no state: a divergence event
+    formula, engine = formula.ravel(), crb.ravel()
+    f_div, e_div = np.isinf(formula), np.isinf(engine)
+    mismatch = np.flatnonzero(f_div != e_div)
+    both = ~(f_div | e_div)
+    with np.errstate(invalid="ignore"):  # inf - inf where both diverge
+        dev = formula - engine
+    np.abs(dev, out=dev)
+    dev[~(both & (dev > 0.0))] = 0.0  # nan > 0 is false
+    first = int(np.argmax(dev))
+    if mismatch.size:
+        worst_point = _point(names, rows, cols, formula, engine, mismatch[-1])
+    else:
+        worst_point = _point(names, rows, cols, formula, engine, first) if dev[first] else None
     return SweepReport(
         case=case,
-        points=points,
-        finite_points=finite,
-        max_abs_deviation=worst,
-        event_mismatches=mismatches,
+        points=formula.size,
+        finite_points=int(np.count_nonzero(both)),
+        max_abs_deviation=dev[first].item(),
+        event_mismatches=mismatch.size,
         worst_point=worst_point,
     )
 
 
-def _point(params: list, values: list, engine: np.ndarray, i: int) -> tuple:
-    """(parameters, formula value, engine value) of point i of a block."""
-    return dict(params[i]), values[i], float(engine[i])
+def _point(names: list, rows, cols, formula, engine, i: int) -> tuple:
+    """(parameters, formula value, engine value) of point i of the grid
+    rows x cols, in row-major order; a one-parameter grid has one column."""
+    r, c = divmod(int(i), len(cols))
+    params = dict(zip(names, (rows[r].item(), cols[c].item())))
+    return params, formula[i].item(), engine[i].item()

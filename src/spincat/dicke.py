@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import instance, integer, real
+from ._checks import complex_array, instance, integer, real
 
 __all__ = [
     "SpinJ",
@@ -75,7 +75,7 @@ class SpinJ:
 
 
 def _as_unit_amplitudes(dim: int, amps) -> np.ndarray:
-    arr = np.asarray(amps, dtype=complex)
+    arr = complex_array(amps, "amplitudes").astype(complex, copy=False)
     if arr.shape != (dim,):
         raise ValueError(f"expected {dim} amplitudes, got shape {arr.shape}")
     nrm = math.sqrt(np.vdot(arr, arr).real)
@@ -89,7 +89,7 @@ def _as_unit_amplitudes(dim: int, amps) -> np.ndarray:
 @dataclass(frozen=True)
 class DickeVector:
     """Normalized pure state, amplitudes indexed by k = m + j (ascending m);
-    j must be a SpinJ."""
+    j must be a SpinJ, and amplitudes hold ints, floats or complex numbers."""
 
     j: SpinJ
     amplitudes: np.ndarray

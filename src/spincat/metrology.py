@@ -17,9 +17,9 @@ theta2) grid at fixed phases, is expanded once per distinct point instead
 of once per cat; a component too large for that still shares each of its
 two factors whose own input is small enough, the magnitudes
 sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k at its own thetas and
-the phases exp(phi (-ik)) at its own phis. Every cache is read through
-_gather: a table of rows, one per point of an input, read by each cat at
-its own point, chunk by chunk. The chunk loop, _evaluate, adds the two
+the phases exp(phi (-ik)) at its own phis. Every cache is a table of
+rows, one per point of an input, and _gather reads it for each cat at its
+own point, chunk by chunk. The chunk loop, _evaluate, adds the two
 components of each chunk, takes its QFI and applies the degenerate and
 divergence rules.
 """
@@ -289,17 +289,17 @@ def _qfi_chunk(bands: tuple[np.ndarray, ...], summed: np.ndarray):
     return 4.0 * _row_vdots(resid, resid), degenerate
 
 
-def _gather(own: tuple, shape: tuple, *tables: np.ndarray) -> list:
-    """part -> table[index[part]], for each table.
+def _gather(own: tuple, shape: tuple, table: np.ndarray):
+    """part -> table[index[part]].
 
-    A table holds one row for each point of an input of shape own, in
+    table holds one row for each point of an input of shape own, in
     row-major order; index maps each cat of a batch of the given shape, in
-    row-major order, to its point, and is shared by the tables. Each
-    function returned gathers the rows of the cats in the slice part, so
-    a chunk of cats reads a cached expansion instead of computing it.
+    row-major order, to its point. The function returned gathers the rows
+    of the cats in the slice part, so a chunk of cats reads a cached
+    expansion instead of computing it.
     """
     index = np.broadcast_to(np.arange(math.prod(own)).reshape(own), shape).ravel()
-    return [lambda part, t=t: t[index[part]] for t in tables]
+    return lambda part: table[index[part]]
 
 
 def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):
@@ -383,15 +383,13 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
         # if those fit, else expanded chunk by chunk
         own = inputs[r].shape
         if fits(own):
-            (rows,) = _gather(own, shape, expand(powers, points(r, own)))
-            return rows
+            return _gather(own, shape, expand(powers, points(r, own)))
         return lambda part: expand(powers, flat[r, part])
 
     def component(c: int):
         own = np.broadcast_shapes(inputs[c].shape, inputs[c + 2].shape)
         if fits(own):
-            (rows,) = _gather(own, shape, _coherent_rows(powers, points(c, own), points(c + 2, own)))
-            return rows
+            return _gather(own, shape, _coherent_rows(powers, points(c, own), points(c + 2, own)))
         mags, phases = factor(c, _magnitudes), factor(c + 2, _phases)
         # _coherent_rows' own product, of the same factors
         return lambda part: mags(part) * phases(part)

@@ -3,8 +3,9 @@
 grid_scan samples the Cramer-Rao bound of a cat state on a square
 (theta1, theta2) grid at fixed phases, keeping the raw extended-real
 values alongside overflow and degenerate masks so plots and CSV exports
-can cap divergences without losing information. The grid goes through
-the batched kernel cat_crb_batch a block of rows at a time.
+can cap divergences without losing information. It and closedform's
+sweep_family evaluate their grids through one evaluator, _grid_bounds,
+on axes from one helper, _axis.
 
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by a
@@ -152,8 +153,7 @@ class ScanSpec:
         object.__setattr__(self, "cap", check_cap(self.cap))
 
     def theta_axis(self) -> np.ndarray:
-        n = self.resolution
-        return np.array([math.pi * (a / (n - 1)) for a in range(n)])
+        return _axis(0.0, math.pi, self.resolution)
 
 
 @dataclass(frozen=True)
@@ -219,24 +219,39 @@ class GridResult:
             stream.write(row % tuple(values[cells < n].tolist()))
 
 
-def grid_scan(spec: ScanSpec) -> GridResult:
-    """Evaluate the bound on the spec's grid with cat_crb_batch.
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n points lo + (hi - lo) * (i / (n - 1)), i = 0, ..., n - 1."""
+    return lo + (hi - lo) * (np.arange(n) / (n - 1))
 
-    Rows go to the kernel in blocks of about one kernel chunk, so no
-    temporary grows with resolution**2. Every cell is computed from its
-    own angles alone: block and chunk sizes do not change any value. A
-    spec of another type raises TypeError.
+
+def _grid_bounds(j: SpinJ, g: Generator, angles, rows: np.ndarray, cols: np.ndarray):
+    """-> (crb, degenerate) of shape (len(rows), len(cols)): the bound of
+    the cat at angles(rows[i], cols[k]) in cell (i, k), inf where it
+    diverges and nan where the cat is degenerate.
+
+    angles(x, y) maps a column x of rows and the row y = cols elementwise
+    to (theta1, theta2, phi1, phi2), each broadcasting to (len(x), len(y)).
+    Each block of about one kernel chunk of rows is one cat_crb_batch
+    call, so a component of one axis alone is expanded once per point of
+    it, and no value depends on the block size.
     """
-    n = instance(spec, ScanSpec, "spec").resolution
+    crb = np.empty((len(rows), len(cols)))
+    degenerate = np.empty(crb.shape, dtype=bool)
+    step = max(1, batch_cells(j) // len(cols))
+    for lo in range(0, len(rows), step):
+        block = slice(lo, lo + step)
+        _, crb[block], degenerate[block] = cat_crb_batch(j, g, *angles(rows[block, None], cols))
+    return crb, degenerate
+
+
+def grid_scan(spec: ScanSpec) -> GridResult:
+    """Evaluate the bound on the spec's grid with _grid_bounds; no temporary
+    grows with resolution**2. A spec of another type raises TypeError."""
+    instance(spec, ScanSpec, "spec")
     theta = spec.theta_axis()
-    values = np.empty((n, n))
-    degenerate = np.empty((n, n), dtype=bool)
-    rows = max(1, batch_cells(spec.j) // n)
-    for lo in range(0, n, rows):
-        block = slice(lo, lo + rows)
-        _, values[block], degenerate[block] = cat_crb_batch(
-            spec.j, spec.generator, theta[block, None], theta, spec.phi1, spec.phi2
-        )
+    values, degenerate = _grid_bounds(
+        spec.j, spec.generator, lambda t1, t2: (t1, t2, spec.phi1, spec.phi2), theta, theta
+    )
     with np.errstate(invalid="ignore"):
         overflow = ~degenerate & (values > spec.cap)
     for arr in (theta, values, overflow, degenerate):
@@ -469,8 +484,8 @@ def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     cat_crb_batch can expand each component once per distinct point of
     its own angles; the values are those of the flat grid, bit for bit.
     """
-    thetas = math.pi * np.arange(9) / 8
-    phis = math.pi * np.arange(8) / 4
+    thetas = _axis(0.0, math.pi, 9)
+    phis = _axis(0.0, 2 * math.pi, 9)[:8]
     axes = np.ix_(thetas, thetas, phis[:4], phis)
     grid = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 4)
     vals = f(*axes).reshape(-1)

@@ -186,7 +186,7 @@ def test_sweep_rejects_resolution_above_the_cap(monkeypatch):
     def never(*args):
         raise AssertionError("the engine ran")
 
-    monkeypatch.setattr(closedform, "cat_crb_batch", never)
+    monkeypatch.setattr(closedform, "_grid_bounds", never)
     with pytest.raises(ValueError, match="resolution"):
         sweep_family(ClosedFormCase.HALF_Z_EQUATOR, MAX_RESOLUTION + 1)
 
@@ -394,9 +394,13 @@ def _report_bits(report):
     return _bits(tuple(getattr(report, f.name) for f in dataclasses.fields(report)))
 
 
+# a chunk of 7 amplitudes splits every grid across many kernel blocks, the
+# column of a one-parameter grid included
+@pytest.mark.parametrize("amplitudes", [metrology.BATCH_AMPLITUDES, 7])
 @pytest.mark.parametrize("resolution", [2, 3, 7, 50])
 @pytest.mark.parametrize("case", list(ClosedFormCase))
-def test_array_sweep_matches_the_point_by_point_sweep(case, resolution):
+def test_array_sweep_matches_the_point_by_point_sweep(monkeypatch, case, resolution, amplitudes):
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
     report = sweep_family(case, resolution)
     assert _report_bits(report) == _report_bits(sequential_sweep_family(case, resolution))
 

@@ -7,7 +7,8 @@ whose message names the argument (or the sum it is part of), and never
 return, raise another type or warn. Real arguments take anything float()
 takes but a bool or a complex number; integer arguments anything
 operator.index() takes but a bool; object arguments an instance of their
-class; the angle arrays of the kernels ints or floats.
+class; the angle arrays of the kernels ints or floats, and the amplitudes
+of a DickeVector ints, floats or complex numbers.
 """
 import math
 import re
@@ -59,12 +60,13 @@ ANGLES = {"theta1": 0.7, "theta2": 1.9, "phi1": 0.4, "phi2": 2.2}
 BAD = [True, np.True_, math.nan, math.inf, -math.inf, 2**2000, "x", 1 + 1j, None]
 
 # (label, callable, valid keyword arguments, the kind of each checked one);
-# kinds: "real", "integer", "object", "array", and "real*" or "array*" for
-# a real argument that 1e308 lies outside the range of
+# kinds: "real", "integer", "object", "array", "amplitudes", and "real*" or
+# "array*" for a real argument that 1e308 lies outside the range of
 ROWS = [
     ("SpinJ", SpinJ, {"two_j": 2}, {"two_j": "integer"}),
     ("SpinJ.from_j", SpinJ.from_j, {"j": 1.0}, {"j": "real*"}),
-    ("DickeVector", DickeVector, {"j": J, "amplitudes": STATE.amplitudes}, {"j": "object"}),
+    ("DickeVector", DickeVector, {"j": J, "amplitudes": STATE.amplitudes},
+     {"j": "object", "amplitudes": "amplitudes"}),
     ("DickeVector.inner", STATE.inner, {"other": STATE}, {"other": "object"}),
     ("build_operators", build_operators, {"j": J}, {"j": "object"}),
     ("dicke_to_fock", dicke_to_fock, {"j": J, "m": 0.0}, {"j": "object", "m": "real*"}),
@@ -116,7 +118,14 @@ ROWS = [
 
 def _bad_values(kind: str) -> list:
     # an unhashable object must be named too, not refused by a cache
-    extra = {"integer": [1e308, 2.0, "5"], "real*": [1e308], "array*": [1e308], "object": [[1]]}
+    extra = {
+        "integer": [1e308, 2.0, "5"],
+        "real*": [1e308],
+        "array*": [1e308],
+        "object": [[1]],
+        # unit-norm bool and object arrays, and a string array complex() cannot read
+        "amplitudes": [[True, False, False], np.array([1, 0, 0], dtype=object), ["a", "b", "c"]],
+    }
     return BAD + extra.get(kind, [])
 
 
@@ -144,7 +153,8 @@ def test_every_row_runs_on_its_valid_arguments():
 
 
 # one positive row per rule: a numeric string and a NumPy float are real
-# arguments, a NumPy integer an integer one, and integer arrays kernel angles
+# arguments, a NumPy integer an integer one, integer arrays kernel angles and
+# amplitudes
 @pytest.mark.parametrize(
     "got,want",
     [
@@ -163,12 +173,14 @@ def test_every_row_runs_on_its_valid_arguments():
         (lambda: crb_half_z(np.float32(0.5), 1, "0.2", 0), lambda: crb_half_z(0.5, 1.0, 0.2, 0.0)),
         (lambda: [a.tobytes() for a in cat_crb_batch(J, G, [0, 1], 1, [0, 3], 0)],
          lambda: [a.tobytes() for a in cat_crb_batch(J, G, [0.0, 1.0], 1.0, [0.0, 3.0], 0.0)]),
+        (lambda: DickeVector(J, [0, 1, 0]).amplitudes.tobytes(),
+         lambda: DickeVector(J, [0.0, 1.0, 0.0]).amplitudes.tobytes()),
     ],
     ids=[
         "CoherentParams-str", "from_j-str", "dicke_to_fock-str", "crb_from_qfi-str",
         "evolve-str", "qfi_fidelity_oracle-str", "SpinJ-int64", "SpinJ-int64-stores-int",
         "fock_to_dicke-numpy-ints", "CoherentParams-float32", "CoherentParams-float32-stores-float",
-        "crb_half_z-mixed", "cat_crb_batch-int-arrays",
+        "crb_half_z-mixed", "cat_crb_batch-int-arrays", "DickeVector-int-amplitudes",
     ],
 )
 def test_each_rule_takes_its_valid_kinds(got, want):
