@@ -30,11 +30,13 @@ from typing import Mapping
 
 from ._checks import real
 from .catstate import CatParams, DegenerateCatError, normalization
-from .closedform import FAMILIES, ClosedFormCase, check_tol, sweep_family
+from .closedform import _SWEEP_RESOLUTION, FAMILIES, ClosedFormCase, check_tol, sweep_family
 from .coherent import CoherentParams, check_theta, coherent_overlap
 from .dicke import SpinJ
 from .metrology import Generator, cat_crb
 from .scan import (
+    DEFAULT_CAP,
+    DEFAULT_RESOLUTION,
     GridResult,
     HlSearchSpec,
     NoHlFoundError,
@@ -164,7 +166,7 @@ _COMMANDS = {
     "verify": ("sweep closed forms against the engine", (
         (("--family",), _parse_family, None, "one family name (default: all)"),
         (("--all",), _parse_bool, False, "sweep every family"),
-        (("--res",), _RESOLUTION, 50, "grid resolution per free parameter"),
+        (("--res",), _RESOLUTION, _SWEEP_RESOLUTION, "grid resolution per free parameter"),
         (("--tol",), _TOL, 1e-9, "max allowed |formula - engine|"),
     )),
     "scan": ("grid scan over (theta1, theta2)", (
@@ -173,16 +175,17 @@ _COMMANDS = {
         _GENERATOR,
         (("--phi1",), _PHI1, "0", "first phase"),
         (("--phi2",), _PHI2, "0", "second phase"),
-        (("--res",), _RESOLUTION, 201, "grid resolution"),
-        (("--cap",), _ranged(_parse_float, check_cap), 20.0, "CSV ceiling for diverging bounds"),
+        (("--res",), _RESOLUTION, DEFAULT_RESOLUTION, "grid resolution"),
+        (("--cap",), _ranged(_parse_float, check_cap), DEFAULT_CAP, "CSV ceiling for diverging bounds"),
         (("--output",), str, None, "CSV path (default: stdout)"),
     )),
     "find-hl": ("search for Heisenberg-limit points", (
         _SPIN,
         _GENERATOR,
-        (("--tolerance",), _ranged(_parse_float, check_tolerance), 1e-3,
+        (("--tolerance",), _ranged(_parse_float, check_tolerance), HlSearchSpec.tolerance,
          "relative acceptance slack"),
-        (("--seeds",), _ranged(_parse_int, check_seeds), 16, "coarse starts to polish"),
+        (("--seeds",), _ranged(_parse_int, check_seeds), HlSearchSpec.seeds,
+         "coarse starts to polish"),
         (("--output",), str, None, "write the report to this path"),
         _FORMAT,
     )),

@@ -544,6 +544,10 @@ def check_tol(tol, name: str = "tol") -> float:
     return value
 
 
+# sweep_family's points per free parameter, the default of verify --res too
+_SWEEP_RESOLUTION = 50
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Outcome of one formula-vs-engine constraint-surface sweep."""
@@ -561,7 +565,7 @@ class SweepReport:
         return self.event_mismatches == 0 and self.max_abs_deviation <= tol
 
 
-def sweep_family(case: ClosedFormCase, resolution: int = 50) -> SweepReport:
+def sweep_family(case: ClosedFormCase, resolution: int = _SWEEP_RESOLUTION) -> SweepReport:
     """Compare the closed form against the numeric engine on the family grid.
 
     Divergences (and degenerate-cat points) must coincide as events; finite

@@ -17,9 +17,11 @@ theta2) grid at fixed phases, is expanded once per distinct point instead
 of once per cat; a component too large for that still shares each of its
 two factors whose own input is small enough, the magnitudes
 sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k at its own thetas and
-the phases exp(phi (-ik)) at its own phis. Every cache is a table of
-rows, one per point of an input, and _gather reads it for each cat at its
-own point, chunk by chunk. The chunk loop, _evaluate, adds the two
+the phases exp(phi (-ik)) at its own phis. Each angle input is checked,
+clamped and reduced at its own points, and is filled to the batch's shape
+only when a factor reads it chunk by chunk. Every cache is a table of
+rows, one per point of an input, and each chunk of cats reads the row of
+each cat's own point. The chunk loop, _evaluate, adds the two
 components of each chunk, takes its QFI and applies the degenerate and
 divergence rules.
 """
@@ -203,7 +205,7 @@ def cat_crb(c: CatParams, g: Generator) -> CrbResult:
 
 _THETA_TOP = math.pi + _THETA_SLACK
 
-# the rows of a kernel's angle block, by the names its errors give them
+# cat_crb_batch's angle inputs, by the names its errors give them
 _ANGLES = ("theta1", "theta2", "phi1", "phi2")
 
 
@@ -223,37 +225,35 @@ def _bands(j: SpinJ, g: Generator) -> tuple[np.ndarray, ...]:
     return bands
 
 
-def _check_angles(angles: np.ndarray) -> None:
-    """Check a (4, n) block of points (theta1, theta2, phi1, phi2) as
-    CoherentParams checks floats, then clamp theta onto [0, pi] and reduce
-    phi modulo 2 pi, in place, each only where a value needs it.
-
-    Only when the min or max of a row is out of range is the first bad
-    value looked for and named, theta1 before theta2 before phi1 before
-    phi2; a value is checked, clamped and reduced the same whichever cats
-    share the call.
-    """
-    # initial values inside every range keep an empty batch valid
-    los = np.minimum.reduce(angles, axis=1, initial=math.pi).tolist()
-    his = np.maximum.reduce(angles, axis=1, initial=0.0).tolist()
+def _checked(name: str, a: np.ndarray) -> np.ndarray:
+    """The angle input a as floats, checked at its own points as
+    CoherentParams checks floats. Theta is clamped onto [0, pi] and phi
+    reduced modulo 2 pi only where a value needs it, into a new array. A
+    ValueError names the first bad value in a's own row-major order."""
+    a = np.asarray(a, dtype=float)
+    lo, hi = a.min(), a.max()
     # nan fails every comparison, so it is caught with the out-of-range values
-    for r in (0, 1):
-        if not (los[r] >= -_THETA_SLACK and his[r] <= _THETA_TOP):
-            row = angles[r]
-            bad = row[~((row >= -_THETA_SLACK) & (row <= _THETA_TOP))]
-            raise ValueError(f"{_ANGLES[r]} must lie in [0, pi], got {float(bad[0])!r}")
-    for r in (2, 3):
-        if not (-math.inf < los[r] and his[r] < math.inf):
-            bad = angles[r][~np.isfinite(angles[r])]
-            raise ValueError(f"{_ANGLES[r]} must be finite, got {float(bad[0])!r}")
-    # values already in range are left as np.clip and np.mod would leave
-    # them (np.mod turns -0.0 into 0.0, which gives the kernel the same bits)
-    for r in (0, 1):
-        if los[r] < 0.0 or his[r] > math.pi:
-            np.clip(angles[r], 0.0, math.pi, out=angles[r])
-    for r in (2, 3):
-        if los[r] < 0.0 or his[r] >= TWO_PI:
-            np.mod(angles[r], TWO_PI, out=angles[r])
+    if name.startswith("theta"):
+        if not (lo >= -_THETA_SLACK and hi <= _THETA_TOP):
+            flat = a.reshape(-1)
+            bad = flat[~((flat >= -_THETA_SLACK) & (flat <= _THETA_TOP))]
+            raise ValueError(f"{name} must lie in [0, pi], got {float(bad[0])!r}")
+        return np.clip(a, 0.0, math.pi) if lo < 0.0 or hi > math.pi else a
+    if not (-math.inf < lo and hi < math.inf):
+        flat = a.reshape(-1)
+        raise ValueError(f"{name} must be finite, got {float(flat[~np.isfinite(flat)][0])!r}")
+    # values already in range are left as np.mod would leave them (it turns
+    # -0.0 into 0.0, which gives the kernel the same bits)
+    return np.mod(a, TWO_PI) if lo < 0.0 or hi >= TWO_PI else a
+
+
+def _filled(a: np.ndarray, shape: tuple) -> np.ndarray:
+    # a broadcast to shape, as one row-major row of points
+    if a.shape == shape:
+        return a.reshape(-1)
+    out = np.empty(shape)
+    out[...] = a
+    return out.reshape(-1)
 
 
 def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,19 +289,6 @@ def _qfi_chunk(bands: tuple[np.ndarray, ...], summed: np.ndarray):
     return 4.0 * _row_vdots(resid, resid), degenerate
 
 
-def _gather(own: tuple, shape: tuple, table: np.ndarray):
-    """part -> table[index[part]].
-
-    table holds one row for each point of an input of shape own, in
-    row-major order; index maps each cat of a batch of the given shape, in
-    row-major order, to its point. The function returned gathers the rows
-    of the cats in the slice part, so a chunk of cats reads a cached
-    expansion instead of computing it.
-    """
-    index = np.broadcast_to(np.arange(math.prod(own)).reshape(own), shape).ravel()
-    return lambda part: table[index[part]]
-
-
 def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):
     """-> (qfi, crb, degenerate) for n cats, in chunks of step cats.
 
@@ -326,13 +313,15 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
 
     The angles broadcast against each other; each output has their common
     shape. j must be a SpinJ, g a Generator, and each angle input hold ints
-    or floats, or TypeError names it. Angles are checked over the batch as
-    CoherentParams checks floats, and a ValueError names the first bad
-    one; theta is clamped and phi reduced only where a value needs it. qfi
-    is the residual form of qfi_pure, 4 ||G psi - <G> psi||^2, and crb is
-    +inf where qfi is at or below QFI_DIVERGENCE_FLOOR. Where the cat is
-    degenerate (as in DegenerateCatError) qfi and crb are nan and the flag
-    is set.
+    or floats, or TypeError names it. Each angle input is checked at its
+    own points, theta1, theta2, phi1 then phi2, as CoherentParams checks
+    floats, and a ValueError names the first bad value in its own
+    row-major order; an empty batch is not checked. Theta is clamped and
+    phi reduced only where a value needs it, into a new array, so the
+    caller's arrays are never written. qfi is the residual form of
+    qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf where qfi is at or
+    below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
+    DegenerateCatError) qfi and crb are nan and the flag is set.
 
     Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes, and an
     input fits when it has fewer points than the batch and no more than
@@ -348,52 +337,48 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     chunk, expands 9 + 8 factors instead of 2,592 cats, and a scan block
     (1, 1) x (201,) at 2j = 64 and fixed phases expands its one phi2 once
     instead of 201 times. Each way takes the same product of the same
-    factors, so the values are the same bits. Memory does not grow with the batch
-    beyond the inputs, the outputs, the checked angles and at most two
-    gather indices per cat and component: the working arrays of a chunk
-    and each cache hold at most BATCH_AMPLITUDES amplitudes. A single cat
-    is cheaper through cat_crb, which expands it with the same expression.
+    factors, so the values are the same bits. Memory does not grow with
+    the batch beyond the inputs, the outputs, at most two gather indices
+    per cat and component, and each input a factor reads chunk by chunk,
+    filled to the batch's shape: the working arrays of a chunk and each
+    cache hold at most BATCH_AMPLITUDES amplitudes. A single cat is
+    cheaper through cat_crb, which expands it with the same expression.
     """
     bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
     inputs = tuple(map(real_array, (theta1, theta2, phi1, phi2), _ANGLES))
     batch = np.broadcast(*inputs)
     shape, n = batch.shape, batch.size
-    angles = np.empty((4, *shape))
-    angles[0], angles[1], angles[2], angles[3] = inputs
-    flat = angles.reshape(4, -1)
-    _check_angles(flat)
+    theta1, theta2, phi1, phi2 = map(_checked, _ANGLES, inputs) if n else inputs
     powers = _powers(j.two_j)
     step = batch_cells(j)
 
-    def fits(own: tuple) -> bool:
-        # an input of this shape has fewer points than the batch, and no
-        # more than one chunk holds
-        return math.prod(own) < n and math.prod(own) <= step
+    def cached(expand, *own):
+        # part -> expand's rows for the cats in the slice part, read from a
+        # table of one row per point of the inputs own, each filled to their
+        # common shape, if those points fit; else None. index maps each cat,
+        # in row-major order, to its point
+        points = np.broadcast(*own).shape
+        size = math.prod(points)
+        if size >= n or size > step:
+            return None
+        table = expand(powers, *(_filled(a, points) for a in own))
+        index = np.broadcast_to(np.arange(size).reshape(points), shape).ravel()
+        return lambda part: table[index[part]]
 
-    def points(r: int, own: tuple) -> np.ndarray:
-        # the checked values of angle row r at the points of an input of
-        # shape own: a broadcast axis is read at its first position, so the
-        # points carry the clamping and phase reduction of every cat
-        own = (1,) * (len(shape) - len(own)) + own
-        pick = tuple(slice(None) if o == s else slice(0, 1) for o, s in zip(own, shape))
-        return angles[(r, *pick)].reshape(-1)
+    def chunked(expand, a):
+        # expand's rows chunk by chunk, from the input a filled to the batch
+        flat = _filled(a, shape)
+        return lambda part: expand(powers, flat[part])
 
-    def factor(r: int, expand):
-        # expand's rows for angle row r, cached at its input's own points
-        # if those fit, else expanded chunk by chunk
-        own = inputs[r].shape
-        if fits(own):
-            return _gather(own, shape, expand(powers, points(r, own)))
-        return lambda part: expand(powers, flat[r, part])
-
-    def component(c: int):
-        own = np.broadcast_shapes(inputs[c].shape, inputs[c + 2].shape)
-        if fits(own):
-            return _gather(own, shape, _coherent_rows(powers, points(c, own), points(c + 2, own)))
-        mags, phases = factor(c, _magnitudes), factor(c + 2, _phases)
+    def component(theta, phi):
+        rows = cached(_coherent_rows, theta, phi)
+        if rows:
+            return rows
+        mags = cached(_magnitudes, theta) or chunked(_magnitudes, theta)
+        phases = cached(_phases, phi) or chunked(_phases, phi)
         # _coherent_rows' own product, of the same factors
         return lambda part: mags(part) * phases(part)
 
-    qfi, crb, degenerate = _evaluate(bands, step, n, component(0), component(1))
+    qfi, crb, degenerate = _evaluate(bands, step, n, component(theta1, phi1), component(theta2, phi2))
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 

@@ -1,6 +1,7 @@
 """Information engine: evolution, the three routes to the information, bounds."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,7 +185,11 @@ def test_batch_matches_scalar_cat_crb(two_j, gen, t1, p1, t2, p2):
         return
     assert not degenerate[0]
     assert math.isinf(bound[0]) == ref.divergent
-    if ref.divergent:
+    if two_j <= 2 or gen is Generator.Z:
+        # bit for bit under Jz and at 2j <= 2; under Jx and Jy at larger
+        # spin the dense G @ psi of cat_crb rounds unlike the banded product
+        assert (qfi[0].hex(), bound[0].hex()) == (ref.qfi.hex(), ref.crb.hex())
+    elif ref.divergent:
         assert qfi[0] <= QFI_DIVERGENCE_FLOOR
     else:
         assert qfi[0] == pytest.approx(ref.qfi, rel=1e-12, abs=0)
@@ -520,7 +525,7 @@ def test_empty_broadcast_batch_is_not_checked():
         assert qfi.shape == bound.shape == degenerate.shape == shape
 
 
-# --- phases are reduced only where a value needs it ---------------------------
+# --- each input is clamped or reduced only where a value needs it -----------
 
 
 def _angle_block() -> np.ndarray:
@@ -536,27 +541,77 @@ def _angle_block() -> np.ndarray:
     )
 
 
-def test_check_angles_leaves_an_in_range_block_unchanged(monkeypatch):
+def _check_each(block: np.ndarray) -> list:
+    # each row of the block checked as the kernel checks its own input
+    return [metrology._checked(name, row) for name, row in zip(metrology._ANGLES, block)]
+
+
+def test_checked_leaves_an_in_range_input_unchanged(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("np.mod ran on phases inside [0, 2 pi)")
+        raise AssertionError("np.mod or np.clip ran on an input inside its range")
 
     monkeypatch.setattr(np, "mod", refuse)
+    monkeypatch.setattr(np, "clip", refuse)
     block = _angle_block()
-    before = block.tobytes()
-    metrology._check_angles(block)
-    assert block.tobytes() == before
+    for row, got in zip(block, _check_each(block)):
+        assert got.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("value", [2 * math.pi, -0.5, 7.0])
 @pytest.mark.parametrize("row", [2, 3])
-def test_check_angles_reduces_only_the_phase_row_that_needs_it(row, value):
+def test_checked_reduces_only_the_phase_input_that_needs_it(row, value):
     block = _angle_block()
     block[row, 1] = value
     want = block.copy()
     want[row] = np.mod(want[row], 2 * math.pi)
-    metrology._check_angles(block)
-    # the sibling phase row and both theta rows keep their bytes
-    assert block.tobytes() == want.tobytes()
+    # the sibling phase input and both theta inputs keep their bytes
+    assert [a.tobytes() for a in _check_each(block)] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("value", [-1e-10, math.pi + 1e-10])
+@pytest.mark.parametrize("row", [0, 1])
+def test_checked_clamps_only_the_theta_input_that_needs_it(row, value):
+    block = _angle_block()
+    block[row, 1] = value
+    want = block.copy()
+    want[row] = np.clip(want[row], 0.0, math.pi)
+    assert [a.tobytes() for a in _check_each(block)] == [b.tobytes() for b in want]
+
+
+def test_batch_never_writes_the_callers_arrays():
+    # theta in the slack band and phases outside [0, 2 pi), all read-only:
+    # accepted, clamped and reduced into new arrays, the inputs' bytes kept
+    inputs = [
+        np.array([[-1e-10], [0.7], [math.pi + 1e-10]]),
+        np.array([math.pi + 1e-10, 1.1, -1e-10, 0.3]),
+        np.array([[-0.5], [2 * math.pi], [7.0]]),
+        np.array([13.0, -9.0, 1.3, 2 * math.pi]),
+    ]
+    before = [a.tobytes() for a in inputs]
+    for a in inputs:
+        a.flags.writeable = False
+    got = cat_crb_batch(SpinJ(2), Generator.X, *inputs)
+    clamped = [np.clip(a, 0.0, math.pi) for a in inputs[:2]]
+    reduced = [np.mod(a, 2 * math.pi) for a in inputs[2:]]
+    want = cat_crb_batch(SpinJ(2), Generator.X, *clamped, *reduced)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert [a.tobytes() for a in inputs] == before
+
+
+def test_batch_memory_grows_by_the_outputs_and_gather_indices_only():
+    # a 1,001 x 1,001 grid at fixed phases: both components are cached, so
+    # beyond its outputs the kernel holds two gather indices and the
+    # temporaries of the divergence rule, never a copy of its angles
+    theta = np.linspace(0.0, math.pi, 1001)
+    cat_crb_batch(SpinJ(1), Generator.Z, theta[:2, None], theta[:2], 0.0, math.pi)
+    tracemalloc.start()
+    try:
+        out = cat_crb_batch(SpinJ(1), Generator.Z, theta[:, None], theta, 0.0, math.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[0].size == 1001 * 1001
+    assert peak / out[0].size <= 50
 
 
 _PHASES = np.array([-0.0, 0.0, 2 * math.pi, -0.5, 7.0, -9.0, 13.0, 1.3, 6.0])
