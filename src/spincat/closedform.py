@@ -574,9 +574,11 @@ def sweep_family(case: ClosedFormCase, resolution: int = _SWEEP_RESOLUTION) -> S
     families take resolution**2 points. The engine side is scan's grid
     evaluator on the grid's axes, a one-parameter grid as a column of all
     its points, with the row's angle map applied to them as arrays. The
-    formula is called once per point, in grid order, a grid row of
-    resolution points at a time, and the two sides are compared once over
-    the whole grid. The reported worst point is the last event mismatch if
+    evaluator's blocks of rows are compared as they come: the formula is
+    called once per point of each block, in grid order, and the finite
+    count, the mismatch count, the last event mismatch and the first
+    largest deviation are carried from block to block, so no array grows
+    with the grid. The reported worst point is the last event mismatch if
     there is one, else the first point of largest nonzero deviation; a nan
     deviation never counts.
     """
@@ -584,47 +586,56 @@ def sweep_family(case: ClosedFormCase, resolution: int = _SWEEP_RESOLUTION) -> S
     resolution = check_resolution(resolution)
     names = [name for name, _, _ in defn.free_params]
     f = defn.formula
-    formula = np.empty((resolution, resolution))
     if len(names) == 1:
         ((x_name, lo, hi),) = defn.free_params
-        rows, cols = _axis(lo, hi, resolution * resolution), np.zeros(1)
-        for block, xs in zip(formula, rows.reshape(resolution, resolution)):
-            block[:] = [f({x_name: x}) for x in xs.tolist()]
+        rows, cols = (lo, hi, resolution * resolution), np.zeros(1)
+
+        def formula(xs: list) -> list:
+            return [f({x_name: x}) for x in xs]
     else:
         (x_name, lo1, hi1), (y_name, lo2, hi2) = defn.free_params
-        rows, cols = _axis(lo1, hi1, resolution), _axis(lo2, hi2, resolution)
+        rows, cols = (lo1, hi1, resolution), _axis(lo2, hi2, resolution)
         ys = cols.tolist()
-        for block, x in zip(formula, rows.tolist()):
-            block[:] = [f({x_name: x, y_name: y}) for y in ys]
-    crb, degenerate = _grid_bounds(
+
+        def formula(xs: list) -> list:
+            return [f({x_name: x, y_name: y}) for x in xs for y in ys]
+
+    blocks = _grid_bounds(
         defn.spin, defn.generator, lambda x, y: defn.angles(dict(zip(names, (x, y)))), rows, cols
     )
-    np.copyto(crb, math.inf, where=degenerate)  # no state: a divergence event
-    formula, engine = formula.ravel(), crb.ravel()
-    f_div, e_div = np.isinf(formula), np.isinf(engine)
-    mismatch = np.flatnonzero(f_div != e_div)
-    both = ~(f_div | e_div)
-    with np.errstate(invalid="ignore"):  # inf - inf where both diverge
-        dev = formula - engine
-    np.abs(dev, out=dev)
-    dev[~(both & (dev > 0.0))] = 0.0  # nan > 0 is false
-    first = int(np.argmax(dev))
-    if mismatch.size:
-        worst_point = _point(names, rows, cols, formula, engine, mismatch[-1])
-    else:
-        worst_point = _point(names, rows, cols, formula, engine, first) if dev[first] else None
+    finite = mismatches = 0
+    largest, worst_point, last_mismatch = 0.0, None, None
+    for block, crb, degenerate in blocks:
+        xs = _axis(*rows, block)
+        values = np.array(formula(xs.tolist()), dtype=float)
+        engine = np.where(degenerate, math.inf, crb).ravel()  # no state: a divergence event
+        f_div, e_div = np.isinf(values), np.isinf(engine)
+        mismatch = np.flatnonzero(f_div != e_div)
+        both = ~(f_div | e_div)
+        with np.errstate(invalid="ignore"):  # inf - inf where both diverge
+            dev = values - engine
+        np.abs(dev, out=dev)
+        dev[~(both & (dev > 0.0))] = 0.0  # nan > 0 is false
+        first = int(np.argmax(dev))
+        finite += int(np.count_nonzero(both))
+        if mismatch.size:
+            mismatches += mismatch.size
+            last_mismatch = _point(names, xs, cols, values, engine, mismatch[-1])
+        if dev[first] > largest:
+            largest = dev[first].item()
+            worst_point = _point(names, xs, cols, values, engine, first)
     return SweepReport(
         case=case,
-        points=formula.size,
-        finite_points=int(np.count_nonzero(both)),
-        max_abs_deviation=dev[first].item(),
-        event_mismatches=mismatch.size,
-        worst_point=worst_point,
+        points=rows[2] * len(cols),
+        finite_points=finite,
+        max_abs_deviation=largest,
+        event_mismatches=mismatches,
+        worst_point=worst_point if last_mismatch is None else last_mismatch,
     )
 
 
 def _point(names: list, rows, cols, formula, engine, i: int) -> tuple:
-    """(parameters, formula value, engine value) of point i of the grid
+    """(parameters, formula value, engine value) of point i of the block
     rows x cols, in row-major order; a one-parameter grid has one column."""
     r, c = divmod(int(i), len(cols))
     params = dict(zip(names, (rows[r].item(), cols[c].item())))

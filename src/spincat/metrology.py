@@ -21,9 +21,12 @@ the phases exp(phi (-ik)) at its own phis. Each angle input is checked,
 clamped and reduced at its own points, and is filled to the batch's shape
 only when a factor reads it chunk by chunk. Every cache is a table of
 rows, one per point of an input, and each chunk of cats reads the row of
-each cat's own point. The chunk loop, _evaluate, adds the two
-components of each chunk, takes its QFI and applies the degenerate and
-divergence rules.
+each cat's own point. _cat_crb_pairs takes its cats as index pairs into
+one table of component points instead, expands the table once, and
+gathers both components of each chunk from it; find_hl's search makes
+all its kernel calls through it. The chunk loop both share, _evaluate,
+adds the two components of each chunk, takes its QFI and applies the
+degenerate and divergence rules.
 """
 from __future__ import annotations
 
@@ -72,6 +75,13 @@ _SLD_EIG_FLOOR = 1e-12
 # Dicke amplitudes per working array of cat_crb_batch; bounds the kernel's
 # temporaries whatever the size of the batch
 BATCH_AMPLITUDES = 4096
+
+# working chunks' worth of amplitudes _cat_crb_pairs expands its table of
+# points into at once. find_hl's largest table at 16 seeds, 12,480
+# amplitudes at 2j = 64, fits; with every seed of the grid at 2j = 64 its
+# tables of 31,104 points made the search peak at 81 MiB, against 6 MiB
+# chunk by chunk
+_TABLE_CHUNKS = 16
 
 
 class Generator(enum.Enum):
@@ -231,7 +241,8 @@ def _checked(name: str, a: np.ndarray) -> np.ndarray:
     reduced modulo 2 pi only where a value needs it, into a new array. A
     ValueError names the first bad value in a's own row-major order."""
     a = np.asarray(a, dtype=float)
-    lo, hi = a.min(), a.max()
+    # one point is read as it is; more take two reductions
+    lo, hi = (a.item(),) * 2 if a.size == 1 else (a.min(), a.max())
     # nan fails every comparison, so it is caught with the out-of-range values
     if name.startswith("theta"):
         if not (lo >= -_THETA_SLACK and hi <= _THETA_TOP):
@@ -332,16 +343,17 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     factors whose own input fits is expanded once per distinct point of
     that input, the magnitudes at its thetas and the phases at its phis,
     and a factor whose input does not fit is expanded chunk by chunk; each
-    chunk gathers and multiplies the two. find_hl's seed grid at 2j = 64,
-    whose (theta2, phi2) component has 72 points against 63 cats per
-    chunk, expands 9 + 8 factors instead of 2,592 cats, and a scan block
-    (1, 1) x (201,) at 2j = 64 and fixed phases expands its one phi2 once
-    instead of 201 times. Each way takes the same product of the same
-    factors, so the values are the same bits. Memory does not grow with
-    the batch beyond the inputs, the outputs, at most two gather indices
-    per cat and component, and each input a factor reads chunk by chunk,
-    filled to the batch's shape: the working arrays of a chunk and each
-    cache hold at most BATCH_AMPLITUDES amplitudes. A single cat is
+    chunk gathers and multiplies the two. At 2j = 64, 63 cats per chunk,
+    the axes theta1 (9, 1, 1, 1), theta2 (1, 9, 1, 1), phi1 (1, 1, 4, 1)
+    and phi2 (1, 1, 1, 8) give a (theta2, phi2) component of 72 points,
+    which expands 9 + 8 factors instead of 2,592 cats, and a scan block
+    (1, 1) x (201,) at fixed phases expands its one phi2 once instead of
+    201 times. Each way takes the same product of the same factors, so
+    the values are the same bits. Memory does not grow with the batch
+    beyond the inputs, the outputs, at most two gather indices per cat and
+    component, and each input a factor reads chunk by chunk, filled to the
+    batch's shape: the working arrays of a chunk and each cache hold at
+    most BATCH_AMPLITUDES amplitudes. A single cat is
     cheaper through cat_crb, which expands it with the same expression.
     """
     bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
@@ -380,5 +392,48 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
         return lambda part: mags(part) * phases(part)
 
     qfi, crb, degenerate = _evaluate(bands, step, n, component(theta1, phi1), component(theta2, phi2))
+    return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
+
+
+def _cat_crb_pairs(j: SpinJ, g: Generator, theta, phi, first, second):
+    """Bounds for the cats of index pairs into one table of component
+    points -> (qfi, crb, degenerate), each of first's shape.
+
+    theta and phi are the table, one (theta, phi) point per entry, checked,
+    clamped and reduced as cat_crb_batch checks its angle inputs, and
+    first and second are integer arrays of one shape: the cat i has the
+    components first[i] and second[i]. A table of at most _TABLE_CHUNKS *
+    BATCH_AMPLITUDES amplitudes, 2j + 1 per point, is expanded once through
+    _coherent_rows, and each chunk of cats gathers its two components' rows
+    from it, so a point shared by many cats is expanded once; a larger
+    table is expanded chunk by chunk, at the points each chunk's cats name.
+    Either way the values are those cat_crb_batch gives at (theta[first],
+    theta[second], phi[first], phi[second]), bit for bit, and since
+    v1 + v2 and v2 + v1 are the same bits, so are those of the swapped
+    pairs. A chunk's working arrays hold at most BATCH_AMPLITUDES
+    amplitudes.
+    """
+    shape = np.shape(first)
+    first, second = np.ravel(first), np.ravel(second)
+    if first.size:  # an empty batch is not checked
+        powers = _powers(j.two_j)
+        theta, phi = _checked("theta", theta), _checked("phi", phi)
+        if theta.size * j.dim <= _TABLE_CHUNKS * BATCH_AMPLITUDES:
+            table = _coherent_rows(powers, theta, phi)
+
+            def rows(index):
+                return table[index]
+        else:
+
+            def rows(index):
+                return _coherent_rows(powers, theta[index], phi[index])
+
+    qfi, crb, degenerate = _evaluate(
+        _bands(j, g),
+        batch_cells(j),
+        first.size,
+        lambda part: rows(first[part]),
+        lambda part: rows(second[part]),
+    )
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 

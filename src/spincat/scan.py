@@ -9,18 +9,23 @@ on axes from one helper, _axis.
 
 find_hl searches the full four-angle space for points whose bound reaches
 the Heisenberg limit 1/(2j): deterministic coarse seeding followed by a
-damped Newton polish of every seed at once. The seed grid is one
-cat_crb_batch call, given as four broadcast axes so the kernel expands a
-cat component once per distinct point of its own angles (36 and 72)
-wherever those fit in one chunk. No pure state's bound goes below 1/(2j),
-so a seed within a relative 1e-12 of it (or the tolerance, if smaller) is
-done: it is never polished if the grid puts it there, and leaves after
-the step that brings it there.
+damped Newton polish of every seed at once. Every kernel call of the
+search goes to metrology._cat_crb_pairs as a table of component points
+(theta, phi) and index pairs into it, so each point is expanded once per
+call however many cats share it. The seed grid is one such call: its
+2,592 cats are pairs of 72 points, and as a cat and its swapped copy give
+the same bits, each of the 1,962 unordered pairs is evaluated once. No
+pure state's bound goes below 1/(2j), so a seed within a relative 1e-12
+of it (or the tolerance, if smaller) is done: it is never polished if the
+grid puts it there, and leaves after the step that brings it there.
 
-Each Newton step makes two cat_crb_batch calls for all the seeds still
+Each Newton step makes two kernel calls for all the seeds still
 polishing. The first evaluates a finite-difference stencil of 15 points
 around each seed, the centre, +-h along each angle and +h along each pair
 of angles, h = 1e-4, and from it come the gradient g and the Hessian H.
+Its cats are pairs of six points per component, and its centre is the
+seed's own point, whose value the seed holds, so 14 cats per seed are
+evaluated (15 where the odd-2j rule below moved the centre).
 The second evaluates six trial points per seed, the damped steps
 d(lam) = -(H + lam s I)^-1 g for lam in (0, 1e-3, 1e-2, 0.1, 1, 10), with
 s the largest eigenvalue magnitude of H and each eigenvalue of H + lam s I
@@ -56,7 +61,7 @@ from ._checks import instance, integer, real
 from .catstate import CatParams  # noqa: F401
 from .coherent import CoherentParams  # noqa: F401
 from .dicke import SpinJ
-from .metrology import Generator, batch_cells, cat_crb, cat_crb_batch  # noqa: F401
+from .metrology import Generator, _cat_crb_pairs, batch_cells, cat_crb, cat_crb_batch  # noqa: F401
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -219,29 +224,34 @@ class GridResult:
             stream.write(row % tuple(values[cells < n].tolist()))
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """The n points lo + (hi - lo) * (i / (n - 1)), i = 0, ..., n - 1."""
-    return lo + (hi - lo) * (np.arange(n) / (n - 1))
+def _axis(lo: float, hi: float, n: int, part: slice = slice(None)) -> np.ndarray:
+    """The points lo + (hi - lo) * (i / (n - 1)) for i in range(n)[part],
+    each the same bits whatever the slice part."""
+    return lo + (hi - lo) * (np.arange(*part.indices(n)) / (n - 1))
 
 
-def _grid_bounds(j: SpinJ, g: Generator, angles, rows: np.ndarray, cols: np.ndarray):
-    """-> (crb, degenerate) of shape (len(rows), len(cols)): the bound of
-    the cat at angles(rows[i], cols[k]) in cell (i, k), inf where it
-    diverges and nan where the cat is degenerate.
+def _grid_bounds(j: SpinJ, g: Generator, angles, rows: tuple[float, float, int], cols: np.ndarray):
+    """Yield (block, crb, degenerate) for each block of about one kernel
+    chunk of the rows of the grid _axis(*rows) x cols, rows = (lo, hi, n):
+    block is the slice of those rows, and crb[i, k], read-only, the bound
+    of the cat at angles(x[i], cols[k]), x = _axis(*rows, block), inf where
+    it diverges and nan where the cat is degenerate.
 
-    angles(x, y) maps a column x of rows and the row y = cols elementwise
-    to (theta1, theta2, phi1, phi2), each broadcasting to (len(x), len(y)).
-    Each block of about one kernel chunk of rows is one cat_crb_batch
-    call, so a component of one axis alone is expanded once per point of
-    it, and no value depends on the block size.
+    angles(x, y) maps a column x of row points and the row y = cols
+    elementwise to (theta1, theta2, phi1, phi2), each broadcasting to
+    (len(x), len(y)). Each block is one cat_crb_batch call, so a component
+    of one axis alone is expanded once per point of it; its row points are
+    made block by block, so nothing here grows with the rows, and no value
+    depends on the block size.
     """
-    crb = np.empty((len(rows), len(cols)))
-    degenerate = np.empty(crb.shape, dtype=bool)
+    n = rows[2]
     step = max(1, batch_cells(j) // len(cols))
-    for lo in range(0, len(rows), step):
-        block = slice(lo, lo + step)
-        _, crb[block], degenerate[block] = cat_crb_batch(j, g, *angles(rows[block, None], cols))
-    return crb, degenerate
+    for lo in range(0, n, step):
+        block = slice(lo, min(lo + step, n))
+        x = _axis(*rows, block)
+        _, crb, degenerate = cat_crb_batch(j, g, *angles(x[:, None], cols))
+        shape = (len(x), len(cols))
+        yield block, np.broadcast_to(crb, shape), np.broadcast_to(degenerate, shape)
 
 
 def grid_scan(spec: ScanSpec) -> GridResult:
@@ -249,9 +259,17 @@ def grid_scan(spec: ScanSpec) -> GridResult:
     grows with resolution**2. A spec of another type raises TypeError."""
     instance(spec, ScanSpec, "spec")
     theta = spec.theta_axis()
-    values, degenerate = _grid_bounds(
-        spec.j, spec.generator, lambda t1, t2: (t1, t2, spec.phi1, spec.phi2), theta, theta
+    values = np.empty((len(theta), len(theta)))
+    degenerate = np.empty(values.shape, dtype=bool)
+    blocks = _grid_bounds(
+        spec.j,
+        spec.generator,
+        lambda t1, t2: (t1, t2, spec.phi1, spec.phi2),
+        (0.0, math.pi, len(theta)),
+        theta,
     )
+    for block, crb, flags in blocks:
+        values[block], degenerate[block] = crb, flags
     with np.errstate(invalid="ignore"):
         overflow = ~degenerate & (values > spec.cap)
     for arr in (theta, values, overflow, degenerate):
@@ -339,21 +357,33 @@ _LIMIT_SLACK = 1e-12
 _MERGE_RADIUS = 10 * math.sqrt(_LIMIT_SLACK)
 
 
-def _objective(j: SpinJ, g: Generator, *angles) -> np.ndarray:
-    """Bound at each cat the four angle arrays theta1, theta2, phi1 and phi2
-    broadcast to, or, given one (n, 4) array, at each of its rows (theta1,
-    theta2, phi1, phi2); inf where the cat is degenerate, so the search
+def _objective(j: SpinJ, g: Generator, points: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
+    """Bound at each cat, inf where the cat is degenerate, so the search
     steps away from it.
 
-    Angles outside the CoherentParams domain raise ValueError.
+    points is an (n, 4) array of cats (theta1, theta2, phi1, phi2), which
+    cat_crb_batch evaluates; or, given pairs, an (m, 2) table of component
+    points (theta, phi), and the cat of each row of the (n, 2) integer
+    array pairs is the two points it names, which _cat_crb_pairs evaluates
+    with the table expanded once. Both give the same bits. Angles outside
+    the CoherentParams domain raise ValueError.
     """
-    _, crb, degenerate = cat_crb_batch(j, g, *(angles[0].T if len(angles) == 1 else angles))
+    if pairs is None:
+        _, crb, degenerate = cat_crb_batch(j, g, *points.T)
+    else:
+        _, crb, degenerate = _cat_crb_pairs(j, g, points[:, 0], points[:, 1], pairs[:, 0], pairs[:, 1])
     return np.where(degenerate, math.inf, crb)
 
 
+# the columns (theta, phi) of each component of a cat (theta1, theta2,
+# phi1, phi2): x[..., _COMPONENTS] has the components along its last but one axis
+_COMPONENTS = np.array([[0, 2], [1, 3]])
+
+
 def _wrapped(x: np.ndarray, even: bool) -> np.ndarray:
-    """The points x, rows (theta1, theta2, phi1, phi2) along the last axis,
-    moved into the box the kernel takes, in place.
+    """The points x, moved into the box the kernel takes, in place: rows
+    along the last axis of their thetas and then their phis, cats (theta1,
+    theta2, phi1, phi2) or components (theta, phi).
 
     A negative theta is reflected through the pole, (-theta, phi) ->
     (theta, phi + pi), which is the same coherent state. So is
@@ -362,8 +392,9 @@ def _wrapped(x: np.ndarray, even: bool) -> np.ndarray:
     changes the sign of its component, so theta is clipped to pi instead.
     Each reflection is exact in floating point. phi is reduced modulo 2 pi.
     """
-    for r in (0, 1):
-        theta, phi = x[..., r], x[..., r + 2]
+    half = x.shape[-1] // 2
+    for r in range(half):
+        theta, phi = x[..., r], x[..., r + half]
         flip = theta < 0.0
         theta[flip] = -theta[flip]
         phi[flip] += math.pi
@@ -372,8 +403,8 @@ def _wrapped(x: np.ndarray, even: bool) -> np.ndarray:
             flip = theta > math.pi
             theta[flip] = 2 * math.pi - theta[flip]
             phi[flip] += math.pi
-    np.minimum(x[..., :2], math.pi, out=x[..., :2])
-    np.mod(x[..., 2:], 2 * math.pi, out=x[..., 2:])
+    np.minimum(x[..., :half], math.pi, out=x[..., :half])
+    np.mod(x[..., half:], 2 * math.pi, out=x[..., half:])
     return x
 
 
@@ -411,20 +442,41 @@ def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
     return -_ordered_sum(V[:, None, :, :] * (along[:, None, :] / curvature)[:, :, None, :])
 
 
+@functools.cache
+def _stencil_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """-> (offsets, pairs), built on first use and read-only: the distinct
+    offsets (theta, phi) of one component across _STENCIL, in units of
+    _STEP, and for each stencil point the index of its first component's
+    offset and, counted from len(offsets), of its second's. A seed's
+    stencil is 2 len(offsets) = 12 component points, not 15 cats' 30."""
+    rows = [tuple(row) for c in _COMPONENTS for row in _STENCIL[:, c].tolist()]
+    distinct = list(dict.fromkeys(rows))  # -0.0 and 0.0 are one offset
+    first, second = np.array([distinct.index(row) for row in rows]).reshape(2, -1)
+    offsets, pairs = np.array(distinct), np.stack([first, second + len(distinct)], axis=1)
+    for arr in (offsets, pairs):
+        arr.flags.writeable = False
+    return offsets, pairs
+
+
 def _polish(objective, starts, values, stop: float, even: bool):
     """Damped Newton steps from every start at once.
 
-    objective(points) gives the bound at each row of an (n, 4) array of
-    points, values holds it at each start, and even says whether 2j is
-    even (see _wrapped). Each step makes two objective calls for all the
-    seeds still polishing. The first evaluates _STENCIL around each seed's
-    point, moved into the box by _wrapped; at odd 2j a theta above
-    pi - _STEP is lowered to it first, so the stencil needs no clipping.
-    From those 15 values per seed come the gradient g and Hessian H, and
-    from them the steps of _newton_steps, one per rung of the ladder. The
-    second call evaluates the trial points, the stencil's centre plus each
-    step, moved into the box, and a seed moves to its best trial (the
-    first on ties) if that is strictly lower than its value.
+    objective(points, pairs) gives the bound at each cat named by a row of
+    the (n, 2) index array pairs into the (m, 2) table points of component
+    points (theta, phi), as _objective does; values holds it at each
+    start, and even says whether 2j is even (see _wrapped). Each step makes
+    two objective calls for all the seeds still polishing. The first
+    evaluates _STENCIL around each seed's point: its two components' six
+    offsets each (_stencil_pairs), moved into the box by _wrapped, and the
+    14 cats of the stencil after its centre. The centre is the seed's own
+    point, and its value the seed's, unless at odd 2j a theta above
+    pi - _STEP is lowered to it first, so the stencil needs no clipping; a
+    centre so moved is evaluated too. From those 15 values per seed come
+    the gradient g and Hessian H, and from them the steps of _newton_steps,
+    one per rung of the ladder. The second call evaluates the trial points,
+    the stencil's centre plus each step, moved into the box, and a seed
+    moves to its best trial (the first on ties) if that is strictly lower
+    than its value.
 
     A row whose value is at most stop is done: it is never polished if its
     start is, and leaves after the step that brings it there. Any other
@@ -437,22 +489,35 @@ def _polish(objective, starts, values, stop: float, even: bool):
     """
     x = np.array(starts, dtype=float)
     best = np.array(values, dtype=float)
+    offsets, pairs = _stencil_pairs()
     live = np.flatnonzero(best > stop)
     for _ in range(_MAX_STEPS):
         if not live.size:
             break
         centre = x[live]
+        moved = np.zeros(len(live), dtype=bool)
         if not even:
+            moved = (centre[:, :2] > math.pi - _STEP).any(axis=1)
             np.minimum(centre[:, :2], math.pi - _STEP, out=centre[:, :2])
-        stencil = _wrapped(centre[:, None, :] + _STEP * _STENCIL, even)
-        g, H = _derivatives(objective(stencil.reshape(-1, 4)).reshape(-1, len(_STENCIL)))
+        # component point (seed s, component c, offset k) is row (2 s + c) len(offsets) + k
+        points = _wrapped(centre[:, _COMPONENTS][:, :, None] + _STEP * offsets, even).reshape(-1, 2)
+        seeds = 2 * len(offsets) * np.arange(len(live))[:, None, None]
+        around = (seeds + pairs[1:]).reshape(-1, 2)
+        stencil = objective(points, np.concatenate([around, seeds[moved, 0] + pairs[0]]))
+        f = np.empty((len(live), len(_STENCIL)))
+        f[:, 0] = best[live]
+        f[moved, 0] = stencil[len(around) :]
+        f[:, 1:] = stencil[: len(around)].reshape(len(live), -1)
+        g, H = _derivatives(f)
         usable = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
         usable[usable] = np.abs(H[usable]).max(axis=(1, 2)) > 0.0
         live, centre, g, H = live[usable], centre[usable], g[usable], H[usable]
         if not live.size:
             break
         trials = _wrapped(centre[:, None, :] + _newton_steps(g, H), even)
-        f = objective(trials.reshape(-1, 4)).reshape(len(live), len(_DAMPING))
+        # the two components of trial i are rows 2 i and 2 i + 1
+        points = trials[:, :, _COMPONENTS].reshape(-1, 2)
+        f = objective(points, np.arange(len(points)).reshape(-1, 2)).reshape(len(live), len(_DAMPING))
         pick = f.argmin(axis=1)
         f_pick = f[np.arange(len(live)), pick]
         before = best[live]
@@ -470,7 +535,37 @@ def _stop_bound(spec: HlSearchSpec) -> float:
     return spec.target * (1.0 + min(_LIMIT_SLACK, spec.tolerance))
 
 
-def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _seed_grid() -> tuple[np.ndarray, ...]:
+    """-> (points, pairs, cats, grid), built on first use and read-only.
+
+    The coarse grid's cats (theta1, theta2, phi1, phi2), grid, MAX_SEEDS
+    rows in row-major order over theta1 and theta2 at 9 steps of pi/8,
+    phi1 at 4 and phi2 at 8 steps of pi/4. Their components are 72 points
+    (theta, phi), 9 thetas by 8 phis. The cats (a, b) and (b, a) give the
+    same bits (see _cat_crb_pairs), so pairs holds each unordered pair of
+    points the grid uses once, 1,962 of them, and cats the row of pairs
+    of each cat of grid.
+    """
+    thetas = _axis(0.0, math.pi, 9)
+    phis = _axis(0.0, 2 * math.pi, 9)[:8]
+    points = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+    index = np.arange(len(points)).reshape(9, 8)
+    a, b = (c.reshape(-1) for c in np.broadcast_arrays(index[:, None, :4, None], index[None, :, None, :]))
+    # each pair in the order (lower index, higher); the pairs used are
+    # numbered in row-major order of that table, without a sort
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    used = np.zeros((len(points), len(points)), dtype=bool)
+    used[lo, hi] = True
+    pairs = np.argwhere(used)
+    cats = (np.cumsum(used) - 1).reshape(used.shape)[lo, hi]
+    grid = points[np.stack([a, b], axis=1)].transpose(0, 2, 1).reshape(-1, 4)
+    for arr in (points, pairs, cats, grid):
+        arr.flags.writeable = False
+    return points, pairs, cats, grid
+
+
+def _seed_starts(objective, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     """The seeds best finite points of the coarse grid, ranked by
     (value, theta1, theta2, phi1, phi2) -> (starts, values).
 
@@ -478,20 +573,18 @@ def _seed_starts(f, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     rotation by pi about z, maps (Jx, Jy, Jz) to (-Jx, -Jy, Jz), and
     F(-G) = F(G).
 
-    f(theta1, theta2, phi1, phi2) gives the objective at the points its
-    arguments broadcast to. It gets the grid as four axes, of shapes
-    (9, 1, 1, 1), (1, 9, 1, 1), (1, 1, 4, 1) and (1, 1, 1, 8), so
-    cat_crb_batch can expand each component once per distinct point of
-    its own angles; the values are those of the flat grid, bit for bit.
+    objective(points, pairs) gives the bound at the cats of index pairs
+    into a table of component points, as _objective does. It gets the
+    grid as _seed_grid's 72 points and 1,962 pairs, and each cat of the
+    grid reads its pair's value, which is the flat grid's, bit for bit.
+    The grid's rows are in lexicographic order, so a stable sort by value
+    ranks them.
     """
-    thetas = _axis(0.0, math.pi, 9)
-    phis = _axis(0.0, 2 * math.pi, 9)[:8]
-    axes = np.ix_(thetas, thetas, phis[:4], phis)
-    grid = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 4)
-    vals = f(*axes).reshape(-1)
+    points, pairs, cats, grid = _seed_grid()
+    vals = objective(points, pairs)[cats]
     keep = np.isfinite(vals)
     grid, vals = grid[keep], vals[keep]
-    order = np.lexsort((grid[:, 3], grid[:, 2], grid[:, 1], grid[:, 0], vals))[:seeds]
+    order = np.argsort(vals, kind="stable")[:seeds]
     return grid[order], vals[order]
 
 
@@ -524,13 +617,15 @@ def _merged(x: np.ndarray, values: np.ndarray) -> list[int]:
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    The MAX_SEEDS-point seed grid is one cat_crb_batch call, and the best
-    spec.seeds points are polished together from its values by damped
-    Newton steps (see _polish), two cat_crb_batch calls per step for all
-    the seeds still polishing. A seed whose bound is within a relative
-    1e-12 of the target (or within the tolerance, if that is smaller) is
-    at the Heisenberg limit, which no pure state goes below, and is
-    polished no further: a grid point already there is reported as it is.
+    The MAX_SEEDS-point seed grid is one kernel call on 72 component
+    points and the 1,962 distinct pairs of them its cats use (see
+    _seed_grid), and the best spec.seeds points are polished together
+    from its values by damped Newton steps (see _polish), two kernel calls
+    per step for all the seeds still polishing. A seed whose bound is
+    within a relative 1e-12 of the target (or within the tolerance, if
+    that is smaller) is at the Heisenberg limit, which no pure state goes
+    below, and is polished no further: a grid point already there is
+    reported as it is.
     The values the polish ends on decide acceptance, and accepted points
     within _MERGE_RADIUS of each other in every angle (phi modulo
     2 pi) are reported once, by the one with the smallest bound. Returns

@@ -1,6 +1,7 @@
 """Closed-form bounds: frozen values, catalogue rows, witnesses, engine sweeps."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,26 @@ def test_array_sweep_matches_the_point_by_point_sweep(monkeypatch, case, resolut
     monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
     report = sweep_family(case, resolution)
     assert _report_bits(report) == _report_bits(sequential_sweep_family(case, resolution))
+
+
+@pytest.mark.parametrize("case", [ClosedFormCase.HALF_Z_EQUATOR, ClosedFormCase.HALF_Z_GENERAL])
+def test_sweep_memory_does_not_grow_with_the_grid(monkeypatch, case):
+    # a one-parameter and a two-parameter row at resolution 1001, about a
+    # million points: each block of the grid evaluator is compared as it
+    # comes, so the sweep holds no array of the whole grid, where one
+    # float64 grid alone is 8 bytes a point. The formula is a constant, so
+    # the trace sees the sweep's own arrays and not the closed form's arithmetic
+    defn = FAMILIES[case]
+    monkeypatch.setitem(FAMILIES, case, dataclasses.replace(defn, formula=lambda p: 1.0))
+    sweep_family(case, 3)
+    tracemalloc.start()
+    try:
+        report = sweep_family(case, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.points == 1001 * 1001
+    assert peak / report.points <= 2
 
 
 @pytest.mark.parametrize("resolution", [2, 7])

@@ -499,6 +499,67 @@ def test_seed_grid_expands_each_factor_at_its_own_points(monkeypatch):
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
+# --- cats as index pairs into one table of component points ---------------
+
+
+def _random_pairs(two_j: int, n: int):
+    # a table of 42 points (theta, phi), thetas at and just past both poles
+    # and phases far outside [0, 2 pi), and n cats of random index pairs
+    # into it: the first a degenerate cat, both components at the south
+    # pole with phases pi/(2j) apart, and the next a point paired with itself
+    rng = np.random.default_rng(two_j)
+    theta = np.concatenate([[math.pi, math.pi, 0.0, -1e-10, math.pi + 1e-10], rng.uniform(0.0, math.pi, 37)])
+    phi = np.concatenate([[0.0, math.pi / two_j, -0.0, 2 * math.pi, -0.5], rng.uniform(-7.0, 13.0, 37)])
+    first, second = rng.integers(0, len(theta), (2, n))
+    first[:2], second[:2] = (0, 7), (1, 7)
+    return theta, phi, first, second
+
+
+@pytest.mark.parametrize("amplitudes", [metrology.BATCH_AMPLITUDES, 7])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+def test_pair_entry_matches_the_batch_on_random_cats_and_their_swaps(monkeypatch, amplitudes, two_j, gen):
+    # the cat (a, b) of the table is cat_crb_batch's cat at a's and b's
+    # angles, bit for bit, and so is the swapped cat (b, a)
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", amplitudes)
+    j = SpinJ(two_j)
+    theta, phi, first, second = _random_pairs(two_j, 300)
+    for a, b in ((first, second), (second, first)):
+        got = metrology._cat_crb_pairs(j, gen, theta, phi, a, b)
+        want = cat_crb_batch(j, gen, theta[a], theta[b], phi[a], phi[b])
+        assert [x.tobytes() for x in got] == [y.tobytes() for y in want]
+        assert got[2][0] and not got[2][1:].all()
+
+
+def test_pair_entry_expands_each_point_once(monkeypatch):
+    # 300 cats of 42 points at 2j = 3, 4 cats per chunk: one table of 42
+    # rows; a table larger than _TABLE_CHUNKS chunks is expanded chunk by
+    # chunk instead, two rows per cat, with the same bits
+    rows = _counting_phases(monkeypatch)
+    monkeypatch.setattr(metrology, "BATCH_AMPLITUDES", 16)
+    theta, phi, first, second = _random_pairs(3, 300)
+    args = (SpinJ(3), Generator.X, theta, phi, first.reshape(20, 15), second.reshape(20, 15))
+    table = metrology._cat_crb_pairs(*args)
+    assert rows == [42]
+    assert [a.shape for a in table] == [(20, 15)] * 3
+    rows.clear()
+    monkeypatch.setattr(metrology, "_TABLE_CHUNKS", 10)  # 168 amplitudes > 10 * 16
+    chunked = metrology._cat_crb_pairs(*args)
+    assert rows == [4] * 2 * 75
+    assert [a.tobytes() for a in chunked] == [b.tobytes() for b in table]
+
+
+def test_pair_entry_checks_its_table_and_skips_an_empty_batch():
+    theta, phi = np.array([0.5, 4.0]), np.array([0.0, math.nan])
+    for table, message in (((theta, [0.0, 0.0]), "theta must lie in [0, pi], got 4.0"),
+                           (([0.5, 0.5], phi), "phi must be finite, got nan")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            metrology._cat_crb_pairs(SpinJ(2), Generator.Z, *table, [0], [0])
+    empty = np.empty(0, dtype=int)
+    out = metrology._cat_crb_pairs(SpinJ(2), Generator.Z, theta, phi, empty, empty)
+    assert [a.shape for a in out] == [(0,)] * 3
+
+
 @pytest.mark.parametrize("layout", _BROADCAST_LAYOUTS)
 @pytest.mark.parametrize("position", range(4))
 def test_broadcast_error_names_the_first_bad_value_of_each_input(layout, position):

@@ -2,12 +2,17 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spincat
 from spincat import (
     MAX_RESOLUTION,
     MAX_SEEDS,
@@ -231,11 +236,11 @@ def test_find_hl_reaches_the_limit(j, gen):
 def test_find_hl_reports_failure(monkeypatch):
     import spincat.scan as scan_mod
 
-    def tens(j, g, *angles):
-        shape = np.broadcast_shapes(*(np.shape(a) for a in angles))
+    def tens(j, g, theta, phi, first, second):
+        shape = np.shape(first)
         return np.full(shape, 0.01), np.full(shape, 10.0), np.zeros(shape, dtype=bool)
 
-    monkeypatch.setattr(scan_mod, "cat_crb_batch", tens)
+    monkeypatch.setattr(scan_mod, "_cat_crb_pairs", tens)
     with pytest.raises(NoHlFoundError, match="no point reached"):
         find_hl(HlSearchSpec(j=HALF, generator=Generator.Z, seeds=2))
 
@@ -259,6 +264,12 @@ def _bowl(points):
     return 1.0 + 0.5 * np.einsum("ni,ij,nj->n", d, _BOWL, d)
 
 
+def _cats(points, pairs):
+    # the cats (theta1, theta2, phi1, phi2) of the rows of pairs, index
+    # pairs into the table points of component points (theta, phi)
+    return points[pairs].transpose(0, 2, 1).reshape(-1, 4)
+
+
 def test_polish_steps_onto_the_minimum_of_a_quadratic_bowl():
     # the stencil's differences are exact on a quadratic but for roundoff,
     # so the undamped rung lands on the minimum and the seed stops there
@@ -266,13 +277,13 @@ def test_polish_steps_onto_the_minimum_of_a_quadratic_bowl():
 
     calls = []
 
-    def objective(points):
-        calls.append(len(points))
-        return _bowl(points)
+    def objective(points, pairs):
+        calls.append((len(points), len(pairs)))
+        return _bowl(_cats(points, pairs))
 
     start = np.array([[1.2, 1.9, 3.3, 3.8]])
     x, best = scan_mod._polish(objective, start, _bowl(start), 1.0 + 1e-12, False)
-    assert calls == [15, 6]
+    assert calls == [(12, 14), (12, 6)]
     np.testing.assert_allclose(x[0], _BOWL_MIN, rtol=0, atol=1e-6)
     assert best[0] <= 1.0 + 1e-12
 
@@ -280,9 +291,9 @@ def test_polish_steps_onto_the_minimum_of_a_quadratic_bowl():
 def test_polish_stops_a_seed_whose_stencil_meets_an_inf():
     import spincat.scan as scan_mod
 
-    def objective(points):
-        values = _bowl(points)
-        values[1] = math.inf  # the stencil's first point past the centre
+    def objective(points, pairs):
+        values = _bowl(_cats(points, pairs))
+        values[0] = math.inf  # the stencil's first point past the centre
         return values
 
     start = np.array([[1.2, 1.9, 3.3, 3.8]])
@@ -343,26 +354,65 @@ def test_a_seed_at_the_poles_is_stepped_inside_the_kernel_domain(monkeypatch, tw
     j, even, h = SpinJ(two_j), two_j % 2 == 0, scan_mod._STEP
     calls = []
 
-    def objective(points):
-        calls.append(points.copy())
-        return scan_mod._objective(j, Generator.X, points)
+    def objective(points, pairs):
+        calls.append((points.copy(), pairs.copy()))
+        return scan_mod._objective(j, Generator.X, points, pairs)
 
     monkeypatch.setattr(scan_mod, "_MAX_STEPS", 1)
     start = np.array([[thetas[0], thetas[1], 0.7, 5.9]])
-    scan_mod._polish(objective, start, objective(start), 0.0, even)
-    stencil, trials = calls[1:]
-    assert stencil.shape == (15, 4) and trials.shape == (6, 4)
-    for points in (stencil, trials):
-        assert ((0 <= points[:, :2]) & (points[:, :2] <= PI)).all()
-        assert ((0 <= points[:, 2:]) & (points[:, 2:] < 2 * PI)).all()
+    scan_mod._polish(objective, start, scan_mod._objective(j, Generator.X, start), 0.0, even)
+    (stencil, pairs), (trials, trial_pairs) = calls
     centre = start[0].copy()
     if not even:
         centre[:2] = np.minimum(centre[:2], PI - h)
-    for point, continued in zip(stencil, centre + h * scan_mod._STENCIL):
+    moved = bool((centre != start[0]).any())
+    assert stencil.shape == trials.shape == (12, 2)
+    assert len(pairs) == 14 + moved and len(trial_pairs) == 6
+    for points in (stencil, trials):
+        assert ((0 <= points[:, 0]) & (points[:, 0] <= PI)).all()
+        assert ((0 <= points[:, 1]) & (points[:, 1] < 2 * PI)).all()
+    # the stencil after its centre, then the centre if the clip moved it
+    continuations = (centre + h * scan_mod._STENCIL)[[*range(1, 15), 0][: len(pairs)]]
+    for point, continued in zip(_cats(stencil, pairs), continuations):
         for r in (0, 1):
             got = coherent_state(j, CoherentParams(point[r], point[r + 2])).amplitudes
             want = _continued(two_j, continued[r], continued[r + 2])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("two_j", [1, 3, 5])
+def test_only_a_centre_the_odd_2j_clip_moved_is_evaluated(monkeypatch, two_j):
+    # the stencil's centre is the seed's own point, whose value the seed
+    # holds, unless at odd 2j a theta above pi - h was lowered to it: of two
+    # seeds, one at theta1 = pi and one inside, the stencil call evaluates
+    # 14 cats of each and then the moved centre, and the derivatives read
+    # the value the kernel gives there
+    import spincat.scan as scan_mod
+
+    j, h = SpinJ(two_j), scan_mod._STEP
+    calls, stencils = [], []
+
+    def objective(points, pairs):
+        calls.append(_cats(points, pairs))
+        return scan_mod._objective(j, Generator.Y, points, pairs)
+
+    def derivatives(f):
+        stencils.append(f.copy())
+        return derivatives_of(f)
+
+    derivatives_of = scan_mod._derivatives
+    monkeypatch.setattr(scan_mod, "_derivatives", derivatives)
+    monkeypatch.setattr(scan_mod, "_MAX_STEPS", 1)
+    start = np.array([[PI, 1.1, 0.3, 2.0], [0.4, 1.1, 0.3, 2.0]])
+    values = scan_mod._objective(j, Generator.Y, start)
+    scan_mod._polish(objective, start, values, 0.0, False)
+    cats = calls[0]
+    assert len(cats) == 2 * 14 + 1
+    moved = np.array([PI - h, 1.1, 0.3, 2.0])
+    assert cats[-1].tolist() == moved.tolist()
+    f = stencils[0]
+    assert f[0, 0] == scan_mod._objective(j, Generator.Y, moved[None, :])[0] != values[0]
+    assert f[1, 0] == values[1]
 
 
 @pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
@@ -491,10 +541,12 @@ def test_polish_stops_at_the_limit_within_the_smaller_slack(monkeypatch, toleran
 
 @pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
 @pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
-def test_seed_grid_axes_give_the_flat_grid_values(two_j, gen):
-    # the seed grid reaches the kernel as four broadcast axes, so it can
-    # expand a cat component once per distinct point of its own angles;
-    # the values are those of the flat (MAX_SEEDS, 4) block, bit for bit
+def test_seed_grid_pairs_give_the_flat_grid_values(two_j, gen):
+    # the seed grid reaches the kernel as its 72 component points and the
+    # 1,962 unordered pairs of them its cats use, so the kernel expands
+    # each point once and evaluates a cat and its swapped copy once; each
+    # start reads the value of the flat (MAX_SEEDS, 4) block, bit for bit,
+    # and the starts are ranked by (value, theta1, theta2, phi1, phi2)
     import spincat.scan as scan_mod
 
     j = SpinJ(two_j)
@@ -505,19 +557,17 @@ def test_seed_grid_axes_give_the_flat_grid_values(two_j, gen):
     ).reshape(-1, 4)
     seen = []
 
-    def objective(*axes):
-        seen.append([a.shape for a in axes])
-        seen.append(scan_mod._objective(j, gen, *axes))
-        return seen[-1]
+    def objective(points, pairs):
+        seen.append((len(points), len(pairs)))
+        return scan_mod._objective(j, gen, points, pairs)
 
     starts, values = scan_mod._seed_starts(objective, MAX_SEEDS)
-    shapes, broadcast = seen
-    assert shapes == [(9, 1, 1, 1), (1, 9, 1, 1), (1, 1, 4, 1), (1, 1, 1, 8)]
+    assert seen == [(72, 1962)]
     flat = scan_mod._objective(j, gen, grid)
-    assert broadcast.reshape(-1).tobytes() == flat.tobytes()
     finite = np.isfinite(flat)
-    assert sorted(map(tuple, starts.tolist())) == sorted(map(tuple, grid[finite].tolist()))
-    assert sorted(values.tolist()) == sorted(flat[finite].tolist())
+    order = np.lexsort((*grid[finite].T[::-1], flat[finite]))
+    assert starts.tobytes() == grid[finite][order].tobytes()
+    assert values.tobytes() == flat[finite][order].tobytes()
 
 
 def test_search_chunk_size_does_not_change_points(monkeypatch):
@@ -588,9 +638,7 @@ def test_specs_refuse_bool_counts(flag):
 def test_max_seeds_is_the_size_of_the_seed_grid():
     import spincat.scan as scan_mod
 
-    starts, _ = scan_mod._seed_starts(
-        lambda *axes: np.zeros(np.broadcast_shapes(*(a.shape for a in axes))), MAX_SEEDS + 1
-    )
+    starts, _ = scan_mod._seed_starts(lambda points, pairs: np.zeros(len(pairs)), MAX_SEEDS + 1)
     assert starts.shape == (MAX_SEEDS, 4)
     assert len(np.unique(starts, axis=0)) == MAX_SEEDS
 
@@ -660,40 +708,65 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
 
 
 def test_find_hl_kernel_traffic(monkeypatch):
-    # the seed grid is the search's first cat_crb_batch call. At 2j = 1, 2,
-    # 16 and 64 under Jz the grid puts all 16 seeds at the limit, so it is
-    # the only one. Each Newton step then makes two calls: the 15-point
-    # stencil of every seed still polishing, and its six trial points. Over
-    # the four find-hl specs of the benchmark's scalar-search campaign (the
-    # first four below), (calls, cells) sum to (22, 12741), and every point
-    # reported lies within 1e-12 of the limit 1/(2j).
+    # every kernel call of the search is one _cat_crb_pairs call, recorded
+    # as (component points, cats). The seed grid comes first: 72 points and
+    # 1,962 cats. At 2j = 1, 2, 16 and 64 under Jz it puts all 16 seeds at
+    # the limit, so it is the only one. Each Newton step then makes two
+    # calls for the seeds still polishing: 12 points and the 14 stencil
+    # cats after the centre per seed (no centre is moved at these specs),
+    # and 12 points and six trial cats per seed. Over the four find-hl
+    # specs of the benchmark's scalar-search campaign (the first four
+    # below), (calls, cats) sum to (22, 10108) and the points to 3,000, and
+    # every point reported lies within 1e-12 of the limit 1/(2j).
     import spincat.metrology as metrology
     import spincat.scan as scan_mod
 
     batches = []
 
-    def batch(j, g, *angles):
-        out = metrology.cat_crb_batch(j, g, *angles)
-        batches.append(out[0].size)
-        return out
+    def pairs(j, g, theta, phi, first, second):
+        batches.append((len(theta), len(first)))
+        return metrology._cat_crb_pairs(j, g, theta, phi, first, second)
 
-    monkeypatch.setattr(scan_mod, "cat_crb_batch", batch)
+    monkeypatch.setattr(scan_mod, "_cat_crb_pairs", pairs)
+    campaign = []
     for two_j, gen, traffic in [
-        (1, "Z", (1, 2592)),
-        (2, "Z", (1, 2592)),
-        (3, "Y", (13, 4020)),
-        (64, "Y", (7, 3537)),
-        (16, "Z", (1, 2592)),
-        (64, "Z", (1, 2592)),
+        (1, "Z", (1, 1962)),
+        (2, "Z", (1, 1962)),
+        (3, "Y", (13, 3322)),
+        (64, "Y", (7, 2862)),
+        (16, "Z", (1, 1962)),
+        (64, "Z", (1, 1962)),
     ]:
         batches.clear()
         points = find_hl(HlSearchSpec(SpinJ(two_j), Generator[gen]))
         assert all(abs(p.crb - 1 / two_j) <= 1e-12 for p in points), (two_j, gen)
-        assert batches[0] == MAX_SEEDS, (two_j, gen)
+        assert batches[0] == (72, 1962), (two_j, gen)
         stencils, trials = batches[1::2], batches[2::2]
-        assert [n % 15 for n in stencils] == [0] * len(stencils), (two_j, gen)
-        assert [n // 6 for n in trials] == [n // 15 for n in stencils], (two_j, gen)
-        assert (len(batches), sum(batches)) == traffic, (two_j, gen)
+        assert stencils == [(12 * m, 14 * m) for m in (n // 6 for _, n in trials)], (two_j, gen)
+        assert trials == [(12 * m, 6 * m) for m in (n // 6 for _, n in trials)], (two_j, gen)
+        assert (len(batches), sum(n for _, n in batches)) == traffic, (two_j, gen)
+        campaign += batches
+    assert sum(m for m, _ in campaign[: 1 + 1 + 13 + 7]) == 3000
+
+
+def test_the_angle_only_tables_are_built_on_first_use():
+    # the seed grid's points, pairs and pair map and the stencil's pairs
+    # depend on neither j nor G; importing the package and its CLI builds
+    # none of them, and the first search builds each once
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import spincat, spincat.cli\n"
+        "from spincat import scan\n"
+        "tables = (scan._seed_grid, scan._stencil_pairs)\n"
+        "print(*(t.cache_info().currsize for t in tables))\n"
+        "scan.find_hl(scan.HlSearchSpec(spincat.SpinJ(3), spincat.Generator.Y, seeds=2))\n"
+        "print(*(t.cache_info().currsize for t in tables))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 0", "1 1"]
 
 
 @pytest.mark.parametrize("gen", [Generator.X, Generator.Y], ids=lambda g: g.name)
