@@ -11,6 +11,9 @@ always means multiples of pi; bare numbers are radians unless --pi-units
 is set. Options may also come from a ``key=value`` config file via
 --config; explicit flags win over config values.
 
+``main(argv)`` may be called repeatedly in one process; it builds its
+argument parser on the first call and reuses it for every later one.
+
 Exit codes: 0 success, 3 verification failure. Every other exit goes
 through _EXIT_CODES in main, which prints ``error: ...`` on stderr and maps
 the error's type to its code: 1 usage/config error, 2 degenerate cat, 4 I/O
@@ -196,6 +199,11 @@ def _key(flags: tuple[str, ...]) -> str:
     return flags[0].lstrip("-").replace("-", "_")
 
 
+# built on the first main() call, not at import, and shared by later calls:
+# the parser holds only flags, dests and help text (converters run in
+# _resolve_options, each parse makes a fresh Namespace, and usage and help
+# read sys.stdout, sys.stderr and the terminal width when they print)
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spincat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -3,10 +3,14 @@ import sys
 
 from hypothesis import HealthCheck, settings
 
+# each run draws fresh examples; a failure prints its @reproduce_failure
+# blob, so one found where the example database is thrown away (CI) can be
+# replayed elsewhere
 settings.register_profile(
     "suite",
     deadline=None,
     max_examples=50,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

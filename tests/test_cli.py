@@ -483,3 +483,68 @@ def test_verify_all_stdout_is_pinned(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "crb" in capsys.readouterr().out
+
+
+# scan, verify, find-hl and crb interleaved, a usage error before a valid
+# call, and help after a run
+REUSE_RUNS = [
+    ("scan", "--j", "0.5", "--gen", "z", "--res", "5"),
+    ("verify", "--family", "half_z_equator", "--res", "5"),
+    ("find-hl", "--j", "0.5", "--gen", "z", "--format", "json"),
+    ("crb", "--j", "1", "--gen", "z", "--theta1", "0.25pi", "--theta2", "0.75pi"),
+    ("scan", "--j", "1", "--gen", "x", "--res", "4", "--phi2", "pi"),
+    ("crb", "--nonsense"),
+    ("crb", "--j", "0.5", "--gen", "y", "--theta1", "0", "--theta2", "pi", "--format", "json"),
+    ("find-hl", "--j", "1", "--gen", "z"),
+    ("verify", "--res", "3", "--family", "one_z_phi0", "--all"),
+    ("--help",),
+    ("crb", "--help"),
+    ("verify", "--family", "half_z_general", "--res", "4"),
+]
+
+
+def _reuse_transcript(capsys) -> list[tuple[int, str, str]]:
+    transcript = []
+    for argv in REUSE_RUNS:
+        code, out, err = run(capsys, *argv)
+        transcript.append((code, re.sub(r', [0-9.]+s\)', ', <elapsed>)', out), err))
+    return transcript
+
+
+def test_repeated_calls_match_a_freshly_built_parser(capsys, monkeypatch):
+    reused = _reuse_transcript(capsys)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _reuse_transcript(capsys)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0]
+    for argv, got, want in zip(REUSE_RUNS, reused, fresh):
+        assert got == want, argv
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    run(capsys, "crb", "--j", "1", "--gen", "z", "--theta1", "0", "--theta2", "pi")
+    run(capsys, "crb", "--nonsense")
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the first main() call builds it; a fresh import leaves it unbuilt
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import spincat.cli\n"
+        "print(spincat.cli._build_parser.cache_info().currsize)\n"
+        "spincat.cli.main(['crb', '--nonsense'])\n"
+        "print(spincat.cli._build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "1"]

@@ -15,6 +15,7 @@ from spincat import (
     CoherentParams,
     Generator,
     SpinJ,
+    build_operators,
     cat_crb,
     cat_crb_batch,
     cat_state,
@@ -71,8 +72,20 @@ def test_a_common_pi_shift_leaves_every_generator_unchanged(two_j, gen, t1, p1, 
         j, gen, t1, t2, p1 + math.pi, p2 + math.pi
     )
     assert degenerate == degenerate_shifted
-    assume(not degenerate and qfi > 1e-6)
+    assume(not degenerate and _well_conditioned(j, t1, t2, p1, p2, qfi))
     assert qfi_shifted == pytest.approx(qfi, rel=1e-12, abs=0)
+
+
+def test_a_cancelling_cat_is_not_well_conditioned():
+    # the pi-shift law's old filter, qfi > 1e-6, let this cat through, and
+    # its shifted qfi differs by a relative 2.56e-12; its squared norm
+    # 2 + 2 Re<1|2> is 2.75e-4, so the two components all but cancel
+    j = SpinJ(2)
+    t1 = t2 = 3.125
+    p1, p2 = 3.11328125, 4.683917990160227
+    qfi, _, degenerate = cat_crb_batch(j, Generator.Z, t1, t2, p1, p2)
+    assert not degenerate and qfi > 1e-6
+    assert not _well_conditioned(j, t1, t2, p1, p2, qfi)
 
 
 @pytest.mark.parametrize("two_j", TWO_JS)
@@ -86,6 +99,52 @@ def test_jy_is_jx_a_quarter_turn_back(two_j, t1, p1, t2, p2):
     assert degenerate_y == degenerate_x
     assume(not degenerate_y and _well_conditioned(j, t1, t2, p1, p2, qfi_y))
     assert qfi_x == pytest.approx(qfi_y, rel=1e-12, abs=0)
+
+
+# the three axes together: with N = 2j, sum_a Var(J_a) = j(j + 1) - |<J>|^2
+# gives F_x + F_y + F_z = N(N + 2) - 4|<J>|^2, and 0 <= |<J>| <= j bounds
+# the sum by 2N and N(N + 2). On 3,000 random cats at each 2j in TWO_JS the
+# law held to 1.2e-15 relative to N(N + 2), and to 1e-15 on cats whose
+# components cancel down to a squared norm of 4e-12; 1e-14 leaves a
+# eightfold margin
+AXIS_SUM_TOL = 1e-14
+
+
+def _axis_sum(j, t1, t2, p1, p2) -> tuple[float, bool]:
+    """F_x + F_y + F_z of one cat through cat_crb_batch, and whether it is
+    degenerate."""
+    results = [cat_crb_batch(j, g, t1, t2, p1, p2) for g in Generator]
+    return math.fsum(float(qfi) for qfi, _, _ in results), bool(results[0][2])
+
+
+def _mean_spin(j, t1, t2, p1, p2) -> np.ndarray:
+    # <J> from the cat's Dicke amplitudes and the dense spin matrices, a
+    # path apart from the batched kernel's
+    v = cat_state(CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2))).amplitudes
+    ops = build_operators(j)
+    return np.array([np.vdot(v, m @ v).real for m in (ops.jx, ops.jy, ops.jz)])
+
+
+@pytest.mark.parametrize("two_j", TWO_JS)
+@given(t1=thetas, p1=phis, t2=thetas, p2=phis)
+def test_the_three_axes_sum_to_n_n_plus_2_less_four_mean_spin_squared(two_j, t1, p1, t2, p2):
+    j = SpinJ(two_j)
+    top = two_j * (two_j + 2)
+    total, degenerate = _axis_sum(j, t1, t2, p1, p2)
+    assume(not degenerate)
+    spin = _mean_spin(j, t1, t2, p1, p2)
+    assert total == pytest.approx(top - 4 * spin @ spin, rel=0, abs=AXIS_SUM_TOL * top)
+    assert 2 * two_j - AXIS_SUM_TOL * top <= total <= top * (1 + AXIS_SUM_TOL)
+
+
+@given(t1=thetas, p1=phis, t2=thetas, p2=phis)
+def test_spin_half_axes_sum_to_two(t1, p1, t2, p2):
+    # every pure spin-1/2 state has |<J>| = 1/2, so F_x + F_y + F_z = 2;
+    # with F_g = 1 - (2 <G>)^2 the limit F_g = 1 holds exactly where the
+    # Bloch vector is orthogonal to G's axis
+    total, degenerate = _axis_sum(SpinJ(1), t1, t2, p1, p2)
+    assume(not degenerate)
+    assert total == pytest.approx(2.0, rel=0, abs=3 * AXIS_SUM_TOL)
 
 
 # no pure state has F_Q = 4 Var(G) above (2j)^2, so crb 2j >= 1; find_hl
