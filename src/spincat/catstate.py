@@ -58,10 +58,15 @@ def _summed_amplitudes(c: CatParams) -> np.ndarray:
     return rows[0] + rows[1]
 
 
+def _norm_squared(summed: np.ndarray):
+    # ||v1 + v2||^2 along the last axis, componentwise |.|^2: it keeps full
+    # relative precision where the equivalent 2 + 2 Re<1|2> cancels
+    # catastrophically (near-degenerate cats)
+    return np.add.reduce(summed.real * summed.real + summed.imag * summed.imag, axis=-1)
+
+
 def _checked_norm_squared(summed: np.ndarray) -> float:
-    # componentwise |.|^2 keeps full relative precision where the equivalent
-    # 2 + 2 Re<1|2> cancels catastrophically (near-degenerate cats)
-    n2 = float(np.add.reduce(summed.real * summed.real + summed.imag * summed.imag))
+    n2 = float(_norm_squared(summed))
     if n2 <= DEGENERACY_FLOOR:
         raise DegenerateCatError(
             f"cat state is degenerate: ||v1 + v2||^2 = {n2!r} <= {DEGENERACY_FLOOR}"

@@ -7,6 +7,11 @@ of G, and the Cramer-Rao bound on any unbiased estimate of xi is
 provided: the symmetric-logarithmic-derivative spectral formula and a
 finite-difference of the overlap decay.
 
+The variance route is written once, in _residual_qfi: G psi from G's
+nonzero bands, then <G> and the residual's norm by np.vecdot along the
+last axis. qfi_pure, crb and cat_crb apply it to one state, cat_crb_batch
+to each row of a chunk of cats, so they agree bit for bit.
+
 cat_crb_batch evaluates many cats of one spin and generator through the
 one coherent-state expression, coherent._coherent_rows, that cat_crb and
 coherent_state use too. What does not depend on the angles (the powers
@@ -40,7 +45,7 @@ import numpy as np
 from ._checks import instance, real, real_array
 # cat_state is not called here any more; it stays importable from this
 # module because bench/spans.py rebinds it
-from .catstate import DEGENERACY_FLOOR, CatParams, _cat_amplitudes, cat_state  # noqa: F401
+from .catstate import DEGENERACY_FLOOR, CatParams, _cat_amplitudes, _norm_squared, cat_state  # noqa: F401
 from .coherent import _THETA_SLACK, TWO_PI, _coherent_rows, _magnitudes, _phases, _powers
 from .dicke import DickeVector, SpinJ, build_operators
 
@@ -116,23 +121,47 @@ def evolve(state: DickeVector, g: Generator, xi: float) -> DickeVector:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _bands(j: SpinJ, g: Generator) -> tuple[np.ndarray, ...]:
+    """G's nonzero bands, read-only: its diagonal for Jz, and its first
+    lower and upper off-diagonals for Jx and Jy, which are built from J+
+    and J- alone and have no other entries."""
+    G = g.matrix(j)
+    bands = tuple(np.diagonal(G, o).copy() for o in ((0,) if g is Generator.Z else (-1, 1)))
+    for arr in bands:
+        arr.flags.writeable = False
+    return bands
+
+
+def _apply_generator(bands: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarray:
+    """G @ psi along the last axis of psi in O(d), from G's nonzero bands."""
+    if len(bands) == 1:
+        return bands[0] * psi
+    lower, upper = bands
+    out = np.empty_like(psi)
+    np.multiply(lower, psi[..., :-1], out=out[..., 1:])
+    out[..., 0] = 0.0  # no lower-band term in the first component
+    out[..., :-1] += upper * psi[..., 1:]
+    return out
+
+
+def _residual_qfi(bands: tuple[np.ndarray, ...], psi: np.ndarray):
+    # 4 ||(G - <G>) psi||^2 along the last axis of unit amplitudes psi
+    gpsi = _apply_generator(bands, psi)
+    resid = gpsi - np.vecdot(psi, gpsi).real[..., None] * psi
+    return 4.0 * np.vecdot(resid, resid).real
+
+
 def qfi_pure(state: DickeVector, g: Generator) -> float:
-    """F_Q = 4 Var(G), computed as 4 ||(G - <G>) psi||^2.
+    """F_Q = 4 Var(G), computed as 4 ||(G - <G>) psi||^2 from G's bands.
 
     The residual form is a sum of squares, so a zero-variance eigenstate
-    comes out at ~1e-32 instead of a cancellation-noise negative. A state
-    or g of another type raises TypeError.
+    comes out at ~1e-32 instead of a cancellation-noise negative. It is
+    cat_crb_batch's arithmetic for each cat, so a cat_state gives the same
+    bits there. A state or g of another type raises TypeError.
     """
     state = instance(state, DickeVector, "state")
-    return _qfi(instance(g, Generator, "g").matrix(state.j), state.amplitudes)
-
-
-def _qfi(G: np.ndarray, psi: np.ndarray) -> float:
-    # qfi_pure's arithmetic on the dense matrix G and unit amplitudes psi
-    gpsi = G @ psi
-    mean = np.vdot(psi, gpsi).real
-    resid = gpsi - mean * psi
-    return 4.0 * np.vdot(resid, resid).real
+    return _residual_qfi(_bands(state.j, instance(g, Generator, "g")), state.amplitudes)
 
 
 def qfi_sld_oracle(state: DickeVector, g: Generator) -> float:
@@ -206,8 +235,8 @@ def cat_crb(c: CatParams, g: Generator) -> CrbResult:
     Propagates DegenerateCatError where the cat does not exist; a c or g
     of another type raises TypeError.
     """
-    G = instance(g, Generator, "g").matrix(instance(c, CatParams, "c").j)
-    return _packaged(_qfi(G, _cat_amplitudes(c)))
+    g = instance(g, Generator, "g")
+    return _packaged(_residual_qfi(_bands(instance(c, CatParams, "c").j, g), _cat_amplitudes(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +251,6 @@ _ANGLES = ("theta1", "theta2", "phi1", "phi2")
 def batch_cells(j: SpinJ) -> int:
     """Cats per working chunk of cat_crb_batch at this spin."""
     return max(1, BATCH_AMPLITUDES // j.dim)
-
-
-@functools.lru_cache(maxsize=None)
-def _bands(j: SpinJ, g: Generator) -> tuple[np.ndarray, ...]:
-    """G's nonzero bands, read-only: its diagonal for Jz, and its first
-    lower and upper off-diagonals for Jx and Jy, which have no other entries."""
-    G = g.matrix(j)
-    bands = tuple(np.diagonal(G, o).copy() for o in ((0,) if g is Generator.Z else (-1, 1)))
-    for arr in bands:
-        arr.flags.writeable = False
-    return bands
 
 
 def _checked(name: str, a: np.ndarray) -> np.ndarray:
@@ -267,37 +285,12 @@ def _filled(a: np.ndarray, shape: tuple) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # one <a_i|b_i> per row; a stack of vector products reaches the same
-    # BLAS dot as np.vdot, so each row matches the single-state value
-    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0].real
-
-
-def _apply_generator(bands: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarray:
-    """G @ psi for every row of psi in O(d), from G's nonzero bands.
-
-    Jz is diagonal; Jx and Jy are built from J+ and J- alone, so they hold
-    only the first off-diagonal and its mirror image.
-    """
-    if len(bands) == 1:
-        return bands[0] * psi
-    lower, upper = bands
-    out = np.empty_like(psi)
-    np.multiply(lower, psi[:, :-1], out=out[:, 1:])
-    out[:, 0] = 0.0  # no lower-band term in the first component
-    out[:, :-1] += upper * psi[:, 1:]
-    return out
-
-
 def _qfi_chunk(bands: tuple[np.ndarray, ...], summed: np.ndarray):
     """-> (qfi, degenerate) for one chunk of unnormalized cats v1 + v2."""
-    # componentwise |.|^2, as in catstate: never 2 + 2 Re<1|2>
-    n2 = np.add.reduce(summed.real * summed.real + summed.imag * summed.imag, axis=1)
+    n2 = _norm_squared(summed)
     degenerate = n2 <= DEGENERACY_FLOOR
     psi = summed / np.sqrt(np.where(degenerate, 1.0, n2))[:, None]
-    gpsi = _apply_generator(bands, psi)
-    resid = gpsi - _row_vdots(psi, gpsi)[:, None] * psi
-    return 4.0 * _row_vdots(resid, resid), degenerate
+    return _residual_qfi(bands, psi), degenerate
 
 
 def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):

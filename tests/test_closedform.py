@@ -24,7 +24,7 @@ from spincat import (
     crb_half_z,
     sweep_family,
 )
-from spincat.closedform import CRB_DIVERGENCE_CEILING, FamilyDefinition
+from spincat.closedform import CRB_DIVERGENCE_CEILING, FamilyDefinition, _extended
 
 from support import (
     crb_one_z_phi_pi_equal_theta_variant,
@@ -296,6 +296,14 @@ def test_divergence_convention():
     assert math.isinf(crb_half_x(PI, PI, 0.0, PI))
     assert math.isinf(closed_form(ClosedFormCase.HALF_X_PHI_0PI, theta1=PI, theta2=PI))
     assert math.isinf(closed_form(ClosedFormCase.ONE_Z_PHIPI, theta1=0.0, theta2=0.0))
+
+
+def test_the_ceiling_itself_is_divergent_and_the_float_below_it_is_not():
+    # the ceiling is the bound at qfi = QFI_DIVERGENCE_FLOOR, which the
+    # engine reports as divergent
+    assert math.isinf(_extended(CRB_DIVERGENCE_CEILING))
+    below = math.nextafter(CRB_DIVERGENCE_CEILING, 0.0)
+    assert _extended(below) == below
 
 
 def test_reduction_dispatch_rejects_bad_requests():

@@ -60,8 +60,10 @@ ANGLES = {"theta1": 0.7, "theta2": 1.9, "phi1": 0.4, "phi2": 2.2}
 BAD = [True, np.True_, math.nan, math.inf, -math.inf, 2**2000, "x", 1 + 1j, None]
 
 # (label, callable, valid keyword arguments, the kind of each checked one);
-# kinds: "real", "integer", "object", "array", "amplitudes", and "real*" or
-# "array*" for a real argument that 1e308 lies outside the range of
+# kinds: "real", "integer", "object", "array", "amplitudes", "real*" for a
+# real argument that 1e308 lies outside the range of, and "theta" for a
+# polar angle, real or array, which refuses 1e308 and values just outside
+# the slack [-1e-9, pi + 1e-9] it clamps onto [0, pi]
 ROWS = [
     ("SpinJ", SpinJ, {"two_j": 2}, {"two_j": "integer"}),
     ("SpinJ.from_j", SpinJ.from_j, {"j": 1.0}, {"j": "real*"}),
@@ -72,7 +74,7 @@ ROWS = [
     ("dicke_to_fock", dicke_to_fock, {"j": J, "m": 0.0}, {"j": "object", "m": "real*"}),
     ("fock_to_dicke", fock_to_dicke, {"na": 1, "nb": 1}, {"na": "integer", "nb": "integer"}),
     ("CoherentParams", CoherentParams, {"theta": 0.4, "phi": 0.3},
-     {"theta": "real*", "phi": "real"}),
+     {"theta": "theta", "phi": "real"}),
     ("coherent_state", coherent_state, {"j": J, "p": CAT.p1}, {"j": "object", "p": "object"}),
     ("coherent_overlap", coherent_overlap, {"j": J, "p1": CAT.p1, "p2": CAT.p2},
      {"j": "object", "p1": "object", "p2": "object"}),
@@ -83,7 +85,7 @@ ROWS = [
     *((f.__name__, f, {"c": CAT}, {"c": "object"}) for f in (normalization, cat_state)),
     ("cat_crb", cat_crb, {"c": CAT, "g": G}, {"c": "object", "g": "object"}),
     ("cat_crb_batch", cat_crb_batch, {"j": J, "g": G, **ANGLES},
-     {"j": "object", "g": "object", "theta1": "array*", "theta2": "array*",
+     {"j": "object", "g": "object", "theta1": "theta", "theta2": "theta",
       "phi1": "array", "phi2": "array"}),
     *(
         (f.__name__, f, {"state": STATE, "g": G}, {"state": "object", "g": "object"})
@@ -96,10 +98,10 @@ ROWS = [
      {"state": "object", "g": "object", "dxi": "real*"}),
     ("closed_form", closed_form,
      {"case": ClosedFormCase.HALF_Z_PHI0, "theta1": 0.3, "theta2": 1.0},
-     {"case": "object", "theta1": "real*", "theta2": "real*"}),
+     {"case": "object", "theta1": "theta", "theta2": "theta"}),
     *(
         (f.__name__, f, ANGLES,
-         {"theta1": "real*", "theta2": "real*", "phi1": "real", "phi2": "real"})
+         {"theta1": "theta", "theta2": "theta", "phi1": "real", "phi2": "real"})
         for f in (crb_half_z, crb_half_x)
     ),
     ("sweep_family", sweep_family, {"case": ClosedFormCase.HALF_Z_PHI0, "resolution": 5},
@@ -121,7 +123,7 @@ def _bad_values(kind: str) -> list:
     extra = {
         "integer": [1e308, 2.0, "5"],
         "real*": [1e308],
-        "array*": [1e308],
+        "theta": [1e308, math.pi + 5e-9, -5e-9],
         "object": [[1]],
         # unit-norm bool and object arrays, and a string array complex() cannot read
         "amplitudes": [[True, False, False], np.array([1, 0, 0], dtype=object), ["a", "b", "c"]],

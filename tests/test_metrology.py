@@ -177,23 +177,18 @@ def test_batch_matches_scalar_cat_crb(two_j, gen, t1, p1, t2, p2):
     j = SpinJ(two_j)
     qfi, bound, degenerate = cat_crb_batch(j, gen, [t1], [t2], p1, [p2])
     assert qfi.shape == bound.shape == degenerate.shape == (1,)
+    c = CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2))
     try:
-        ref = cat_crb(CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2)), gen)
+        ref = cat_crb(c, gen)
     except DegenerateCatError:
         assert degenerate[0]
         assert math.isnan(qfi[0]) and math.isnan(bound[0])
         return
     assert not degenerate[0]
-    assert math.isinf(bound[0]) == ref.divergent
-    if two_j <= 2 or gen is Generator.Z:
-        # bit for bit under Jz and at 2j <= 2; under Jx and Jy at larger
-        # spin the dense G @ psi of cat_crb rounds unlike the banded product
-        assert (qfi[0].hex(), bound[0].hex()) == (ref.qfi.hex(), ref.crb.hex())
-    elif ref.divergent:
-        assert qfi[0] <= QFI_DIVERGENCE_FLOOR
-    else:
-        assert qfi[0] == pytest.approx(ref.qfi, rel=1e-12, abs=0)
-        assert bound[0] == pytest.approx(ref.crb, rel=1e-12, abs=0)
+    # one arithmetic for one cat and for a batch: bit for bit at every spin
+    # and generator, through the cat's parameters and through its state
+    assert (qfi[0].hex(), bound[0].hex()) == (ref.qfi.hex(), ref.crb.hex())
+    assert qfi_pure(cat_state(c), gen).hex() == ref.qfi.hex()
 
 
 def test_batch_broadcasts_and_flags_events():
@@ -838,7 +833,8 @@ def test_batch_qfi_bits_are_pinned(two_j, gen):
 # float.hex of cat_crb's qfi/crb and of normalization for the cats of
 # _pinned_cats, recorded while cat_crb still built a DickeVector for each
 # component and for the cat; "degenerate" marks the cat that raises
-# DegenerateCatError.
+# DegenerateCatError. The Jx and Jy entries at 2j >= 3 were recorded again
+# when cat_crb left the dense G @ psi for the batch's banded product.
 
 _PINNED_SCALAR = {
     (1, "x"): (
@@ -884,15 +880,15 @@ _PINNED_SCALAR = {
         "0x1.be98eaeb4868ap+1/0x1.121ade2b0a0d2p-1 0x1.ffffffffffffdp+1/0x1.0000000000001p-1"
     ),
     (3, "x"): (
-        "0x1.7ffffffffffffp+1/0x1.279a74590331dp-1 0x1.0000000000000p-104/inf "
+        "0x1.7ffffffffffffp+1/0x1.279a74590331dp-1 0x1.0000000000000p-103/inf "
         "0x1.8000000000000p+1/0x1.279a74590331dp-1 degenerate "
         "0x1.8000000000000p+1/0x1.279a74590331dp-1 0x1.aadb497ef7251p+2/0x1.8c81586eb8f30p-2 "
-        "0x1.9482da8b615b3p+1/0x1.2002ec0084ea6p-1 0x1.9d1a2b98dbc7ep+1/0x1.1d0038a723884p-1 "
+        "0x1.9482da8b615b3p+1/0x1.2002ec0084ea6p-1 0x1.9d1a2b98dbc7dp+1/0x1.1d0038a723884p-1 "
         "0x1.39062e33be61ap+1/0x1.4767d1b452d7bp-1 0x1.7fffffffffffep+1/0x1.279a74590331dp-1"
     ),
     (3, "y"): (
         "0x1.7ffffffffffffp+1/0x1.279a74590331dp-1 0x1.8000000000001p+1/0x1.279a74590331cp-1 "
-        "0x1.3a676b909f17dp-104/inf degenerate 0x1.7fffffffffffdp+1/0x1.279a74590331dp-1 "
+        "0x1.1d33b5c84f8bep-103/inf degenerate 0x1.7fffffffffffdp+1/0x1.279a74590331dp-1 "
         "0x1.046cff54cf5d0p+0/0x1.fba17c15c65cfp-1 0x1.b9c7c1eeb90a6p+1/0x1.1398641c1bef7p-1 "
         "0x1.8253bac494658p+1/0x1.26b631eb5da9dp-1 0x1.39062e33be61cp+1/0x1.4767d1b452d79p-1 "
         "0x1.7fffffffffffep+1/0x1.279a74590331dp-1"
@@ -905,7 +901,7 @@ _PINNED_SCALAR = {
         "0x1.f65ed954bb9dap+2/0x1.6d7df3d3dbfd1p-2 0x1.1ffffffffffffp+3/0x1.5555555555556p-2"
     ),
     (16, "x"): (
-        "0x1.0000000000000p+4/0x1.0000000000000p-2 0x1.2948000000000p-98/inf "
+        "0x1.0000000000000p+4/0x1.0000000000000p-2 0x1.5548000000000p-98/inf "
         "0x1.0000000000000p+4/0x1.0000000000000p-2 degenerate "
         "0x1.ffffffffffffep+3/0x1.0000000000001p-2 0x1.73db78f975d2ap+7/0x1.2c6412722bd5ep-4 "
         "0x1.a81a7c6397800p+5/0x1.1947b5e76a91cp-3 0x1.a75d487f228b0p+4/0x1.8e2320fd9fc38p-3 "
@@ -913,9 +909,9 @@ _PINNED_SCALAR = {
     ),
     (16, "y"): (
         "0x1.0000000000000p+4/0x1.0000000000000p-2 0x1.0000000000000p+4/0x1.0000000000000p-2 "
-        "0x1.afafe546a5bbep-94/inf degenerate 0x1.ffffffffffffep+3/0x1.0000000000001p-2 "
-        "0x1.ff047af2c568fp+3/0x1.003ef877a2e3ap-2 0x1.cec973cee509dp+5/0x1.0d448de74d772p-3 "
-        "0x1.2b7af6291d49bp+5/0x1.4eba1f923044ep-3 0x1.da82461929108p+3/0x1.09ebcc2ba4776p-2 "
+        "0x1.b26fe546a5bbep-94/inf degenerate 0x1.ffffffffffffep+3/0x1.0000000000001p-2 "
+        "0x1.ff047af2c568ep+3/0x1.003ef877a2e3ap-2 0x1.cec973cee509dp+5/0x1.0d448de74d772p-3 "
+        "0x1.2b7af6291d49ap+5/0x1.4eba1f923044ep-3 0x1.da82461929108p+3/0x1.09ebcc2ba4776p-2 "
         "0x1.fffffffffffffp+3/0x1.0000000000001p-2"
     ),
     (16, "z"): (
@@ -926,7 +922,7 @@ _PINNED_SCALAR = {
         "0x1.b9b49e528532dp+7/0x1.139e5c9011bc0p-4 0x1.fffffffffffffp+7/0x1.0000000000001p-4"
     ),
     (64, "x"): (
-        "0x1.0000000000000p+6/0x1.0000000000000p-3 0x1.a7bec50b51112p-93/inf "
+        "0x1.0000000000000p+6/0x1.0000000000000p-3 0x1.271f4cab51111p-93/inf "
         "0x1.0000000000000p+6/0x1.0000000000000p-3 degenerate "
         "0x1.ffffffffffffep+5/0x1.0000000000001p-3 0x1.6cde76f7d890ep+11/0x1.2f41029d87093p-6 "
         "0x1.59d626113cd38p+9/0x1.377c98fa869b7p-5 0x1.05fc168e15100p+8/0x1.fa1e42fee089fp-5 "
@@ -934,8 +930,8 @@ _PINNED_SCALAR = {
     ),
     (64, "y"): (
         "0x1.0000000000000p+6/0x1.0000000000000p-3 0x1.0000000000000p+6/0x1.0000000000000p-3 "
-        "0x1.2000cb465ff1cp-85/inf degenerate 0x1.ffffffffffffep+5/0x1.0000000000001p-3 "
-        "0x1.ffffffffffff8p+5/0x1.0000000000002p-3 0x1.85033549dbc3fp+9/0x1.25b154b1206b1p-5 "
+        "0x1.1f802bcdfff1cp-85/inf degenerate 0x1.ffffffffffffep+5/0x1.0000000000001p-3 "
+        "0x1.ffffffffffff7p+5/0x1.0000000000003p-3 0x1.85033549dbc40p+9/0x1.25b154b1206b1p-5 "
         "0x1.a9485680b6478p+8/0x1.8d3d0374e44e8p-5 0x1.da827999fceecp+5/0x1.09ebbdbd2bb45p-3 "
         "0x1.ffffffffffffep+5/0x1.0000000000001p-3"
     ),
@@ -998,6 +994,14 @@ def test_scalar_cat_crb_bits_are_pinned(two_j, gen):
         return f"{float(r.qfi).hex()}/{float(r.crb).hex()}"
 
     assert _pinned_scalar(two_j, value) == _PINNED_SCALAR[two_j, gen].split()
+
+
+@pytest.mark.parametrize("two_j,gen", sorted(_PINNED_SCALAR))
+def test_scalar_and_batch_pins_give_each_cat_one_qfi(two_j, gen):
+    # cat_crb and cat_crb_batch share one arithmetic, so the two tables hold
+    # one qfi literal per cat; the batch's nan is the scalar "degenerate"
+    scalar = [t.split("/")[0].replace("degenerate", "nan") for t in _PINNED_SCALAR[two_j, gen].split()]
+    assert scalar == _PINNED_QFI[two_j, gen].split()
 
 
 @pytest.mark.parametrize("two_j", sorted(_PINNED_NORMALIZATION))
