@@ -17,21 +17,19 @@ one coherent-state expression, coherent._coherent_rows, that cat_crb and
 coherent_state use too. What does not depend on the angles (the powers
 table of coherent and the nonzero bands of G) is built once per spin and
 generator, so a call on a few cats costs little more than its arithmetic.
+Each angle input is checked, clamped and reduced at its own points.
+_cat_crb_pairs takes its cats as index pairs into one table of component
+points instead; find_hl's search makes all its kernel calls through it.
+Both expand a component under one rule, written once in _rows: points
+that fit _TABLE_CHUNKS working chunks are expanded once, into a table
+whose factors _coherent_rows' broadcasting computes once per point of
+their own input, and each chunk of cats gathers its rows from it; larger
+ones are expanded chunk by chunk, an input of one point once per chunk.
 A component shared across the batch, such as each axis of a (theta1,
-theta2) grid at fixed phases, is expanded once per distinct point instead
-of once per cat; a component too large for that still shares each of its
-two factors whose own input is small enough, the magnitudes
-sqrt(C(2j, k)) cos(theta/2)^(2j-k) sin(theta/2)^k at its own thetas and
-the phases exp(phi (-ik)) at its own phis. Each angle input is checked,
-clamped and reduced at its own points, and is filled to the batch's shape
-only when a factor reads it chunk by chunk. Every cache is a table of
-rows, one per point of an input, and each chunk of cats reads the row of
-each cat's own point. _cat_crb_pairs takes its cats as index pairs into
-one table of component points instead, expands the table once, and
-gathers both components of each chunk from it; find_hl's search makes
-all its kernel calls through it. The chunk loop both share, _evaluate,
-adds the two components of each chunk, takes its QFI and applies the
-degenerate and divergence rules.
+theta2) grid at fixed phases, is thus expanded once per distinct point
+instead of once per cat. The chunk loop both share, _evaluate, adds the
+two components of each chunk, takes its QFI and applies the degenerate
+and divergence rules.
 """
 from __future__ import annotations
 
@@ -46,7 +44,7 @@ from ._checks import instance, real, real_array
 # cat_state is not called here any more; it stays importable from this
 # module because bench/spans.py rebinds it
 from .catstate import DEGENERACY_FLOOR, CatParams, _cat_amplitudes, _norm_squared, cat_state  # noqa: F401
-from .coherent import _THETA_SLACK, TWO_PI, _coherent_rows, _magnitudes, _phases, _powers
+from .coherent import _THETA_SLACK, TWO_PI, _coherent_rows, _powers
 from .dicke import DickeVector, SpinJ, build_operators
 
 __all__ = [
@@ -81,11 +79,11 @@ _SLD_EIG_FLOOR = 1e-12
 # temporaries whatever the size of the batch
 BATCH_AMPLITUDES = 4096
 
-# working chunks' worth of amplitudes _cat_crb_pairs expands its table of
-# points into at once. find_hl's largest table at 16 seeds, 12,480
-# amplitudes at 2j = 64, fits; with every seed of the grid at 2j = 64 its
-# tables of 31,104 points made the search peak at 81 MiB, against 6 MiB
-# chunk by chunk
+# working chunks' worth of amplitudes _rows expands a component's points
+# into at once, for both kernel entries. find_hl's largest table at 16
+# seeds, 12,480 amplitudes at 2j = 64, fits; with every seed of the grid
+# at 2j = 64 its tables of 31,104 points made the search peak at 81 MiB,
+# against 6 MiB chunk by chunk
 _TABLE_CHUNKS = 16
 
 
@@ -276,15 +274,6 @@ def _checked(name: str, a: np.ndarray) -> np.ndarray:
     return np.mod(a, TWO_PI) if lo < 0.0 or hi >= TWO_PI else a
 
 
-def _filled(a: np.ndarray, shape: tuple) -> np.ndarray:
-    # a broadcast to shape, as one row-major row of points
-    if a.shape == shape:
-        return a.reshape(-1)
-    out = np.empty(shape)
-    out[...] = a
-    return out.reshape(-1)
-
-
 def _qfi_chunk(bands: tuple[np.ndarray, ...], summed: np.ndarray):
     """-> (qfi, degenerate) for one chunk of unnormalized cats v1 + v2."""
     n2 = _norm_squared(summed)
@@ -312,6 +301,27 @@ def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):
     return qfi, crb, degenerate
 
 
+def _rows(powers, theta: np.ndarray, phi: np.ndarray):
+    """-> rows(index), _coherent_rows' amplitudes at the points index
+    names, one row each; the points are theta and phi, checked and reduced,
+    broadcast against each other and read in row-major order.
+
+    Points of at most _TABLE_CHUNKS * BATCH_AMPLITUDES amplitudes are
+    expanded once, into a table each call gathers from, and _coherent_rows'
+    broadcasting expands each factor once per point of its own input. More
+    are expanded call by call, at the points each index names; an input of
+    one point is read as a 0-d array, so its factor is expanded once per
+    call, not once per point. Either way a row is the same bits.
+    """
+    points = np.broadcast(theta, phi).shape
+    dim = len(powers.k)
+    if math.prod(points) * dim <= _TABLE_CHUNKS * BATCH_AMPLITUDES:
+        table = _coherent_rows(powers, theta, phi).reshape(-1, dim)
+        return lambda index: table[index]
+    flat = [a.reshape(()) if a.size == 1 else np.broadcast_to(a, points).ravel() for a in (theta, phi)]
+    return lambda index: _coherent_rows(powers, *(a if a.ndim == 0 else a[index] for a in flat))
+
+
 def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     """Bounds for many cats of one spin and generator -> (qfi, crb, degenerate).
 
@@ -327,64 +337,43 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
     DegenerateCatError) qfi and crb are nan and the flag is set.
 
-    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes, and an
-    input fits when it has fewer points than the batch and no more than
-    one chunk. A component whose own angles (theta1, phi1) or (theta2,
-    phi2) broadcast to points that fit is expanded once per distinct
-    point and gathered into each chunk: a (rows, 1) x (n,) grid expands
-    rows + n coherent states, not 2 rows n. Otherwise each of its two
-    factors whose own input fits is expanded once per distinct point of
-    that input, the magnitudes at its thetas and the phases at its phis,
-    and a factor whose input does not fit is expanded chunk by chunk; each
-    chunk gathers and multiplies the two. At 2j = 64, 63 cats per chunk,
-    the axes theta1 (9, 1, 1, 1), theta2 (1, 9, 1, 1), phi1 (1, 1, 4, 1)
-    and phi2 (1, 1, 1, 8) give a (theta2, phi2) component of 72 points,
-    which expands 9 + 8 factors instead of 2,592 cats, and a scan block
-    (1, 1) x (201,) at fixed phases expands its one phi2 once instead of
-    201 times. Each way takes the same product of the same factors, so
-    the values are the same bits. Memory does not grow with the batch
-    beyond the inputs, the outputs, at most two gather indices per cat and
-    component, and each input a factor reads chunk by chunk, filled to the
-    batch's shape: the working arrays of a chunk and each cache hold at
-    most BATCH_AMPLITUDES amplitudes. A single cat is
+    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. Each
+    component is expanded by _rows at its own points, its angles (theta1,
+    phi1) or (theta2, phi2) broadcast against each other only, and each
+    chunk gathers the rows of its cats' points: a (rows, 1) x (n,) grid
+    expands rows + n coherent states, not 2 rows n. A component of at most
+    _TABLE_CHUNKS chunks' worth of amplitudes is one table, whose factors
+    are each expanded once per point of their own input: at 2j = 64 the
+    axes theta1 (9, 1, 1, 1), theta2 (1, 9, 1, 1), phi1 (1, 1, 4, 1) and
+    phi2 (1, 1, 1, 8) expand phases at 4 + 8 points, not 2 x 2,592. A
+    larger component is expanded chunk by chunk, and an input of one point
+    once per chunk. Each way takes the same product of the same factors,
+    so the values are the same bits. Memory does not grow with the batch
+    beyond the inputs, the outputs, one gather index per cat and
+    component, each table and, for a component expanded chunk by chunk,
+    each of its inputs filled to the component's points; a chunk's working
+    arrays hold at most BATCH_AMPLITUDES amplitudes. A single cat is
     cheaper through cat_crb, which expands it with the same expression.
     """
     bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
     inputs = tuple(map(real_array, (theta1, theta2, phi1, phi2), _ANGLES))
     batch = np.broadcast(*inputs)
     shape, n = batch.shape, batch.size
-    theta1, theta2, phi1, phi2 = map(_checked, _ANGLES, inputs) if n else inputs
+    if not n:  # an empty batch is not checked
+        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    theta1, theta2, phi1, phi2 = map(_checked, _ANGLES, inputs)
     powers = _powers(j.two_j)
-    step = batch_cells(j)
-
-    def cached(expand, *own):
-        # part -> expand's rows for the cats in the slice part, read from a
-        # table of one row per point of the inputs own, each filled to their
-        # common shape, if those points fit; else None. index maps each cat,
-        # in row-major order, to its point
-        points = np.broadcast(*own).shape
-        size = math.prod(points)
-        if size >= n or size > step:
-            return None
-        table = expand(powers, *(_filled(a, points) for a in own))
-        index = np.broadcast_to(np.arange(size).reshape(points), shape).ravel()
-        return lambda part: table[index[part]]
-
-    def chunked(expand, a):
-        # expand's rows chunk by chunk, from the input a filled to the batch
-        flat = _filled(a, shape)
-        return lambda part: expand(powers, flat[part])
 
     def component(theta, phi):
-        rows = cached(_coherent_rows, theta, phi)
-        if rows:
-            return rows
-        mags = cached(_magnitudes, theta) or chunked(_magnitudes, theta)
-        phases = cached(_phases, phi) or chunked(_phases, phi)
-        # _coherent_rows' own product, of the same factors
-        return lambda part: mags(part) * phases(part)
+        # part -> the component's rows for the cats in the slice part; index
+        # maps each cat, in row-major order, to its point
+        points = np.broadcast(theta, phi).shape
+        rows = _rows(powers, theta, phi)
+        index = np.broadcast_to(np.arange(math.prod(points)).reshape(points), shape).ravel()
+        return lambda part: rows(index[part])
 
-    qfi, crb, degenerate = _evaluate(bands, step, n, component(theta1, phi1), component(theta2, phi2))
+    first, second = component(theta1, phi1), component(theta2, phi2)
+    qfi, crb, degenerate = _evaluate(bands, batch_cells(j), n, first, second)
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 
 
@@ -395,32 +384,21 @@ def _cat_crb_pairs(j: SpinJ, g: Generator, theta, phi, first, second):
     theta and phi are the table, one (theta, phi) point per entry, checked,
     clamped and reduced as cat_crb_batch checks its angle inputs, and
     first and second are integer arrays of one shape: the cat i has the
-    components first[i] and second[i]. A table of at most _TABLE_CHUNKS *
-    BATCH_AMPLITUDES amplitudes, 2j + 1 per point, is expanded once through
-    _coherent_rows, and each chunk of cats gathers its two components' rows
-    from it, so a point shared by many cats is expanded once; a larger
-    table is expanded chunk by chunk, at the points each chunk's cats name.
-    Either way the values are those cat_crb_batch gives at (theta[first],
-    theta[second], phi[first], phi[second]), bit for bit, and since
-    v1 + v2 and v2 + v1 are the same bits, so are those of the swapped
-    pairs. A chunk's working arrays hold at most BATCH_AMPLITUDES
-    amplitudes.
+    components first[i] and second[i]. The table is expanded by _rows, as
+    cat_crb_batch expands a component: once, if it holds at most
+    _TABLE_CHUNKS * BATCH_AMPLITUDES amplitudes, 2j + 1 per point, and each
+    chunk of cats gathers its two components' rows from it, so a point
+    shared by many cats is expanded once; else chunk by chunk, at the
+    points each chunk's cats name. Either way the values are those
+    cat_crb_batch gives at (theta[first], theta[second], phi[first],
+    phi[second]), bit for bit, and since v1 + v2 and v2 + v1 are the same
+    bits, so are those of the swapped pairs. A chunk's working arrays hold
+    at most BATCH_AMPLITUDES amplitudes; an empty batch expands nothing.
     """
     shape = np.shape(first)
     first, second = np.ravel(first), np.ravel(second)
     if first.size:  # an empty batch is not checked
-        powers = _powers(j.two_j)
-        theta, phi = _checked("theta", theta), _checked("phi", phi)
-        if theta.size * j.dim <= _TABLE_CHUNKS * BATCH_AMPLITUDES:
-            table = _coherent_rows(powers, theta, phi)
-
-            def rows(index):
-                return table[index]
-        else:
-
-            def rows(index):
-                return _coherent_rows(powers, theta[index], phi[index])
-
+        rows = _rows(_powers(j.two_j), _checked("theta", theta), _checked("phi", phi))
     qfi, crb, degenerate = _evaluate(
         _bands(j, g),
         batch_cells(j),

@@ -18,6 +18,10 @@ caller fails.
 The number rules live in src/spincat/_checks.py alone: no other file of
 src/spincat names bool_ or operator.index, so a checker that needs to
 know what counts as a real number or an integer calls into that module.
+
+The coherent-state factors live in src/spincat/coherent.py alone: no other
+file of src/spincat names _magnitudes or _phases, so every expansion goes
+through _coherent_rows, the one product of the two.
 """
 import ast
 import re
@@ -312,4 +316,50 @@ def test_checker_flags_a_number_rule_outside_the_checks_module(tmp_path):
         "sample.py:6: bool_",
         "sample.py:7: bool_",
         "sample.py:8: operator.index",
+    ]
+
+
+COHERENT = ROOT / "src" / "spincat" / "coherent.py"
+_FACTORS = ("_magnitudes", "_phases")
+
+
+def factor_forks(paths: list[Path], root: Path = ROOT) -> list[str]:
+    """path:line: name of every use of _magnitudes or _phases in paths, as
+    a name, an attribute or an import."""
+    found = []
+    for path in paths:
+        hits = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            hits.update((node.lineno, name) for name in names if name in _FACTORS)
+        found += [f"{path.relative_to(root)}:{line}: {name}" for line, name in sorted(hits)]
+    return found
+
+
+def test_coherent_factors_live_in_one_module():
+    assert factor_forks([path for path in SOURCES if path != COHERENT]) == []
+    assert factor_forks([COHERENT]), "coherent.py no longer defines the factors"
+
+
+def test_checker_flags_a_coherent_factor_outside_its_module(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .coherent import _coherent_rows, _magnitudes\n"
+        "from . import coherent\n"
+        "def f(t, theta, phi):\n"
+        "    return _magnitudes(t, theta) * coherent._phases(t, phi)\n"
+        "def g(t, theta, phi):\n"
+        "    return _coherent_rows(t, theta, phi)  # _phases in a comment is fine\n"
+    )
+    assert factor_forks([sample], tmp_path) == [
+        "sample.py:1: _magnitudes",
+        "sample.py:4: _magnitudes",
+        "sample.py:4: _phases",
     ]

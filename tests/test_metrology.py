@@ -146,6 +146,29 @@ def test_bound_conversion_and_divergence_floor():
     assert math.isinf(crb_from_qfi(1e-16).crb)
 
 
+def test_chunk_flags_a_cat_at_the_degeneracy_floor_and_not_one_ulp_above():
+    # 1e-6 * 1e-6 == 1e-12, so the first cat's norm^2 is the floor itself
+    bands = metrology._bands(SpinJ(1), Generator.Z)
+    at = np.array([[1e-6, 0.0]], dtype=complex)
+    above = np.array([[np.nextafter(1e-6, 1.0), 0.0]], dtype=complex)
+    assert metrology._norm_squared(at)[0] == metrology.DEGENERACY_FLOOR
+    assert metrology._qfi_chunk(bands, at)[1].tolist() == [True]
+    assert metrology._qfi_chunk(bands, above)[1].tolist() == [False]
+
+
+def test_chunk_loop_diverges_at_the_qfi_floor_and_not_one_ulp_above(monkeypatch):
+    above = np.nextafter(QFI_DIVERGENCE_FLOOR, 1.0)
+    qfis = np.array([QFI_DIVERGENCE_FLOOR, above])
+    monkeypatch.setattr(metrology, "_qfi_chunk", lambda bands, summed: (qfis, np.zeros(2, dtype=bool)))
+
+    def cats(part):
+        return np.zeros((2, 2))
+
+    qfi, bound, degenerate = metrology._evaluate(None, 2, 2, cats, cats)
+    assert qfi.tolist() == qfis.tolist() and not degenerate.any()
+    assert math.isinf(bound[0]) and bound[1] == 1.0 / math.sqrt(above)
+
+
 def test_crb_entry_points_agree():
     cat = CatParams(
         SpinJ(2), CoherentParams(0.9, 0.2), CoherentParams(2.1, 1.8)
@@ -300,11 +323,12 @@ def test_batch_on_broadcast_components_matches_materialized_inputs(
 
 
 def test_batch_expands_each_broadcast_component_once(monkeypatch):
-    expanded = []
+    expanded, phis = [], []
     rows = metrology._coherent_rows
 
     def counting(t, theta, phi):
         expanded.append(np.broadcast(theta, phi).size)
+        phis.append(np.size(phi))
         return rows(t, theta, phi)
 
     monkeypatch.setattr(metrology, "_coherent_rows", counting)
@@ -313,21 +337,27 @@ def test_batch_expands_each_broadcast_component_once(monkeypatch):
     cat_crb_batch(SpinJ(2), Generator.Y, theta[:10, None], theta, 0.5, 1.5)
     assert sorted(expanded) == [10, 40]
     expanded.clear()
-    # no component is shared: each is multiplied from its factors chunk by
-    # chunk, and the first one's single phi1 is expanded once
+    # no component is shared: each is one table of its own 40 points
     cat_crb_batch(SpinJ(2), Generator.Y, theta, theta[::-1], 0.5, theta)
-    assert expanded == []
+    assert expanded == [40, 40]
     expanded.clear()
-    # the second component broadcasts to more points than one chunk holds,
-    # so only the first is expanded whole; the second's one phi2 is cached
-    wide = np.linspace(0.0, math.pi, metrology.batch_cells(SpinJ(2)) + 1)
+    # the second component spans more than one chunk but fits the table
+    step = metrology.batch_cells(SpinJ(2))
+    wide = np.linspace(0.0, math.pi, step + 1)
     cat_crb_batch(SpinJ(2), Generator.Y, theta[:3, None], wide, 0.5, 1.5)
-    assert expanded == [3]
+    assert expanded == [3, step + 1]
+    expanded.clear()
+    phis.clear()
+    # with a table of one chunk the second component no longer fits: it is
+    # expanded chunk by chunk, and its one phi2 once per chunk, not per cat
+    monkeypatch.setattr(metrology, "_TABLE_CHUNKS", 1)
+    cat_crb_batch(SpinJ(2), Generator.Y, theta[:3, None], wide, 0.5, 1.5)
+    assert expanded == [3, step, step, step, 3]
+    assert phis == [1] * 5
 
 
 def _counting_phases(monkeypatch) -> list:
-    # the number of phis each _phases call expands, whether it comes
-    # through _coherent_rows or straight from the kernel
+    # the number of phis each _phases call of _coherent_rows expands
     import spincat.coherent as coherent
 
     rows = []
@@ -337,16 +367,16 @@ def _counting_phases(monkeypatch) -> list:
         rows.append(np.size(phi))
         return phases(t, phi)
 
-    for module in (coherent, metrology):
-        monkeypatch.setattr(module, "_phases", counting)
+    monkeypatch.setattr(coherent, "_phases", counting)
     return rows
 
 
 def test_a_scan_at_large_spin_expands_each_fixed_phase_once_per_block(monkeypatch):
     # at 2j = 64 a chunk holds 63 cats, so a 201-point scan goes to the
-    # kernel one row at a time, (1, 1) x (201,): the theta2 axis does not
-    # fit, but its one phi2 does, and is expanded once per block, not once
-    # per cat. 201 blocks expand 2 phis each, where 202 each were expanded
+    # kernel one row at a time, (1, 1) x (201,): the theta2 axis spans four
+    # chunks but fits one table, whose one phi2 is expanded once per block,
+    # not once per cat. 201 blocks expand 2 phis each, where 202 each were
+    # expanded
     rows = _counting_phases(monkeypatch)
     spec = ScanSpec(SpinJ(64), Generator.X, 0.0, 0.5, resolution=201)
     got = grid_scan(spec)
@@ -357,11 +387,11 @@ def test_a_scan_at_large_spin_expands_each_fixed_phase_once_per_block(monkeypatc
     assert got.degenerate.tobytes() == want[2].tobytes()
 
 
-def _one_factor_inputs(rng, wide: int) -> dict:
-    # (theta1, theta2, phi1, phi2) with one component whose own points do
-    # not fit in a chunk (wide is more than one chunk holds), but one of
-    # whose two factors does; thetas take both poles, phis values outside
-    # [0, 2 pi) that the kernel reduces
+def _wide_component_inputs(rng, wide: int) -> dict:
+    # (theta1, theta2, phi1, phi2) with one component whose own points span
+    # more than one chunk (wide is more than one chunk holds) but fit one
+    # table; thetas take both poles, phis values outside [0, 2 pi) that the
+    # kernel reduces
     thetas = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, wide - 2)])
     phis = rng.uniform(-9.0, 9.0, wide)
     column = np.array([[-7.5], [0.4], [2 * math.pi]])
@@ -374,31 +404,31 @@ def _one_factor_inputs(rng, wide: int) -> dict:
 
 
 # (magnitude rows, phase rows) each layout expands at 2j = 64, where a
-# chunk holds 63 cats and the wide inputs have 68 points: a factor that
-# fits is expanded once per point of its own input, one that does not
-# once per cat, chunk by chunk
-_ONE_FACTOR_ROWS = {
+# chunk holds 63 cats and the wide inputs have 68 points: each component
+# is one table, whose factors are each expanded once per point of their
+# own input
+_WIDE_COMPONENT_ROWS = {
     "theta row, phase scalar": (1 + 68, 1 + 1),
-    "theta row, phase column": (1 + 3 * 68, 1 + 3),
-    "theta column, phase row": (3 + 1, 3 * 68 + 1),
+    "theta row, phase column": (1 + 68, 1 + 3),
+    "theta column, phase row": (3 + 1, 68 + 1),
     "phase row, theta scalar": (1 + 1, 68 + 1),
 }
 
 
-@pytest.mark.parametrize("layout", sorted(_ONE_FACTOR_ROWS))
+@pytest.mark.parametrize("layout", sorted(_WIDE_COMPONENT_ROWS))
 @pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
 @pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
-def test_caching_the_one_factor_that_fits_keeps_every_bit(layout, two_j, gen):
+def test_a_component_wider_than_a_chunk_keeps_every_bit(layout, two_j, gen):
     j = SpinJ(two_j)
-    args = _one_factor_inputs(np.random.default_rng(two_j), metrology.batch_cells(j) + 5)[layout]
+    args = _wide_component_inputs(np.random.default_rng(two_j), metrology.batch_cells(j) + 5)[layout]
     copies = [np.array(a) for a in np.broadcast_arrays(*map(np.asarray, args))]
     got = cat_crb_batch(j, gen, *args)
     want = cat_crb_batch(j, gen, *copies)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
-@pytest.mark.parametrize("layout", sorted(_ONE_FACTOR_ROWS))
-def test_the_one_factor_that_fits_is_expanded_once_per_point(monkeypatch, layout):
+@pytest.mark.parametrize("layout", sorted(_WIDE_COMPONENT_ROWS))
+def test_a_component_wider_than_a_chunk_expands_each_factor_once_per_point(monkeypatch, layout):
     import spincat.coherent as coherent
 
     counts = {"_magnitudes": [], "_phases": []}
@@ -409,20 +439,19 @@ def test_the_one_factor_that_fits_is_expanded_once_per_point(monkeypatch, layout
             rows.append(np.size(angle))
             return expand(t, angle)
 
-        for module in (coherent, metrology):
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(coherent, name, counting)
     j = SpinJ(64)
     assert metrology.batch_cells(j) == 63
-    args = _one_factor_inputs(np.random.default_rng(0), 68)[layout]
+    args = _wide_component_inputs(np.random.default_rng(0), 68)[layout]
     cat_crb_batch(j, Generator.Y, *args)
-    assert (sum(counts["_magnitudes"]), sum(counts["_phases"])) == _ONE_FACTOR_ROWS[layout]
+    assert (sum(counts["_magnitudes"]), sum(counts["_phases"])) == _WIDE_COMPONENT_ROWS[layout]
 
 
 # --- broadcast inputs are checked on their own points -------------------------
 
 # (theta1, theta2, phi1, phi2) shapes; each broadcasts to (3, 4) but the
 # last, find_hl's seed grid, whose second component holds 72 points: more
-# than one chunk holds at 2j = 64, so its two factors are cached instead
+# than one chunk holds at 2j = 64, but one table
 _BROADCAST_LAYOUTS = [
     ((3, 1), (4,), (), ()),  # a scan block at fixed phases
     ((3, 1), (4,), (3, 1), (4,)),
@@ -479,15 +508,15 @@ def test_broadcast_inputs_raise_and_reduce_as_materialized_ones(inputs):
 
 def test_seed_grid_expands_each_factor_at_its_own_points(monkeypatch):
     # at 2j = 64 a chunk holds 63 cats: the seed grid's (theta1, phi1)
-    # component, 36 points, is cached whole, and of its (theta2, phi2)
-    # component, 72 points, each factor is cached at its own 9 thetas and
-    # 8 phis, so the phases are expanded at 36 + 8 points, not 36 + 2,592
+    # component, 36 points, and its (theta2, phi2) component, 72 points,
+    # are each one table, whose phases are expanded at the component's own
+    # 4 and 8 phis, not at 2,592 cats each
     rows = _counting_phases(monkeypatch)
     thetas, phis = math.pi * np.arange(9) / 8, math.pi * np.arange(8) / 4
     axes = np.ix_(thetas, thetas, phis[:4], phis)
     got = cat_crb_batch(SpinJ(64), Generator.Y, *axes)
     assert metrology.batch_cells(SpinJ(64)) == 63
-    assert sorted(rows) == [8, 36]
+    assert sorted(rows) == [4, 8]
     rows.clear()
     want = cat_crb_batch(SpinJ(64), Generator.Y, *np.broadcast_arrays(*axes))
     assert sum(rows) == 2 * 9 * 9 * 4 * 8  # both components, chunk by chunk
