@@ -18,14 +18,7 @@ from .closedform import (
     sweep_family,
 )
 from .coherent import CoherentParams, coherent_overlap, coherent_state, rotation_matrix
-from .dicke import (
-    DickeVector,
-    SpinJ,
-    SpinOperators,
-    build_operators,
-    dicke_to_fock,
-    fock_to_dicke,
-)
+from .dicke import DickeVector, SpinJ, SpinOperators, build_operators
 from .metrology import (
     CrbResult,
     Generator,
@@ -58,8 +51,6 @@ __all__ = [
     "DickeVector",
     "SpinOperators",
     "build_operators",
-    "dicke_to_fock",
-    "fock_to_dicke",
     "CoherentParams",
     "coherent_state",
     "coherent_overlap",

@@ -218,15 +218,20 @@ def _build_parser() -> _Parser:
 
 def _load_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise _UsageError(f"{path}:{lineno}: expected key=value")
-            entries[key.strip().lower().replace("-", "_")] = value.strip()
+    # utf-8-sig drops the byte-order mark some editors write first
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise _UsageError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise _UsageError(f"{path}:{lineno}: expected key=value")
+        entries[key.strip().lower().replace("-", "_")] = value.strip()
     return entries
 
 

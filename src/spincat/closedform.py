@@ -63,6 +63,8 @@ CRB_DIVERGENCE_CEILING = 1.0 / math.sqrt(QFI_DIVERGENCE_FLOOR)
 
 
 class ClosedFormCase(enum.Enum):
+    """One case of the closed-form catalogue; FAMILIES[case] holds its row."""
+
     # spin-1/2, generator Jz
     HALF_Z_GENERAL = "half_z_general"
     HALF_Z_MIRROR = "half_z_mirror"

@@ -2,9 +2,7 @@
 
 States live in the (2j+1)-dimensional irrep spanned by |j, m> with
 m = -j ... +j. Amplitudes are stored in ascending m, index k = m + j,
-so |j, -j> is entry 0 and |j, +j> is entry 2j. The equivalent two-mode
-Fock labelling is |Na, Nb> with Na = j + m excitations in one mode and
-Nb = j - m in the other (N = Na + Nb = 2j fixed).
+so |j, -j> is entry 0 and |j, +j> is entry 2j.
 """
 from __future__ import annotations
 
@@ -16,14 +14,7 @@ import numpy as np
 
 from ._checks import complex_array, instance, integer, real
 
-__all__ = [
-    "SpinJ",
-    "DickeVector",
-    "SpinOperators",
-    "build_operators",
-    "dicke_to_fock",
-    "fock_to_dicke",
-]
+__all__ = ["SpinJ", "DickeVector", "SpinOperators", "build_operators"]
 
 # largest irrep the amplitude formulas are exercised at; binomial magnitudes
 # stay exactly representable in double precision well past this
@@ -162,35 +153,3 @@ def _operators(j: SpinJ) -> SpinOperators:
 # emptied as an lru_cache function's cache is, so a cold build can be timed
 build_operators.cache_clear = _operators.cache_clear
 
-
-def dicke_to_fock(j: SpinJ, m: float) -> tuple[int, int]:
-    """Map |j, m> to the two-mode Fock occupation (Na, Nb) = (j+m, j-m).
-
-    m is a real argument that must be a half-integer projection of j;
-    ValueError otherwise.
-    """
-    j, two_m = instance(j, SpinJ, "j"), 2 * real(m, "m")
-    # refused before round(two_m), which overflows for a huge m
-    if abs(two_m) > j.two_j + 1e-9:
-        raise ValueError(f"m = {m!r} is not a valid projection for j = {j}")
-    k = round(two_m)
-    if abs(two_m - k) > 1e-9:
-        raise ValueError(f"m must be a half-integer, got {m!r}")
-    if (k - j.two_j) % 2 != 0:
-        raise ValueError(f"m = {m!r} is not a valid projection for j = {j}")
-    na = (j.two_j + k) // 2
-    return na, j.two_j - na
-
-
-def fock_to_dicke(na: int, nb: int) -> tuple[SpinJ, float]:
-    """Inverse of dicke_to_fock: (Na, Nb) -> (j, m) with j = (Na+Nb)/2.
-
-    Na and Nb are integer arguments, each at least 0, with 1 <= Na + Nb <=
-    MAX_TWO_J; a bool or any other type raises TypeError naming the argument.
-    """
-    na, nb = integer(na, "na"), integer(nb, "nb")
-    if na < 0 or nb < 0:
-        raise ValueError(f"na and nb must be non-negative, got {na} and {nb}")
-    if not 1 <= na + nb <= MAX_TWO_J:
-        raise ValueError(f"na + nb must lie in [1, {MAX_TWO_J}], got {na + nb}")
-    return SpinJ(na + nb), (na - nb) / 2

@@ -7,29 +7,16 @@ of G, and the Cramer-Rao bound on any unbiased estimate of xi is
 provided: the symmetric-logarithmic-derivative spectral formula and a
 finite-difference of the overlap decay.
 
-The variance route is written once, in _residual_qfi: G psi from G's
-nonzero bands, then <G> and the residual's norm by np.vecdot along the
-last axis. qfi_pure, crb and cat_crb apply it to one state, cat_crb_batch
-to each row of a chunk of cats, so they agree bit for bit.
+Where each part lives:
 
-cat_crb_batch evaluates many cats of one spin and generator through the
-one coherent-state expression, coherent._coherent_rows, that cat_crb and
-coherent_state use too. What does not depend on the angles (the powers
-table of coherent and the nonzero bands of G) is built once per spin and
-generator, so a call on a few cats costs little more than its arithmetic.
-Each angle input is checked, clamped and reduced at its own points.
-_cat_crb_pairs takes its cats as index pairs into one table of component
-points instead; find_hl's search makes all its kernel calls through it.
-Both expand a component under one rule, written once in _rows: points
-that fit _TABLE_CHUNKS working chunks are expanded once, into a table
-whose factors _coherent_rows' broadcasting computes once per point of
-their own input, and each chunk of cats gathers its rows from it; larger
-ones are expanded chunk by chunk, an input of one point once per chunk.
-A component shared across the batch, such as each axis of a (theta1,
-theta2) grid at fixed phases, is thus expanded once per distinct point
-instead of once per cat. The chunk loop both share, _evaluate, adds the
-two components of each chunk, takes its QFI and applies the degenerate
-and divergence rules.
+- _residual_qfi: the variance route, for qfi_pure, crb, cat_crb and each
+  chunk of a batch, so they agree bit for bit.
+- cat_crb_batch: the batched kernel on broadcast angle arrays;
+  _cat_crb_pairs: the same kernel on index pairs into a table of component
+  points, which find_hl's search calls.
+- _checked: each angle input's check, clamp and reduction; _rows: the rule
+  by which both kernel entries expand a component; _evaluate: the chunk
+  loop both share, with the degenerate and divergence rules.
 """
 from __future__ import annotations
 
@@ -304,14 +291,21 @@ def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):
 def _rows(powers, theta: np.ndarray, phi: np.ndarray):
     """-> rows(index), _coherent_rows' amplitudes at the points index
     names, one row each; the points are theta and phi, checked and reduced,
-    broadcast against each other and read in row-major order.
+    broadcast against each other and read in row-major order. Both kernel
+    entries expand a component through this one rule.
 
     Points of at most _TABLE_CHUNKS * BATCH_AMPLITUDES amplitudes are
-    expanded once, into a table each call gathers from, and _coherent_rows'
-    broadcasting expands each factor once per point of its own input. More
-    are expanded call by call, at the points each index names; an input of
-    one point is read as a 0-d array, so its factor is expanded once per
-    call, not once per point. Either way a row is the same bits.
+    expanded once, into a table each call gathers from, so a point that
+    many cats share is expanded once: a (rows, 1) x (n,) grid at fixed
+    phases expands rows + n coherent states, not 2 rows n. Within the
+    table _coherent_rows' broadcasting expands each factor once per point
+    of its own input: theta (9, 1, 1, 1) and phi (1, 1, 4, 1) span 36
+    points, and the magnitudes are expanded at 9 and the phases at 4. More
+    points are expanded call by call, at the points each index names; an
+    input of one point is read as a 0-d array, so its factor is expanded
+    once per call, not once per point. Either way a row is the same bits,
+    the product of the same two factors. What rows holds is the table, or
+    else each input of more than one point filled to all the points.
     """
     points = np.broadcast(theta, phi).shape
     dim = len(powers.k)
@@ -335,25 +329,15 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     caller's arrays are never written. qfi is the residual form of
     qfi_pure, 4 ||G psi - <G> psi||^2, and crb is +inf where qfi is at or
     below QFI_DIVERGENCE_FLOOR. Where the cat is degenerate (as in
-    DegenerateCatError) qfi and crb are nan and the flag is set.
+    DegenerateCatError) qfi and crb are nan and the flag is set. Each cat's
+    values are those cat_crb and qfi_pure(cat_state(...)) give, bit for bit.
 
-    Cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. Each
-    component is expanded by _rows at its own points, its angles (theta1,
-    phi1) or (theta2, phi2) broadcast against each other only, and each
-    chunk gathers the rows of its cats' points: a (rows, 1) x (n,) grid
-    expands rows + n coherent states, not 2 rows n. A component of at most
-    _TABLE_CHUNKS chunks' worth of amplitudes is one table, whose factors
-    are each expanded once per point of their own input: at 2j = 64 the
-    axes theta1 (9, 1, 1, 1), theta2 (1, 9, 1, 1), phi1 (1, 1, 4, 1) and
-    phi2 (1, 1, 1, 8) expand phases at 4 + 8 points, not 2 x 2,592. A
-    larger component is expanded chunk by chunk, and an input of one point
-    once per chunk. Each way takes the same product of the same factors,
-    so the values are the same bits. Memory does not grow with the batch
-    beyond the inputs, the outputs, one gather index per cat and
-    component, each table and, for a component expanded chunk by chunk,
-    each of its inputs filled to the component's points; a chunk's working
-    arrays hold at most BATCH_AMPLITUDES amplitudes. A single cat is
-    cheaper through cat_crb, which expands it with the same expression.
+    Each component is expanded by _rows at its own points, its angles
+    (theta1, phi1) or (theta2, phi2) broadcast against each other only,
+    and cats are evaluated in chunks of BATCH_AMPLITUDES amplitudes. Memory
+    does not grow with the batch beyond the inputs, the outputs, one gather
+    index per cat and component, and what _rows holds for each component.
+    A single cat is cheaper through cat_crb.
     """
     bands = _bands(instance(j, SpinJ, "j"), instance(g, Generator, "g"))
     inputs = tuple(map(real_array, (theta1, theta2, phi1, phi2), _ANGLES))
@@ -385,15 +369,11 @@ def _cat_crb_pairs(j: SpinJ, g: Generator, theta, phi, first, second):
     clamped and reduced as cat_crb_batch checks its angle inputs, and
     first and second are integer arrays of one shape: the cat i has the
     components first[i] and second[i]. The table is expanded by _rows, as
-    cat_crb_batch expands a component: once, if it holds at most
-    _TABLE_CHUNKS * BATCH_AMPLITUDES amplitudes, 2j + 1 per point, and each
-    chunk of cats gathers its two components' rows from it, so a point
-    shared by many cats is expanded once; else chunk by chunk, at the
-    points each chunk's cats name. Either way the values are those
-    cat_crb_batch gives at (theta[first], theta[second], phi[first],
-    phi[second]), bit for bit, and since v1 + v2 and v2 + v1 are the same
-    bits, so are those of the swapped pairs. A chunk's working arrays hold
-    at most BATCH_AMPLITUDES amplitudes; an empty batch expands nothing.
+    cat_crb_batch expands a component. The values are those cat_crb_batch
+    gives at (theta[first], theta[second], phi[first], phi[second]), bit
+    for bit, and since v1 + v2 and v2 + v1 are the same bits, so are those
+    of the swapped pairs. A chunk's working arrays hold at most
+    BATCH_AMPLITUDES amplitudes; an empty batch expands nothing.
     """
     shape = np.shape(first)
     first, second = np.ravel(first), np.ravel(second)

@@ -1,50 +1,15 @@
 """Parameter-space scans and Heisenberg-limit searches.
 
-grid_scan samples the Cramer-Rao bound of a cat state on a square
-(theta1, theta2) grid at fixed phases, keeping the raw extended-real
-values alongside overflow and degenerate masks so plots and CSV exports
-can cap divergences without losing information. It and closedform's
-sweep_family evaluate their grids through one evaluator, _grid_bounds,
-on axes from one helper, _axis.
+Where each part lives:
 
-find_hl searches the full four-angle space for points whose bound reaches
-the Heisenberg limit 1/(2j): deterministic coarse seeding followed by a
-damped Newton polish of every seed at once. Every kernel call of the
-search goes to metrology._cat_crb_pairs as a table of component points
-(theta, phi) and index pairs into it, so each point is expanded once per
-call however many cats share it. The seed grid is one such call: its
-2,592 cats are pairs of 72 points, and as a cat and its swapped copy give
-the same bits, each of the 1,962 unordered pairs is evaluated once. No
-pure state's bound goes below 1/(2j), so a seed within a relative 1e-12
-of it (or the tolerance, if smaller) is done: it is never polished if the
-grid puts it there, and leaves after the step that brings it there.
-
-Each Newton step makes two kernel calls for all the seeds still
-polishing. The first evaluates a finite-difference stencil of 15 points
-around each seed, the centre, +-h along each angle and +h along each pair
-of angles, h = 1e-4, and from it come the gradient g and the Hessian H.
-Its cats are pairs of six points per component, and its centre is the
-seed's own point, whose value the seed holds, so 14 cats per seed are
-evaluated (15 where the odd-2j rule below moved the centre).
-The second evaluates six trial points per seed, the damped steps
-d(lam) = -(H + lam s I)^-1 g for lam in (0, 1e-3, 1e-2, 0.1, 1, 10), with
-s the largest eigenvalue magnitude of H and each eigenvalue of H + lam s I
-floored at 1e-8 s, so that each step is that of a positive definite model;
-a seed moves to its best trial if that is strictly lower. A seed stops
-when its best trial is not lower, or lower by less than a relative 1e-13,
-and after 40 steps. phi is periodic. Below theta = 0 a point is reflected
-through the pole, (-theta, phi) -> (theta, phi + pi), the same coherent
-state. Above theta = pi, (2 pi - theta, phi + pi) is the same state at
-even 2j, and a point is reflected there too; at odd 2j it carries a sign
-(-1)^(2j) on its component, so it is not the same cat: the stencil is
-moved inward to theta = pi - h and the trial points are clipped to pi.
-
-The values the polish ends on, the ones cat_crb_batch gives at the
-polished points, bit for bit, decide acceptance, and accepted points
-closer than _MERGE_RADIUS in every angle are reported once. Each seed
-takes exactly the steps it would take searched on its own, and every
-stopping rule reads only its own values, so the search is
-exact-arithmetic deterministic: same spec, same result.
+- grid_scan: the bound on a (theta1, theta2) grid at fixed phases, with
+  overflow and degenerate masks; _grid_bounds: the grid evaluator it
+  shares with closedform's sweep_family, on axes from _axis.
+- find_hl: the search for points whose bound reaches the Heisenberg limit
+  1/(2j). _seed_grid and _seed_starts pick the seeds from a coarse grid,
+  _polish moves them by damped Newton steps, with _wrapped keeping points
+  in the kernel's box, and _merged reports near points once. Its kernel
+  calls all go through _objective to metrology._cat_crb_pairs.
 """
 from __future__ import annotations
 
@@ -309,6 +274,10 @@ class HlSearchSpec:
 
 @dataclass(frozen=True)
 class HlPoint:
+    """One point find_hl accepts: cat angles in the CoherentParams domain,
+    theta in [0, pi] and phi reduced modulo 2 pi, whose bound crb is at
+    most target (1 + tolerance) of the HlSearchSpec searched."""
+
     theta1: float
     theta2: float
     phi1: float
@@ -329,14 +298,11 @@ _STEP = 1e-4
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _STENCIL = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4), np.eye(4)[list(_PAIRS)].sum(axis=1)])
 
-# the damping ladder: each step tries d(lam) = -(H + lam s I)^-1 g for each
-# lam, s the largest eigenvalue magnitude of the Hessian H, from the Newton
-# step (lam = 0) to a short step along -g (lam = 10)
+# _polish's damping ladder, from the Newton step (lam = 0) to a short step
+# along the descent direction (lam = 10)
 _DAMPING = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
-# eigenvalues of H + lam s I are floored at this fraction of s, so every
-# step is one of a positive definite model: a direction of negative or
-# vanishing curvature takes the longest steps of the ladder
+# floor of each eigenvalue of _polish's damped Hessian, as a fraction of s
 _EIG_FLOOR = 1e-8
 
 # Newton steps at most per seed
@@ -431,9 +397,9 @@ def _derivatives(f: np.ndarray):
 
 
 def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """-> d of shape (m, len(_DAMPING), 4): d(lam) = -(H + lam s I)^-1 g for
-    each seed and each lam of the ladder, through H's eigenvectors V and
-    eigenvalues w, each w + lam s floored at _EIG_FLOOR s, s = max |w|."""
+    """-> d of shape (m, len(_DAMPING), 4): _polish's damped step for each
+    seed and each rung of the ladder, through H's eigenvectors V and
+    eigenvalues w, s = max |w|."""
     w, V = np.linalg.eigh(H)
     s = np.abs(w).max(axis=1)[:, None, None]
     lam = np.array(_DAMPING)[None, :, None]
@@ -459,33 +425,47 @@ def _stencil_pairs() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _polish(objective, starts, values, stop: float, even: bool):
-    """Damped Newton steps from every start at once.
+    """Damped Newton steps from every start at once -> (x, best): the
+    polished points and their objective values.
 
     objective(points, pairs) gives the bound at each cat named by a row of
     the (n, 2) index array pairs into the (m, 2) table points of component
     points (theta, phi), as _objective does; values holds it at each
-    start, and even says whether 2j is even (see _wrapped). Each step makes
-    two objective calls for all the seeds still polishing. The first
-    evaluates _STENCIL around each seed's point: its two components' six
-    offsets each (_stencil_pairs), moved into the box by _wrapped, and the
-    14 cats of the stencil after its centre. The centre is the seed's own
-    point, and its value the seed's, unless at odd 2j a theta above
-    pi - _STEP is lowered to it first, so the stencil needs no clipping; a
-    centre so moved is evaluated too. From those 15 values per seed come
-    the gradient g and Hessian H, and from them the steps of _newton_steps,
-    one per rung of the ladder. The second call evaluates the trial points,
-    the stencil's centre plus each step, moved into the box, and a seed
-    moves to its best trial (the first on ties) if that is strictly lower
-    than its value.
+    start, and even says whether 2j is even. Each step makes two objective
+    calls for all the seeds still polishing.
 
-    A row whose value is at most stop is done: it is never polished if its
-    start is, and leaves after the step that brings it there. Any other
-    row stops after a step that does not lower it, or lowers it by less
-    than a relative 1e-13, when its stencil gives a derivative that is not
-    finite or a Hessian that is all zero, and after _MAX_STEPS steps. Each
-    rule reads a row's own values only, and its arithmetic is that of a
-    search on its own.
-    -> (x, best): the polished points and their objective values.
+    Stencil. The first call evaluates _STENCIL around each seed: the
+    centre, +-h along each of the four angles and +h along each pair of
+    angles, h = _STEP, its cats paired from six offsets per component
+    (_stencil_pairs). The centre is the seed's own point, whose value the
+    seed holds, so 14 cats per seed are evaluated, 15 where the odd-2j
+    face below moved the centre. _derivatives turns the 15 values into the
+    gradient g and the Hessian H.
+
+    Damping ladder. _newton_steps gives the steps d(lam) = -(H + lam s I)^-1
+    g for each lam of _DAMPING, s the largest eigenvalue magnitude of H,
+    with each eigenvalue of H + lam s I floored at _EIG_FLOOR s, so that
+    every step minimises a positive definite model and a direction of
+    negative or vanishing curvature takes the longest steps. The second
+    call evaluates the trial points, the stencil's centre plus each step,
+    and a seed moves to its best trial (the first on ties) if that is
+    strictly lower than its value.
+
+    Stop rules. A row whose value is at most stop is done: it is never
+    polished if its start is, and leaves after the step that brings it
+    there. Any other row stops after a step that does not lower it, or
+    lowers it by less than a relative 1e-13; when its stencil gives a
+    derivative that is not finite or a Hessian that is all zero; and after
+    _MAX_STEPS steps. Each rule reads a row's own values only, and its
+    arithmetic is that of a search on its own, so the search is
+    deterministic.
+
+    Angle ranges. Every stencil and trial point is moved into the kernel's
+    box by _wrapped: phi is periodic, and below theta = 0, and above pi at
+    even 2j, a point is reflected onto the same coherent state. At odd 2j the reflection at
+    theta = pi flips the sign of one component, a different cat, so a
+    centre with a theta above pi - h is lowered to pi - h first, which
+    keeps its stencil inside, and trial points are clipped to pi.
     """
     x = np.array(starts, dtype=float)
     best = np.array(values, dtype=float)
@@ -617,21 +597,16 @@ def _merged(x: np.ndarray, values: np.ndarray) -> list[int]:
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    The MAX_SEEDS-point seed grid is one kernel call on 72 component
-    points and the 1,962 distinct pairs of them its cats use (see
-    _seed_grid), and the best spec.seeds points are polished together
-    from its values by damped Newton steps (see _polish), two kernel calls
-    per step for all the seeds still polishing. A seed whose bound is
-    within a relative 1e-12 of the target (or within the tolerance, if
-    that is smaller) is at the Heisenberg limit, which no pure state goes
-    below, and is polished no further: a grid point already there is
-    reported as it is.
-    The values the polish ends on decide acceptance, and accepted points
-    within _MERGE_RADIUS of each other in every angle (phi modulo
-    2 pi) are reported once, by the one with the smallest bound. Returns
+    The best spec.seeds points of the coarse grid (_seed_starts) are
+    polished by _polish, which stops a seed once its bound is at most
+    _stop_bound(spec). The values the polish ends on, those
+    cat_crb_batch gives at the polished points, bit for bit, decide
+    acceptance, crb <= target (1 + tolerance), and accepted points within
+    _MERGE_RADIUS of each other in every angle (phi modulo 2 pi) are
+    reported once, by the one with the smallest bound. Returns the
     accepted points sorted by (crb, theta1, theta2, phi1, phi2); raises
-    NoHlFoundError when no polished seed reaches the target within the
-    acceptance slack, and TypeError for a spec of another type.
+    NoHlFoundError when no polished seed is accepted, and TypeError for a
+    spec of another type.
     """
     instance(spec, HlSearchSpec, "spec")
     objective = functools.partial(_objective, spec.j, spec.generator)

@@ -96,6 +96,26 @@ def test_config_supplies_defaults_flags_win(capsys, tmp_path):
     assert out_b != out_a
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    text = "j = 1\ngenerator = z\ntheta1 = 0.25pi\ntheta2 = 0.75pi\nphi1 = 0.75pi\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code_a, out_a, _ = run(capsys, "crb", "--config", str(plain))
+    code_b, out_b, err_b = run(capsys, "crb", "--config", str(marked))
+    assert code_a == code_b == 0, err_b
+    assert out_a.encode() == out_b.encode()
+
+
+def test_a_config_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    # an undecodable byte used to end the run with a UnicodeDecodeError traceback
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"j = 1\ngenerator = z # \xe9\n")
+    code, out, err = run(capsys, "crb", "--config", str(cfg), "--theta1", "0", "--theta2", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}: not UTF-8 text\n"
+
+
 def test_config_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("j = 1\ngenerator = z\ntheta1 = 0\ntheta2 = 0\nresolution = 5\n")

@@ -10,6 +10,7 @@ operator.index() takes but a bool; object arguments an instance of their
 class; the angle arrays of the kernels ints or floats, and the amplitudes
 of a DickeVector ints, floats or complex numbers.
 """
+import inspect
 import math
 import re
 import warnings
@@ -17,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+import spincat
 from spincat import (
     CatParams,
     ClosedFormCase,
@@ -38,10 +40,8 @@ from spincat import (
     crb_from_qfi,
     crb_half_x,
     crb_half_z,
-    dicke_to_fock,
     evolve,
     find_hl,
-    fock_to_dicke,
     grid_scan,
     normalization,
     qfi_fidelity_oracle,
@@ -71,8 +71,6 @@ ROWS = [
      {"j": "object", "amplitudes": "amplitudes"}),
     ("DickeVector.inner", STATE.inner, {"other": STATE}, {"other": "object"}),
     ("build_operators", build_operators, {"j": J}, {"j": "object"}),
-    ("dicke_to_fock", dicke_to_fock, {"j": J, "m": 0.0}, {"j": "object", "m": "real*"}),
-    ("fock_to_dicke", fock_to_dicke, {"na": 1, "nb": 1}, {"na": "integer", "nb": "integer"}),
     ("CoherentParams", CoherentParams, {"theta": 0.4, "phi": 0.3},
      {"theta": "theta", "phi": "real"}),
     ("coherent_state", coherent_state, {"j": J, "p": CAT.p1}, {"j": "object", "p": "object"}),
@@ -162,14 +160,16 @@ def test_every_row_runs_on_its_valid_arguments():
     [
         (lambda: CoherentParams("0.5", "0.3"), lambda: CoherentParams(0.5, 0.3)),
         (lambda: SpinJ.from_j("1"), lambda: SpinJ(2)),
-        (lambda: dicke_to_fock(J, "1"), lambda: (2, 0)),
         (lambda: crb_from_qfi("0.5"), lambda: crb_from_qfi(0.5)),
         (lambda: evolve(STATE, G, "0.5").amplitudes.tobytes(),
          lambda: evolve(STATE, G, 0.5).amplitudes.tobytes()),
         (lambda: qfi_fidelity_oracle(STATE, G, "1e-3"), lambda: qfi_fidelity_oracle(STATE, G, 1e-3)),
         (lambda: SpinJ(np.int64(2)), lambda: SpinJ(2)),
         (lambda: type(SpinJ(np.int64(2)).two_j), lambda: int),
-        (lambda: fock_to_dicke(np.int64(1), np.uint8(1)), lambda: (J, 0.0)),
+        (lambda: SpinJ(np.uint8(2)), lambda: SpinJ(2)),
+        (lambda: type(SpinJ(np.uint8(2)).two_j), lambda: int),
+        (lambda: SpinJ(np.int32(2)), lambda: SpinJ(2)),
+        (lambda: type(SpinJ(np.int32(2)).two_j), lambda: int),
         (lambda: CoherentParams(np.float32(0.5), 0.3), lambda: CoherentParams(0.5, 0.3)),
         (lambda: type(CoherentParams(np.float32(0.5), 0.3).theta), lambda: float),
         (lambda: crb_half_z(np.float32(0.5), 1, "0.2", 0), lambda: crb_half_z(0.5, 1.0, 0.2, 0.0)),
@@ -179,11 +179,24 @@ def test_every_row_runs_on_its_valid_arguments():
          lambda: DickeVector(J, [0.0, 1.0, 0.0]).amplitudes.tobytes()),
     ],
     ids=[
-        "CoherentParams-str", "from_j-str", "dicke_to_fock-str", "crb_from_qfi-str",
+        "CoherentParams-str", "from_j-str", "crb_from_qfi-str",
         "evolve-str", "qfi_fidelity_oracle-str", "SpinJ-int64", "SpinJ-int64-stores-int",
-        "fock_to_dicke-numpy-ints", "CoherentParams-float32", "CoherentParams-float32-stores-float",
+        "SpinJ-uint8", "SpinJ-uint8-stores-int", "SpinJ-int32", "SpinJ-int32-stores-int",
+        "CoherentParams-float32", "CoherentParams-float32-stores-float",
         "crb_half_z-mixed", "cat_crb_batch-int-arrays", "DickeVector-int-amplitudes",
     ],
 )
 def test_each_rule_takes_its_valid_kinds(got, want):
     assert got() == want()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in spincat.__all__ if inspect.isclass(getattr(spincat, n)) or inspect.isfunction(getattr(spincat, n))],
+)
+def test_every_public_class_and_function_has_a_docstring_of_its_own(name):
+    # a class's own __doc__, not one inherited or the Name(...) signature a
+    # dataclass writes when it has none
+    obj = getattr(spincat, name)
+    doc = obj.__dict__.get("__doc__") if inspect.isclass(obj) else obj.__doc__
+    assert doc and doc.strip() and not doc.startswith(f"{name}("), doc

@@ -4,10 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from spincat import DickeVector, SpinJ, build_operators, dicke_to_fock, fock_to_dicke
+from spincat import DickeVector, SpinJ, build_operators
 
 
 def test_spin_half_matrices_are_half_paulis():
@@ -51,67 +49,18 @@ def test_operator_arrays_are_frozen():
         assert not arr.flags.writeable
 
 
-@given(st.integers(min_value=1, max_value=64), st.data())
-def test_fock_round_trip(two_j, data):
-    j = SpinJ(two_j)
-    k = data.draw(st.integers(min_value=0, max_value=two_j))
-    m = k - j.j
-    na, nb = dicke_to_fock(j, m)
-    assert (na, nb) == (k, two_j - k)
-    j_back, m_back = fock_to_dicke(na, nb)
-    assert j_back == j
-    assert m_back == m
-
-
-def test_fock_map_examples():
-    assert dicke_to_fock(SpinJ(1), 0.5) == (1, 0)
-    assert dicke_to_fock(SpinJ(2), -1.0) == (0, 2)
-    assert fock_to_dicke(1, 0) == (SpinJ(1), 0.5)
-    assert fock_to_dicke(0, 2) == (SpinJ(2), -1.0)
-
-
-
-@pytest.mark.parametrize(
-    "m", [math.inf, -math.inf, math.nan, np.float64(math.inf)], ids=["inf", "-inf", "nan", "np.inf"]
-)
-def test_dicke_to_fock_rejects_a_non_finite_m(m):
-    # inf used to raise OverflowError, and nan a message about int conversion
-    with pytest.raises(ValueError, match=r"^m must be finite, got "):
-        dicke_to_fock(SpinJ(2), m)
-
-
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
-def test_dicke_to_fock_refuses_bools(flag):
-    # True used to be read as m = 1
-    with pytest.raises(ValueError, match="m must be a number, not a bool"):
-        dicke_to_fock(SpinJ(2), flag)
-
-
-@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
-@pytest.mark.parametrize("position", [0, 1])
-def test_fock_to_dicke_refuses_bools(flag, position):
-    # fock_to_dicke(True, False) used to give (SpinJ(1), 0.5)
-    args = [1, 1]
-    args[position] = flag
-    name = ("na", "nb")[position]
-    with pytest.raises(TypeError, match=rf"^{name} must be an int, not a bool, got "):
-        fock_to_dicke(*args)
+def test_spin_refuses_bools(flag):
+    # True would otherwise be read as two_j = 1
+    with pytest.raises(TypeError, match=r"^two_j must be an int, not a bool, got "):
+        SpinJ(flag)
 
 
 @pytest.mark.parametrize("value", [3.0, 1.5, "3", None], ids=["3.0", "1.5", "str", "None"])
-@pytest.mark.parametrize("position", [0, 1])
-def test_fock_to_dicke_names_a_non_integer_argument(value, position):
-    # a float used to fail inside SpinJ as "two_j must be an int"
-    args = [1, 1]
-    args[position] = value
-    name = ("na", "nb")[position]
-    with pytest.raises(TypeError, match=rf"^{name} must be an int, got {re.escape(repr(value))}$"):
-        fock_to_dicke(*args)
+def test_spin_names_a_non_integer_two_j(value):
+    with pytest.raises(TypeError, match=rf"^two_j must be an int, got {re.escape(repr(value))}$"):
+        SpinJ(value)
 
-
-def test_fock_to_dicke_takes_numpy_integers():
-    assert fock_to_dicke(np.int64(2), np.uint8(1)) == (SpinJ(3), 0.5)
-    assert type(fock_to_dicke(np.int32(1), np.int32(1))[0].two_j) is int
 
 def test_rejects_invalid_spins_and_weights():
     with pytest.raises(ValueError):
@@ -120,12 +69,6 @@ def test_rejects_invalid_spins_and_weights():
         SpinJ(65)
     with pytest.raises(ValueError):
         SpinJ.from_j(0.3)
-    with pytest.raises(ValueError):
-        dicke_to_fock(SpinJ(2), 0.5)  # wrong m parity for integer spin
-    with pytest.raises(ValueError):
-        dicke_to_fock(SpinJ(2), 2.0)  # |m| > j
-    with pytest.raises(ValueError):
-        fock_to_dicke(-1, 2)
 
 
 def test_spin_properties():
