@@ -47,6 +47,7 @@ class CatParams:
         instance(self.p2, CoherentParams, "p2")
 
     def swapped(self) -> "CatParams":
+        """The same cat with its components in the other order."""
         return CatParams(self.j, self.p2, self.p1)
 
 

@@ -51,10 +51,12 @@ class SpinJ:
 
     @property
     def j(self) -> float:
+        """The spin j itself, two_j / 2."""
         return self.two_j / 2
 
     @property
     def dim(self) -> int:
+        """Dimension 2j + 1 of the irrep."""
         return self.two_j + 1
 
     def m_values(self) -> np.ndarray:
@@ -93,6 +95,7 @@ class DickeVector:
 
     @property
     def dim(self) -> int:
+        """Number of amplitudes, 2j + 1."""
         return self.j.dim
 
     def inner(self, other: "DickeVector") -> complex:

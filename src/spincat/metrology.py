@@ -82,6 +82,7 @@ class Generator(enum.Enum):
     Z = "z"
 
     def matrix(self, j: SpinJ) -> np.ndarray:
+        """The read-only dense matrix of this generator at spin j."""
         return getattr(build_operators(j), "j" + self.value)
 
 
@@ -94,6 +95,7 @@ class CrbResult:
 
     @property
     def divergent(self) -> bool:
+        """Whether crb is inf, the qfi at or below QFI_DIVERGENCE_FLOOR."""
         return math.isinf(self.crb)
 
 

@@ -123,6 +123,7 @@ class ScanSpec:
         object.__setattr__(self, "cap", check_cap(self.cap))
 
     def theta_axis(self) -> np.ndarray:
+        """resolution evenly spaced theta values from 0 to pi, both ends in."""
         return _axis(0.0, math.pi, self.resolution)
 
 
@@ -269,6 +270,7 @@ class HlSearchSpec:
 
     @property
     def target(self) -> float:
+        """The Heisenberg limit 1/(2j) the search compares bounds with."""
         return 1.0 / (2.0 * self.j.j)
 
 

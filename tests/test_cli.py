@@ -96,22 +96,33 @@ def test_config_supplies_defaults_flags_win(capsys, tmp_path):
     assert out_b != out_a
 
 
-def test_config_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
-    text = "j = 1\ngenerator = z\ntheta1 = 0.25pi\ntheta2 = 0.75pi\nphi1 = 0.75pi\n"
+# one small config per subcommand, since each reads its file the same way
+_CONFIGS = {
+    "crb": "j = 1\ngenerator = z\ntheta1 = 0.25pi\ntheta2 = 0.75pi\nphi1 = 0.75pi\n",
+    "scan": "j = 0.5\ngenerator = x\nphi2 = pi\nres = 5\n",
+    "verify": "family = half_z_equator\nres = 5\n",
+    "find-hl": "j = 0.5\ngenerator = z\nseeds = 2\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_CONFIGS))
+def test_config_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, command):
+    text = _CONFIGS[command]
     plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
     plain.write_bytes(text.encode("utf-8"))
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-    code_a, out_a, _ = run(capsys, "crb", "--config", str(plain))
-    code_b, out_b, err_b = run(capsys, "crb", "--config", str(marked))
+    code_a, out_a, _ = run(capsys, command, "--config", str(plain))
+    code_b, out_b, err_b = run(capsys, command, "--config", str(marked))
     assert code_a == code_b == 0, err_b
     assert out_a.encode() == out_b.encode()
 
 
-def test_a_config_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("command", list(_CONFIGS))
+def test_a_config_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, command):
     # an undecodable byte used to end the run with a UnicodeDecodeError traceback
     cfg = tmp_path / "latin1.cfg"
-    cfg.write_bytes(b"j = 1\ngenerator = z # \xe9\n")
-    code, out, err = run(capsys, "crb", "--config", str(cfg), "--theta1", "0", "--theta2", "1")
+    cfg.write_bytes(_CONFIGS[command].encode("utf-8") + b"# \xe9\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err == f"error: {cfg}: not UTF-8 text\n"
 

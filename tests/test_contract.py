@@ -200,3 +200,19 @@ def test_every_public_class_and_function_has_a_docstring_of_its_own(name):
     obj = getattr(spincat, name)
     doc = obj.__dict__.get("__doc__") if inspect.isclass(obj) else obj.__doc__
     assert doc and doc.strip() and not doc.startswith(f"{name}("), doc
+
+
+# the public methods and properties of the public classes, whose contracts
+# the README leaves to their docstrings
+MEMBERS = [
+    (f"{n}.{k}", v.fget if isinstance(v, property) else getattr(v, "__func__", v))
+    for n in spincat.__all__
+    if inspect.isclass(cls := getattr(spincat, n))
+    for k, v in vars(cls).items()
+    if not k.startswith("_") and (isinstance(v, property) or callable(getattr(v, "__func__", v)))
+]
+
+
+@pytest.mark.parametrize("name,member", MEMBERS, ids=[name for name, _ in MEMBERS])
+def test_every_public_method_and_property_has_a_docstring(name, member):
+    assert member.__doc__ and member.__doc__.strip(), name

@@ -62,6 +62,14 @@ def test_spin_names_a_non_integer_two_j(value):
         SpinJ(value)
 
 
+@pytest.mark.parametrize(
+    "two_j", [0, -1, 65, 2**63, np.uint64(2**64 - 1)], ids=["0", "-1", "65", "2**63", "uint64-max"]
+)
+def test_spin_names_a_two_j_out_of_range(two_j):
+    with pytest.raises(ValueError, match=rf"^two_j must lie in \[1, 64\], got {int(two_j)}$"):
+        SpinJ(two_j)
+
+
 def test_rejects_invalid_spins_and_weights():
     with pytest.raises(ValueError):
         SpinJ(0)
