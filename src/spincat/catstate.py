@@ -46,10 +46,6 @@ class CatParams:
         instance(self.p1, CoherentParams, "p1")
         instance(self.p2, CoherentParams, "p2")
 
-    def swapped(self) -> "CatParams":
-        """The same cat with its components in the other order."""
-        return CatParams(self.j, self.p2, self.p1)
-
 
 def _summed_amplitudes(c: CatParams) -> np.ndarray:
     # both components expanded in one (2, d) call, then v1 + v2

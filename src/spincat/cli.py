@@ -113,22 +113,12 @@ _parse_family = _converter(
 )
 _parse_int = _converter(int, "invalid integer {text!r}")
 _parse_float = _converter(float, "invalid number {text!r}")
-
-
-def _parse_format(text: str) -> str:
-    fmt = text.strip().lower()
-    if fmt not in ("text", "json"):
-        raise _UsageError(f"format must be text or json, got {text!r}")
-    return fmt
-
-
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise _UsageError(f"invalid boolean {text!r}")
+_FORMATS = {"text": "text", "json": "json"}
+_parse_format = _converter(
+    lambda text: _FORMATS[text.strip().lower()], "format must be text or json, got {text!r}"
+)
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+_parse_bool = _converter(lambda text: _BOOLS[text.strip().lower()], "invalid boolean {text!r}")
 
 
 # marks an option that has no default and must be given
@@ -231,7 +221,10 @@ def _load_config(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise _UsageError(f"{path}:{lineno}: expected key=value")
-        entries[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key in entries:
+            raise _UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 

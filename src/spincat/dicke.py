@@ -93,11 +93,6 @@ class DickeVector:
             self, "amplitudes", _as_unit_amplitudes(self.j.dim, self.amplitudes)
         )
 
-    @property
-    def dim(self) -> int:
-        """Number of amplitudes, 2j + 1."""
-        return self.j.dim
-
     def inner(self, other: "DickeVector") -> complex:
         """<self|other> in the shared Dicke basis; other must be a
         DickeVector."""
@@ -123,21 +118,15 @@ def build_operators(j: SpinJ) -> SpinOperators:
 
     J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>, so in ascending-m storage the
     raising entries sit at [k+1, k]. Jz is diagonal with entries m. A j of
-    another type raises TypeError; the check runs only when the cache misses
-    or cannot hash j.
+    another type raises TypeError.
     """
-    try:
-        return _operators(j)
-    except TypeError:
-        # the cache refuses an unhashable j before the check can name it
-        instance(j, SpinJ, "j")
-        raise
+    return _operators(instance(j, SpinJ, "j"))
 
 
 @functools.lru_cache(maxsize=None)
 def _operators(j: SpinJ) -> SpinOperators:
     # build_operators, once per spin
-    jj = instance(j, SpinJ, "j").j
+    jj = j.j
     d = j.dim
     m = j.m_values()
     # coefficients sqrt(j(j+1) - m(m+1)) for m = -j .. j-1

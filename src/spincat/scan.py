@@ -142,12 +142,6 @@ class GridResult:
     overflow: np.ndarray
     degenerate: np.ndarray
 
-    def capped(self) -> np.ndarray:
-        """values with overflow cells clamped to spec.cap (nan kept)."""
-        out = self.values.copy()
-        out[self.overflow] = self.spec.cap
-        return out
-
     def min_point(self) -> tuple[float, float, float]:
         """(crb, theta1, theta2) of the smallest defined cell, row-major ties."""
         masked = np.where(self.degenerate, np.inf, self.values)
@@ -325,21 +319,16 @@ _LIMIT_SLACK = 1e-12
 _MERGE_RADIUS = 10 * math.sqrt(_LIMIT_SLACK)
 
 
-def _objective(j: SpinJ, g: Generator, points: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
+def _objective(j: SpinJ, g: Generator, points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Bound at each cat, inf where the cat is degenerate, so the search
     steps away from it.
 
-    points is an (n, 4) array of cats (theta1, theta2, phi1, phi2), which
-    cat_crb_batch evaluates; or, given pairs, an (m, 2) table of component
-    points (theta, phi), and the cat of each row of the (n, 2) integer
-    array pairs is the two points it names, which _cat_crb_pairs evaluates
-    with the table expanded once. Both give the same bits. Angles outside
-    the CoherentParams domain raise ValueError.
+    points is an (m, 2) table of component points (theta, phi), and the
+    cat of each row of the (n, 2) integer array pairs is the two points it
+    names, which _cat_crb_pairs evaluates with the table expanded once.
+    Angles outside the CoherentParams domain raise ValueError.
     """
-    if pairs is None:
-        _, crb, degenerate = cat_crb_batch(j, g, *points.T)
-    else:
-        _, crb, degenerate = _cat_crb_pairs(j, g, points[:, 0], points[:, 1], pairs[:, 0], pairs[:, 1])
+    _, crb, degenerate = _cat_crb_pairs(j, g, points[:, 0], points[:, 1], pairs[:, 0], pairs[:, 1])
     return np.where(degenerate, math.inf, crb)
 
 
@@ -534,13 +523,9 @@ def _seed_grid() -> tuple[np.ndarray, ...]:
     points = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
     index = np.arange(len(points)).reshape(9, 8)
     a, b = (c.reshape(-1) for c in np.broadcast_arrays(index[:, None, :4, None], index[None, :, None, :]))
-    # each pair in the order (lower index, higher); the pairs used are
-    # numbered in row-major order of that table, without a sort
+    # each pair in the order (lower index, higher), numbered in sorted order
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    used = np.zeros((len(points), len(points)), dtype=bool)
-    used[lo, hi] = True
-    pairs = np.argwhere(used)
-    cats = (np.cumsum(used) - 1).reshape(used.shape)[lo, hi]
+    pairs, cats = np.unique(np.stack([lo, hi], axis=1), axis=0, return_inverse=True)
     grid = points[np.stack([a, b], axis=1)].transpose(0, 2, 1).reshape(-1, 4)
     for arr in (points, pairs, cats, grid):
         arr.flags.writeable = False

@@ -24,7 +24,6 @@ from spincat.scan import (
     _MERGE_RADIUS,
     _STEP,
     HlPoint,
-    _objective,
     check_resolution,
 )
 
@@ -158,9 +157,17 @@ def _seed_starts(f, seeds):
     return [r[1:] for r in ranked[:seeds]]
 
 
+def cat_objective(j, gen, cats):
+    """find_hl's objective on an (n, 4) array of cats (theta1, theta2,
+    phi1, phi2): the bound of each through cat_crb_batch, inf where the
+    cat is degenerate."""
+    _, crb, degenerate = cat_crb_batch(j, gen, *np.asarray(cats, dtype=float).T)
+    return np.where(degenerate, math.inf, crb)
+
+
 def _one_point_objective(spec):
     def objective(x):
-        return float(_objective(spec.j, spec.generator, np.array([x]))[0])
+        return float(cat_objective(spec.j, spec.generator, [x])[0])
 
     return objective
 

@@ -135,6 +135,37 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "resolution" in err
 
 
+def test_a_config_key_given_twice_is_a_usage_error(capsys, tmp_path):
+    # keys are compared as the loader normalises them, so J repeats j
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("j = 1\ngenerator = z\nJ = 0.5\n")
+    code, out, err = run(capsys, "find-hl", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}:3: duplicate key 'j'\n"
+
+
+@pytest.mark.parametrize(
+    "word,theta1",
+    [("1", "0.25pi"), ("TRUE", "0.25pi"), ("yes", "0.25pi"), ("On", "0.25pi"),
+     ("0", "0.25"), ("false", "0.25"), ("NO", "0.25"), ("off", "0.25")],
+)
+def test_config_on_off_words(capsys, tmp_path, word, theta1):
+    cfg = tmp_path / "units.cfg"
+    cfg.write_text(f"pi-units = {word}\n")
+    argv = ("crb", "--j", "1", "--gen", "z", "--theta2", "0.75pi")
+    got = run(capsys, *argv, "--theta1", "0.25", "--config", str(cfg))
+    assert got == run(capsys, *argv, "--theta1", theta1)
+    assert got[0] == 0
+
+
+def test_a_config_on_off_value_that_is_no_word_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "units.cfg"
+    cfg.write_text("pi_units = maybe\n")
+    code, out, err = run(capsys, "crb", "--j", "1", "--gen", "z", "--theta1", "0", "--theta2", "1",
+                         "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: invalid boolean 'maybe'\n")
+
+
 def test_config_missing_file_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "crb", "--config", str(tmp_path / "nope.cfg"))
     assert code == 4

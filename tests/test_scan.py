@@ -31,7 +31,7 @@ from spincat import (
     grid_scan,
 )
 
-from support import reference_csv, sequential_find_hl, sequential_polish
+from support import cat_objective, reference_csv, sequential_find_hl, sequential_polish
 
 HALF = SpinJ(1)
 PI = math.pi
@@ -71,19 +71,23 @@ def test_degenerate_cells_are_masked_not_capped():
     assert np.isnan(g.values[4, 4])
     assert not g.overflow[4, 4]
     assert g.degenerate.sum() == 1
+    assert csv_text(g).splitlines()[1 + 5 * 4 + 4].split(",")[2:] == ["nan", "0", "1"]
 
 
-def test_overflow_cells_keep_raw_inf_and_cap_on_demand():
+def test_overflow_cells_keep_raw_inf_and_the_csv_writes_the_cap():
     g = grid_scan(spec())  # phi1 == phi2 == 0: diagonal is a single state
     assert math.isinf(g.values[0, 0])
     assert g.overflow[0, 0]
     assert not g.degenerate.any()
-    capped = g.capped()
-    assert capped[0, 0] == 20.0
+    assert np.array_equal(g.overflow, g.values > 20.0)
     # poles are N00N states: the bound is exactly 1/(2j) = 1
     assert g.values[0, 4] == pytest.approx(1.0, abs=1e-12)
+    # the CSV row of each overflow cell carries the cap
+    rows = csv_text(g).splitlines()[1:]
+    for i, k in zip(*np.nonzero(g.overflow)):
+        assert rows[5 * i + k].split(",")[2:] == ["20", "1", "0"]
     with pytest.raises(ValueError):
-        g.values[0, 0] = 5.0  # stored grid is frozen; capped() hands out a copy
+        g.values[0, 0] = 5.0  # stored grid is frozen
 
 
 def test_min_point_ignores_masked_cells():
@@ -249,9 +253,10 @@ def test_find_hl_reports_failure(monkeypatch):
 def test_search_objective_rejects_bad_theta(theta):
     import spincat.scan as scan_mod
 
-    points = np.array([[0.5, 1.0, 0.0, 0.0], [theta, 1.0, 0.0, 0.0]])
+    # the table's third point is bad, and the second cat names it
+    points = np.array([[0.5, 0.0], [1.0, 0.0], [theta, 0.0]])
     with pytest.raises(ValueError, match="theta"):
-        scan_mod._objective(HALF, Generator.Z, points)
+        scan_mod._objective(HALF, Generator.Z, points, np.array([[0, 1], [2, 1]]))
 
 
 _BOWL = np.array([[3.0, 1.0, 0.0, 0.5], [1.0, 2.0, 0.3, 0.0], [0.0, 0.3, 1.0, 0.2], [0.5, 0.0, 0.2, 4.0]])
@@ -360,7 +365,7 @@ def test_a_seed_at_the_poles_is_stepped_inside_the_kernel_domain(monkeypatch, tw
 
     monkeypatch.setattr(scan_mod, "_MAX_STEPS", 1)
     start = np.array([[thetas[0], thetas[1], 0.7, 5.9]])
-    scan_mod._polish(objective, start, scan_mod._objective(j, Generator.X, start), 0.0, even)
+    scan_mod._polish(objective, start, cat_objective(j, Generator.X, start), 0.0, even)
     (stencil, pairs), (trials, trial_pairs) = calls
     centre = start[0].copy()
     if not even:
@@ -404,14 +409,14 @@ def test_only_a_centre_the_odd_2j_clip_moved_is_evaluated(monkeypatch, two_j):
     monkeypatch.setattr(scan_mod, "_derivatives", derivatives)
     monkeypatch.setattr(scan_mod, "_MAX_STEPS", 1)
     start = np.array([[PI, 1.1, 0.3, 2.0], [0.4, 1.1, 0.3, 2.0]])
-    values = scan_mod._objective(j, Generator.Y, start)
+    values = cat_objective(j, Generator.Y, start)
     scan_mod._polish(objective, start, values, 0.0, False)
     cats = calls[0]
     assert len(cats) == 2 * 14 + 1
     moved = np.array([PI - h, 1.1, 0.3, 2.0])
     assert cats[-1].tolist() == moved.tolist()
     f = stencils[0]
-    assert f[0, 0] == scan_mod._objective(j, Generator.Y, moved[None, :])[0] != values[0]
+    assert f[0, 0] == cat_objective(j, Generator.Y, moved[None, :])[0] != values[0]
     assert f[1, 0] == values[1]
 
 
@@ -423,8 +428,8 @@ def test_search_objective_is_inf_where_the_cat_is_degenerate(two_j, gen):
     # meets such a cat
     import spincat.scan as scan_mod
 
-    points = np.array([[PI, PI, 0.0, PI / two_j], [0.5, 1.0, 0.0, 0.0]])
-    values = scan_mod._objective(SpinJ(two_j), gen, points)
+    points = np.array([[PI, 0.0], [PI, PI / two_j], [0.5, 0.0], [1.0, 0.0]])
+    values = scan_mod._objective(SpinJ(two_j), gen, points, np.array([[0, 1], [2, 3]]))
     assert math.isinf(values[0]) and math.isfinite(values[1])
 
 
@@ -563,7 +568,7 @@ def test_seed_grid_pairs_give_the_flat_grid_values(two_j, gen):
 
     starts, values = scan_mod._seed_starts(objective, MAX_SEEDS)
     assert seen == [(72, 1962)]
-    flat = scan_mod._objective(j, gen, grid)
+    flat = cat_objective(j, gen, grid)
     finite = np.isfinite(flat)
     order = np.lexsort((*grid[finite].T[::-1], flat[finite]))
     assert starts.tobytes() == grid[finite][order].tobytes()
@@ -704,7 +709,7 @@ def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
     stop = scan_mod._stop_bound(HlSearchSpec(j, g))
     starts, values = scan_mod._seed_starts(objective, 16)
     xs, best = scan_mod._polish(objective, starts, values, stop, two_j % 2 == 0)
-    assert objective(xs).tobytes() == best.tobytes()
+    assert cat_objective(j, g, xs).tobytes() == best.tobytes()
 
 
 def test_find_hl_kernel_traffic(monkeypatch):
