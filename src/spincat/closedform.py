@@ -119,14 +119,14 @@ def _inverse_root(q: float) -> float:
     return math.inf if q <= QFI_DIVERGENCE_FLOOR else _extended(1.0 / math.sqrt(q))
 
 
-def _checked(theta1, theta2, phi1, phi2) -> tuple[float, float, float, float]:
-    """The four cat angles as floats, each checked by its own name."""
-    return (
-        check_theta(theta1, "theta1"),
-        check_theta(theta2, "theta2"),
-        real(phi1, "phi1"),
-        real(phi2, "phi2"),
-    )
+def _checked(free_params, values) -> list[float]:
+    """values, one per (name, lo, hi) of free_params and in its order, as
+    floats, each checked under its own name: a theta, a parameter over
+    [0, pi], by check_theta, and any other by real."""
+    return [
+        (check_theta if (lo, hi) == _THETA_DOMAIN else real)(value, name)
+        for (name, lo, hi), value in zip(free_params, values)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def crb_half_z(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
     identity that avoids cancellation near the dphi = pi diagonal. Each
     angle is checked as closed_form checks it; a bad one raises ValueError.
     """
-    return _half_z(*_checked(theta1, theta2, phi1, phi2))
+    return _half_z(*_checked(_CAT_ANGLES, (theta1, theta2, phi1, phi2)))
 
 
 def _half_z(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
@@ -175,10 +175,6 @@ def _half_z_phihalf(theta1: float, theta2: float) -> float:
     return _sqrt_ratio(num, den)
 
 
-def _half_z_phipi(theta1: float, theta2: float) -> float:
-    return _ratio(1.0, abs(math.sin((theta1 - theta2) / 2)))
-
-
 def _half_z_equator(phi_diff: float) -> float:
     return _ratio(3.0 + math.cos(phi_diff), 4.0 * abs(math.cos(phi_diff / 2)))
 
@@ -196,7 +192,7 @@ def crb_half_x(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
     exactly on cos(phi1) s1 + cos(phi2) s2 = 0. Each angle is checked as
     closed_form checks it; a bad one raises ValueError.
     """
-    return _half_x(*_checked(theta1, theta2, phi1, phi2))
+    return _half_x(*_checked(_CAT_ANGLES, (theta1, theta2, phi1, phi2)))
 
 
 def _half_x(theta1: float, theta2: float, phi1: float, phi2: float) -> float:
@@ -221,8 +217,8 @@ def _half_x_equator(phi1: float, phi2: float) -> float:
     return _inverse_root(1.0 - ratio)
 
 
-def _inv_abs_cos(x: float) -> float:
-    return _ratio(1.0, abs(math.cos(x)))
+def _half_x_phi_00(theta1: float, theta2: float) -> float:
+    return _ratio(1.0, abs(math.cos((theta1 + theta2) / 2)))
 
 
 def _half_x_phi_0pi(theta1: float, theta2: float) -> float:
@@ -231,7 +227,7 @@ def _half_x_phi_0pi(theta1: float, theta2: float) -> float:
     # so the degenerate corner must be flagged the way the engine flags it
     if 2.0 + 2.0 * math.cos((theta1 + theta2) / 2) <= DEGENERACY_FLOOR:
         return math.inf
-    return _inv_abs_cos((theta1 - theta2) / 2)
+    return _half_x_phi_00(theta1, -theta2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +248,6 @@ def _one_z_phihalf(theta1: float, theta2: float) -> float:
     b = math.cos(2 * theta1) + math.cos(2 * theta2) - 8.0 * ct1 * ct2 + 6.0
     c = 4.0 * (ct1 * ct2 - 1.0) ** 2
     return _sqrt_ratio(a * a, a * b - c)
-
-
-def _one_z_phipi(theta1: float, theta2: float) -> float:
-    # theta2 -> -theta2 image of the phi = 0 family
-    a = math.cos(3 * theta1 + theta2) + math.cos(theta1 + 3 * theta2)
-    b = math.cos(2 * theta1) + math.cos(2 * theta2)
-    c = math.cos(2 * (theta1 + theta2))
-    d = math.cos(theta1 - theta2)
-    num = 2.0 * (math.cos(theta1 + theta2) + 3.0) ** 2
-    return _sqrt_ratio(num, a - 8.0 * b + 2.0 * c - 18.0 * d + 30.0)
 
 
 def _one_z_phi0_mirror(theta1: float) -> float:
@@ -324,7 +310,12 @@ class FamilyDefinition:
 
 _T1 = ("theta1",) + _THETA_DOMAIN
 _T2 = ("theta2",) + _THETA_DOMAIN
+# the parameters of crb_half_z and crb_half_x
+_CAT_ANGLES = (_T1, _T2, ("phi1",) + _PHI_DOMAIN, ("phi2",) + _PHI_DOMAIN)
 
+# a phi = pi row calls its phi = 0 form at theta2 -> -theta2, as the state at
+# (-theta, phi) is that at (theta, phi + pi); a - (-b) = a + b, even cos and odd
+# sin keep the bits. The theta2 = 0 row calls it too, as phi2 is void there
 FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
     f.case: f
     for f in [
@@ -366,7 +357,7 @@ FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
             Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, PI),
-            lambda p: _half_z_phipi(p["theta1"], p["theta2"]),
+            lambda p: _half_z_phi0(p["theta1"], -p["theta2"]),
         ),
         FamilyDefinition(
             ClosedFormCase.HALF_Z_EQUATOR,
@@ -414,7 +405,7 @@ FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
             Generator.X,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, 0.0),
-            lambda p: _inv_abs_cos((p["theta1"] + p["theta2"]) / 2),
+            lambda p: _half_x_phi_00(p["theta1"], p["theta2"]),
         ),
         FamilyDefinition(
             ClosedFormCase.HALF_X_PHI_0PI,
@@ -430,7 +421,7 @@ FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
             Generator.X,
             (_T1,),
             lambda p: (p["theta1"], 0.0, 0.0, 3 * PI / 4),
-            lambda p: _inv_abs_cos(p["theta1"] / 2),
+            lambda p: _half_x_phi_00(p["theta1"], 0.0),
         ),
         FamilyDefinition(
             ClosedFormCase.HALF_X_PHI34_THETA1_ZERO,
@@ -486,7 +477,7 @@ FAMILIES: dict[ClosedFormCase, FamilyDefinition] = {
             Generator.Z,
             (_T1, _T2),
             lambda p: (p["theta1"], p["theta2"], 0.0, PI),
-            lambda p: _one_z_phipi(p["theta1"], p["theta2"]),
+            lambda p: _one_z_phi0(p["theta1"], -p["theta2"]),
         ),
         FamilyDefinition(
             ClosedFormCase.ONE_Z_PHIPI_EQUALTHETA,
@@ -521,19 +512,15 @@ def closed_form(case: ClosedFormCase, **params: float) -> float:
     anything else raises ValueError. A diverging bound is returned as +inf.
     """
     defn = FAMILIES[instance(case, ClosedFormCase, "case")]
-    names = {name for name, _, _ in defn.free_params}
-    missing = names - set(params)
-    extra = set(params) - names
+    names = [name for name, _, _ in defn.free_params]
+    missing = set(names) - set(params)
+    extra = set(params) - set(names)
     if missing or extra:
         raise ValueError(
             f"{case.value} takes parameters {sorted(names)}; "
             f"missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
-    checked = {}
-    for name, lo, hi in defn.free_params:
-        check = check_theta if (lo, hi) == _THETA_DOMAIN else real
-        checked[name] = check(params[name], name)
-    return defn.formula(checked)
+    return defn.formula(dict(zip(names, _checked(defn.free_params, map(params.get, names)))))
 
 
 def check_tol(tol, name: str = "tol") -> float:

@@ -271,19 +271,22 @@ def _qfi_chunk(bands: tuple[np.ndarray, ...], summed: np.ndarray):
     return _residual_qfi(bands, psi), degenerate
 
 
-def _evaluate(bands: tuple[np.ndarray, ...], step: int, n: int, v1, v2):
-    """-> (qfi, crb, degenerate) for n cats, in chunks of step cats.
+def _evaluate(bands: tuple[np.ndarray, ...], step: int, first, second):
+    """-> (qfi, crb, degenerate) for len(index) cats, in chunks of step cats.
 
-    v1(part) and v2(part) give the amplitudes of each component for the
-    cats in the slice part; the chunk's cat is v1 + v2. qfi and crb are nan
-    where the cat is degenerate, and crb is +inf where qfi is at or below
-    QFI_DIVERGENCE_FLOOR.
+    first and second are components (rows, index): rows is what _rows
+    returns, and index the flat integer array naming each cat's point, so
+    cat i is rows(index[i]) of first plus that of second. qfi and crb are
+    nan where the cat is degenerate, and crb is +inf where qfi is at or
+    below QFI_DIVERGENCE_FLOOR.
     """
+    (rows1, index1), (rows2, index2) = first, second
+    n = len(index1)
     qfi = np.empty(n)
     degenerate = np.empty(n, dtype=bool)
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        qfi[part], degenerate[part] = _qfi_chunk(bands, v1(part) + v2(part))
+        qfi[part], degenerate[part] = _qfi_chunk(bands, rows1(index1[part]) + rows2(index2[part]))
     np.copyto(qfi, math.nan, where=degenerate)
     crb = np.where(degenerate, math.nan, math.inf)
     np.divide(1.0, np.sqrt(qfi), out=crb, where=qfi > QFI_DIVERGENCE_FLOOR)
@@ -351,15 +354,13 @@ def cat_crb_batch(j: SpinJ, g: Generator, theta1, theta2, phi1, phi2):
     powers = _powers(j.two_j)
 
     def component(theta, phi):
-        # part -> the component's rows for the cats in the slice part; index
-        # maps each cat, in row-major order, to its point
+        # (rows, index): index maps each cat, in row-major order, to its point
         points = np.broadcast(theta, phi).shape
         rows = _rows(powers, theta, phi)
-        index = np.broadcast_to(np.arange(math.prod(points)).reshape(points), shape).ravel()
-        return lambda part: rows(index[part])
+        return rows, np.broadcast_to(np.arange(math.prod(points)).reshape(points), shape).ravel()
 
     first, second = component(theta1, phi1), component(theta2, phi2)
-    qfi, crb, degenerate = _evaluate(bands, batch_cells(j), n, first, second)
+    qfi, crb, degenerate = _evaluate(bands, batch_cells(j), first, second)
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 
 
@@ -379,14 +380,8 @@ def _cat_crb_pairs(j: SpinJ, g: Generator, theta, phi, first, second):
     """
     shape = np.shape(first)
     first, second = np.ravel(first), np.ravel(second)
-    if first.size:  # an empty batch is not checked
-        rows = _rows(_powers(j.two_j), _checked("theta", theta), _checked("phi", phi))
-    qfi, crb, degenerate = _evaluate(
-        _bands(j, g),
-        batch_cells(j),
-        first.size,
-        lambda part: rows(first[part]),
-        lambda part: rows(second[part]),
-    )
+    # an empty batch is not checked
+    rows = _rows(_powers(j.two_j), _checked("theta", theta), _checked("phi", phi)) if first.size else None
+    qfi, crb, degenerate = _evaluate(_bands(j, g), batch_cells(j), (rows, first), (rows, second))
     return qfi.reshape(shape), crb.reshape(shape), degenerate.reshape(shape)
 

@@ -306,7 +306,8 @@ def reference_csv(result) -> str:
 def crb_one_z_phi_pi_variant(theta1: float, theta2: float) -> float:
     """Sign-flipped variant of the phi = pi family. Witness only.
 
-    Identical to the ONE_Z_PHIPI formula except cos(theta1 - 3 theta2) replaces
+    The ONE_Z_PHIPI formula, the phi = 0 form at theta2 -> -theta2, written
+    out with cos(theta1 - 3 theta2) where the image has
     cos(theta1 + 3 theta2). It agrees with the numeric engine on the
     theta1 = theta2 = pi/2 point and strays elsewhere (regression-tested),
     so it must never be promoted into the family evaluator.

@@ -298,6 +298,17 @@ def test_divergence_convention():
     assert math.isinf(closed_form(ClosedFormCase.ONE_Z_PHIPI, theta1=0.0, theta2=0.0))
 
 
+def test_the_phi_0pi_corner_at_the_degeneracy_floor_is_divergent(monkeypatch):
+    # with the floor set to the corner's norm, 2 + 2 cos(pi) = 0.0 exactly,
+    # the corner is degenerate: a norm at the floor is no state, as the
+    # engine's _qfi_chunk has it, and the bare formula would give 1.0
+    import spincat.closedform as closedform
+
+    monkeypatch.setattr(closedform, "DEGENERACY_FLOOR", 2.0 + 2.0 * math.cos(PI))
+    assert closedform.DEGENERACY_FLOOR == 0.0
+    assert math.isinf(closed_form(ClosedFormCase.HALF_X_PHI_0PI, theta1=PI, theta2=PI))
+
+
 def test_the_ceiling_itself_is_divergent_and_the_float_below_it_is_not():
     # the ceiling is the bound at qfi = QFI_DIVERGENCE_FLOOR, which the
     # engine reports as divergent

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spincat import CoherentParams, SpinJ, coherent_overlap, coherent_state, rotation_matrix
+from spincat.coherent import _coherent_rows, _powers
 
 angles = st.floats(min_value=0.0, max_value=math.pi)
 phases = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
@@ -49,6 +50,25 @@ def test_coherent_state_bits_are_pinned(two_j):
             state = coherent_state(SpinJ(two_j), CoherentParams(theta, phi))
             digest.update(state.amplitudes.tobytes())
     assert digest.hexdigest() == _PINNED_COHERENT[two_j]
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
+def test_negated_theta_is_the_state_half_a_turn_round(two_j):
+    # c_k picks up (-1)^k from sin(-theta/2)^k and from e^(-i pi k) alike,
+    # so |-theta, phi> is |theta, phi + pi>, amplitude for amplitude; the
+    # closed forms' phi = pi rows are their phi = 0 rows at -theta2 by it.
+    # Not bits: the exponent (phi + pi) k is rounded, so each amplitude
+    # agrees to a few ulp of its size per unit of that exponent, and to a
+    # few of the smallest subnormal where it underflows
+    t = _powers(two_j)
+    rng = np.random.default_rng(two_j)
+    theta = np.concatenate([[0.0, 1e-300, 1e-150, 1e-9, math.pi], rng.uniform(0.0, math.pi, 500)])
+    phi = np.concatenate([[0.0, 0.5, math.pi - 1e-15, 2.0, 1.0], rng.uniform(0.0, math.pi, 500)])
+    reflected = _coherent_rows(t, -theta, phi)
+    turned = _coherent_rows(t, theta, phi + math.pi)
+    ulps = np.abs(turned) * (1.0 + t.k * (phi + math.pi)[:, None])
+    bound = 4 * (np.finfo(float).eps * ulps + np.finfo(float).smallest_subnormal)
+    assert (np.abs(reflected - turned) <= bound).all()
 
 
 def test_spin_half_amplitudes_match_half_angle_form():

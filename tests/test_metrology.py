@@ -164,7 +164,7 @@ def test_chunk_loop_diverges_at_the_qfi_floor_and_not_one_ulp_above(monkeypatch)
     def cats(part):
         return np.zeros((2, 2))
 
-    qfi, bound, degenerate = metrology._evaluate(None, 2, 2, cats, cats)
+    qfi, bound, degenerate = metrology._evaluate(None, 2, (cats, np.arange(2)), (cats, np.arange(2)))
     assert qfi.tolist() == qfis.tolist() and not degenerate.any()
     assert math.isinf(bound[0]) and bound[1] == 1.0 / math.sqrt(above)
 

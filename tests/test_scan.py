@@ -492,13 +492,23 @@ def test_find_hl_points_are_pinned():
 @pytest.mark.parametrize("smaller", [False, True])
 @pytest.mark.parametrize(
     "k,shift",
-    [(0, 1e-9), (1, -1e-9), (2, 1e-9), (3, -1e-9), (2, 2 * PI - 1e-9), (3, -(2 * PI - 1e-9))],
+    [
+        (0, 1e-9),
+        (1, -1e-9),
+        (2, 1e-9),
+        (3, -1e-9),
+        (2, 2 * PI - 1e-9),
+        (3, -(2 * PI - 1e-9)),
+        (0, -0.9e-5),
+        (3, -0.9e-5),
+    ],
 )
 def test_find_hl_reports_a_point_and_its_shifted_copy_once(monkeypatch, k, shift, smaller):
     # accepted points merge when all four angles lie within _MERGE_RADIUS
-    # of a point already kept, phi modulo 2 pi: a copy shifted by 1e-9, or
-    # by 2 pi - 1e-9 in phi, is reported once, by the smaller bound (the
-    # first point on a tie), and a copy shifted by twice the radius is not
+    # = 1e-5 of a point already kept, phi modulo 2 pi: a copy shifted by
+    # 1e-9 or 0.9e-5, or by 2 pi - 1e-9 in phi, is reported once, by the
+    # smaller bound (the first point on a tie), and a copy shifted the
+    # other way by 1.1e-5 is not
     import spincat.scan as scan_mod
 
     polish = scan_mod._polish
@@ -508,7 +518,7 @@ def test_find_hl_reports_a_point_and_its_shifted_copy_once(monkeypatch, k, shift
         x, best = polish(*args)
         near, far = x.copy(), x.copy()
         near[0, k] += shift
-        far[0, k] += 2 * scan_mod._MERGE_RADIUS
+        far[0, k] += 1.1e-5
         bound = np.nextafter(best, 0.0) if smaller else best
         xs, vals = np.vstack([x, near, far]), np.concatenate([best, bound, best])
         polished.extend((*row, val) for row, val in zip(xs.tolist(), vals.tolist()))
@@ -752,6 +762,34 @@ def test_find_hl_kernel_traffic(monkeypatch):
         assert (len(batches), sum(n for _, n in batches)) == traffic, (two_j, gen)
         campaign += batches
     assert sum(m for m, _ in campaign[: 1 + 1 + 13 + 7]) == 3000
+
+
+@pytest.mark.parametrize("gen,reported", [("X", 2), ("Y", 1)])
+def test_find_hl_kernel_traffic_at_an_odd_spin_and_64_seeds(monkeypatch, gen, reported):
+    # at 2j = 3 with 64 seeds the polish moves centres, so the stencil
+    # shapes of the test above do not hold here; the totals are pinned
+    # instead. Under Jx and Jy alike the search makes 75 _cat_crb_pairs
+    # calls carrying 11,740 cats and 11,712 component points, and the last
+    # 34 of them, a stencil of 30 cats and a trial of 12 per step, serve
+    # the two seeds that step along theta = pi and end refused
+    import spincat.metrology as metrology
+    import spincat.scan as scan_mod
+
+    batches = []
+
+    def pairs(j, g, theta, phi, first, second):
+        batches.append((len(theta), len(first)))
+        return metrology._cat_crb_pairs(j, g, theta, phi, first, second)
+
+    monkeypatch.setattr(scan_mod, "_cat_crb_pairs", pairs)
+    points = find_hl(HlSearchSpec(SpinJ(3), Generator[gen], seeds=64))
+    assert len(points) == reported
+    assert all(abs(p.crb - 1 / 3) <= 1e-12 for p in points)
+    assert batches[0] == (72, 1962)
+    assert len(batches) == 75
+    assert sum(n for _, n in batches) == 11740
+    assert sum(m for m, _ in batches) == 11712
+    assert [n for _, n in batches[-34:]] == [30, 12] * 17
 
 
 def test_the_angle_only_tables_are_built_on_first_use():
