@@ -178,7 +178,7 @@ _COMMANDS = {
         (("--tolerance",), _ranged(_parse_float, check_tolerance), HlSearchSpec.tolerance,
          "relative acceptance slack"),
         (("--seeds",), _ranged(_parse_int, check_seeds), HlSearchSpec.seeds,
-         "coarse starts to polish"),
+         "best grid cats to test"),
         (("--output",), str, None, "write the report to this path"),
         _FORMAT,
     )),

@@ -6,10 +6,9 @@ Where each part lives:
   overflow and degenerate masks; _grid_bounds: the grid evaluator it
   shares with closedform's sweep_family, on axes from _axis.
 - find_hl: the search for points whose bound reaches the Heisenberg limit
-  1/(2j). _seed_grid and _seed_starts pick the seeds from a coarse grid,
-  _polish moves them by damped Newton steps, with _wrapped keeping points
-  in the kernel's box, and _merged reports near points once. Its kernel
-  calls all go through _objective to metrology._cat_crb_pairs.
+  1/(2j). _seed_grid and _seed_starts rank the cats of a coarse grid that
+  holds the limit, in one kernel call through _objective to
+  metrology._cat_crb_pairs.
 """
 from __future__ import annotations
 
@@ -48,8 +47,8 @@ DEFAULT_CAP = 20.0
 MAX_RESOLUTION = 2001
 
 # points of find_hl's coarse seed grid: theta1 and theta2 at 9 steps of
-# pi/8, phi1 at 4 and phi2 at 8 steps of pi/4; no search can polish more
-# starts than the grid has, so larger seed counts are refused
+# pi/8, phi1 at 4 and phi2 at 8 steps of pi/4; no search can test more
+# cats than the grid has, so larger seed counts are refused
 MAX_SEEDS = 9 * 9 * 4 * 8
 
 
@@ -246,9 +245,9 @@ class HlSearchSpec:
 
     j must be a SpinJ and generator a Generator. tolerance is the relative
     acceptance slack (crb <= (1/(2j))(1+tol)), a real argument stored as a
-    float; seeds, an integer argument stored as an int, is how many
-    coarse-grid starts are polished, 1 <= seeds <= MAX_SEEDS. Grid points
-    with no finite bound are never started from, so fewer may be polished.
+    float; seeds, an integer argument stored as an int, is how many of the
+    coarse grid's best cats are tested, 1 <= seeds <= MAX_SEEDS. Grid cats
+    with no finite bound are never tested, so fewer may be.
     """
 
     j: SpinJ
@@ -281,47 +280,9 @@ class HlPoint:
     crb: float
 
 
-# half-width of find_hl's finite-difference stencil in every angle. The
-# bound is smooth in the four angles, and near a minimum it moves by a
-# relative (h^2) times its curvature across the stencil, about 1e-8 here,
-# so the second differences keep about eight digits in double precision,
-# and the first differences' O(h^2) error moves a Newton step's end by
-# about 1e-8 rad, a relative 1e-16 of the bound
-_STEP = 1e-4
-
-# the stencil around a centre c, in units of _STEP: c, then c + e_i and
-# c - e_i for each angle i, then c + e_i + e_j for each pair i < j
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_STENCIL = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4), np.eye(4)[list(_PAIRS)].sum(axis=1)])
-
-# _polish's damping ladder, from the Newton step (lam = 0) to a short step
-# along the descent direction (lam = 10)
-_DAMPING = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
-
-# floor of each eigenvalue of _polish's damped Hessian, as a fraction of s
-_EIG_FLOOR = 1e-8
-
-# Newton steps at most per seed
-_MAX_STEPS = 40
-
-# relative slack above 1/(2j) within which a seed is at the limit and stops
-# being polished: no pure state's bound lies below 1/(2j), and the kernels'
-# roundoff there is at most about 2.2e-16, so further steps only move roundoff
-_LIMIT_SLACK = 1e-12
-
-# accepted points whose four angles all lie this close (phi modulo 2 pi) are
-# one point. A seed stops within a relative _LIMIT_SLACK of the limit, which
-# near a minimum of unit relative curvature leaves each angle free by about
-# sqrt(_LIMIT_SLACK) = 1e-6. The radius is ten times that: with 16 or 64
-# seeds, for 2j in 1..12, 16, 32 and 64 under each generator, every
-# accepted point lies within 2.1e-6 of the one reported for it, and the
-# points reported lie at least 0.17 apart
-_MERGE_RADIUS = 10 * math.sqrt(_LIMIT_SLACK)
-
-
 def _objective(j: SpinJ, g: Generator, points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Bound at each cat, inf where the cat is degenerate, so the search
-    steps away from it.
+    never ranks it.
 
     points is an (m, 2) table of component points (theta, phi), and the
     cat of each row of the (n, 2) integer array pairs is the two points it
@@ -330,180 +291,6 @@ def _objective(j: SpinJ, g: Generator, points: np.ndarray, pairs: np.ndarray) ->
     """
     _, crb, degenerate = _cat_crb_pairs(j, g, points[:, 0], points[:, 1], pairs[:, 0], pairs[:, 1])
     return np.where(degenerate, math.inf, crb)
-
-
-# the columns (theta, phi) of each component of a cat (theta1, theta2,
-# phi1, phi2): x[..., _COMPONENTS] has the components along its last but one axis
-_COMPONENTS = np.array([[0, 2], [1, 3]])
-
-
-def _wrapped(x: np.ndarray, even: bool) -> np.ndarray:
-    """The points x, moved into the box the kernel takes, in place: rows
-    along the last axis of their thetas and then their phis, cats (theta1,
-    theta2, phi1, phi2) or components (theta, phi).
-
-    A negative theta is reflected through the pole, (-theta, phi) ->
-    (theta, phi + pi), which is the same coherent state. So is
-    (2 pi - theta, phi + pi) for theta above pi at even 2j (even), and
-    there theta is reduced modulo 2 pi and reflected; at odd 2j that image
-    changes the sign of its component, so theta is clipped to pi instead.
-    Each reflection is exact in floating point. phi is reduced modulo 2 pi.
-    """
-    half = x.shape[-1] // 2
-    for r in range(half):
-        theta, phi = x[..., r], x[..., r + half]
-        flip = theta < 0.0
-        theta[flip] = -theta[flip]
-        phi[flip] += math.pi
-        if even:
-            np.fmod(theta, 2 * math.pi, out=theta)
-            flip = theta > math.pi
-            theta[flip] = 2 * math.pi - theta[flip]
-            phi[flip] += math.pi
-    np.minimum(x[..., :half], math.pi, out=x[..., :half])
-    np.mod(x[..., half:], 2 * math.pi, out=x[..., half:])
-    return x
-
-
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    # the sum over the last axis of four terms, added left to right: a
-    # fixed order, which a one-seed search in Python floats can repeat
-    return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
-
-
-def _derivatives(f: np.ndarray):
-    """-> (g, H): the gradient and Hessian, from the stencil values f, one
-    row of 15 per seed in _STENCIL's order. g_i is the central difference,
-    H_ii the central second difference and H_ij the forward mixed one."""
-    f0, up, down, pairs = f[:, :1], f[:, 1:5], f[:, 5:9], f[:, 9:]
-    hh = _STEP * _STEP
-    rise = up - f0
-    g = (up - down) / (2 * _STEP)
-    H = np.empty((len(f), 4, 4))
-    diagonal = np.arange(4)
-    H[:, diagonal, diagonal] = (rise + (down - f0)) / hh
-    for p, (a, b) in enumerate(_PAIRS):
-        H[:, a, b] = H[:, b, a] = ((pairs[:, p] - up[:, a]) - rise[:, b]) / hh
-    return g, H
-
-
-def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """-> d of shape (m, len(_DAMPING), 4): _polish's damped step for each
-    seed and each rung of the ladder, through H's eigenvectors V and
-    eigenvalues w, s = max |w|."""
-    w, V = np.linalg.eigh(H)
-    s = np.abs(w).max(axis=1)[:, None, None]
-    lam = np.array(_DAMPING)[None, :, None]
-    curvature = np.maximum(w[:, None, :] + lam * s, _EIG_FLOOR * s)
-    along = _ordered_sum(np.swapaxes(V * g[:, :, None], 1, 2))  # V^T g
-    return -_ordered_sum(V[:, None, :, :] * (along[:, None, :] / curvature)[:, :, None, :])
-
-
-@functools.cache
-def _stencil_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """-> (offsets, pairs), built on first use and read-only: the distinct
-    offsets (theta, phi) of one component across _STENCIL, in units of
-    _STEP, and for each stencil point the index of its first component's
-    offset and, counted from len(offsets), of its second's. A seed's
-    stencil is 2 len(offsets) = 12 component points, not 15 cats' 30."""
-    rows = [tuple(row) for c in _COMPONENTS for row in _STENCIL[:, c].tolist()]
-    distinct = list(dict.fromkeys(rows))  # -0.0 and 0.0 are one offset
-    first, second = np.array([distinct.index(row) for row in rows]).reshape(2, -1)
-    offsets, pairs = np.array(distinct), np.stack([first, second + len(distinct)], axis=1)
-    for arr in (offsets, pairs):
-        arr.flags.writeable = False
-    return offsets, pairs
-
-
-def _polish(objective, starts, values, stop: float, even: bool):
-    """Damped Newton steps from every start at once -> (x, best): the
-    polished points and their objective values.
-
-    objective(points, pairs) gives the bound at each cat named by a row of
-    the (n, 2) index array pairs into the (m, 2) table points of component
-    points (theta, phi), as _objective does; values holds it at each
-    start, and even says whether 2j is even. Each step makes two objective
-    calls for all the seeds still polishing.
-
-    Stencil. The first call evaluates _STENCIL around each seed: the
-    centre, +-h along each of the four angles and +h along each pair of
-    angles, h = _STEP, its cats paired from six offsets per component
-    (_stencil_pairs). The centre is the seed's own point, whose value the
-    seed holds, so 14 cats per seed are evaluated, 15 where the odd-2j
-    face below moved the centre. _derivatives turns the 15 values into the
-    gradient g and the Hessian H.
-
-    Damping ladder. _newton_steps gives the steps d(lam) = -(H + lam s I)^-1
-    g for each lam of _DAMPING, s the largest eigenvalue magnitude of H,
-    with each eigenvalue of H + lam s I floored at _EIG_FLOOR s, so that
-    every step minimises a positive definite model and a direction of
-    negative or vanishing curvature takes the longest steps. The second
-    call evaluates the trial points, the stencil's centre plus each step,
-    and a seed moves to its best trial (the first on ties) if that is
-    strictly lower than its value.
-
-    Stop rules. A row whose value is at most stop is done: it is never
-    polished if its start is, and leaves after the step that brings it
-    there. Any other row stops after a step that does not lower it, or
-    lowers it by less than a relative 1e-13; when its stencil gives a
-    derivative that is not finite or a Hessian that is all zero; and after
-    _MAX_STEPS steps. Each rule reads a row's own values only, and its
-    arithmetic is that of a search on its own, so the search is
-    deterministic.
-
-    Angle ranges. Every stencil and trial point is moved into the kernel's
-    box by _wrapped: phi is periodic, and below theta = 0, and above pi at
-    even 2j, a point is reflected onto the same coherent state. At odd 2j the reflection at
-    theta = pi flips the sign of one component, a different cat, so a
-    centre with a theta above pi - h is lowered to pi - h first, which
-    keeps its stencil inside, and trial points are clipped to pi.
-    """
-    x = np.array(starts, dtype=float)
-    best = np.array(values, dtype=float)
-    offsets, pairs = _stencil_pairs()
-    live = np.flatnonzero(best > stop)
-    for _ in range(_MAX_STEPS):
-        if not live.size:
-            break
-        centre = x[live]
-        moved = np.zeros(len(live), dtype=bool)
-        if not even:
-            moved = (centre[:, :2] > math.pi - _STEP).any(axis=1)
-            np.minimum(centre[:, :2], math.pi - _STEP, out=centre[:, :2])
-        # component point (seed s, component c, offset k) is row (2 s + c) len(offsets) + k
-        points = _wrapped(centre[:, _COMPONENTS][:, :, None] + _STEP * offsets, even).reshape(-1, 2)
-        seeds = 2 * len(offsets) * np.arange(len(live))[:, None, None]
-        around = (seeds + pairs[1:]).reshape(-1, 2)
-        stencil = objective(points, np.concatenate([around, seeds[moved, 0] + pairs[0]]))
-        f = np.empty((len(live), len(_STENCIL)))
-        f[:, 0] = best[live]
-        f[moved, 0] = stencil[len(around) :]
-        f[:, 1:] = stencil[: len(around)].reshape(len(live), -1)
-        g, H = _derivatives(f)
-        usable = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
-        usable[usable] = np.abs(H[usable]).max(axis=(1, 2)) > 0.0
-        live, centre, g, H = live[usable], centre[usable], g[usable], H[usable]
-        if not live.size:
-            break
-        trials = _wrapped(centre[:, None, :] + _newton_steps(g, H), even)
-        # the two components of trial i are rows 2 i and 2 i + 1
-        points = trials[:, :, _COMPONENTS].reshape(-1, 2)
-        f = objective(points, np.arange(len(points)).reshape(-1, 2)).reshape(len(live), len(_DAMPING))
-        pick = f.argmin(axis=1)
-        f_pick = f[np.arange(len(live)), pick]
-        before = best[live]
-        better = f_pick < before
-        x[live[better]] = trials[better, pick[better]]
-        best[live[better]] = f_pick[better]
-        after = best[live]
-        live = live[better & ~(before - after < 1e-13 * before) & (after > stop)]
-    return x, best
-
-
-def _stop_bound(spec: HlSearchSpec) -> float:
-    """The value at or below which find_hl stops polishing a seed:
-    target (1 + min(_LIMIT_SLACK, tolerance)), never above acceptance."""
-    return spec.target * (1.0 + min(_LIMIT_SLACK, spec.tolerance))
 
 
 @functools.cache
@@ -533,8 +320,8 @@ def _seed_grid() -> tuple[np.ndarray, ...]:
 
 
 def _seed_starts(objective, seeds: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seeds best finite points of the coarse grid, ranked by
-    (value, theta1, theta2, phi1, phi2) -> (starts, values).
+    """The seeds best finite cats of the coarse grid, ranked by
+    (value, theta1, theta2, phi1, phi2) -> (cats, values).
 
     The grid needs half the phi1 range: shifting both phases by pi, a
     rotation by pi about z, maps (Jx, Jy, Jz) to (-Jx, -Jy, Jz), and
@@ -555,57 +342,37 @@ def _seed_starts(objective, seeds: int) -> tuple[np.ndarray, np.ndarray]:
     return grid[order], vals[order]
 
 
-# the period of each angle (theta1, theta2, phi1, phi2) for _merged
-_PERIODS = np.array([math.inf, math.inf, 2 * math.pi, 2 * math.pi])
-
-
-def _merged(x: np.ndarray, values: np.ndarray) -> list[int]:
-    """Rows of the points x to report, one for each group of near points.
-
-    Rows are taken in order. A row whose four angles all lie within
-    _MERGE_RADIUS of those of a row already kept, phi compared modulo
-    2 pi, joins the first such row, and takes its place if its value is
-    strictly smaller; any other row is kept.
-    """
-    kept: list[int] = []
-    points = np.empty_like(x)  # the points of the kept rows, in order
-    for i, point in enumerate(x):
-        gap = np.remainder(np.abs(points[: len(kept)] - point), _PERIODS)
-        near = np.flatnonzero((np.minimum(gap, _PERIODS - gap) <= _MERGE_RADIUS).all(axis=1))
-        if not near.size:
-            points[len(kept)] = point
-            kept.append(i)
-        elif values[i] < values[kept[near[0]]]:
-            points[near[0]] = point
-            kept[near[0]] = i
-    return kept
-
-
 def find_hl(spec: HlSearchSpec) -> list[HlPoint]:
     """Locate Heisenberg-limit points for the given spin and generator.
 
-    The best spec.seeds points of the coarse grid (_seed_starts) are
-    polished by _polish, which stops a seed once its bound is at most
-    _stop_bound(spec). The values the polish ends on, those
-    cat_crb_batch gives at the polished points, bit for bit, decide
-    acceptance, crb <= target (1 + tolerance), and accepted points within
-    _MERGE_RADIUS of each other in every angle (phi modulo 2 pi) are
-    reported once, by the one with the smallest bound. Returns the
-    accepted points sorted by (crb, theta1, theta2, phi1, phi2); raises
-    NoHlFoundError when no polished seed is accepted, and TypeError for a
+    The best spec.seeds finite cats of the coarse grid (_seed_starts) are
+    tested, and those with crb <= target (1 + tolerance) are returned, in
+    _seed_starts' order (crb, theta1, theta2, phi1, phi2); each crb is
+    the one cat_crb_batch gives at its grid cat, bit for bit. Raises
+    NoHlFoundError when no tested cat is accepted, and TypeError for a
     spec of another type.
+
+    The grid holds the limit. For Jx, Jy and Jz it has a cat at 1/(2j)
+    at every 2j, by README's conditions ("When a cat reaches the limit").
+    Components at the opposite poles of G's axis make the GHZ state along
+    G at any 2j, and those poles are nodes with phi1 in the grid's half
+    [0, pi): theta 0 and pi under Jz, (pi/2, 0) and (pi/2, pi) under Jx,
+    (pi/2, pi/2) and (pi/2, 3 pi/2) under Jy. At 2j >= 3 these are the
+    only limit cats. At 2j = 2 the antipodal pairs theta2 = pi - theta1,
+    phi2 = phi1 + pi, with phi1 = 0 under Jx and pi/2 under Jy, are nodes
+    too, and at 2j = 1 so are cats whose Bloch vector is orthogonal to G's
+    axis. The kernel's bound at those nodes is within 2.2e-16 relative of
+    the limit, so the first point reported lies at it; a tolerance below
+    that roundoff can accept none.
     """
     instance(spec, HlSearchSpec, "spec")
     objective = functools.partial(_objective, spec.j, spec.generator)
     accept = spec.target * (1.0 + spec.tolerance)
-    starts, values = _seed_starts(objective, spec.seeds)
-    xs, vals = _polish(objective, starts, values, _stop_bound(spec), spec.j.two_j % 2 == 0)
-    accepted = vals <= accept
-    xs, vals = xs[accepted], vals[accepted]
-    if not vals.size:
+    cats, values = _seed_starts(objective, spec.seeds)
+    accepted = values <= accept
+    if not accepted.any():
         raise NoHlFoundError(
             f"no point reached crb <= {accept:.6g} for j={spec.j}, "
             f"generator {spec.generator.name}"
         )
-    found = [HlPoint(*xs[i].tolist(), vals[i].item()) for i in _merged(xs, vals)]
-    return sorted(found, key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2))
+    return [HlPoint(*cat, crb) for cat, crb in zip(cats[accepted].tolist(), values[accepted].tolist())]

@@ -17,15 +17,7 @@ from spincat import (
 )
 from spincat.closedform import FAMILIES, SweepReport, _extended, _sqrt_ratio
 from spincat.metrology import batch_cells, cat_crb_batch
-from spincat.scan import (
-    _DAMPING,
-    _EIG_FLOOR,
-    _MAX_STEPS,
-    _MERGE_RADIUS,
-    _STEP,
-    HlPoint,
-    check_resolution,
-)
+from spincat.scan import HlPoint, check_resolution
 
 
 def random_coherent(rng) -> CoherentParams:
@@ -51,110 +43,8 @@ def random_cat(rng, max_two_j: int = 10, min_qfi: float = 1e-2, generator=None):
 
 # ---------------------------------------------------------------------------
 # one-point-at-a-time Heisenberg-limit search, the reference for the
-# lockstep search in spincat.scan: same seed grid, same Newton-step
-# arithmetic on Python floats, with NumPy only for the eigenvectors of each
-# seed's own 4 x 4 Hessian, one objective call per point, and the same
-# merge of accepted points, one pair of floats at a time
-
-_PAIRS = list(itertools.combinations(range(4), 2))
-
-
-def _wrap(point, even):
-    # a negative theta reflects through the pole, and at even 2j a theta
-    # above pi reflects through the other one; at odd 2j it is clipped
-    p = list(point)
-    for r in (0, 1):
-        if p[r] < 0.0:
-            p[r], p[r + 2] = -p[r], p[r + 2] + math.pi
-        if even:
-            p[r] = math.fmod(p[r], 2 * math.pi)
-            if p[r] > math.pi:
-                p[r], p[r + 2] = 2 * math.pi - p[r], p[r + 2] + math.pi
-        p[r] = min(p[r], math.pi)
-    return p[:2] + [v % (2 * math.pi) for v in p[2:]]
-
-
-def _stencil(centre):
-    # the centre, then +-h along each angle, then +h along each pair i < j
-    rows = [list(centre)]
-    for sign in (1.0, -1.0):
-        for i in range(4):
-            rows.append([c + _STEP * (sign if k == i else 0.0) for k, c in enumerate(centre)])
-    for a, b in _PAIRS:
-        rows.append([c + _STEP * (1.0 if k in (a, b) else 0.0) for k, c in enumerate(centre)])
-    return rows
-
-
-def _derivatives(f):
-    f0, up, down, pairs = f[0], f[1:5], f[5:9], f[9:]
-    hh = _STEP * _STEP
-    rise = [u - f0 for u in up]
-    g = [(up[i] - down[i]) / (2 * _STEP) for i in range(4)]
-    H = [[0.0] * 4 for _ in range(4)]
-    for i in range(4):
-        H[i][i] = (rise[i] + (down[i] - f0)) / hh
-    for p, (a, b) in enumerate(_PAIRS):
-        H[a][b] = H[b][a] = ((pairs[p] - up[a]) - rise[b]) / hh
-    return g, H
-
-
-def _sum4(terms):
-    return ((terms[0] + terms[1]) + terms[2]) + terms[3]
-
-
-def _steps(g, H):
-    # -(H + lam s I)^-1 g through H's eigenvectors, each eigenvalue of
-    # H + lam s I floored at _EIG_FLOOR s, s the largest |eigenvalue|
-    w, V = np.linalg.eigh(np.array(H))
-    w, V = w.tolist(), V.tolist()
-    s = max(abs(v) for v in w)
-    along = [_sum4([V[i][k] * g[i] for i in range(4)]) for k in range(4)]
-    steps = []
-    for lam in _DAMPING:
-        q = [along[k] / max(w[k] + lam * s, _EIG_FLOOR * s) for k in range(4)]
-        steps.append([-_sum4([V[i][k] * q[k] for k in range(4)]) for i in range(4)])
-    return steps
-
-
-def _polish(f, start, stop, even):
-    # a start at or below stop is at the limit already; a step that brings
-    # the point there ends the polish
-    x = list(start)
-    best = f(x)
-    for _ in range(_MAX_STEPS):
-        if best <= stop:
-            break
-        centre = list(x)
-        if not even:
-            centre[:2] = [min(t, math.pi - _STEP) for t in centre[:2]]
-        g, H = _derivatives([f(_wrap(p, even)) for p in _stencil(centre)])
-        if not all(map(math.isfinite, g + sum(H, []))) or not max(abs(v) for v in sum(H, [])) > 0:
-            break
-        trials = [_wrap([c + d for c, d in zip(centre, step)], even) for step in _steps(g, H)]
-        values = [f(t) for t in trials]
-        i = min(range(len(values)), key=values.__getitem__)
-        before = best
-        if not values[i] < before:
-            break
-        x, best = trials[i], values[i]
-        if before - best < 1e-13 * before:
-            break
-    return x, best
-
-
-def _seed_starts(f, seeds):
-    thetas = [math.pi * i / 8 for i in range(9)]
-    phis = [math.pi * k / 4 for k in range(8)]
-    ranked = []
-    for t1 in thetas:
-        for t2 in thetas:
-            for p1 in phis[:4]:
-                for p2 in phis:
-                    val = f((t1, t2, p1, p2))
-                    if math.isfinite(val):
-                        ranked.append((val, t1, t2, p1, p2))
-    ranked.sort()
-    return [r[1:] for r in ranked[:seeds]]
+# lockstep search in spincat.scan: the same seed grid, built from Python
+# floats, one objective call per cat, and the cats ranked by a Python sort
 
 
 def cat_objective(j, gen, cats):
@@ -165,51 +55,18 @@ def cat_objective(j, gen, cats):
     return np.where(degenerate, math.inf, crb)
 
 
-def _one_point_objective(spec):
-    def objective(x):
-        return float(cat_objective(spec.j, spec.generator, [x])[0])
-
-    return objective
-
-
-def sequential_polish(spec, start):
-    """find_hl's polish of the one seed start -> (point, bound), with every
-    evaluation of its objective a batch of one point."""
-    stop = spec.target * (1.0 + min(1e-12, spec.tolerance))
-    return _polish(_one_point_objective(spec), start, stop, spec.j.two_j % 2 == 0)
-
-
 def sequential_find_hl(spec):
-    """find_hl with every evaluation of its objective a batch of one point."""
+    """find_hl with every cat of its grid evaluated as a batch of one."""
+    thetas = [math.pi * i / 8 for i in range(9)]
+    phis = [math.pi * k / 4 for k in range(8)]
+    ranked = []
+    for cat in itertools.product(thetas, thetas, phis[:4], phis):
+        val = float(cat_objective(spec.j, spec.generator, [cat])[0])
+        if math.isfinite(val):
+            ranked.append((val, *cat))
+    ranked.sort()
     accept = spec.target * (1.0 + spec.tolerance)
-    found = []
-    for start in _seed_starts(_one_point_objective(spec), spec.seeds):
-        x, val = sequential_polish(spec, start)
-        if val <= accept:
-            _merge(found, HlPoint(x[0], x[1], x[2], x[3], val))
-    return sorted(found, key=lambda p: (p.crb, p.theta1, p.theta2, p.phi1, p.phi2))
-
-
-def _gap(a, b, periodic):
-    d = abs(a - b)
-    if periodic:
-        d = math.fmod(d, 2 * math.pi)
-        d = min(d, 2 * math.pi - d)
-    return d
-
-
-def _merge(found, pt):
-    """Add pt to the list found of points to report: a point within
-    _MERGE_RADIUS of a kept one in every angle, phi modulo 2 pi, joins the
-    first such point and takes its place if its bound is smaller."""
-    new = (pt.theta1, pt.theta2, pt.phi1, pt.phi2)
-    for i, old in enumerate(found):
-        kept = (old.theta1, old.theta2, old.phi1, old.phi2)
-        if all(_gap(a, b, r >= 2) <= _MERGE_RADIUS for r, (a, b) in enumerate(zip(new, kept))):
-            if pt.crb < old.crb:
-                found[i] = pt
-            return
-    found.append(pt)
+    return [HlPoint(*cat, val) for val, *cat in ranked[: spec.seeds] if val <= accept]
 
 
 # ---------------------------------------------------------------------------

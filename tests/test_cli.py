@@ -506,9 +506,8 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
         assert doc[key] == float(f"{value:.15g}"), key
 
 
-# sha256 of find-hl stdout, text and JSON, recorded from the damped Newton
-# polish that merges accepted points within 1e-5; at j = 1/2, 1 and 32 the
-# points reported are seed-grid points, which no polish moves
+# sha256 of find-hl stdout, text and JSON, recorded from the grid-only
+# search: every point reported is a cat of the seed grid
 @pytest.mark.parametrize(
     "j,gen,fmt,digest",
     [
@@ -516,14 +515,14 @@ def test_crb_json_floats_are_library_values_at_15_digits(capsys):
         ("0.5", "z", "json", "f433b8109b91c06a8e0984b2c789c8cf8569b7644e441f7c0b21c1919b7dbf2e"),
         ("1", "z", "text", "7c53a7b26aff5b615256c1a419b89f77e2d1442800a5f82125eb2582ea8dfe45"),
         ("1", "z", "json", "5bb405e1ce41a79dede8c3b708f359825aaaf8e3ff69b54f9a396582de356401"),
-        ("1.5", "y", "text", "6eecc9678f936b9dc90b678cb7b056e615136e2d224d034ca8e62c2e50f0aa77"),
-        ("1.5", "y", "json", "b9e4c226421893ceb2581fa268df3d090e05e1edb7b309b4cd113dbf30388e8b"),
+        ("1.5", "y", "text", "fd1d3efffd548fb74931feeb39240876d4497e996ec881d09f1f8d2a12ff13be"),
+        ("1.5", "y", "json", "a41b5e5aa1295cdf4959d4f75785547f07da749355f1a2cd1e245f9316ef8bb6"),
         ("32", "y", "text", "e84c886b4f1ce18017f4292dc6bbdb09b6823961fae0896074523f88745e60b5"),
         ("32", "y", "json", "eaf046ad488dab42baf409ad75c0c86c4a3f6ba15d08232a9d5b69dc48fcf7b3"),
         ("1", "x", "text", "f15025b01fd91145f6d746ab613bc747da1868af33a0fac950bb96df440ae3cc"),
         ("1", "x", "json", "7c8f7f66b2d9da22676de1611bab187b91f82d010a47a94bbb428dacfb92aef0"),
-        ("2", "x", "text", "e1cb8cc3bdd0421554e523144c19ca6551832264e75de48d7dced0e3ed625fa6"),
-        ("2", "x", "json", "52112b4873b5a53c84c13e71424d0a156482d1e89dddc88a2b2d994d798448d0"),
+        ("2", "x", "text", "5c77fc4484f42d1c8e4c5f831dea0d9898d19b45447df699180e3b8eb16d3101"),
+        ("2", "x", "json", "9f3fac01e8273b9dc42ab5c8cd3958da8466b05442c266ad561cf6f76f58228f"),
     ],
 )
 def test_find_hl_stdout_is_pinned(capsys, j, gen, fmt, digest):

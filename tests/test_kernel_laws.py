@@ -1,7 +1,8 @@
 """Exact laws of the batched kernel: its three symmetries, the Heisenberg
 limit no bound goes below, the conditions for reaching it, and the
 antipodal Jz line, where the limit holds at the poles only (2j >= 3) or
-along the whole line (2j = 2, where Jx and Jy reach it at two phases)."""
+along the whole line (2j = 2, where Jx and Jy reach it at two phases, and
+off the line too)."""
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from spincat import (
     cat_state,
     closed_form,
     coherent_overlap,
+    qfi_sld_oracle,
 )
 
 TWO_JS = [1, 2, 3, 16, 64]
@@ -147,9 +149,10 @@ def test_spin_half_axes_sum_to_two(t1, p1, t2, p2):
     assert total == pytest.approx(2.0, rel=0, abs=3 * AXIS_SUM_TOL)
 
 
-# no pure state has F_Q = 4 Var(G) above (2j)^2, so crb 2j >= 1; find_hl
-# stops polishing a seed within 1e-12 of the limit, which holds only while
-# the kernels' roundoff below it stays far smaller (it is at most 2.2e-16)
+# no pure state has F_Q = 4 Var(G) above (2j)^2, so crb 2j >= 1; find_hl's
+# grid cats at the limit are tested to lie within 1e-12 of it, which holds
+# only while the kernels' roundoff below it stays far smaller (it is at
+# most 2.2e-16)
 HL_ROUNDOFF = 1e-14
 
 
@@ -323,6 +326,27 @@ def test_antipodal_cats_at_spin_one_give_jx_and_jy_by_their_phase(t1, p1):
     for gen, want in ((Generator.X, math.cos(p1) ** 2), (Generator.Y, math.sin(p1) ** 2)):
         for qfi in _both_kernels(j, gen, t1, math.pi - t1, p1, p1 + math.pi):
             assert qfi / 4 == pytest.approx(want, rel=0, abs=1e-14)
+
+
+# the 2j = 2 limit set under Jx is wider than its antipodal pairs: at
+# (pi/8, pi, pi/2, 0) the components are 157.5 degrees apart, and
+# cat_crb gives F_x = 4.000000000000001, qfi_sld_oracle 4.000000000000004.
+# The quarter turn phi -> phi + pi/2 of both phases carries it to a Jy
+# limit cat (test_jy_is_jx_a_quarter_turn_back)
+SPIN_ONE_OFF_ANTIPODAL_LIMIT = (math.pi / 8, math.pi, math.pi / 2, 0.0)
+
+
+@pytest.mark.parametrize("gen,turn", [(Generator.X, 0.0), (Generator.Y, math.pi / 2)],
+                         ids=["X", "Y"])
+def test_spin_one_reaches_the_limit_off_the_antipodal_pairs(gen, turn):
+    t1, t2, p1, p2 = SPIN_ONE_OFF_ANTIPODAL_LIMIT
+    p1, p2 = p1 + turn, p2 + turn
+    between = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
+    assert math.degrees(math.acos(between)) == pytest.approx(157.5, rel=0, abs=1e-9)
+    j = SpinJ(2)
+    state = cat_state(CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2)))
+    for qfi in [*_both_kernels(j, gen, t1, t2, p1, p2), qfi_sld_oracle(state, gen)]:
+        assert qfi == pytest.approx(4.0, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("two_j", [3, 4, 16])

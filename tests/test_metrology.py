@@ -108,6 +108,36 @@ def test_three_routes_agree_on_random_cats():
             assert abs(q - richardson_qfi(psi, g)) <= 1e-6 * max(q, 1e-12)
 
 
+def _seeded_cats(rng, two_j, n):
+    # n non-degenerate cats of uniform random angles at spin j = two_j / 2
+    j, cats = SpinJ(two_j), []
+    while len(cats) < n:
+        t1, t2 = rng.uniform(0.0, math.pi, 2)
+        p1, p2 = rng.uniform(0.0, 2 * math.pi, 2)
+        try:
+            cats.append(cat_state(CatParams(j, CoherentParams(t1, p1), CoherentParams(t2, p2))))
+        except DegenerateCatError:
+            continue
+    return cats
+
+
+def test_the_sld_floor_lies_in_the_gap_of_a_pure_spectrum():
+    # qfi_sld_oracle takes pure states only, so rho = |psi><psi| has one
+    # eigenvalue 1 and the rest 0 up to roundoff: on these 1,000 cats the
+    # largest non-leading |p| is 8.6e-16. Every pair sum is then above 0.5
+    # or below 2e-14, and any _SLD_EIG_FLOOR between them gives the same
+    # L: at 1e-10 the oracle gave the same bits on these cats under each
+    # generator
+    rng = np.random.default_rng(40)
+    for two_j in (1, 2, 3, 16, 64):
+        for psi in _seeded_cats(rng, two_j, 200):
+            v = psi.amplitudes
+            p = np.linalg.eigh(np.outer(v, v.conj()))[0]
+            assert abs(p[-1] - 1.0) <= 1e-14
+            assert np.abs(p[:-1]).max() <= 1e-14, two_j
+    assert 2e-14 < metrology._SLD_EIG_FLOOR < 0.5
+
+
 def test_information_is_invariant_along_the_trajectory():
     rng = np.random.default_rng(23)
     cat = random_cat(rng)

@@ -26,12 +26,11 @@ from spincat import (
     SpinJ,
     cat_crb,
     cat_state,
-    coherent_state,
     find_hl,
     grid_scan,
 )
 
-from support import cat_objective, reference_csv, sequential_find_hl, sequential_polish
+from support import cat_objective, reference_csv, sequential_find_hl
 
 HALF = SpinJ(1)
 PI = math.pi
@@ -259,173 +258,11 @@ def test_search_objective_rejects_bad_theta(theta):
         scan_mod._objective(HALF, Generator.Z, points, np.array([[0, 1], [2, 1]]))
 
 
-_BOWL = np.array([[3.0, 1.0, 0.0, 0.5], [1.0, 2.0, 0.3, 0.0], [0.0, 0.3, 1.0, 0.2], [0.5, 0.0, 0.2, 4.0]])
-_BOWL_MIN = np.array([1.0, 2.0, 3.0, 4.0])
-
-
-def _bowl(points):
-    # 1 + (x - x*)^T A (x - x*) / 2, positive definite, least value 1 at x*
-    d = points - _BOWL_MIN
-    return 1.0 + 0.5 * np.einsum("ni,ij,nj->n", d, _BOWL, d)
-
-
-def _cats(points, pairs):
-    # the cats (theta1, theta2, phi1, phi2) of the rows of pairs, index
-    # pairs into the table points of component points (theta, phi)
-    return points[pairs].transpose(0, 2, 1).reshape(-1, 4)
-
-
-def test_polish_steps_onto_the_minimum_of_a_quadratic_bowl():
-    # the stencil's differences are exact on a quadratic but for roundoff,
-    # so the undamped rung lands on the minimum and the seed stops there
-    import spincat.scan as scan_mod
-
-    calls = []
-
-    def objective(points, pairs):
-        calls.append((len(points), len(pairs)))
-        return _bowl(_cats(points, pairs))
-
-    start = np.array([[1.2, 1.9, 3.3, 3.8]])
-    x, best = scan_mod._polish(objective, start, _bowl(start), 1.0 + 1e-12, False)
-    assert calls == [(12, 14), (12, 6)]
-    np.testing.assert_allclose(x[0], _BOWL_MIN, rtol=0, atol=1e-6)
-    assert best[0] <= 1.0 + 1e-12
-
-
-def test_polish_stops_a_seed_whose_stencil_meets_an_inf():
-    import spincat.scan as scan_mod
-
-    def objective(points, pairs):
-        values = _bowl(_cats(points, pairs))
-        values[0] = math.inf  # the stencil's first point past the centre
-        return values
-
-    start = np.array([[1.2, 1.9, 3.3, 3.8]])
-    x, best = scan_mod._polish(objective, start, _bowl(start), 1.0, False)
-    assert x.tobytes() == start.tobytes() and best.tobytes() == _bowl(start).tobytes()
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_stencil_differences_recover_a_quadratic(seed):
-    # on f = c + b.x + x^T A x / 2 the central and forward mixed
-    # differences are exact but for roundoff, about eps |f| / h^2 = 1e-7
-    # in the Hessian
-    import spincat.scan as scan_mod
-
-    rng = np.random.default_rng(seed)
-    root = rng.normal(size=(4, 4))
-    A, b, c = root + root.T, rng.normal(size=4), rng.normal()
-    centre = rng.uniform(0.0, PI, 4)
-    points = centre + scan_mod._STEP * scan_mod._STENCIL
-    f = c + points @ b + 0.5 * np.einsum("ni,ij,nj->n", points, A, points)
-    g, H = scan_mod._derivatives(f[None, :])
-    np.testing.assert_allclose(g[0], b + A @ centre, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(H[0], A, rtol=0, atol=1e-5)
-    assert (H[0] == H[0].T).all()
-
-
-@pytest.mark.parametrize("rung", range(6))
-@pytest.mark.parametrize("eigenvalues", [(0.5, 1.0, 2.5, 5.0), (-2.0, -0.1, 0.3, 4.0)],
-                         ids=["definite", "indefinite"])
-def test_newton_steps_minimise_the_floored_damped_model(rung, eigenvalues):
-    # d(lam) solves (H + lam s I) d = -g with each eigenvalue of H + lam s I
-    # floored at 1e-8 s; where H is positive definite no floor acts, and
-    # every step goes downhill
-    import spincat.scan as scan_mod
-
-    rng = np.random.default_rng(rung)
-    V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    w = np.array(eigenvalues)
-    H, g = (V * w) @ V.T, rng.normal(size=4)
-    d = scan_mod._newton_steps(g[None, :], H[None, :, :])[0, rung]
-    s, lam = np.abs(w).max(), scan_mod._DAMPING[rung]
-    model = (V * np.maximum(w + lam * s, scan_mod._EIG_FLOOR * s)) @ V.T
-    np.testing.assert_allclose(d, np.linalg.solve(model, -g), rtol=1e-6, atol=0)
-    if min(w) > 0:
-        np.testing.assert_allclose(d, np.linalg.solve(H + lam * s * np.eye(4), -g), rtol=1e-12, atol=0)
-    assert g @ d < 0
-
-
-@pytest.mark.parametrize("thetas", [(0.0, 0.0), (0.0, PI), (PI, 0.0), (PI, PI)],
-                         ids=["0-0", "0-pi", "pi-0", "pi-pi"])
-@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 16, 64])
-def test_a_seed_at_the_poles_is_stepped_inside_the_kernel_domain(monkeypatch, two_j, thetas):
-    # one step from a seed at theta = 0 or pi: every stencil and trial point
-    # lies in [0, pi] x [0, 2 pi), and each stencil point is the cat
-    # continued past the pole, from the centre that odd 2j lowers to pi - h
-    import spincat.scan as scan_mod
-
-    j, even, h = SpinJ(two_j), two_j % 2 == 0, scan_mod._STEP
-    calls = []
-
-    def objective(points, pairs):
-        calls.append((points.copy(), pairs.copy()))
-        return scan_mod._objective(j, Generator.X, points, pairs)
-
-    monkeypatch.setattr(scan_mod, "_MAX_STEPS", 1)
-    start = np.array([[thetas[0], thetas[1], 0.7, 5.9]])
-    scan_mod._polish(objective, start, cat_objective(j, Generator.X, start), 0.0, even)
-    (stencil, pairs), (trials, trial_pairs) = calls
-    centre = start[0].copy()
-    if not even:
-        centre[:2] = np.minimum(centre[:2], PI - h)
-    moved = bool((centre != start[0]).any())
-    assert stencil.shape == trials.shape == (12, 2)
-    assert len(pairs) == 14 + moved and len(trial_pairs) == 6
-    for points in (stencil, trials):
-        assert ((0 <= points[:, 0]) & (points[:, 0] <= PI)).all()
-        assert ((0 <= points[:, 1]) & (points[:, 1] < 2 * PI)).all()
-    # the stencil after its centre, then the centre if the clip moved it
-    continuations = (centre + h * scan_mod._STENCIL)[[*range(1, 15), 0][: len(pairs)]]
-    for point, continued in zip(_cats(stencil, pairs), continuations):
-        for r in (0, 1):
-            got = coherent_state(j, CoherentParams(point[r], point[r + 2])).amplitudes
-            want = _continued(two_j, continued[r], continued[r + 2])
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("two_j", [1, 3, 5])
-def test_only_a_centre_the_odd_2j_clip_moved_is_evaluated(monkeypatch, two_j):
-    # the stencil's centre is the seed's own point, whose value the seed
-    # holds, unless at odd 2j a theta above pi - h was lowered to it: of two
-    # seeds, one at theta1 = pi and one inside, the stencil call evaluates
-    # 14 cats of each and then the moved centre, and the derivatives read
-    # the value the kernel gives there
-    import spincat.scan as scan_mod
-
-    j, h = SpinJ(two_j), scan_mod._STEP
-    calls, stencils = [], []
-
-    def objective(points, pairs):
-        calls.append(_cats(points, pairs))
-        return scan_mod._objective(j, Generator.Y, points, pairs)
-
-    def derivatives(f):
-        stencils.append(f.copy())
-        return derivatives_of(f)
-
-    derivatives_of = scan_mod._derivatives
-    monkeypatch.setattr(scan_mod, "_derivatives", derivatives)
-    monkeypatch.setattr(scan_mod, "_MAX_STEPS", 1)
-    start = np.array([[PI, 1.1, 0.3, 2.0], [0.4, 1.1, 0.3, 2.0]])
-    values = cat_objective(j, Generator.Y, start)
-    scan_mod._polish(objective, start, values, 0.0, False)
-    cats = calls[0]
-    assert len(cats) == 2 * 14 + 1
-    moved = np.array([PI - h, 1.1, 0.3, 2.0])
-    assert cats[-1].tolist() == moved.tolist()
-    f = stencils[0]
-    assert f[0, 0] == cat_objective(j, Generator.Y, moved[None, :])[0] != values[0]
-    assert f[1, 0] == values[1]
-
-
 @pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
 @pytest.mark.parametrize("two_j", [1, 2, 3, 16, 64])
 def test_search_objective_is_inf_where_the_cat_is_degenerate(two_j, gen):
     # both components at the south pole with phases pi/(2j) apart: the
-    # amplitudes at k = 2j cancel; the polish stops a seed whose stencil
-    # meets such a cat
+    # amplitudes at k = 2j cancel; the search never ranks such a cat
     import spincat.scan as scan_mod
 
     points = np.array([[PI, 0.0], [PI, PI / two_j], [0.5, 0.0], [1.0, 0.0]])
@@ -452,34 +289,15 @@ def test_lockstep_search_matches_one_point_at_a_time(two_j, gen):
     assert find_hl(search) == sequential_find_hl(search)
 
 
-@pytest.mark.parametrize("two_j,gen", [(2, Generator.X), (3, Generator.Y)])
-def test_lockstep_polish_of_64_seeds_matches_one_seed_at_a_time(two_j, gen):
-    # every seed, refused ones too, which find_hl does not report: at
-    # 2j = 2 under Jx seeds step through theta = pi, and at 2j = 3 under Jy
-    # seeds are held below it, and two of them take 37 steps along it
-    # before they stop 0.134 above the limit
-    import functools
-
-    import spincat.scan as scan_mod
-
-    search = HlSearchSpec(j=SpinJ(two_j), generator=gen, seeds=64)
-    objective = functools.partial(scan_mod._objective, search.j, gen)
-    starts, values = scan_mod._seed_starts(objective, search.seeds)
-    stop = scan_mod._stop_bound(search)
-    xs, best = scan_mod._polish(objective, starts, values, stop, two_j % 2 == 0)
-    for start, x, value in zip(starts.tolist(), xs.tolist(), best.tolist()):
-        assert (x, value) == sequential_polish(search, start), start
-
-
 # float.hex of (theta1, theta2, phi1, phi2, crb) for each point find_hl
-# reports at j = 3/2 under Jy, recorded from the damped Newton polish
-# whose accepted points merge within _MERGE_RADIUS: the 16 seeds end
-# within 2.1e-6 of one optimum. The lockstep test above compares the
-# search with a reference that calls the same kernel, so it cannot see the
-# kernel drift.
+# reports at j = 3/2 under Jy, recorded from the grid-only search: the one
+# grid cat at the limit, components at the poles (pi/2, pi/2) and
+# (pi/2, 3 pi/2) of the y axis, its bound one ulp above 1/3. The lockstep
+# test above compares the search with a reference that calls the same
+# kernel, so it cannot see the kernel drift.
 _PINNED_HL_3Y = [
-    "0x1.921fb5457f1bdp+0 0x1.921fb545095d5p+0 0x1.921fb543a2a0dp+0 "
-    "0x1.2d97c7f31860ep+2 0x1.5555555555555p-2",
+    "0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 0x1.921fb54442d18p+0 "
+    "0x1.2d97c7f3321d2p+2 0x1.5555555555556p-2",
 ]
 
 
@@ -489,69 +307,31 @@ def test_find_hl_points_are_pinned():
     assert [" ".join(float(v).hex() for v in f) for f in fields] == _PINNED_HL_3Y
 
 
-@pytest.mark.parametrize("smaller", [False, True])
-@pytest.mark.parametrize(
-    "k,shift",
-    [
-        (0, 1e-9),
-        (1, -1e-9),
-        (2, 1e-9),
-        (3, -1e-9),
-        (2, 2 * PI - 1e-9),
-        (3, -(2 * PI - 1e-9)),
-        (0, -0.9e-5),
-        (3, -0.9e-5),
-    ],
-)
-def test_find_hl_reports_a_point_and_its_shifted_copy_once(monkeypatch, k, shift, smaller):
-    # accepted points merge when all four angles lie within _MERGE_RADIUS
-    # = 1e-5 of a point already kept, phi modulo 2 pi: a copy shifted by
-    # 1e-9 or 0.9e-5, or by 2 pi - 1e-9 in phi, is reported once, by the
-    # smaller bound (the first point on a tie), and a copy shifted the
-    # other way by 1.1e-5 is not
-    import spincat.scan as scan_mod
-
-    polish = scan_mod._polish
-    polished = []
-
-    def with_copies(*args):
-        x, best = polish(*args)
-        near, far = x.copy(), x.copy()
-        near[0, k] += shift
-        far[0, k] += 1.1e-5
-        bound = np.nextafter(best, 0.0) if smaller else best
-        xs, vals = np.vstack([x, near, far]), np.concatenate([best, bound, best])
-        polished.extend((*row, val) for row, val in zip(xs.tolist(), vals.tolist()))
-        return xs, vals
-
-    monkeypatch.setattr(scan_mod, "_polish", with_copies)
-    points = find_hl(HlSearchSpec(SpinJ(3), Generator.Y, seeds=1))
-    first, near, far = polished
-    reported = {(p.theta1, p.theta2, p.phi1, p.phi2, p.crb) for p in points}
-    assert reported == {near if smaller else first, far}
+@pytest.mark.parametrize("tolerance", [0.1, 1e-3, 1e-12, 2.3e-16, 1e-16])
+def test_find_hl_accepts_the_ranked_cats_within_the_tolerance(tolerance):
+    # of the 64 best grid cats, exactly those with crb <= target (1 +
+    # tolerance) are reported, in rank order: 16 at 0.1, the one limit cat
+    # at 1e-3 down to 2.3e-16, and none at 1e-16, below the one ulp by
+    # which the kernel's bound there exceeds 1/3
+    search = HlSearchSpec(SpinJ(3), Generator.Y, tolerance=tolerance, seeds=64)
+    expected = sequential_find_hl(search)
+    if expected:
+        assert find_hl(search) == expected
+    else:
+        with pytest.raises(NoHlFoundError):
+            find_hl(search)
+    assert len(expected) == {0.1: 16, 1e-16: 0}.get(tolerance, 1)
 
 
-@pytest.mark.parametrize("tolerance", [0.1, 1e-3, 1e-12, 1e-13, 1e-16])
-def test_polish_stops_at_the_limit_within_the_smaller_slack(monkeypatch, tolerance):
-    # a seed stops at target (1 + min(1e-12, tolerance)), never looser than
-    # acceptance, so no seed stops that acceptance would refuse; the search
-    # still matches the one-point-at-a-time reference, which stops the same
-    import spincat.scan as scan_mod
-
-    search = HlSearchSpec(SpinJ(3), Generator.Y, tolerance=tolerance, seeds=4)
-    stops = []
-    polish = scan_mod._polish
-
-    def spy(objective, starts, values, stop, even):
-        stops.append(stop)
-        return polish(objective, starts, values, stop, even)
-
-    monkeypatch.setattr(scan_mod, "_polish", spy)
-    points = find_hl(search)
-    want = search.target * (1 + min(1e-12, tolerance))
-    assert stops == [want]
-    assert want <= search.target * (1 + tolerance)
-    assert points == sequential_find_hl(search)
+@pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
+@pytest.mark.parametrize("two_j", range(1, 65))
+def test_the_seed_grid_holds_the_limit(two_j, gen):
+    # find_hl tests grid cats only, so the grid must hold a cat at the
+    # limit: components at the opposite poles of G's axis are grid nodes
+    # at every 2j (find_hl's docstring), and the first point reported, at
+    # the default 16 seeds, lies within a relative 1e-12 of 1/(2j)
+    points = find_hl(HlSearchSpec(SpinJ(two_j), gen))
+    assert points[0].crb * two_j - 1 <= 1e-12
 
 
 @pytest.mark.parametrize("gen", list(Generator), ids=lambda g: g.name)
@@ -673,66 +453,13 @@ def test_scan_spec_refuses_bool_phases(flag):
         spec(phi2=flag)
 
 
-def _continued(two_j, theta, phi):
-    # the coherent-state amplitudes of spincat.coherent, taken at any theta
-    k = np.arange(two_j + 1)
-    roots = np.sqrt([math.comb(two_j, i) for i in k])
-    return roots * np.cos(theta / 2) ** (two_j - k) * np.sin(theta / 2) ** k * np.exp(-1j * k * phi)
-
-
-@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 16])
-def test_wrapped_points_are_the_same_cat(two_j):
-    # the polish steps past theta = 0 and pi. Continued past 0, the
-    # amplitudes at (-t, phi) are those of (t, phi + pi); past pi, those at
-    # (pi + t, phi) are (-1)^(2j) times those of (pi - t, phi + pi), so the
-    # same state at even 2j, where _wrapped reflects, and at odd 2j it clips
-    import spincat.scan as scan_mod
-
-    j, even = SpinJ(two_j), two_j % 2 == 0
-    point = np.array([-0.3, PI + 0.2, 1.0, 6.0])
-    wrapped = scan_mod._wrapped(point.copy()[None, :], even)[0]
-    assert (0 <= wrapped[:2]).all() and (wrapped[:2] <= PI).all()
-    assert (0 <= wrapped[2:]).all() and (wrapped[2:] < 2 * PI).all()
-    first = coherent_state(j, CoherentParams(wrapped[0], wrapped[2])).amplitudes
-    np.testing.assert_allclose(first, _continued(two_j, point[0], point[2]), rtol=0, atol=1e-14)
-    second = coherent_state(j, CoherentParams(wrapped[1], wrapped[3])).amplitudes
-    if even:
-        np.testing.assert_allclose(second, _continued(two_j, point[1], point[3]), rtol=0, atol=1e-14)
-    else:
-        assert (wrapped[1], wrapped[3]) == (PI, point[3])
-        image = _continued(two_j, 2 * PI - point[1], point[3] + PI)
-        np.testing.assert_allclose(-image, _continued(two_j, point[1], point[3]), rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize(
-    "two_j,gen", [(1, "Z"), (2, "Z"), (3, "Y"), (64, "Y"), (2, "X"), (4, "X")]
-)
-def test_confirming_batch_reproduces_the_polish_values(two_j, gen):
-    # find_hl accepts on the values the polish ends on, so they must be
-    # exactly those cat_crb_batch gives at the polished points
-    import functools
-
-    import spincat.scan as scan_mod
-
-    j, g = SpinJ(two_j), Generator[gen]
-    objective = functools.partial(scan_mod._objective, j, g)
-    stop = scan_mod._stop_bound(HlSearchSpec(j, g))
-    starts, values = scan_mod._seed_starts(objective, 16)
-    xs, best = scan_mod._polish(objective, starts, values, stop, two_j % 2 == 0)
-    assert cat_objective(j, g, xs).tobytes() == best.tobytes()
-
-
-def test_find_hl_kernel_traffic(monkeypatch):
+@pytest.mark.parametrize("seeds", [1, 16, 64, MAX_SEEDS])
+def test_find_hl_kernel_traffic(monkeypatch, seeds):
     # every kernel call of the search is one _cat_crb_pairs call, recorded
-    # as (component points, cats). The seed grid comes first: 72 points and
-    # 1,962 cats. At 2j = 1, 2, 16 and 64 under Jz it puts all 16 seeds at
-    # the limit, so it is the only one. Each Newton step then makes two
-    # calls for the seeds still polishing: 12 points and the 14 stencil
-    # cats after the centre per seed (no centre is moved at these specs),
-    # and 12 points and six trial cats per seed. Over the four find-hl
+    # as (component points, cats): the seed grid's 72 points and 1,962
+    # cats, once per spec whatever the seed count. Over the four find-hl
     # specs of the benchmark's scalar-search campaign (the first four
-    # below), (calls, cats) sum to (22, 10108) and the points to 3,000, and
-    # every point reported lies within 1e-12 of the limit 1/(2j).
+    # below), (calls, cats) sum to (4, 7848).
     import spincat.metrology as metrology
     import spincat.scan as scan_mod
 
@@ -744,72 +471,32 @@ def test_find_hl_kernel_traffic(monkeypatch):
 
     monkeypatch.setattr(scan_mod, "_cat_crb_pairs", pairs)
     campaign = []
-    for two_j, gen, traffic in [
-        (1, "Z", (1, 1962)),
-        (2, "Z", (1, 1962)),
-        (3, "Y", (13, 3322)),
-        (64, "Y", (7, 2862)),
-        (16, "Z", (1, 1962)),
-        (64, "Z", (1, 1962)),
-    ]:
+    for two_j, gen in [(1, "Z"), (2, "Z"), (3, "Y"), (64, "Y"), (3, "X"), (16, "Z"), (64, "Z")]:
         batches.clear()
-        points = find_hl(HlSearchSpec(SpinJ(two_j), Generator[gen]))
-        assert all(abs(p.crb - 1 / two_j) <= 1e-12 for p in points), (two_j, gen)
-        assert batches[0] == (72, 1962), (two_j, gen)
-        stencils, trials = batches[1::2], batches[2::2]
-        assert stencils == [(12 * m, 14 * m) for m in (n // 6 for _, n in trials)], (two_j, gen)
-        assert trials == [(12 * m, 6 * m) for m in (n // 6 for _, n in trials)], (two_j, gen)
-        assert (len(batches), sum(n for _, n in batches)) == traffic, (two_j, gen)
+        find_hl(HlSearchSpec(SpinJ(two_j), Generator[gen], seeds=seeds))
+        assert batches == [(72, 1962)], (two_j, gen)
         campaign += batches
-    assert sum(m for m, _ in campaign[: 1 + 1 + 13 + 7]) == 3000
-
-
-@pytest.mark.parametrize("gen,reported", [("X", 2), ("Y", 1)])
-def test_find_hl_kernel_traffic_at_an_odd_spin_and_64_seeds(monkeypatch, gen, reported):
-    # at 2j = 3 with 64 seeds the polish moves centres, so the stencil
-    # shapes of the test above do not hold here; the totals are pinned
-    # instead. Under Jx and Jy alike the search makes 75 _cat_crb_pairs
-    # calls carrying 11,740 cats and 11,712 component points, and the last
-    # 34 of them, a stencil of 30 cats and a trial of 12 per step, serve
-    # the two seeds that step along theta = pi and end refused
-    import spincat.metrology as metrology
-    import spincat.scan as scan_mod
-
-    batches = []
-
-    def pairs(j, g, theta, phi, first, second):
-        batches.append((len(theta), len(first)))
-        return metrology._cat_crb_pairs(j, g, theta, phi, first, second)
-
-    monkeypatch.setattr(scan_mod, "_cat_crb_pairs", pairs)
-    points = find_hl(HlSearchSpec(SpinJ(3), Generator[gen], seeds=64))
-    assert len(points) == reported
-    assert all(abs(p.crb - 1 / 3) <= 1e-12 for p in points)
-    assert batches[0] == (72, 1962)
-    assert len(batches) == 75
-    assert sum(n for _, n in batches) == 11740
-    assert sum(m for m, _ in batches) == 11712
-    assert [n for _, n in batches[-34:]] == [30, 12] * 17
+    assert (len(campaign[:4]), sum(n for _, n in campaign[:4])) == (4, 7848)
 
 
 def test_the_angle_only_tables_are_built_on_first_use():
-    # the seed grid's points, pairs and pair map and the stencil's pairs
-    # depend on neither j nor G; importing the package and its CLI builds
-    # none of them, and the first search builds each once
+    # the seed grid's points, pairs and pair map depend on neither j nor
+    # G; importing the package and its CLI builds none of them, and the
+    # first search builds them once
     src = str(Path(spincat.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import spincat, spincat.cli\n"
         "from spincat import scan\n"
-        "tables = (scan._seed_grid, scan._stencil_pairs)\n"
+        "tables = (scan._seed_grid,)\n"
         "print(*(t.cache_info().currsize for t in tables))\n"
         "scan.find_hl(scan.HlSearchSpec(spincat.SpinJ(3), spincat.Generator.Y, seeds=2))\n"
         "print(*(t.cache_info().currsize for t in tables))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 0", "1 1"]
+    assert proc.stdout.splitlines() == ["0", "1"]
 
 
 @pytest.mark.parametrize("gen", [Generator.X, Generator.Y], ids=lambda g: g.name)
@@ -824,12 +511,12 @@ def test_no_seed_crawls_short_of_the_limit(two_j, gen):
 
 
 @pytest.mark.parametrize("gen", [Generator.X, Generator.Y], ids=lambda g: g.name)
-def test_spin_one_seeds_reflect_through_the_south_pole_to_the_limit(gen):
-    # at 2j = 2 some of 64 seeds start at theta = pi with the bound falling
-    # past it; at even 2j (2 pi - theta, phi + pi) is the same state, so
-    # they step through it to the limit, where a coordinate descent left
-    # them up to 1.1e-4 above it
+def test_spin_one_reports_only_limit_cats_of_64_seeds(gen):
+    # at 2j = 2 the grid holds 51 cats at the limit under Jx and under Jy,
+    # antipodal pairs and others (README); the next best lie more than the
+    # tolerance above it, so of 64 seeds exactly those 51 are reported
     points = find_hl(HlSearchSpec(SpinJ(2), gen, seeds=64))
+    assert len(points) == 51
     assert max(p.crb * 2 - 1 for p in points) <= 1e-12
 
 
